@@ -33,7 +33,7 @@ from walshflow.flows import (
     MappingFlow,
     MeasurePairSampler,
     SamplerInvalid,
-    coalescence_time,
+    _flow_experiment_invariants,
     extract_ray_weights,
     measure_ray_weights,
     merge_level_samples,
@@ -134,6 +134,15 @@ class ExperimentConfig:
             raise ConfigInvalid("dt, horizon, and flow_horizon must be positive")
         if self.flow_y_units <= 0 or self.flow_y_units % 2:
             raise ConfigInvalid("flow_y_units must be a positive even integer")
+        # step counts are derived from these ratios; off-grid values would be
+        # rounded silently, and not always the same way
+        for name, ratio in (
+            ("flow_horizon * 4^level", self.flow_horizon * 4.0**self.level),
+            ("horizon * 4^level", self.horizon * 4.0**self.level),
+            ("horizon / dt", self.horizon / self.dt),
+        ):
+            if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
+                raise ConfigInvalid(f"{name} = {ratio!r} is not an integer")
         for field_name in (
             "replicas",
             "path_replicas",
@@ -272,8 +281,9 @@ def _write_reports(reports: Sequence[TestReport], path: str) -> None:
 
 
 def _map_replicas(task: Callable, args_list: list, workers: int) -> list:
-    """Run one task per replica; output order is by replica index, never
-    by scheduling, so the worker count cannot change any artifact."""
+    """Run one task per replica, or per fixed chunk of replicas; output
+    order is by replica index, never by scheduling, so the worker count
+    cannot change any artifact."""
     if workers <= 1 or len(args_list) <= 1:
         return [task(args) for args in args_list]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -534,8 +544,13 @@ def _flow_starts(spec: GraphSpec, config: ExperimentConfig):
     )
 
 
-def _flow_task(args):
-    config, rep = args
+# replicas per flow-experiment task, stepped together by the kernel: enough to
+# spread numpy's per-call cost, few enough to keep its block buffers near 1 MB
+_FLOW_CHUNK = 200
+
+
+def _flow_chunk(args):
+    config, first, count = args
     spec = config.spec()
     dx = 2.0 ** (-config.level)
     ap = spec.alpha_plus
@@ -544,64 +559,41 @@ def _flow_task(args):
         horizon=config.flow_horizon,
         start_pairs=_flow_starts(spec, config),
     )
-    stream = RngStream(config.root_seed).child(KEY_REPLICA, rep)
-    ens = skew_lattice_flow(flow_config, spec, stream)
-
-    same_time = [q for q in range(ens.n_starts) if ens.born_at(q) == 0]
-    order = sorted(same_time, key=lambda q: ens.start_meta[q][1])
-    monotone = all(
-        bool(np.all(ens.traj[a] <= ens.traj[b]))
-        for a, b in zip(order[:-1], order[1:])
+    reps = range(first, first + count)
+    streams = [RngStream(config.root_seed).child(KEY_REPLICA, rep) for rep in reps]
+    monotone, flow_prop, permanence, at_zero, merge, visits = _flow_experiment_invariants(
+        flow_config, spec, streams
     )
-
-    permanence = True
-    at_zero = True
-    for q in range(1, ens.n_starts):
-        record = ens.merge_record(q)
-        if record is None:
-            continue
-        t = record.merge_index
-        permanence = permanence and bool(
-            np.array_equal(ens.traj[q, t:], ens.traj[record.target_index, t:])
+    rows = []
+    for i, rep in enumerate(reps):
+        merge_idx = int(merge[i])
+        if merge_idx < 0 or ap <= 0.5:
+            merge_level = math.nan
+        else:
+            merge_level = config.flow_y_units * dx + (2.0 * ap - 1.0) * dx * int(visits[i])
+        rows.append(
+            (
+                rep,
+                bool(monotone[i]),
+                bool(flow_prop[i]),
+                bool(permanence[i]),
+                bool(at_zero[i]),
+                merge_idx,
+                merge_level,
+            )
         )
-        if ap != 0.5:
-            at_zero = at_zero and ens.traj[q, t] == 0 and ens.traj[record.target_index, t] == 0
-
-    mid = ens.steps // 4
-    value = int(ens.traj[0, mid])
-    if value == 0:
-        child_point = spec.origin
-    elif value > 0:
-        child_point = GraphPoint(ray=1, radius=value * dx)
-    else:
-        child_point = GraphPoint(ray=spec.n_rays, radius=-value * dx)
-    extended = LatticeFlowConfig(
-        level=config.level,
-        horizon=config.flow_horizon,
-        start_pairs=flow_config.start_pairs + ((mid * flow_config.dt, child_point),),
-    )
-    ens2 = skew_lattice_flow(extended, spec, stream)
-    flow_prop = bool(
-        np.array_equal(ens2.traj[0], ens.traj[0])
-        and np.array_equal(ens2.traj[-1, mid:], ens.traj[0, mid:])
-    )
-
-    merge_idx = coalescence_time(ens, 0, 1)
-    if merge_idx is None or ap <= 0.5:
-        merge_level = math.nan
-        merge_out = -1 if merge_idx is None else merge_idx
-    else:
-        visits = int(np.sum(ens.traj[1, :merge_idx] == 0))
-        merge_level = config.flow_y_units * dx + (2.0 * ap - 1.0) * dx * visits
-        merge_out = merge_idx
-    return (rep, monotone, flow_prop, permanence, at_zero, merge_out, merge_level)
+    return rows
 
 
 def _cmd_flow_experiment(config: ExperimentConfig):
     spec = config.spec()
-    args = [(config, rep) for rep in range(config.flow_replicas)]
-    rows = _map_replicas(_flow_task, args, config.workers)
-    rows.sort(key=lambda r: r[0])
+    chunks = [
+        (config, first, min(_FLOW_CHUNK, config.flow_replicas - first))
+        for first in range(0, config.flow_replicas, _FLOW_CHUNK)
+    ]
+    rows = [
+        row for chunk in _map_replicas(_flow_chunk, chunks, config.workers) for row in chunk
+    ]
 
     n = len(rows)
     all_exact = {

@@ -13,6 +13,15 @@ plus-weight 1/2 the flow is a pure translation with no junction rule, and
 the record is the first plain equality instead). Scalar values can become
 equal one step before a recorded merge; shared coins keep them equal from
 then on, so everything after the record is bitwise identical either way.
+
+The flow experiment does not keep trajectories. A replica-batched kernel
+steps a (starts, replicas) integer state through time, each replica on its
+own coins, which it draws block by block as the same numbers
+skew_lattice_flow draws. After every block of _BLOCK_STEPS steps it folds
+the block into running invariants: monotone order, the flow property,
+permanence and merge-at-junction against the merge record, the (0, 1)
+merge index and the junction visits before it. Memory is therefore
+O(replicas x starts x block) whatever the horizon.
 """
 
 from __future__ import annotations
@@ -437,6 +446,203 @@ def skew_lattice_flow(
     return FlowEnsemble(config, spec, origin_uniforms, rademacher, traj, signed)
 
 
+# time steps per streamed block, for coins and states alike
+_BLOCK_STEPS = 128
+_UP, _DOWN = np.int8(1), np.int8(-1)
+
+
+def _skew_step(
+    z: np.ndarray,
+    junction: Optional[np.ndarray],
+    xi: np.ndarray,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """One shared-coin step of the skew walk for every state in z.
+
+    A state moves by its Rademacher sign xi, except at the junction, where
+    it takes the junction step instead (+1 when the shared uniform is below
+    the plus-weight, else -1). junction is None at plus-weight 1/2, where
+    there is no junction rule.
+    """
+    if junction is None:
+        return np.add(z, xi, out=out)
+    at_junction = z == 0
+    out = np.add(z, xi, out=out)
+    np.copyto(out, junction, where=at_junction)
+    return out
+
+
+def _coin_blocks(streams: list[RngStream], steps: int, alpha_plus: float):
+    """The coins skew_lattice_flow draws from each stream, in time blocks.
+
+    Yields (junction, xi) per block of at most _BLOCK_STEPS steps, each a
+    (replicas, block) int8 array of +-1; junction is None at plus-weight
+    1/2. A stream holds `steps` origin uniforms followed by `steps`
+    Rademacher uniforms, so a second generator, moved past the first run,
+    reads the signs alongside the uniforms.
+    """
+    origin = [s.child(KEY_FLOW_COINS).generator() for s in streams]
+    signs = [s.child(KEY_FLOW_COINS).generator() for s in streams]
+    for gen in signs:
+        # Philox advances by counters of four 64-bit draws, one per uniform
+        gen.bit_generator.advance(steps // 4)
+        gen.random(steps % 4)
+    uniforms = np.empty((len(streams), _BLOCK_STEPS))
+    for k0 in range(0, steps, _BLOCK_STEPS):
+        u = uniforms[:, : min(_BLOCK_STEPS, steps - k0)]
+        junction = None
+        if alpha_plus != 0.5:
+            for row, gen in zip(u, origin):
+                gen.random(out=row)
+            junction = np.where(u < alpha_plus, _UP, _DOWN)
+        for row, gen in zip(u, signs):
+            gen.random(out=row)
+        yield junction, np.where(u < 0.5, _UP, _DOWN)
+
+
+def _skew_flow_states(
+    alpha_plus: float,
+    steps: int,
+    starts: list[tuple[int, Optional[int]]],
+    streams: list[RngStream],
+):
+    """Step every start of every replica on the replica's own coins.
+
+    starts holds (birth index, signed units) per start; units None means
+    the start enters at its birth with start 0's value there. Yields
+    (k0, rows) per time block, where rows[j, q, r] is start q of replica r
+    at index k0 + j for j = 0..width: consecutive blocks share one row.
+    rows is a view of a buffer the next block overwrites, and its entries
+    ahead of a start's birth mean nothing. Memory is
+    O(_BLOCK_STEPS x starts x replicas) whatever the horizon.
+    """
+    reach = steps + max(abs(units or 0) for _, units in starts)
+    dtype = np.int32 if reach < 2**31 else np.int64
+    rows = np.zeros((_BLOCK_STEPS + 1, len(starts), len(streams)), dtype=dtype)
+    born: dict[int, list[tuple[int, Optional[int]]]] = {}
+    for q, (birth, units) in enumerate(starts):
+        born.setdefault(birth, []).append((q, units))
+
+    def enter(k: int, row: np.ndarray) -> None:
+        for q, units in born[k]:
+            row[q] = row[0] if units is None else units
+
+    if 0 in born:
+        enter(0, rows[0])
+    blocks = _coin_blocks(streams, steps, alpha_plus)
+    for k0, (junction, xi) in zip(range(0, steps, _BLOCK_STEPS), blocks):
+        width = xi.shape[1]
+        for j in range(width):
+            step_up = None if junction is None else junction[:, j]
+            _skew_step(rows[j], step_up, xi[:, j], out=rows[j + 1])
+            if k0 + j + 1 in born:
+                enter(k0 + j + 1, rows[j + 1])
+        yield k0, rows[: width + 1]
+        rows[0] = rows[width]
+
+
+def _flow_invariants(
+    blocks,
+    births: list[int],
+    units: list[Optional[int]],
+    junction_rule: bool,
+    n_replicas: int,
+):
+    """Reduce state blocks, as _skew_flow_states yields them, to the
+    flow-experiment invariants of each replica.
+
+    Columns before the last are an ensemble of starts with the given
+    births and signed units; the last column is the flow-property start.
+    Returns per replica (monotone, flow_prop, permanence, at_zero, merge,
+    visits):
+      monotone    same-time starts keep their initial order at every index;
+      flow_prop   the last column equals start 0 from its birth on;
+      permanence  every start equals its merge target from the merge on;
+      at_zero     every merge sits at the junction (junction rule only);
+      merge       index of the (0, 1) merge, -1 if none in the horizon;
+      visits      junction visits of start 1 before that merge.
+    A merge is recorded as FlowEnsemble.merge_record does: the first
+    meeting with any earlier start, the smallest target on ties.
+    """
+    n = len(births) - 1
+    replica = np.arange(n_replicas)
+    same_time = sorted((q for q in range(n) if births[q] == 0), key=lambda q: units[q])
+    monotone = np.ones(n_replicas, dtype=bool)
+    flow_prop = np.ones(n_replicas, dtype=bool)
+    permanence = np.ones(n_replicas, dtype=bool)
+    at_zero = np.ones(n_replicas, dtype=bool)
+    merge_at = np.full((n, n_replicas), -1, dtype=np.int64)
+    target = np.zeros((n, n_replicas), dtype=np.intp)
+    visits = np.zeros(n_replicas, dtype=np.int64)
+    never = np.iinfo(np.int64).max
+    for k0, rows in blocks:
+        index = np.arange(k0, k0 + len(rows))[:, None]
+        at_junction = rows == 0
+        for a, b in zip(same_time, same_time[1:]):
+            monotone &= np.all(rows[:, a] <= rows[:, b], axis=0)
+        lo = max(births[n] - k0, 0)
+        flow_prop &= np.all(rows[lo:, n] == rows[lo:, 0], axis=0)
+
+        for q in range(1, n):
+            pending = merge_at[q] < 0
+            if not pending.any():
+                continue
+            first = np.full(n_replicas, never)
+            for i in range(q):
+                lo = max(births[i], births[q], k0) - k0
+                if lo >= len(rows):
+                    continue
+                if junction_rule:
+                    meet = at_junction[lo:, i] & at_junction[lo:, q]
+                else:
+                    meet = rows[lo:, i] == rows[lo:, q]
+                pos = np.where(meet.any(axis=0), meet.argmax(axis=0) + k0 + lo, never)
+                earlier = pending & (pos < first)
+                first[earlier] = pos[earlier]
+                target[q, earlier] = i
+            new = pending & (first < never)
+            merge_at[q, new] = first[new]
+            if junction_rule and new.any():
+                at, r = first[new] - k0, replica[new]
+                at_zero[new] &= at_junction[at, q, r] & at_junction[at, target[q, r], r]
+
+        for q in range(1, n):
+            t = merge_at[q]
+            if (t >= 0).any():
+                other = rows[:, target[q], replica]
+                differ = (rows[:, q] != other) & (index >= t) & (t >= 0)
+                permanence &= ~differ.any(axis=0)
+
+        limit = np.where(merge_at[1] >= 0, merge_at[1], never)
+        counted = (index[:-1] >= births[1]) & (index[:-1] < limit)
+        visits += np.sum(at_junction[:-1, 1] & counted, axis=0)
+    return monotone, flow_prop, permanence, at_zero, merge_at[1], visits
+
+
+def _flow_experiment_invariants(
+    config: LatticeFlowConfig, spec: GraphSpec, streams: list[RngStream]
+):
+    """The flow-experiment invariants of _flow_invariants, one replica per
+    stream: the starts of config plus a flow-property start entering at
+    steps // 4, all stepped together on each replica's coins."""
+    steps = config.steps
+    starts: list[tuple[int, Optional[int]]] = [
+        (s_idx, spec.sign(ray) * units if units else 0)
+        for s_idx, units, ray in config.start_indices()
+    ]
+    # the flow-property start sits where start 0 is at mid; signs are
+    # block-sorted, so its signed value is start 0's
+    starts.append((steps // 4, None))
+    blocks = _skew_flow_states(spec.alpha_plus, steps, starts, streams)
+    return _flow_invariants(
+        blocks,
+        [birth for birth, _ in starts],
+        [units for _, units in starts],
+        spec.alpha_plus != 0.5,
+        len(streams),
+    )
+
+
 def hitting_time(ensemble: FlowEnsemble, start_index: int) -> Optional[int]:
     """Grid index of the first junction visit, or None if never."""
     zeros = ensemble.zeros_of(start_index)
@@ -852,14 +1058,14 @@ def merge_level_samples(
         m = len(alive_idx)
         u_origin = gen.random(m)
         xi = np.where(gen.random(m) < 0.5, 1, -1)
+        junction = np.where(u_origin < ap, 1, -1)
 
         zx = z_x[alive_idx]
         zy = z_y[alive_idx]
-        at0_y = zy == 0
-        visits_y[alive_idx[at0_y]] += 1
+        visits_y[alive_idx[zy == 0]] += 1
 
-        new_zx = np.where(zx == 0, np.where(u_origin < ap, 1, -1), zx + xi)
-        new_zy = np.where(at0_y, np.where(u_origin < ap, 1, -1), zy + xi)
+        new_zx = _skew_step(zx, junction, xi)
+        new_zy = _skew_step(zy, junction, xi)
         z_x[alive_idx] = new_zx
         z_y[alive_idx] = new_zy
 

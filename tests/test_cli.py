@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from walshflow.cli import (
+    _FLOW_CHUNK,
     DEFAULT_CONFIG,
     CheckFailed,
     ConfigInvalid,
@@ -29,7 +30,7 @@ class TestConfigRoundTrip:
         config = replace(
             DEFAULT_CONFIG,
             dt=1.0 / 3.0 * 1e-4,
-            horizon=math.pi / 3.0,
+            horizon=math.nextafter(1.0, 2.0),
             flow_horizon=4.000000000000001,
             root_seed=2**63 + 5,
         )
@@ -59,6 +60,10 @@ class TestConfigRoundTrip:
             {"dt": 0.0},
             {"measure_plus": "no-such-family"},
             {"out_dir": ""},
+            {"flow_horizon": 4.0002},
+            {"horizon": 1.0002},
+            {"dt": 3e-4},
+            {"horizon": math.inf},
         ],
     )
     def test_validation_rejects(self, overrides):
@@ -143,6 +148,14 @@ class TestExitCodes:
         assert code == 1
         assert (tmp_path / "biased" / "kernel_experiment_reports.jsonl").exists()
 
+    def test_off_grid_horizon_exits_two(self, tmp_path):
+        # 1.0002 * 4^6 steps would be rounded down to 4096 without a word
+        config = replace(DEFAULT_CONFIG, horizon=1.0002, out_dir=str(tmp_path / "o"))
+        ini = tmp_path / "off_grid.ini"
+        ini.write_text(serialize_config(config), encoding="utf-8")
+        assert main(["kernel-experiment", "--config", str(ini)]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_run_rejects_unknown_subcommand(self):
         with pytest.raises(ConfigInvalid):
             run("not-a-command", DEFAULT_CONFIG)
@@ -172,14 +185,8 @@ class TestSeedPrecedence:
 
 
 class TestWorkerDeterminism:
-    def test_flow_artifacts_identical_across_pool_sizes(self, tmp_path):
-        config = replace(
-            DEFAULT_CONFIG,
-            level=5,
-            flow_replicas=40,
-            merge_pairs=60,
-            root_seed=4242,
-        )
+    @staticmethod
+    def _assert_pool_sizes_agree(tmp_path, config):
         ini = tmp_path / "flow.ini"
         ini.write_text(serialize_config(config), encoding="utf-8")
         outs = []
@@ -202,3 +209,25 @@ class TestWorkerDeterminism:
             left = (outs[0] / artifact).read_bytes()
             right = (outs[1] / artifact).read_bytes()
             assert left == right, artifact
+
+    def test_flow_artifacts_identical_across_pool_sizes(self, tmp_path):
+        config = replace(
+            DEFAULT_CONFIG,
+            level=5,
+            flow_replicas=40,
+            merge_pairs=60,
+            root_seed=4242,
+        )
+        self._assert_pool_sizes_agree(tmp_path, config)
+
+    def test_flow_artifacts_identical_across_partial_replica_chunks(self, tmp_path):
+        # three tasks, the last one partly filled, so the pool really runs
+        config = replace(
+            DEFAULT_CONFIG,
+            level=3,
+            flow_horizon=1.0,
+            flow_replicas=2 * _FLOW_CHUNK + 17,
+            merge_pairs=60,
+            root_seed=4243,
+        )
+        self._assert_pool_sizes_agree(tmp_path, config)

@@ -1,0 +1,232 @@
+"""Replica-batched skew-walk kernel: bit equality with skew_lattice_flow,
+row equality with the per-replica flow-experiment computation, and
+negative controls for the streamed invariants."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from walshflow.cli import DEFAULT_CONFIG, _flow_chunk, _flow_starts
+from walshflow.flows import (
+    LatticeFlowConfig,
+    _flow_invariants,
+    _skew_flow_states,
+    coalescence_time,
+    skew_lattice_flow,
+)
+from walshflow.graph import GraphPoint, validate_spec
+from walshflow.paths import KEY_REPLICA, RngStream
+
+# plus-weights 0, 1/2, 1 and generic, with starts on plus and minus rays
+LATTICE_SPECS = [
+    validate_spec((0.6, 0.4), (-1, -1)),
+    validate_spec((0.5, 0.5), (1, -1)),
+    validate_spec((0.3, 0.2, 0.5), (1, 1, -1)),
+    validate_spec((0.6, 0.4), (1, 1)),
+    validate_spec((0.7, 0.3), (1, -1)),
+    validate_spec((0.4, 0.3, 0.3), (1, 1, -1)),
+    validate_spec((0.2, 0.5, 0.3), (1, -1, -1)),
+]
+
+
+def _random_lattice_case(seed):
+    """A random spec, level, horizon and start list (with a start that
+    enters from start 0 now and then), on one lattice parity."""
+    rng = np.random.default_rng(seed)
+    spec = LATTICE_SPECS[seed % len(LATTICE_SPECS)]
+    level = int(rng.integers(1, 5))
+    steps = int(rng.integers(1, 400))
+    dt, dx = 4.0 ** (-level), 2.0 ** (-level)
+    pairs, signed = [], []
+    for q in range(int(rng.integers(1, 6))):
+        birth = 0 if q == 0 else int(rng.integers(0, steps))
+        ray = int(rng.integers(1, spec.n_rays + 1))
+        units = int(rng.integers(0, 7))
+        if spec.alpha_plus != 0.5 and (birth + units) % 2:
+            units += 1
+        point = spec.origin if units == 0 else GraphPoint(ray=ray, radius=units * dx)
+        pairs.append((birth * dt, point))
+        signed.append((birth, spec.sign(ray) * units if units else 0))
+    config = LatticeFlowConfig(level=level, horizon=steps * dt, start_pairs=tuple(pairs))
+    if rng.random() < 0.3:
+        signed.append((int(rng.integers(0, steps)), None))
+    return spec, config, signed
+
+
+@pytest.mark.parametrize("batch", range(5))
+def test_kernel_states_equal_skew_lattice_flow_rows(batch):
+    for seed in range(120 * batch, 120 * (batch + 1)):
+        spec, config, starts = _random_lattice_case(seed)
+        streams = [RngStream(seed).child(KEY_REPLICA, rep) for rep in range(3)]
+        refs = [skew_lattice_flow(config, spec, s).traj for s in streams]
+        seen = 0
+        for k0, rows in _skew_flow_states(spec.alpha_plus, config.steps, starts, streams):
+            for r, ref in enumerate(refs):
+                for q, (birth, units) in enumerate(starts):
+                    source = ref[0] if units is None else ref[q]
+                    lo = max(birth, k0)
+                    got = rows[lo - k0 :, q, r]
+                    want = source[lo : k0 + len(rows)]
+                    np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
+            seen = k0 + len(rows) - 1
+        assert seen == config.steps
+
+
+def _flow_task_oracle(config, rep):
+    """The per-replica flow-experiment row, from full trajectories of two
+    skew_lattice_flow ensembles (the computation the kernel replaced)."""
+    spec = config.spec()
+    dx = 2.0 ** (-config.level)
+    ap = spec.alpha_plus
+    flow_config = LatticeFlowConfig(
+        level=config.level,
+        horizon=config.flow_horizon,
+        start_pairs=_flow_starts(spec, config),
+    )
+    stream = RngStream(config.root_seed).child(KEY_REPLICA, rep)
+    ens = skew_lattice_flow(flow_config, spec, stream)
+
+    same_time = [q for q in range(ens.n_starts) if ens.born_at(q) == 0]
+    order = sorted(same_time, key=lambda q: ens.start_meta[q][1])
+    monotone = all(
+        bool(np.all(ens.traj[a] <= ens.traj[b])) for a, b in zip(order[:-1], order[1:])
+    )
+
+    permanence = True
+    at_zero = True
+    for q in range(1, ens.n_starts):
+        record = ens.merge_record(q)
+        if record is None:
+            continue
+        t = record.merge_index
+        permanence = permanence and bool(
+            np.array_equal(ens.traj[q, t:], ens.traj[record.target_index, t:])
+        )
+        if ap != 0.5:
+            at_zero = (
+                at_zero and ens.traj[q, t] == 0 and ens.traj[record.target_index, t] == 0
+            )
+
+    mid = ens.steps // 4
+    value = int(ens.traj[0, mid])
+    if value == 0:
+        child_point = spec.origin
+    elif value > 0:
+        child_point = GraphPoint(ray=1, radius=value * dx)
+    else:
+        child_point = GraphPoint(ray=spec.n_rays, radius=-value * dx)
+    extended = LatticeFlowConfig(
+        level=config.level,
+        horizon=config.flow_horizon,
+        start_pairs=flow_config.start_pairs + ((mid * flow_config.dt, child_point),),
+    )
+    ens2 = skew_lattice_flow(extended, spec, stream)
+    flow_prop = bool(
+        np.array_equal(ens2.traj[0], ens.traj[0])
+        and np.array_equal(ens2.traj[-1, mid:], ens.traj[0, mid:])
+    )
+
+    merge_idx = coalescence_time(ens, 0, 1)
+    if merge_idx is None or ap <= 0.5:
+        merge_level = math.nan
+        merge_out = -1 if merge_idx is None else merge_idx
+    else:
+        visits = int(np.sum(ens.traj[1, :merge_idx] == 0))
+        merge_level = config.flow_y_units * dx + (2.0 * ap - 1.0) * dx * visits
+        merge_out = merge_idx
+    return (rep, monotone, flow_prop, permanence, bool(at_zero), merge_out, merge_level)
+
+
+@pytest.mark.parametrize(
+    "alpha, eps, level",
+    [
+        ((0.4, 0.3, 0.3), (1, 1, -1), 5),
+        ((0.5, 0.5), (1, -1), 4),
+        ((0.3, 0.7), (1, -1), 3),
+        ((0.6, 0.4), (1, 1), 4),
+    ],
+)
+def test_kernel_rows_equal_per_replica_oracle(alpha, eps, level):
+    config = replace(
+        DEFAULT_CONFIG, alpha=alpha, eps=eps, level=level, flow_horizon=2.0, root_seed=31
+    ).validate()
+    first, count = 37, 200
+    rows = _flow_chunk((config, first, count))
+    oracle = [_flow_task_oracle(config, rep) for rep in range(first, first + count)]
+    assert len(rows) == count
+    for got, want in zip(rows, oracle):
+        np.testing.assert_equal(got, want)
+
+
+def _full_trajectories(seed, spec=LATTICE_SPECS[5], level=3, horizon=4.0):
+    """Flow-experiment trajectories of one replica, start by start, with the
+    flow-property start appended: (ensemble, traj, births, units)."""
+    config = replace(DEFAULT_CONFIG, level=level, flow_horizon=horizon)
+    base = LatticeFlowConfig(
+        level=level, horizon=horizon, start_pairs=_flow_starts(spec, config)
+    )
+    stream = RngStream(seed).child(KEY_REPLICA, 0)
+    ens = skew_lattice_flow(base, spec, stream)
+    mid = ens.steps // 4
+    traj = np.vstack([ens.traj, ens.traj[0]])
+    traj[-1, :mid] = np.iinfo(np.int64).max
+    births = [meta[0] for meta in ens.start_meta] + [mid]
+    units = [meta[1] for meta in ens.start_meta] + [None]
+    return ens, traj, births, units
+
+
+def _streamed(traj, births, units, width=50):
+    """Run the streamed invariants over one replica's trajectories, cut in
+    blocks of a width the kernel does not use."""
+    steps = traj.shape[1] - 1
+    blocks = (
+        (k0, traj[:, k0 : k0 + width + 1].T[:, :, None]) for k0 in range(0, steps, width)
+    )
+    out = _flow_invariants(blocks, births, units, True, 1)
+    return {
+        name: value[0]
+        for name, value in zip(
+            ("monotone", "flow_prop", "permanence", "at_zero", "merge", "visits"), out
+        )
+    }
+
+
+def _merged_replica():
+    for seed in range(100):
+        ens, traj, births, units = _full_trajectories(seed)
+        record = ens.merge_record(1)
+        if record is not None and record.merge_index + 1 < ens.steps:
+            return ens, traj, births, units, record.merge_index
+    raise AssertionError("no replica merged starts 0 and 1")
+
+
+def test_streamed_invariants_hold_on_true_trajectories():
+    ens, traj, births, units, t = _merged_replica()
+    got = _streamed(traj, births, units)
+    assert got["monotone"] and got["flow_prop"] and got["permanence"] and got["at_zero"]
+    assert got["merge"] == t == coalescence_time(ens, 0, 1)
+    assert got["visits"] == int(np.sum(traj[1, :t] == 0))
+
+
+def test_monotone_fails_when_a_column_is_pushed_below_its_merge_target():
+    _ens, traj, births, units, t = _merged_replica()
+    traj[1, t:] -= 2
+    assert not _streamed(traj, births, units)["monotone"]
+
+
+def test_permanence_fails_when_a_column_leaves_its_merge_target():
+    _ens, traj, births, units, t = _merged_replica()
+    traj[1, t + 1 :] += 2
+    got = _streamed(traj, births, units)
+    assert got["merge"] == t
+    assert not got["permanence"]
+
+
+def test_flow_property_fails_when_the_appended_start_is_pushed_after_birth():
+    _ens, traj, births, units, _t = _merged_replica()
+    traj[-1, births[-1] :] += 2
+    got = _streamed(traj, births, units)
+    assert not got["flow_prop"]
+    assert got["monotone"] and got["permanence"]
