@@ -34,7 +34,9 @@ from walshflow.flows import (
     MeasurePairSampler,
     SamplerInvalid,
     _flow_experiment_invariants,
+    _merge_level,
     extract_ray_weights,
+    filter_mapping_to_kernel,
     measure_ray_weights,
     merge_level_samples,
     ray_ratios,
@@ -46,8 +48,9 @@ from walshflow.graph import (
     GraphPoint,
     GraphSpec,
     PiecewiseFunction,
-    RayFunction,
+    bump_family,
     central_difference,
+    decay_family,
     validate_spec,
 )
 from walshflow.paths import (
@@ -88,6 +91,11 @@ __all__ = [
     "run",
     "main",
 ]
+
+
+# lattice step at which the last flow-experiment start is born; the flow
+# horizon must reach past it
+_LATE_START_STEP = 16
 
 
 class ConfigInvalid(ValueError):
@@ -143,6 +151,11 @@ class ExperimentConfig:
         ):
             if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigInvalid(f"{name} = {ratio!r} is not an integer")
+        if round(self.flow_horizon * 4.0**self.level) <= _LATE_START_STEP:
+            raise ConfigInvalid(
+                f"flow_horizon * 4^level must exceed {_LATE_START_STEP} steps, "
+                f"the birth step of the last flow-experiment start"
+            )
         for field_name in (
             "replicas",
             "path_replicas",
@@ -306,29 +319,6 @@ def _report(name, statistic, threshold, passed, replicas, p_value=None, **detail
 # --- verify-semigroup ------------------------------------------------------
 
 
-def _domain_function(spec: GraphSpec) -> PiecewiseFunction:
-    return PiecewiseFunction.radial(
-        spec.n_rays,
-        lambda h: h * h * np.exp(-h),
-        deriv=lambda h: (2.0 * h - h * h) * np.exp(-h),
-        second_deriv=lambda h: (2.0 - 4.0 * h + h * h) * np.exp(-h),
-    )
-
-
-def _ray_weighted_function(spec: GraphSpec, coeffs=None) -> PiecewiseFunction:
-    if coeffs is None:
-        coeffs = [0.8 + 0.4 * i / max(spec.n_rays - 1, 1) for i in range(spec.n_rays)]
-    comps = tuple(
-        RayFunction(
-            value=(lambda h, c=c: c * h * h * np.exp(-h)),
-            deriv=(lambda h, c=c: c * (2.0 * h - h * h) * np.exp(-h)),
-            second_deriv=(lambda h, c=c: c * (2.0 - 4.0 * h + h * h) * np.exp(-h)),
-        )
-        for c in coeffs
-    )
-    return PiecewiseFunction(components=comps)
-
-
 def _cmd_verify_semigroup(config: ExperimentConfig):
     spec = config.spec()
     quad = DEFAULT_QUADRATURE
@@ -344,7 +334,7 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
             worst_conservation = max(worst_conservation, err)
             rows.append(["conservation", t, h, value, err])
 
-    fn = _domain_function(spec)
+    fn = bump_family((1.0,) * spec.n_rays)
     worst_law = 0.0
     for s in (0.25, 1.0):
         table = tabulate_semigroup(fn, spec, s, quad, radius_max=3.0 + 10.5)
@@ -358,7 +348,10 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
                 rows.append(["semigroup-law", s + t, h, nested, err])
 
     worst_generator = 0.0
-    for test_fn in (fn, _ray_weighted_function(spec)):
+    ray_weighted = bump_family(
+        [0.8 + 0.4 * i / max(spec.n_rays - 1, 1) for i in range(spec.n_rays)]
+    )
+    for test_fn in (fn, ray_weighted):
         for h in (0.0, 0.8):
             point = spec.origin if h == 0.0 else GraphPoint(ray=1, radius=h)
             residual = generator_residual(test_fn, spec, point, 1.0, quad)
@@ -461,29 +454,11 @@ def _cmd_walk_converge(config: ExperimentConfig):
 def _ito_test_functions(spec: GraphSpec):
     # curvature kept near 0.6 so the discretization residual at the fine
     # step stays inside the absolute bound
-    in_domain = PiecewiseFunction.radial(
-        spec.n_rays,
-        lambda h: 0.3 * h * h * np.exp(-h),
-        deriv=lambda h: 0.3 * (2.0 * h - h * h) * np.exp(-h),
-        second_deriv=lambda h: 0.3 * (2.0 - 4.0 * h + h * h) * np.exp(-h),
+    in_domain = bump_family((0.3,) * spec.n_rays)
+    ray_dependent = bump_family(
+        [0.25 + 0.1 * i / max(spec.n_rays - 1, 1) for i in range(spec.n_rays)]
     )
-    coeffs = [0.25 + 0.1 * i / max(spec.n_rays - 1, 1) for i in range(spec.n_rays)]
-    ray_dependent = PiecewiseFunction(
-        components=tuple(
-            RayFunction(
-                value=(lambda h, c=c: c * h * h * np.exp(-h)),
-                deriv=(lambda h, c=c: c * (2.0 * h - h * h) * np.exp(-h)),
-                second_deriv=(lambda h, c=c: c * (2.0 - 4.0 * h + h * h) * np.exp(-h)),
-            )
-            for c in coeffs
-        )
-    )
-    off_domain = PiecewiseFunction.radial(
-        spec.n_rays,
-        lambda h: 0.3 * np.exp(-h),
-        deriv=lambda h: -0.3 * np.exp(-h),
-        second_deriv=lambda h: 0.3 * np.exp(-h),
-    )
+    off_domain = decay_family((0.3,) * spec.n_rays)
     return [
         ("radial-in-domain", in_domain),
         ("ray-dependent", ray_dependent),
@@ -540,7 +515,7 @@ def _flow_starts(spec: GraphSpec, config: ExperimentConfig):
         (0.0, spec.origin),
         (0.0, GraphPoint(ray=1, radius=y * dx)),
         (0.0, GraphPoint(ray=minus_ray, radius=2 * dx)),
-        (16 * dt, GraphPoint(ray=1, radius=(y + 2) * dx)),
+        (_LATE_START_STEP * dt, GraphPoint(ray=1, radius=(y + 2) * dx)),
     )
 
 
@@ -570,7 +545,7 @@ def _flow_chunk(args):
         if merge_idx < 0 or ap <= 0.5:
             merge_level = math.nan
         else:
-            merge_level = config.flow_y_units * dx + (2.0 * ap - 1.0) * dx * int(visits[i])
+            merge_level = _merge_level(config.flow_y_units, dx, ap, int(visits[i]))
         rows.append(
             (
                 rep,
@@ -668,19 +643,21 @@ def _cmd_flow_experiment(config: ExperimentConfig):
 # --- kernel-experiment -----------------------------------------------------
 
 
+def _single_start_kernel_flow(config: ExperimentConfig, spec: GraphSpec, rep: int):
+    """The kernel flow of one start at the junction, on replica rep's coins."""
+    sampler = MeasurePairSampler(spec, config.measure_plus, config.measure_minus)
+    flow_config = LatticeFlowConfig(
+        level=config.level, horizon=config.horizon, start_pairs=((0.0, spec.origin),)
+    )
+    stream = RngStream(config.root_seed).child(KEY_REPLICA, rep)
+    return sample_kernel_flow(flow_config, spec, sampler, stream)
+
+
 def _kernel_task(args):
     config, rep = args
     spec = config.spec()
-    sampler = MeasurePairSampler(spec, config.measure_plus, config.measure_minus)
-    dt = 4.0 ** (-config.level)
-    steps = int(round(config.horizon / dt))
-    flow_config = LatticeFlowConfig(
-        level=config.level,
-        horizon=config.horizon,
-        start_pairs=((0.0, spec.origin),),
-    )
-    stream = RngStream(config.root_seed).child(KEY_REPLICA, rep)
-    flow = sample_kernel_flow(flow_config, spec, sampler, stream)
+    flow = _single_start_kernel_flow(config, spec, rep)
+    steps = flow.ensemble.steps
 
     mass_err = 0.0
     wiener_dev = 0.0
@@ -744,7 +721,6 @@ def _moment_report(name, total, total_sq, count, declared):
 
 def _cmd_kernel_experiment(config: ExperimentConfig):
     spec = config.spec()
-    sampler = MeasurePairSampler(spec, config.measure_plus, config.measure_minus)
     n_ens = max(8, min(200, config.replicas // 100))
     args = [(config, rep) for rep in range(n_ens)]
     results = _map_replicas(_kernel_task, args, config.workers)
@@ -776,22 +752,11 @@ def _cmd_kernel_experiment(config: ExperimentConfig):
         )
 
     # filtering: fixed coins and weights, redraw the ray choice
-    flow_config = LatticeFlowConfig(
-        level=config.level, horizon=config.horizon, start_pairs=((0.0, spec.origin),)
-    )
-    stream = RngStream(config.root_seed).child(KEY_REPLICA, n_ens + 1)
-    flow = sample_kernel_flow(flow_config, spec, sampler, stream)
-    excursions = extract_ray_weights(flow, 0)
-    side, g, d, weights = excursions[0]
+    flow = _single_start_kernel_flow(config, spec, n_ens + 1)
+    _side, g, _d, _weights = extract_ray_weights(flow, 0)[0]
     replicas = min(config.replicas, 10000)
-    counts = np.zeros(len(weights))
-    base = 1 if side > 0 else spec.p + 1
-    for r in range(replicas):
-        mapping = MappingFlow(flow, choice_index=r)
-        ray = mapping._excursion_ray(0, g + 1, side)
-        counts[ray - base] += 1
-    freq = counts / replicas
-    bound = 3.0 * np.sqrt(np.asarray(weights) * (1 - np.asarray(weights)) / replicas)
+    freq, weights, _ = filter_mapping_to_kernel(flow, 0, g + 1, replicas)
+    bound = 3.0 * np.sqrt(weights * (1 - weights) / replicas)
     filter_dev = float(np.max(np.abs(freq - weights)))
     filter_ok = bool(np.all(np.abs(freq - weights) <= np.maximum(bound, 1e-12)))
     reports.append(
@@ -802,12 +767,12 @@ def _cmd_kernel_experiment(config: ExperimentConfig):
     proj_counts = np.zeros(spec.n_rays)
     k_probe = g + 1
     for r in range(replicas):
-        redraw = KernelFlow(flow.ensemble, sampler, stream, draw_index=r + 1)
+        redraw = KernelFlow(flow.ensemble, flow.sampler, flow.stream, draw_index=r + 1)
         mapping = MappingFlow(redraw, choice_index=r + 1)
         pt = mapping.point_at(0, k_probe)
         proj_counts[pt.ray - 1] += 1
     proj_freq = proj_counts / replicas
-    z_here = float(flow.ensemble.traj[0, k_probe]) * flow_config.dx
+    z_here = float(flow.ensemble.traj[0, k_probe]) * flow.ensemble.config.dx
     proj_ref = measure_ray_weights(
         wiener_kernel(spec, spec.origin, z_here, True), spec
     )

@@ -332,6 +332,23 @@ class FlowEnsemble:
     def born_at(self, q: int) -> int:
         return self.start_meta[q][0]
 
+    def resolve(self, q: int, k: int) -> tuple[int, int, bool]:
+        """The start whose trajectory start q follows at index k, its signed
+        units there, and whether it has visited the junction by then.
+
+        After a recorded coalescence a start copies its merge target, so
+        the copy chain is followed to the start that carries index k.
+        """
+        if k < self.born_at(q):
+            raise ValueError(f"start {q} is not born at index {k}")
+        for _ in range(self.n_starts + 1):
+            record = self.merge_record(q)
+            if record is None or k <= record.merge_index:
+                zeros = self.zeros_of(q)
+                return q, int(self.traj[q][k]), bool(len(zeros) and zeros[0] <= k)
+            q = record.target_index
+        raise AssertionError("coalescence chain does not terminate")
+
     def merge_record(self, q: int) -> Optional[CoalescenceRecord]:
         """First recorded coalescence of start q onto any earlier start."""
         if q in self._merge_cache:
@@ -719,40 +736,30 @@ class KernelFlow:
         d = int(zeros[pos]) if pos < len(zeros) else self.ensemble.steps
         return g, d
 
-    def excursion_weights(self, q: int, k: int, side: int) -> np.ndarray:
+    def _excursion_key(self, q: int, k: int) -> tuple[int, int, int]:
+        """(start, label numerator, label exponent) of the excursion of
+        start q around index k: the key of its weight and ray draws."""
         g, d = self._excursion(q, k)
         dt = self.ensemble.config.dt
         num, exp = label_key(dyadic_label(g * dt, d * dt))
-        key = (q, num, exp)
+        return q, num, exp
+
+    def _weights_for(self, key: tuple[int, int, int], side: int) -> np.ndarray:
         if key not in self._weights_cache:
-            gen = self.stream.child(
-                KEY_KERNEL_CHOICE, self.draw_index, q, num, exp
-            ).generator()
+            gen = self.stream.child(KEY_KERNEL_CHOICE, self.draw_index, *key).generator()
             self._weights_cache[key] = self.sampler.sample(side, gen)
         return self._weights_cache[key]
 
+    def excursion_weights(self, q: int, k: int, side: int) -> np.ndarray:
+        return self._weights_for(self._excursion_key(q, k), side)
+
     def kernel_at(self, q: int, k: int) -> KernelMeasure:
         ens = self.ensemble
-        if k < ens.born_at(q):
-            raise ValueError(f"start {q} is not born at index {k}")
-        # follow the copy chain through recorded coalescences
-        guard = 0
-        while True:
-            record = ens.merge_record(q)
-            if record is not None and k > record.merge_index:
-                q = record.target_index
-                guard += 1
-                if guard > ens.n_starts:
-                    raise AssertionError("coalescence chain does not terminate")
-                continue
-            break
-        z = int(ens.traj[q][k])
-        zeros = ens.zeros_of(q)
-        hit = len(zeros) > 0 and zeros[0] <= k
+        q, z, hit = ens.resolve(q, k)
         dx = ens.config.dx
-        start_ray = ens.start_meta[q][2]
         if not hit:
-            return KernelMeasure.dirac(graph_point(ens.spec, start_ray, abs(z) * dx))
+            point = graph_point(ens.spec, ens.start_meta[q][2], abs(z) * dx)
+            return KernelMeasure.dirac(point)
         if z == 0:
             return KernelMeasure.dirac(ens.spec.origin)
         side = 1 if z > 0 else -1
@@ -779,40 +786,22 @@ class MappingFlow:
         self._ray_cache: dict[tuple[int, int, int], int] = {}
 
     def _excursion_ray(self, q: int, k: int, side: int) -> int:
-        g, d = self.kernels._excursion(q, k)
-        ens = self.kernels.ensemble
-        dt = ens.config.dt
-        num, exp = label_key(dyadic_label(g * dt, d * dt))
-        key = (q, num, exp)
+        key = self.kernels._excursion_key(q, k)
         if key not in self._ray_cache:
-            weights = self.kernels.excursion_weights(q, k, side)
+            weights = self.kernels._weights_for(key, side)
             gen = self.kernels.stream.child(
-                KEY_MAPPING_CHOICE, self.choice_index, q, num, exp
+                KEY_MAPPING_CHOICE, self.choice_index, *key
             ).generator()
             cum = np.cumsum(weights)
             cum[-1] = 1.0
             offset = int(np.searchsorted(cum, gen.random(), side="right"))
-            base = 1 if side > 0 else ens.spec.p + 1
+            base = 1 if side > 0 else self.kernels.ensemble.spec.p + 1
             self._ray_cache[key] = base + offset
         return self._ray_cache[key]
 
     def point_at(self, q: int, k: int) -> GraphPoint:
         ens = self.kernels.ensemble
-        if k < ens.born_at(q):
-            raise ValueError(f"start {q} is not born at index {k}")
-        guard = 0
-        while True:
-            record = ens.merge_record(q)
-            if record is not None and k > record.merge_index:
-                q = record.target_index
-                guard += 1
-                if guard > ens.n_starts:
-                    raise AssertionError("coalescence chain does not terminate")
-                continue
-            break
-        z = int(ens.traj[q][k])
-        zeros = ens.zeros_of(q)
-        hit = len(zeros) > 0 and zeros[0] <= k
+        q, z, hit = ens.resolve(q, k)
         dx = ens.config.dx
         if not hit:
             return graph_point(ens.spec, ens.start_meta[q][2], abs(z) * dx)
@@ -895,20 +884,17 @@ def filter_mapping_to_kernel(
     compares them at 3 sqrt(w(1-w)/replicas).
     """
     ens = flow.ensemble
-    z = int(ens.traj[start_index][k])
-    if z == 0 or z == LATTICE_INF:
+    q, z, hit = ens.resolve(start_index, k)
+    if z == 0:
         raise ValueError(f"index {k} is not inside an excursion of start {start_index}")
-    zeros = ens.zeros_of(start_index)
-    if not len(zeros) or zeros[0] > k:
+    if not hit:
         raise BeforeHitting("conditional ray choice only exists after the junction visit")
     side = 1 if z > 0 else -1
-    weights = flow.excursion_weights(start_index, k, side)
-    dim = len(weights)
-    counts = np.zeros(dim)
+    weights = flow.excursion_weights(q, k, side)
+    counts = np.zeros(len(weights))
+    base = 1 if side > 0 else ens.spec.p + 1
     for r in range(replicas):
-        mapping = MappingFlow(flow, choice_index=r)
-        ray = mapping._excursion_ray(start_index, k, side)
-        base = 1 if side > 0 else ens.spec.p + 1
+        ray = MappingFlow(flow, choice_index=r)._excursion_ray(q, k, side)
         counts[ray - base] += 1
     return counts / replicas, np.asarray(weights, dtype=float), replicas
 
@@ -930,10 +916,8 @@ def project_kernel_to_wiener(
     Returns (mean ray weights over all rays, reference weights, count).
     """
     ensemble = skew_lattice_flow(config, spec, stream)
-    z = int(ensemble.traj[start_index][k])
-    zeros = ensemble.zeros_of(start_index)
-    hit = len(zeros) > 0 and zeros[0] <= k
-    start_ray = ensemble.start_meta[start_index][2]
+    q, z, hit = ensemble.resolve(start_index, k)
+    start_ray = ensemble.start_meta[q][2]
     signed = float(z) * ensemble.config.dx
     reference = wiener_kernel(
         spec,
@@ -1020,6 +1004,12 @@ def _measure_from_map(mapping: dict[GraphPoint, float]) -> KernelMeasure:
     return KernelMeasure(points=pts, weights=tuple(float(w) for w in ws))
 
 
+def _merge_level(y_units: int, dx: float, alpha_plus: float, visits):
+    """Level of a merge: y + (2 a+ - 1) dx * (junction visits of the upper
+    trajectory before it), for a scalar or an array of visit counts."""
+    return y_units * dx + (2.0 * alpha_plus - 1.0) * dx * visits
+
+
 def merge_level_samples(
     spec: GraphSpec,
     level: int,
@@ -1044,7 +1034,6 @@ def merge_level_samples(
         raise ValueError("merge-level law needs a plus-weight strictly between 1/2 and 1")
     gen = stream.child(KEY_FLOW_COINS).generator()
     dx = 2.0 ** (-level)
-    y_real = y_units * dx
 
     z_x = np.zeros(n_pairs, dtype=np.int64)
     z_y = np.full(n_pairs, y_units, dtype=np.int64)
@@ -1072,7 +1061,7 @@ def merge_level_samples(
         merged = (new_zx == 0) & (new_zy == 0)
         if np.any(merged):
             hit = alive_idx[merged]
-            levels[hit] = y_real + (2.0 * ap - 1.0) * dx * visits_y[hit]
+            levels[hit] = _merge_level(y_units, dx, ap, visits_y[hit])
             alive_idx = alive_idx[~merged]
 
     merged_levels = levels[~np.isnan(levels)]

@@ -32,9 +32,10 @@ __all__ = [
     "embed_line",
     "project_line",
     "signed_coordinate",
-    "point_from_signed",
     "central_difference",
     "vector_eval",
+    "bump_family",
+    "decay_family",
 ]
 
 WEIGHT_SUM_TOL = 1e-12
@@ -166,9 +167,7 @@ def graph_point(spec: GraphSpec, ray: int, radius: float) -> GraphPoint:
 
 def distance(x: GraphPoint, y: GraphPoint) -> float:
     """Tree metric: |h - h'| on a shared ray, h + h' across rays."""
-    if x.ray == y.ray or x.radius == 0.0 or y.radius == 0.0:
-        return abs(x.radius - y.radius) if x.ray == y.ray else x.radius + y.radius
-    return x.radius + y.radius
+    return abs(x.radius - y.radius) if x.ray == y.ray else x.radius + y.radius
 
 
 @dataclass(frozen=True)
@@ -288,12 +287,6 @@ def signed_coordinate(x: GraphPoint, spec: GraphSpec) -> float:
     return spec.sign(x.ray) * x.radius
 
 
-def point_from_signed(spec: GraphSpec, ray: int, value: float) -> GraphPoint:
-    """Rebuild a graph point from a stored ray and a signed scalar with
-    matching sign; used when decoding flow trajectories."""
-    return graph_point(spec, ray, abs(value))
-
-
 def central_difference(fn: Callable[[float], float], x: float, step: float = 1e-5) -> float:
     """Two-sided difference quotient, for cross-checking analytic
     derivative evaluators. Not a substitute for them."""
@@ -311,3 +304,37 @@ def vector_eval(fn: Callable, xs) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.array([fn(float(x)) for x in xs.ravel()], dtype=float).reshape(xs.shape)
+
+
+# Test functions with closed-form derivatives, vectorised with np.exp. The
+# order of operations is part of the contract: reports that evaluate them
+# are compared byte for byte.
+
+
+def bump_family(coeffs: Sequence[float]) -> PiecewiseFunction:
+    """c_i h^2 e^{-h} on ray i, with both derivatives. Every slope at the
+    junction is 0, so the function is in the generator domain."""
+
+    def bump(c: float) -> RayFunction:
+        return RayFunction(
+            value=lambda h: c * h * h * np.exp(-h),
+            deriv=lambda h: c * (2.0 * h - h * h) * np.exp(-h),
+            second_deriv=lambda h: c * (2.0 - 4.0 * h + h * h) * np.exp(-h),
+        )
+
+    return PiecewiseFunction(components=tuple(bump(c) for c in coeffs))
+
+
+def decay_family(coeffs: Sequence[float]) -> PiecewiseFunction:
+    """c_i e^{-h} on ray i, with both derivatives. Continuity at the
+    junction needs equal coefficients; the flux defect is then -c, so the
+    function is outside the generator domain."""
+
+    def decay(c: float) -> RayFunction:
+        return RayFunction(
+            value=lambda h: c * np.exp(-h),
+            deriv=lambda h: -c * np.exp(-h),
+            second_deriv=lambda h: c * np.exp(-h),
+        )
+
+    return PiecewiseFunction(components=tuple(decay(c) for c in coeffs))

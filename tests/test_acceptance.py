@@ -28,7 +28,9 @@ from walshflow.flows import (
 from walshflow.graph import (
     GraphPoint,
     PiecewiseFunction,
+    bump_family,
     central_difference,
+    decay_family,
     validate_spec,
 )
 from walshflow.paths import (
@@ -73,24 +75,6 @@ def _ones(n_rays: int) -> PiecewiseFunction:
     )
 
 
-def _decay(n_rays: int, scale: float = 1.0) -> PiecewiseFunction:
-    return PiecewiseFunction.radial(
-        n_rays,
-        value=lambda h: scale * np.exp(-h),
-        deriv=lambda h: -scale * np.exp(-h),
-        second_deriv=lambda h: scale * np.exp(-h),
-    )
-
-
-def _bump(n_rays: int, scale: float = 1.0) -> PiecewiseFunction:
-    return PiecewiseFunction.radial(
-        n_rays,
-        value=lambda h: scale * h * h * np.exp(-h),
-        deriv=lambda h: scale * (2.0 * h - h * h) * np.exp(-h),
-        second_deriv=lambda h: scale * (2.0 - 4.0 * h + h * h) * np.exp(-h),
-    )
-
-
 def _slope_family(coeffs) -> PiecewiseFunction:
     from walshflow.graph import RayFunction
 
@@ -114,7 +98,7 @@ def test_01_conservation_and_positivity():
     times = (0.1, 0.3, 0.8, 1.5, 2.5)
     for spec in (SPEC2, SPEC3, SPEC5):
         ones = _ones(spec.n_rays)
-        nonneg = _bump(spec.n_rays)
+        nonneg = bump_family((1.0,) * spec.n_rays)
         for i, r in enumerate(radii):
             ray = 1 + i % spec.n_rays
             pt = spec.origin if r == 0.0 else GraphPoint(ray=ray, radius=r)
@@ -135,7 +119,11 @@ def test_01_conservation_and_positivity():
 
 def test_02_semigroup_law():
     t_start = time.perf_counter()
-    functions = [_decay(3), _bump(3), _slope_family((0.6, 0.4, 0.2))]
+    functions = [
+        decay_family((1.0,) * 3),
+        bump_family((1.0,) * 3),
+        _slope_family((0.6, 0.4, 0.2)),
+    ]
     eval_points = [
         SPEC3.origin,
         GraphPoint(ray=1, radius=0.4),
@@ -158,12 +146,12 @@ def test_02_semigroup_law():
 
 def test_03_generator_identity():
     cases = [
-        (SPEC3, _bump(3)),
-        (SPEC3, _bump(3, scale=0.5)),
+        (SPEC3, bump_family((1.0,) * 3)),
+        (SPEC3, bump_family((0.5,) * 3)),
         (SPEC3, _slope_family((1.5, -1.0, -1.0))),
-        (SPEC2, _bump(2)),
+        (SPEC2, bump_family((1.0,) * 2)),
         (SPEC2, _slope_family((3.0, -7.0))),
-        (SPEC5, _bump(5)),
+        (SPEC5, bump_family((1.0,) * 5)),
     ]
     worst = 0.0
     for spec, fn in cases:
@@ -175,7 +163,7 @@ def test_03_generator_identity():
 
 
 def test_04_derivative_identity():
-    fn = _decay(3)
+    fn = decay_family((1.0,) * 3)
     worst_rel = 0.0
     radii = (0.2, 0.45, 0.7, 0.95, 1.2, 1.45, 1.7, 1.95, 2.2, 2.45)
     for i, r in enumerate(radii):
@@ -251,25 +239,10 @@ def _ito_rms(fn, spec, dt, n_paths, seed):
     return math.sqrt(acc / n_paths)
 
 
-def _ray_bump_family(coeffs) -> PiecewiseFunction:
-    from walshflow.graph import RayFunction
-
-    return PiecewiseFunction(
-        components=tuple(
-            RayFunction(
-                value=(lambda h, c=c: c * h * h * np.exp(-h)),
-                deriv=(lambda h, c=c: c * (2.0 * h - h * h) * np.exp(-h)),
-                second_deriv=(lambda h, c=c: c * (2.0 - 4.0 * h + h * h) * np.exp(-h)),
-            )
-            for c in coeffs
-        )
-    )
-
-
 def test_07_ito_expansion_rate():
-    in_domain = _bump(3, scale=0.3)
-    ray_coupled = _ray_bump_family((0.25, 0.30, 0.35))
-    off_domain = _decay(3, scale=0.3)  # nonzero flux at the junction
+    in_domain = bump_family((0.3,) * 3)
+    ray_coupled = bump_family((0.25, 0.30, 0.35))
+    off_domain = decay_family((0.3,) * 3)  # nonzero flux at the junction
     ok = True
     summary = []
     for idx, fn in enumerate((in_domain, ray_coupled, off_domain)):

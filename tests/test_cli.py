@@ -64,6 +64,8 @@ class TestConfigRoundTrip:
             {"horizon": 1.0002},
             {"dt": 3e-4},
             {"horizon": math.inf},
+            {"level": 1},
+            {"level": 3, "flow_horizon": 0.25},
         ],
     )
     def test_validation_rejects(self, overrides):
@@ -154,6 +156,17 @@ class TestExitCodes:
         ini = tmp_path / "off_grid.ini"
         ini.write_text(serialize_config(config), encoding="utf-8")
         assert main(["kernel-experiment", "--config", str(ini)]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_flow_horizon_before_last_start_exits_two(self, tmp_path, capsys):
+        # the last flow start is born at step 16, which is the whole horizon here
+        config = replace(
+            DEFAULT_CONFIG, level=3, flow_horizon=0.25, out_dir=str(tmp_path / "o")
+        )
+        ini = tmp_path / "short_flow.ini"
+        ini.write_text(serialize_config(config), encoding="utf-8")
+        assert main(["flow-experiment", "--config", str(ini)]) == 2
+        assert "16 steps" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_run_rejects_unknown_subcommand(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walshflow import flows as flows_module
 from walshflow.flows import (
     LATTICE_INF,
     BeforeHitting,
@@ -459,6 +460,37 @@ class TestMappingFlow:
                     assert SPEC3.p < pt.ray <= SPEC3.n_rays
                 else:
                     assert pt.is_origin and pt.ray == SPEC3.n_rays
+
+    def test_one_lookup_labels_its_excursion_once(self, monkeypatch):
+        cfg, flow = _kernel_fixture()
+        _side, g, _d, _weights = extract_ray_weights(flow, 0)[1]
+        fresh = KernelFlow(flow.ensemble, flow.sampler, flow.stream)
+        calls = []
+        label = flows_module.dyadic_label
+
+        def counted(u, v):
+            calls.append((u, v))
+            return label(u, v)
+
+        monkeypatch.setattr(flows_module, "dyadic_label", counted)
+        MappingFlow(fresh).point_at(0, g + 1)
+        assert len(calls) == 1
+
+    def test_filtering_follows_the_copy_chain(self):
+        cfg, flow = _kernel_fixture()
+        ens = flow.ensemble
+        for q in range(1, ens.n_starts):
+            record = ens.merge_record(q)
+            if record is None:
+                continue
+            after = np.flatnonzero(ens.traj[q, record.merge_index + 1 :] != 0)
+            k = record.merge_index + 1 + int(after[0])
+            mine = filter_mapping_to_kernel(flow, q, k, 50)
+            target = filter_mapping_to_kernel(flow, record.target_index, k, 50)
+            np.testing.assert_array_equal(mine[0], target[0])
+            np.testing.assert_array_equal(mine[1], target[1])
+            return
+        pytest.fail("fixture should produce at least one merge")
 
     def test_ray_constant_within_excursion(self):
         cfg, flow = _kernel_fixture()

@@ -8,7 +8,9 @@ from walshflow.graph import (
     GraphPoint,
     PiecewiseFunction,
     RayFunction,
+    bump_family,
     central_difference,
+    decay_family,
     validate_spec,
 )
 from walshflow.semigroup import (
@@ -82,12 +84,7 @@ def test_halfline_convolution_diverges():
 
 
 def exp_profile(n_rays):
-    return PiecewiseFunction.radial(
-        n_rays,
-        value=lambda h: np.exp(-h),
-        deriv=lambda h: -np.exp(-h),
-        second_deriv=lambda h: np.exp(-h),
-    )
+    return decay_family((1.0,) * n_rays)
 
 
 def test_apply_constant_is_one():
@@ -226,12 +223,7 @@ def test_generator_residual_rejects_flux():
 
 
 def test_generator_residual_domain_function_off_origin():
-    f = PiecewiseFunction.radial(
-        3,
-        value=lambda h: np.square(h) * np.exp(-h),
-        deriv=lambda h: (2.0 * np.asarray(h) - np.square(h)) * np.exp(-h),
-        second_deriv=lambda h: (2.0 - 4.0 * np.asarray(h) + np.square(h)) * np.exp(-h),
-    )
+    f = bump_family((1.0,) * 3)
     for pt in (SPEC3.origin, GraphPoint(ray=2, radius=0.8)):
         assert abs(generator_residual(f, SPEC3, pt, 0.5)) < 1e-4
 
