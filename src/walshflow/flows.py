@@ -56,13 +56,11 @@ __all__ = [
     "CoalescenceRecord",
     "ray_ratios",
     "skew_lattice_flow",
-    "hitting_time",
     "coalescence_time",
     "wiener_kernel",
     "KernelFlow",
     "MappingFlow",
     "sample_kernel_flow",
-    "sample_mapping_flow",
     "extract_ray_weights",
     "measure_ray_weights",
     "filter_mapping_to_kernel",
@@ -293,25 +291,27 @@ class CoalescenceRecord:
 
 
 class FlowEnsemble:
-    """Scalar lattice trajectories driven by one shared coin sequence."""
+    """Scalar lattice trajectories driven by one shared coin sequence.
+
+    The ensemble owns the excursions of its trajectories: every kernel and
+    mapping view on it keys its draws by excursion_key, so each excursion
+    is found and labelled once, whatever the view.
+    """
 
     def __init__(
         self,
         config: LatticeFlowConfig,
         spec: GraphSpec,
-        origin_uniforms: np.ndarray,
-        rademacher: np.ndarray,
         traj: np.ndarray,
         start_meta: list[tuple[int, int, int]],
     ):
         self.config = config
         self.spec = spec
-        self.origin_uniforms = origin_uniforms
-        self.rademacher = rademacher
         self.traj = traj  # (n_starts, steps+1) int64, LATTICE_INF before birth
         self.start_meta = start_meta  # (s_index, signed_units, ray)
         self._zero_cache: dict[int, np.ndarray] = {}
         self._merge_cache: dict[int, Optional[CoalescenceRecord]] = {}
+        self._key_cache: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     @property
     def n_starts(self) -> int:
@@ -348,6 +348,27 @@ class FlowEnsemble:
                 return q, int(self.traj[q][k]), bool(len(zeros) and zeros[0] <= k)
             q = record.target_index
         raise AssertionError("coalescence chain does not terminate")
+
+    def excursion_key(self, q: int, k: int) -> tuple[int, int, int]:
+        """(source start, label numerator, label exponent) of the excursion
+        straddling index k on the trajectory start q follows there: the key
+        of every weight and ray draw on that excursion.
+
+        The excursion runs from the source's last zero g before k to its
+        next zero (or the horizon); its dyadic label is computed once per
+        (source, g) and shared by every view on the ensemble.
+        """
+        q, _z, _hit = self.resolve(q, k)
+        zeros = self.zeros_of(q)
+        pos = int(np.searchsorted(zeros, k))
+        if pos == 0:
+            raise BeforeHitting(f"start {q} has not left the junction by index {k}")
+        g = int(zeros[pos - 1])
+        if (q, g) not in self._key_cache:
+            d = int(zeros[pos]) if pos < len(zeros) else self.steps
+            dt = self.config.dt
+            self._key_cache[(q, g)] = (q, *label_key(dyadic_label(g * dt, d * dt)))
+        return self._key_cache[(q, g)]
 
     def merge_record(self, q: int) -> Optional[CoalescenceRecord]:
         """First recorded coalescence of start q onto any earlier start."""
@@ -460,7 +481,7 @@ def skew_lattice_flow(
         traj[q] = _evolve_scalar(
             units, s_idx, steps, csum, sorted_csum, order, origin_up, spec.alpha_plus
         )
-    return FlowEnsemble(config, spec, origin_uniforms, rademacher, traj, signed)
+    return FlowEnsemble(config, spec, traj, signed)
 
 
 # time steps per streamed block, for coins and states alike
@@ -660,12 +681,6 @@ def _flow_experiment_invariants(
     )
 
 
-def hitting_time(ensemble: FlowEnsemble, start_index: int) -> Optional[int]:
-    """Grid index of the first junction visit, or None if never."""
-    zeros = ensemble.zeros_of(start_index)
-    return int(zeros[0]) if len(zeros) else None
-
-
 def coalescence_time(
     ensemble: FlowEnsemble, i: int, j: int, strict: bool = False
 ) -> Optional[int]:
@@ -711,9 +726,10 @@ class KernelFlow:
     """Kernel trajectories over a scalar ensemble.
 
     Per excursion of each trajectory one ray-weight vector is drawn from
-    the measure pair, keyed by (start priority, excursion label), so the
-    vector is constant across the excursion and identical on replay.
-    After a recorded coalescence the kernel copies its merge target.
+    the measure pair, keyed by the ensemble's excursion key (start
+    priority, excursion label), so the vector is constant across the
+    excursion and identical on replay. After a recorded coalescence the
+    kernel copies its merge target.
     """
 
     def __init__(
@@ -729,21 +745,6 @@ class KernelFlow:
         self.draw_index = draw_index
         self._weights_cache: dict[tuple[int, int, int], np.ndarray] = {}
 
-    def _excursion(self, q: int, k: int) -> tuple[int, int]:
-        zeros = self.ensemble.zeros_of(q)
-        pos = np.searchsorted(zeros, k)
-        g = int(zeros[pos - 1])  # a zero before k exists past the hit
-        d = int(zeros[pos]) if pos < len(zeros) else self.ensemble.steps
-        return g, d
-
-    def _excursion_key(self, q: int, k: int) -> tuple[int, int, int]:
-        """(start, label numerator, label exponent) of the excursion of
-        start q around index k: the key of its weight and ray draws."""
-        g, d = self._excursion(q, k)
-        dt = self.ensemble.config.dt
-        num, exp = label_key(dyadic_label(g * dt, d * dt))
-        return q, num, exp
-
     def _weights_for(self, key: tuple[int, int, int], side: int) -> np.ndarray:
         if key not in self._weights_cache:
             gen = self.stream.child(KEY_KERNEL_CHOICE, self.draw_index, *key).generator()
@@ -751,7 +752,7 @@ class KernelFlow:
         return self._weights_cache[key]
 
     def excursion_weights(self, q: int, k: int, side: int) -> np.ndarray:
-        return self._weights_for(self._excursion_key(q, k), side)
+        return self._weights_for(self.ensemble.excursion_key(q, k), side)
 
     def kernel_at(self, q: int, k: int) -> KernelMeasure:
         ens = self.ensemble
@@ -786,7 +787,7 @@ class MappingFlow:
         self._ray_cache: dict[tuple[int, int, int], int] = {}
 
     def _excursion_ray(self, q: int, k: int, side: int) -> int:
-        key = self.kernels._excursion_key(q, k)
+        key = self.kernels.ensemble.excursion_key(q, k)
         if key not in self._ray_cache:
             weights = self.kernels._weights_for(key, side)
             gen = self.kernels.stream.child(
@@ -826,22 +827,6 @@ def sample_kernel_flow(
     if ensemble is None:
         ensemble = skew_lattice_flow(config, spec, stream)
     return KernelFlow(ensemble, sampler, stream, draw_index=draw_index)
-
-
-def sample_mapping_flow(
-    config: LatticeFlowConfig,
-    spec: GraphSpec,
-    sampler: MeasurePairSampler,
-    stream: RngStream,
-    ensemble: Optional[FlowEnsemble] = None,
-    choice_index: int = 0,
-    kernel_flow: Optional[KernelFlow] = None,
-) -> MappingFlow:
-    """Mapping flow refining a kernel flow (reused if given, so the same
-    weight draws filter down to the point choice)."""
-    if kernel_flow is None:
-        kernel_flow = sample_kernel_flow(config, spec, sampler, stream, ensemble=ensemble)
-    return MappingFlow(kernel_flow, choice_index=choice_index)
 
 
 def extract_ray_weights(

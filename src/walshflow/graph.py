@@ -255,9 +255,9 @@ def flux_defect(f: PiecewiseFunction, spec: GraphSpec) -> float:
     return math.fsum(terms)
 
 
-def in_generator_domain(f: PiecewiseFunction, spec: GraphSpec, tol: float = DOMAIN_TOL) -> bool:
-    """True when the junction flux defect vanishes within tol."""
-    return abs(flux_defect(f, spec)) <= tol
+def in_generator_domain(f: PiecewiseFunction, spec: GraphSpec) -> bool:
+    """True when the junction flux defect vanishes within DOMAIN_TOL."""
+    return abs(flux_defect(f, spec)) <= DOMAIN_TOL
 
 
 def embed_line(y: float, spec: GraphSpec) -> GraphPoint:

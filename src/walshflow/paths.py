@@ -27,21 +27,17 @@ from walshflow.graph import (
 
 __all__ = [
     "EmptyInterval",
-    "NotInExcursion",
     "TimeGrid",
     "ScalarPath",
     "RngStream",
     "WalshPath",
     "sample_brownian",
-    "reflect_path",
     "skorokhod_reflection",
     "local_time_band",
     "dyadic_label",
     "label_key",
-    "excursion_interval",
     "wbm_flip_construct",
     "sample_wbm_exact",
-    "walk_matrix",
     "scaled_walk_marginal",
     "freidlin_sheu_residual",
     "ray_from_uniform",
@@ -62,10 +58,6 @@ KEY_REPLICA = 9
 
 class EmptyInterval(ValueError):
     """Dyadic label of an empty open interval."""
-
-
-class NotInExcursion(ValueError):
-    """Excursion interval requested at a time where the path is zero."""
 
 
 @dataclass(frozen=True)
@@ -177,14 +169,6 @@ def sample_brownian(grid: TimeGrid, stream: RngStream, start: float = 0.0) -> Sc
     return ScalarPath(grid=grid, values=values)
 
 
-def reflect_path(path: ScalarPath) -> ScalarPath:
-    """Subtract the running minimum-below-zero: exact zeros whenever the
-    running minimum is attained."""
-    v = path.values
-    floor_ = np.minimum.accumulate(np.minimum(v, 0.0))
-    return ScalarPath(grid=path.grid, values=v - floor_)
-
-
 def skorokhod_reflection(start: float, brownian: ScalarPath) -> tuple[ScalarPath, ScalarPath]:
     """Reflect start + B at zero; returns (reflected path, local time).
 
@@ -232,25 +216,6 @@ def label_key(label: Fraction) -> tuple[int, int]:
     """(numerator, level) encoding of a dyadic label for RNG keys."""
     exp = label.denominator.bit_length() - 1
     return label.numerator, exp
-
-
-def excursion_interval(path: ScalarPath, index: int) -> tuple[int, int]:
-    """Indices (g, d) of the excursion straddling a grid index.
-
-    g is the last zero at or before the index (grid start if the path
-    never touched zero that early), d the first zero after it; when the
-    excursion is still open at the end of the grid, d is the final grid
-    index as a sentinel. Raises NotInExcursion at a zero of the path.
-    """
-    v = path.values
-    if v[index] == 0.0:
-        raise NotInExcursion(f"path is at zero at index {index}")
-    zeros = np.flatnonzero(v == 0.0)
-    before = zeros[zeros < index]
-    after = zeros[zeros > index]
-    g = int(before[-1]) if len(before) else 0
-    d = int(after[0]) if len(after) else path.grid.steps
-    return g, d
 
 
 def ray_from_uniform(spec: GraphSpec, u) -> np.ndarray:
@@ -353,34 +318,6 @@ def sample_wbm_exact(
     rays = ray_from_uniform(spec, chosen)
     rays[radii == 0.0] = spec.n_rays  # measure-zero guard
     return rays, radii
-
-
-def walk_matrix(spec: GraphSpec, radius_steps: int) -> np.ndarray:
-    """One-step transition matrix of the approximating walk, truncated.
-
-    States are ordered origin first, then radius-major, ray-minor:
-    index 1 + (k-1)*N + (i-1) holds radius k on ray i. From the origin
-    the walk enters ray i with weight alpha_i; elsewhere it steps up or
-    down with probability 1/2. The outer boundary reflects half its mass
-    back onto itself so rows still sum to one.
-    """
-    if radius_steps < 1:
-        raise ValueError("radius_steps must be >= 1")
-    n = spec.n_rays
-    size = 1 + radius_steps * n
-    mat = np.zeros((size, size))
-    for i in range(n):
-        mat[0, 1 + i] = spec.alpha[i]
-    for k in range(1, radius_steps + 1):
-        for i in range(n):
-            row = 1 + (k - 1) * n + i
-            down = 0 if k == 1 else 1 + (k - 2) * n + i
-            mat[row, down] += 0.5
-            if k == radius_steps:
-                mat[row, row] += 0.5  # truncation: reflect at the rim
-            else:
-                mat[row, 1 + k * n + i] += 0.5
-    return mat
 
 
 def scaled_walk_marginal(

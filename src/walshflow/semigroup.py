@@ -21,12 +21,14 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from walshflow.graph import (
+    DOMAIN_TOL,
     DerivativeUnavailable,
     GraphPoint,
     GraphSpec,
     PiecewiseFunction,
     RayFunction,
     flux_defect,
+    in_generator_domain,
     vector_eval,
 )
 
@@ -204,41 +206,42 @@ def semigroup_derivative(
     )
 
 
+# Simpson nodes (odd) of generator_residual's time integral
+_TIME_NODES = 65
+
+
 def generator_residual(
     f: PiecewiseFunction,
     spec: GraphSpec,
     point: GraphPoint,
     t: float,
     quad: Optional[QuadratureConfig] = None,
-    time_nodes: int = 65,
-    domain_tol: float = 1e-9,
 ) -> float:
     """P_t f(x) - f(x) - (1/2) integral_0^t (P_u f'')(x) du.
 
-    Vanishes for functions in the generator domain (flux defect 0 within
-    domain_tol; NotInDomain otherwise). The time integral runs over
-    v = sqrt(u) with composite Simpson, because P_u f'' picks up a
-    sqrt(u) term at the origin and the substitution makes the integrand
-    smooth there; the v=0 endpoint carries weight 2v = 0, so the u -> 0
-    limit never needs evaluating.
+    Vanishes for functions in the generator domain (NotInDomain
+    otherwise). The time integral runs over v = sqrt(u) with composite
+    Simpson on _TIME_NODES nodes, because P_u f'' picks up a sqrt(u) term
+    at the origin and the substitution makes the integrand smooth there;
+    the v=0 endpoint carries weight 2v = 0, so the u -> 0 limit never
+    needs evaluating.
     """
-    defect = flux_defect(f, spec)
-    if abs(defect) > domain_tol:
-        raise NotInDomain(f"junction flux defect {defect!r} exceeds {domain_tol}")
+    if not in_generator_domain(f, spec):
+        raise NotInDomain(
+            f"junction flux defect {flux_defect(f, spec)!r} exceeds {DOMAIN_TOL}"
+        )
     if t <= 0.0:
         raise NonPositiveTime(f"t = {t!r} must be > 0")
-    if time_nodes < 65 or time_nodes % 2 == 0:
-        raise ValueError(f"time_nodes {time_nodes} must be odd and >= 65")
     fpp = _deriv_components(f, spec.n_rays, order=2)
 
     vmax = math.sqrt(t)
-    vs = np.linspace(0.0, vmax, time_nodes)
-    vals = np.empty(time_nodes)
+    vs = np.linspace(0.0, vmax, _TIME_NODES)
+    vals = np.empty(_TIME_NODES)
     vals[0] = 0.0
-    for k in range(1, time_nodes):
+    for k in range(1, _TIME_NODES):
         v = vs[k]
         vals[k] = 2.0 * v * wbm_semigroup_apply(fpp, spec, point, v * v, quad)
-    time_integral = _simpson(vals, vmax / (time_nodes - 1))
+    time_integral = _simpson(vals, vmax / (_TIME_NODES - 1))
 
     return wbm_semigroup_apply(f, spec, point, t, quad) - f(point) - 0.5 * time_integral
 

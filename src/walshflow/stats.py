@@ -25,7 +25,6 @@ __all__ = [
     "ZeroExpected",
     "InsufficientSamples",
     "TestReport",
-    "empirical_cdf",
     "ks_statistic",
     "chi_square_rays",
     "PowerLawFit",
@@ -86,15 +85,6 @@ class TestReport:
             p_value=raw.get("p_value"),
             details={k: float(v) for k, v in raw.get("details", {}).items()},
         )
-
-
-def empirical_cdf(samples: Sequence[float], x) -> float | np.ndarray:
-    """Fraction of samples at or below x (x may be an array)."""
-    arr = np.sort(np.asarray(samples, dtype=float))
-    if arr.size == 0:
-        raise EmptySample("empirical cdf of an empty sample")
-    out = np.searchsorted(arr, x, side="right") / arr.size
-    return float(out) if np.isscalar(x) else out
 
 
 def ks_statistic(samples: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:

@@ -199,15 +199,15 @@ class TestSeedPrecedence:
 
 class TestWorkerDeterminism:
     @staticmethod
-    def _assert_pool_sizes_agree(tmp_path, config):
-        ini = tmp_path / "flow.ini"
+    def _assert_pool_sizes_agree(tmp_path, config, subcommand="flow-experiment", pool="3"):
+        ini = tmp_path / "run.ini"
         ini.write_text(serialize_config(config), encoding="utf-8")
         outs = []
-        for name, workers in (("serial", "1"), ("pool", "3")):
+        for name, workers in (("serial", "1"), ("pool", pool)):
             out = tmp_path / name
             code = main(
                 [
-                    "flow-experiment",
+                    subcommand,
                     "--config",
                     str(ini),
                     "--out",
@@ -218,7 +218,9 @@ class TestWorkerDeterminism:
             )
             assert code == 0
             outs.append(out)
-        for artifact in sorted(os.listdir(outs[0])):
+        artifacts = sorted(os.listdir(outs[0]))
+        assert artifacts and artifacts == sorted(os.listdir(outs[1]))
+        for artifact in artifacts:
             left = (outs[0] / artifact).read_bytes()
             right = (outs[1] / artifact).read_bytes()
             assert left == right, artifact
@@ -244,3 +246,14 @@ class TestWorkerDeterminism:
             root_seed=4243,
         )
         self._assert_pool_sizes_agree(tmp_path, config)
+
+    def test_kernel_artifacts_identical_across_pool_sizes(self, tmp_path):
+        # eight kernel ensembles, the fewest the subcommand runs
+        config = replace(DEFAULT_CONFIG, level=4, replicas=800, root_seed=4244)
+        self._assert_pool_sizes_agree(tmp_path, config, "kernel-experiment", "2")
+
+    def test_path_artifacts_identical_across_pool_sizes(self, tmp_path):
+        config = replace(
+            DEFAULT_CONFIG, dt=1e-3, replicas=4000, path_replicas=24, root_seed=4245
+        )
+        self._assert_pool_sizes_agree(tmp_path, config, "simulate-wbm", "2")

@@ -25,13 +25,11 @@ from walshflow.flows import (
     extract_ray_weights,
     filter_mapping_to_kernel,
     flow_property_check,
-    hitting_time,
     measure_ray_weights,
     merge_level_samples,
     project_kernel_to_wiener,
     ray_ratios,
     sample_kernel_flow,
-    sample_mapping_flow,
     skew_lattice_flow,
     wiener_kernel,
 )
@@ -214,7 +212,7 @@ class TestHittingTime:
     def test_unreachable_junction_returns_none(self):
         cfg = _config_for(SPEC2, 2, 16, [(0, 1, 20)])
         ens = skew_lattice_flow(cfg, SPEC2, RngStream(6))
-        assert hitting_time(ens, 0) is None
+        assert len(ens.zeros_of(0)) == 0
 
     def test_first_passage_times_match_walk_recursion(self):
         """Empirical hitting-time histogram against the exact absorbed-walk
@@ -238,10 +236,11 @@ class TestHittingTime:
         none_count = 0
         for rep in range(replicas):
             ens = skew_lattice_flow(cfg, SPEC2, RngStream(500).child(rep))
-            tau = hitting_time(ens, 0)
-            if tau is None:
+            zeros = ens.zeros_of(0)
+            if not len(zeros):
                 none_count += 1
             else:
+                tau = int(zeros[0])
                 counts[tau] = counts.get(tau, 0) + 1
 
         observed, expected = [], []
@@ -369,8 +368,8 @@ class TestKernelFlow:
     def test_phase_one_is_a_moving_point_mass(self):
         cfg, flow = _kernel_fixture()
         ens = flow.ensemble
-        tau = hitting_time(ens, 1)
-        assert tau is not None and tau > 0
+        tau = int(ens.zeros_of(1)[0])
+        assert tau > 0
         for k in range(0, tau + 1):
             m = flow.kernel_at(1, k)
             z = abs(int(ens.traj[1, k]))
@@ -463,8 +462,8 @@ class TestMappingFlow:
 
     def test_one_lookup_labels_its_excursion_once(self, monkeypatch):
         cfg, flow = _kernel_fixture()
-        _side, g, _d, _weights = extract_ray_weights(flow, 0)[1]
-        fresh = KernelFlow(flow.ensemble, flow.sampler, flow.stream)
+        ens = flow.ensemble
+        k = int(ens.zeros_of(0)[1]) + 1
         calls = []
         label = flows_module.dyadic_label
 
@@ -473,8 +472,19 @@ class TestMappingFlow:
             return label(u, v)
 
         monkeypatch.setattr(flows_module, "dyadic_label", counted)
-        MappingFlow(fresh).point_at(0, g + 1)
+        MappingFlow(flow).point_at(0, k)
         assert len(calls) == 1
+        # other draws and choices on the same ensemble share the label
+        other = KernelFlow(ens, flow.sampler, flow.stream, draw_index=3)
+        MappingFlow(other, choice_index=5).point_at(0, k)
+        other.kernel_at(0, k)
+        assert len(calls) == 1
+
+        calls.clear()
+        _cfg, fresh = _kernel_fixture()
+        k = int(fresh.ensemble.zeros_of(0)[2]) + 1
+        filter_mapping_to_kernel(fresh, 0, k, 50)
+        assert len(calls) <= 1
 
     def test_filtering_follows_the_copy_chain(self):
         cfg, flow = _kernel_fixture()
@@ -515,14 +525,6 @@ class TestMappingFlow:
         np.testing.assert_array_equal(ref, weights)
         bound = 3.0 * np.sqrt(ref * (1.0 - ref) / n)
         assert np.all(np.abs(freq - ref) <= np.maximum(bound, 1e-12))
-
-    def test_mapping_flow_factory_reuses_kernel_draws(self):
-        cfg = _config_for(SPEC3, 3, 64, [(0, 1, 0)])
-        sampler = MeasurePairSampler(SPEC3, "dirichlet:4")
-        stream = RngStream(55).child(1)
-        flow = sample_kernel_flow(cfg, SPEC3, sampler, stream)
-        mapping = sample_mapping_flow(cfg, SPEC3, sampler, stream, kernel_flow=flow)
-        assert mapping.kernels is flow
 
 
 class TestProjectionAndComposition:
@@ -581,6 +583,8 @@ class TestRayWeightExtraction:
         flow = sample_kernel_flow(cfg, SPEC2, sampler, RngStream(9))
         with pytest.raises(BeforeHitting):
             extract_ray_weights(flow, 0)
+        with pytest.raises(BeforeHitting):
+            flow.excursion_weights(0, 3, 1)
 
     def test_rows_cover_excursions_with_matching_sides(self):
         cfg, flow = _kernel_fixture()
@@ -594,6 +598,24 @@ class TestRayWeightExtraction:
             assert np.all(np.sign(interior) == side)
             dim = SPEC3.p if side > 0 else SPEC3.n_rays - SPEC3.p
             assert len(weights) == dim
+
+    def test_rows_after_a_merge_follow_the_copy_chain(self):
+        sampler = MeasurePairSampler(SPEC3, "dirichlet:4")
+        cfg = _config_for(SPEC3, 3, 256, [(0, 1, 0), (0, 1, 2)])
+        checked = 0
+        for seed in range(40):
+            flow = sample_kernel_flow(cfg, SPEC3, sampler, RngStream(seed))
+            record = flow.ensemble.merge_record(1)
+            if record is None:
+                continue
+            for side, g, _d, weights in extract_ray_weights(flow, 1):
+                if g < record.merge_index:
+                    continue
+                kernel = measure_ray_weights(flow.kernel_at(1, g + 1), SPEC3)
+                block = kernel[: SPEC3.p] if side > 0 else kernel[SPEC3.p :]
+                np.testing.assert_array_equal(weights, block)
+                checked += 1
+        assert checked > 100
 
     def test_measure_ray_weights_helper(self):
         m = wiener_kernel(SPEC3, SPEC3.origin, 0.5, True)

@@ -9,22 +9,18 @@ from scipy.stats import kstest, norm
 from walshflow.graph import GraphPoint, PiecewiseFunction, validate_spec
 from walshflow.paths import (
     EmptyInterval,
-    NotInExcursion,
     RngStream,
     ScalarPath,
     TimeGrid,
     WalshPath,
     dyadic_label,
-    excursion_interval,
     freidlin_sheu_residual,
     label_key,
     local_time_band,
-    reflect_path,
     sample_brownian,
     sample_wbm_exact,
     scaled_walk_marginal,
     skorokhod_reflection,
-    walk_matrix,
     wbm_flip_construct,
 )
 
@@ -97,13 +93,6 @@ def test_reflection_zeros_are_exact():
     assert np.allclose(reflected.values, driver + local.values, atol=0.0, rtol=0.0)
 
 
-def test_reflect_path_matches_skorokhod():
-    grid = TimeGrid(0.0, 0.01, 200)
-    brownian = sample_brownian(grid, RngStream(13), start=0.5)
-    reflected, _ = skorokhod_reflection(0.5, ScalarPath(grid, brownian.values - 0.5))
-    assert np.array_equal(reflect_path(brownian).values, reflected.values)
-
-
 def test_local_time_band_flat_path():
     grid = TimeGrid(0.0, 0.01, 100)
     flat = ScalarPath(grid=grid, values=np.zeros(101))
@@ -160,18 +149,6 @@ def test_dyadic_label_brute_force_sweep():
         if not u < v:
             continue
         assert dyadic_label(u, v) == _brute_force_label(u, v)
-
-
-def test_excursion_interval_example():
-    grid = TimeGrid(0.0, 1.0, 5)
-    path = ScalarPath(grid=grid, values=np.array([0.0, 1.0, 2.0, 1.0, 0.0, 3.0]))
-    assert excursion_interval(path, 2) == (0, 4)
-    # final excursion is open: right end is the grid-end sentinel
-    assert excursion_interval(path, 5) == (4, 5)
-    with pytest.raises(NotInExcursion):
-        excursion_interval(path, 0)
-    with pytest.raises(NotInExcursion):
-        excursion_interval(path, 4)
 
 
 def test_walsh_path_validation():
@@ -241,17 +218,6 @@ def test_sample_wbm_exact_marginal():
     again_rays, again_radii = sample_wbm_exact(SPEC3, 1.0, 20_000, RngStream(123))
     assert np.array_equal(rays, again_rays)
     assert np.array_equal(radii, again_radii)
-
-
-def test_walk_matrix_rows():
-    mat = walk_matrix(SPEC3, 3)
-    assert mat.shape == (10, 10)
-    assert np.allclose(mat.sum(axis=1), 1.0)
-    assert np.allclose(mat[0, 1:4], SPEC3.alpha)
-    # interior point: half down, half up on the same ray
-    row = mat[1 + 1 * 3 + 0]  # ray 1, radius 2
-    assert row[1 + 0 * 3 + 0] == 0.5
-    assert row[1 + 2 * 3 + 0] == 0.5
 
 
 def test_scaled_walk_marginal_sign_frequencies():

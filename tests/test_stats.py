@@ -17,7 +17,6 @@ from walshflow.stats import (
     ZeroExpected,
     chi_square_rays,
     default_marginal_functions,
-    empirical_cdf,
     folded_gaussian_cdf,
     ks_statistic,
     marginal_vs_semigroup,
@@ -56,28 +55,6 @@ class TestReportRecord:
         )
         payload = json.loads(report.to_json_line())
         assert payload["name"] == "demo" and payload["passed"] is True
-
-
-class TestEmpiricalCdf:
-    def test_frozen_example(self):
-        assert empirical_cdf([1.0, 2.0, 3.0], 2.5) == 2.0 / 3.0
-
-    def test_array_argument(self):
-        out = empirical_cdf([1.0, 2.0, 3.0], np.array([0.0, 1.0, 3.0]))
-        np.testing.assert_allclose(out, [0.0, 1.0 / 3.0, 1.0])
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptySample):
-            empirical_cdf([], 0.5)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        samples=st.lists(st.floats(-10, 10), min_size=1, max_size=30),
-        x=st.floats(-12, 12),
-    )
-    def test_matches_direct_count(self, samples, x):
-        direct = sum(1 for s in samples if s <= x) / len(samples)
-        assert empirical_cdf(samples, x) == direct
 
 
 def _brute_force_ks(samples, cdf):
