@@ -11,9 +11,7 @@ from walshflow.graph import (
     GraphSpec,
     PiecewiseFunction,
     distance,
-    embed_line,
     flux_defect,
-    project_line,
     validate_spec,
 )
 
@@ -26,7 +24,5 @@ __all__ = [
     "validate_spec",
     "distance",
     "flux_defect",
-    "embed_line",
-    "project_line",
     "__version__",
 ]

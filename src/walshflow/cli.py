@@ -64,13 +64,13 @@ from walshflow.paths import (
     wbm_flip_construct,
 )
 from walshflow.semigroup import (
-    DEFAULT_QUADRATURE,
     generator_residual,
     semigroup_derivative,
     tabulate_semigroup,
     wbm_semigroup_apply,
 )
 from walshflow.stats import (
+    MIN_FIT_SAMPLES,
     TestReport,
     folded_gaussian_cdf,
     ks_statistic,
@@ -96,6 +96,9 @@ __all__ = [
 # lattice step at which the last flow-experiment start is born; the flow
 # horizon must reach past it
 _LATE_START_STEP = 16
+# walk-converge's lattice levels, coarsest first; horizon * 4^level must be
+# a whole number of steps at each, which the coarsest implies
+_WALK_LEVELS = (2, 3, 4, 5)
 
 
 class ConfigInvalid(ValueError):
@@ -147,6 +150,10 @@ class ExperimentConfig:
         for name, ratio in (
             ("flow_horizon * 4^level", self.flow_horizon * 4.0**self.level),
             ("horizon * 4^level", self.horizon * 4.0**self.level),
+            (
+                f"horizon * 4^{_WALK_LEVELS[0]} (coarsest walk-converge level)",
+                self.horizon * 4.0 ** _WALK_LEVELS[0],
+            ),
             ("horizon / dt", self.horizon / self.dt),
         ):
             if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
@@ -304,14 +311,13 @@ def _map_replicas(task: Callable, args_list: list, workers: int) -> list:
         return list(pool.map(task, args_list, chunksize=chunk))
 
 
-def _report(name, statistic, threshold, passed, replicas, p_value=None, **details):
+def _report(name, statistic, threshold, passed, replicas, **details):
     return TestReport(
         name=name,
         statistic=float(statistic),
         threshold=float(threshold),
         passed=bool(passed),
         replicas=int(replicas),
-        p_value=p_value,
         details={k: float(v) for k, v in details.items()},
     )
 
@@ -321,7 +327,6 @@ def _report(name, statistic, threshold, passed, replicas, p_value=None, **detail
 
 def _cmd_verify_semigroup(config: ExperimentConfig):
     spec = config.spec()
-    quad = DEFAULT_QUADRATURE
     one = PiecewiseFunction.radial(spec.n_rays, lambda h: 1.0)
     rows = []
 
@@ -329,7 +334,7 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
     for t in (0.25, 0.5, 1.0, 2.0, 4.0):
         for h in (0.0, 0.5, 1.0, 2.0, 3.0):
             point = spec.origin if h == 0.0 else GraphPoint(ray=1, radius=h)
-            value = wbm_semigroup_apply(one, spec, point, t, quad)
+            value = wbm_semigroup_apply(one, spec, point, t)
             err = abs(value - 1.0)
             worst_conservation = max(worst_conservation, err)
             rows.append(["conservation", t, h, value, err])
@@ -337,12 +342,12 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
     fn = bump_family((1.0,) * spec.n_rays)
     worst_law = 0.0
     for s in (0.25, 1.0):
-        table = tabulate_semigroup(fn, spec, s, quad, radius_max=3.0 + 10.5)
+        table = tabulate_semigroup(fn, spec, s, radius_max=3.0 + 10.5)
         for t in (0.25, 1.0):
             for h in (0.0, 0.7, 1.5):
                 point = spec.origin if h == 0.0 else GraphPoint(ray=1, radius=h)
-                direct = wbm_semigroup_apply(fn, spec, point, s + t, quad)
-                nested = wbm_semigroup_apply(table, spec, point, t, quad)
+                direct = wbm_semigroup_apply(fn, spec, point, s + t)
+                nested = wbm_semigroup_apply(table, spec, point, t)
                 err = abs(direct - nested)
                 worst_law = max(worst_law, err)
                 rows.append(["semigroup-law", s + t, h, nested, err])
@@ -354,16 +359,16 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
     for test_fn in (fn, ray_weighted):
         for h in (0.0, 0.8):
             point = spec.origin if h == 0.0 else GraphPoint(ray=1, radius=h)
-            residual = generator_residual(test_fn, spec, point, 1.0, quad)
+            residual = generator_residual(test_fn, spec, point, 1.0)
             worst_generator = max(worst_generator, abs(residual))
             rows.append(["generator-residual", 1.0, h, residual, abs(residual)])
 
     worst_derivative = 0.0
     for h in (0.4, 0.9, 1.6, 2.5):
         point = GraphPoint(ray=1, radius=h)
-        direct = semigroup_derivative(fn, spec, point, 1.0, quad)
+        direct = semigroup_derivative(fn, spec, point, 1.0)
         numeric = central_difference(
-            lambda r: wbm_semigroup_apply(fn, spec, GraphPoint(ray=1, radius=r), 1.0, quad),
+            lambda r: wbm_semigroup_apply(fn, spec, GraphPoint(ray=1, radius=r), 1.0),
             h,
             step=1e-4,
         )
@@ -390,7 +395,7 @@ def _path_task(args):
     config, rep = args
     spec = config.spec()
     steps = int(round(config.horizon / config.dt))
-    grid = TimeGrid(t0=0.0, dt=config.dt, steps=steps)
+    grid = TimeGrid(dt=config.dt, steps=steps)
     stream = RngStream(config.root_seed).child(KEY_REPLICA, rep)
     path = wbm_flip_construct(grid, spec, stream)
     return (
@@ -409,9 +414,7 @@ def _cmd_simulate_wbm(config: ExperimentConfig):
 
     stream = RngStream(config.root_seed).child(KEY_REPLICA, config.path_replicas + 1)
     rays, radii = sample_wbm_exact(spec, config.horizon, config.replicas, stream)
-    battery = marginal_vs_semigroup(
-        spec, config.horizon, rays, radii, name="marginal-vs-semigroup"
-    )
+    battery = marginal_vs_semigroup(spec, config.horizon, rays, radii)
     headers = ["replica", "final_ray", "final_radius", "local_time"]
     return [("", headers, rows)], [battery]
 
@@ -424,7 +427,7 @@ def _cmd_walk_converge(config: ExperimentConfig):
     cdf = folded_gaussian_cdf(config.horizon)
     rows = []
     stats = []
-    for level in (2, 3, 4, 5):
+    for level in _WALK_LEVELS:
         stream = RngStream(config.root_seed).child(KEY_REPLICA, level)
         rays, radii = scaled_walk_marginal(
             spec, level, config.horizon, config.replicas, stream
@@ -441,7 +444,7 @@ def _cmd_walk_converge(config: ExperimentConfig):
             stats[0],
             band_ok and overall,
             config.replicas,
-            **{f"ks_level_{lvl}": stats[i] for i, lvl in enumerate((2, 3, 4, 5))},
+            **{f"ks_level_{lvl}": stats[i] for i, lvl in enumerate(_WALK_LEVELS)},
         )
     ]
     headers = ["level", "replicas", "ks_stat", "ks_p"]
@@ -468,7 +471,7 @@ def _ito_test_functions(spec: GraphSpec):
 
 def _residual_rms(fn, spec, config, dt, paths, seed_offset):
     steps = int(round(config.horizon / dt))
-    grid = TimeGrid(t0=0.0, dt=dt, steps=steps)
+    grid = TimeGrid(dt=dt, steps=steps)
     acc = 0.0
     for rep in range(paths):
         stream = RngStream(config.root_seed).child(KEY_REPLICA, seed_offset + rep)
@@ -599,7 +602,7 @@ def _cmd_flow_experiment(config: ExperimentConfig):
     above = merged_arr[merged_arr > y * (1.0 + 1e-12)]
     merge_rows = [[i, float(u)] for i, u in enumerate(merged_arr)]
 
-    if 0.5 < spec.alpha_plus < 1.0 and above.size >= 1000:
+    if 0.5 < spec.alpha_plus < 1.0 and above.size >= MIN_FIT_SAMPLES:
         fit = powerlaw_fit_coalescence(above, y)
         reports.append(
             _report(

@@ -46,8 +46,6 @@ __all__ = [
     "OffLatticeStart",
     "SamplerInvalid",
     "BeforeHitting",
-    "MissingIntermediateStart",
-    "NeverMet",
     "LATTICE_INF",
     "LatticeFlowConfig",
     "KernelMeasure",
@@ -82,14 +80,6 @@ class SamplerInvalid(ValueError):
 
 class BeforeHitting(ValueError):
     """Ray weights requested before the trajectory reached the junction."""
-
-
-class MissingIntermediateStart(ValueError):
-    """Flow-property composition needs a start the ensemble does not have."""
-
-
-class NeverMet(RuntimeError):
-    """Two trajectories did not meet within the horizon (strict mode only)."""
 
 
 def ray_ratios(spec: GraphSpec, side: int) -> tuple[float, ...]:
@@ -148,17 +138,15 @@ class LatticeFlowConfig:
     def steps(self) -> int:
         return int(math.floor(self.horizon / self.dt + 1e-9))
 
-    def start_indices(self) -> list[tuple[int, int, int]]:
-        """Per start: (time index, signed units, ray)."""
+    def signed_starts(self, spec: GraphSpec) -> list[tuple[int, int, int]]:
+        """Per start: (time index, signed units, ray), where the signed
+        units are eps(ray) times the radius in lattice units, 0 at the
+        junction: the scalar value the start's trajectory begins at."""
         out = []
         for s, x in self.start_pairs:
-            out.append(
-                (
-                    int(round(s / self.dt)),
-                    int(round(x.radius / self.dx)),
-                    x.ray,
-                )
-            )
+            units = int(round(x.radius / self.dx))
+            signed = spec.sign(x.ray) * units if units else 0
+            out.append((int(round(s / self.dt)), signed, x.ray))
         return out
 
 
@@ -457,12 +445,8 @@ def skew_lattice_flow(
     on (time index + signed units) parity, otherwise order could not be
     preserved and OffLatticeStart is raised.
     """
-    starts = config.start_indices()
     steps = config.steps
-    signed = [
-        (s_idx, spec.sign(ray) * units if units else 0, ray)
-        for s_idx, units, ray in starts
-    ]
+    signed = config.signed_starts(spec)
     if spec.alpha_plus != 0.5:
         parities = {(s_idx + units) % 2 for s_idx, units, _ in signed}
         if len(parities) > 1:
@@ -665,8 +649,7 @@ def _flow_experiment_invariants(
     steps // 4, all stepped together on each replica's coins."""
     steps = config.steps
     starts: list[tuple[int, Optional[int]]] = [
-        (s_idx, spec.sign(ray) * units if units else 0)
-        for s_idx, units, ray in config.start_indices()
+        (s_idx, units) for s_idx, units, _ray in config.signed_starts(spec)
     ]
     # the flow-property start sits where start 0 is at mid; signs are
     # block-sorted, so its signed value is start 0's
@@ -681,23 +664,18 @@ def _flow_experiment_invariants(
     )
 
 
-def coalescence_time(
-    ensemble: FlowEnsemble, i: int, j: int, strict: bool = False
-) -> Optional[int]:
+def coalescence_time(ensemble: FlowEnsemble, i: int, j: int) -> Optional[int]:
     """Recorded coalescence index of two trajectories.
 
     The same start meets itself at its birth index. When the two never
-    meet within the horizon the result is None (or NeverMet when strict),
-    which is a report, not a failure: at plus-weight 1/2 distinct
-    same-time starts are parallel translates and never meet at all.
+    meet within the horizon the result is None, which is a report, not a
+    failure: at plus-weight 1/2 distinct same-time starts are parallel
+    translates and never meet at all.
     """
     if i == j:
         return ensemble.born_at(i)
     lo, hi = (i, j) if i < j else (j, i)
-    idx = ensemble._first_meeting(lo, hi)
-    if idx is None and strict:
-        raise NeverMet(f"starts {i} and {j} did not meet within the horizon")
-    return idx
+    return ensemble._first_meeting(lo, hi)
 
 
 def wiener_kernel(
@@ -818,15 +796,11 @@ def sample_kernel_flow(
     spec: GraphSpec,
     sampler: MeasurePairSampler,
     stream: RngStream,
-    ensemble: Optional[FlowEnsemble] = None,
-    draw_index: int = 0,
 ) -> KernelFlow:
-    """Kernel flow over a (possibly shared) scalar ensemble."""
+    """Kernel flow over a fresh scalar ensemble on the stream's coins."""
     if sampler.spec is not spec and sampler.spec != spec:
         raise SamplerInvalid("sampler was built for a different graph")
-    if ensemble is None:
-        ensemble = skew_lattice_flow(config, spec, stream)
-    return KernelFlow(ensemble, sampler, stream, draw_index=draw_index)
+    return KernelFlow(skew_lattice_flow(config, spec, stream), sampler, stream)
 
 
 def extract_ray_weights(
@@ -926,15 +900,13 @@ def flow_property_check(
     parent_index: int,
     mid_index: int,
     final_index: int,
-    auto_register: bool = True,
 ) -> tuple[float, KernelMeasure, KernelMeasure]:
     """Compose the parent kernel at an intermediate time with kernels
     started from its atoms, and compare against the one-shot kernel.
 
-    Intermediate starts are appended to the configuration when absent
-    (auto_register), or MissingIntermediateStart is raised. Appending
-    never changes earlier trajectories or their draws: coins are shared
-    and draw keys use start priority, which appending preserves.
+    Intermediate starts are appended to the configuration when absent.
+    Appending never changes earlier trajectories or their draws: coins
+    are shared and draw keys use start priority, which appending preserves.
 
     Returns (max atom-weight discrepancy, composed measure, direct
     measure); atom supports must match exactly for the discrepancy to be
@@ -948,20 +920,14 @@ def flow_property_check(
 
     mid_time = mid_index * config.dt
     existing = {(s, x): idx for idx, (s, x) in enumerate(config.start_pairs)}
-    needed = []
-    for pt in mid_measure.points:
-        key = (mid_time, pt)
-        if key not in existing:
-            needed.append(key)
-    if needed and not auto_register:
-        raise MissingIntermediateStart(
-            f"{len(needed)} intermediate starts absent at index {mid_index}"
-        )
+    needed = tuple(
+        (mid_time, pt) for pt in mid_measure.points if (mid_time, pt) not in existing
+    )
     if needed:
         config = LatticeFlowConfig(
             level=config.level,
             horizon=config.horizon,
-            start_pairs=config.start_pairs + tuple(needed),
+            start_pairs=config.start_pairs + needed,
         )
         flow = sample_kernel_flow(config, spec, sampler, stream)
         ens = flow.ensemble

@@ -29,9 +29,6 @@ __all__ = [
     "distance",
     "flux_defect",
     "in_generator_domain",
-    "embed_line",
-    "project_line",
-    "signed_coordinate",
     "central_difference",
     "vector_eval",
     "bump_family",
@@ -60,7 +57,7 @@ class DerivativeUnavailable(ValueError):
 
 
 class WrongRayCount(ValueError):
-    """Line embedding requires exactly two rays."""
+    """A spec has no rays, or its weights and signs differ in count."""
 
 
 @dataclass(frozen=True)
@@ -258,33 +255,6 @@ def flux_defect(f: PiecewiseFunction, spec: GraphSpec) -> float:
 def in_generator_domain(f: PiecewiseFunction, spec: GraphSpec) -> bool:
     """True when the junction flux defect vanishes within DOMAIN_TOL."""
     return abs(flux_defect(f, spec)) <= DOMAIN_TOL
-
-
-def embed_line(y: float, spec: GraphSpec) -> GraphPoint:
-    """Identify the real line with a two-ray graph: y >= 0 goes to ray 1,
-    y < 0 to ray 2 at radius |y|."""
-    if spec.n_rays != 2:
-        raise WrongRayCount(f"line embedding needs 2 rays, spec has {spec.n_rays}")
-    y = float(y)
-    if y == 0.0:
-        return spec.origin
-    return GraphPoint(ray=1 if y > 0 else 2, radius=abs(y))
-
-
-def project_line(x: GraphPoint, spec: GraphSpec) -> float:
-    """Inverse of embed_line: ray 1 to +radius, ray 2 to -radius."""
-    if spec.n_rays != 2:
-        raise WrongRayCount(f"line projection needs 2 rays, spec has {spec.n_rays}")
-    if x.radius == 0.0:
-        return 0.0
-    return x.radius if x.ray == 1 else -x.radius
-
-
-def signed_coordinate(x: GraphPoint, spec: GraphSpec) -> float:
-    """eps(ray) * radius; the scalar the flow trajectories live on."""
-    if x.radius == 0.0:
-        return 0.0
-    return spec.sign(x.ray) * x.radius
 
 
 def central_difference(fn: Callable[[float], float], x: float, step: float = 1e-5) -> float:

@@ -62,9 +62,8 @@ class EmptyInterval(ValueError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t0 + k*dt for k = 0..steps."""
+    """Uniform grid k*dt for k = 0..steps; every path starts at time 0."""
 
-    t0: float
     dt: float
     steps: int
 
@@ -75,11 +74,11 @@ class TimeGrid:
             raise ValueError(f"steps = {self.steps!r} must be >= 1")
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.steps + 1)
+        return self.dt * np.arange(self.steps + 1)
 
     @property
     def horizon(self) -> float:
-        return self.t0 + self.dt * self.steps
+        return self.dt * self.steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,14 +157,13 @@ class WalshPath:
         return GraphPoint(ray=int(self.rays[k]), radius=float(self.radii[k]))
 
 
-def sample_brownian(grid: TimeGrid, stream: RngStream, start: float = 0.0) -> ScalarPath:
-    """Brownian path on the grid from the stream's dedicated child key."""
+def sample_brownian(grid: TimeGrid, stream: RngStream) -> ScalarPath:
+    """Brownian path from 0 on the grid, from the stream's dedicated child key."""
     gen = stream.child(KEY_BROWNIAN).generator()
     increments = gen.standard_normal(grid.steps) * math.sqrt(grid.dt)
     values = np.empty(grid.steps + 1)
-    values[0] = start
+    values[0] = 0.0
     np.cumsum(increments, out=values[1:])
-    values[1:] += start
     return ScalarPath(grid=grid, values=values)
 
 
@@ -233,39 +231,29 @@ def _positive_runs(values: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts, ends - 1))
 
 
-def wbm_flip_construct(
-    grid: TimeGrid,
-    spec: GraphSpec,
-    stream: RngStream,
-    start: Optional[GraphPoint] = None,
-) -> WalshPath:
-    """Walsh path via excursion flips of a reflected driver.
+def wbm_flip_construct(grid: TimeGrid, spec: GraphSpec, stream: RngStream) -> WalshPath:
+    """Walsh path from the junction via excursion flips of a reflected driver.
 
-    The driver is start-radius + B reflected at zero; every completed
-    positive excursion gets its ray from a categorical draw keyed by the
-    dyadic label of its time interval. An excursion already running at
-    t0 keeps the starting ray; one still open at the final time is keyed
-    with the grid end as its right endpoint.
+    The driver is B reflected at zero; every positive excursion gets its
+    ray from a categorical draw keyed by the dyadic label of its time
+    interval, and one still open at the final time is keyed with the grid
+    end as its right endpoint. The driver starts at zero, so every
+    excursion begins after a grid point.
     """
-    start = start if start is not None else spec.origin
     brownian = sample_brownian(grid, stream)
-    reflected, local = skorokhod_reflection(start.radius, brownian)
+    reflected, local = skorokhod_reflection(0.0, brownian)
     values = reflected.values
     times = grid.times()
 
     rays = np.full(grid.steps + 1, spec.n_rays, dtype=np.int64)
     for first, last in _positive_runs(values):
-        if first == 0:
-            ray = start.ray  # excursion predates the grid; no flip yet
-        else:
-            g_time = float(times[first - 1])
-            d_time = float(times[last + 1]) if last + 1 <= grid.steps else float(times[-1])
-            if not g_time < d_time:
-                d_time = math.nextafter(g_time, math.inf)
-            num, exp = label_key(dyadic_label(g_time, d_time))
-            gen = stream.child(KEY_RAY_FLIP, num, exp).generator()
-            ray = int(ray_from_uniform(spec, gen.random())[()])
-        rays[first : last + 1] = ray
+        g_time = float(times[first - 1])
+        d_time = float(times[last + 1]) if last + 1 <= grid.steps else float(times[-1])
+        if not g_time < d_time:
+            d_time = math.nextafter(g_time, math.inf)
+        num, exp = label_key(dyadic_label(g_time, d_time))
+        gen = stream.child(KEY_RAY_FLIP, num, exp).generator()
+        rays[first : last + 1] = int(ray_from_uniform(spec, gen.random())[()])
 
     return WalshPath(
         grid=grid,
@@ -277,18 +265,19 @@ def wbm_flip_construct(
     )
 
 
+# coarse steps of sample_wbm_exact; the minimum within each is drawn exactly
+_EXACT_STEPS = 16
+
+
 def sample_wbm_exact(
-    spec: GraphSpec,
-    t: float,
-    replicas: int,
-    stream: RngStream,
-    steps: int = 16,
+    spec: GraphSpec, t: float, replicas: int, stream: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (ray, radius) marginals of the flip construction at time t
     from the origin, with the driver's running minimum sampled exactly.
 
-    Each coarse step contributes its within-step minimum from the exact
-    Brownian-bridge law (inverse CDF of exp(-2(a-b0)(a-b1)/dt)), so the
+    Each of the _EXACT_STEPS coarse steps contributes its within-step
+    minimum from the exact Brownian-bridge law (inverse CDF of
+    exp(-2(a-b0)(a-b1)/dt)), so the
     reflected radius B_t - min_u B_u has the continuum half-normal law
     with no grid bias. The flip draw for the excursion straddling t is
     keyed by the step where the running minimum was last attained.
@@ -298,6 +287,7 @@ def sample_wbm_exact(
     if replicas < 1:
         raise ValueError("need at least one replica")
     gen = stream.child(KEY_EXACT_MARGINAL).generator()
+    steps = _EXACT_STEPS
     dt = t / steps
     increments = gen.standard_normal((replicas, steps)) * math.sqrt(dt)
     endpoints = np.cumsum(increments, axis=1)

@@ -7,14 +7,15 @@ half-line: for a point at radius h on ray j,
 
 where (p_t g)(x) = integral_0^inf g(y) phi_t(x - y) dy convolves g, extended
 by zero to the negative axis, with the Gaussian kernel phi_t. At the origin
-only the weighted sum survives. Quadrature is composite Simpson on a window
-of +-(multiplier * sqrt(t)) around the Gaussian center, clipped to [0, inf).
+only the weighted sum survives. Quadrature is one fixed rule: composite
+Simpson on 2001 nodes (_SPACE_NODES) over the window +-10 sqrt(t) (_WINDOW)
+around the Gaussian center, clipped to [0, inf). Semigroup tables hold 400
+spline nodes per ray (_TABLE_NODES) out to 12 sqrt(s).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -37,8 +38,6 @@ __all__ = [
     "QuadratureDiverged",
     "OriginNotDifferentiable",
     "NotInDomain",
-    "QuadratureConfig",
-    "DEFAULT_QUADRATURE",
     "heat_kernel",
     "halfline_convolution",
     "wbm_semigroup_apply",
@@ -64,25 +63,14 @@ class NotInDomain(ValueError):
     """Generator identity requires a vanishing junction flux defect."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Composite-Simpson controls: window half-width in units of sqrt(t),
-    and an odd node count."""
-
-    truncation_radius_multiplier: float = 10.0
-    node_count: int = 2001
-
-    def __post_init__(self) -> None:
-        if self.truncation_radius_multiplier < 6.0:
-            raise ValueError(
-                f"truncation multiplier {self.truncation_radius_multiplier} < 6 "
-                "leaves visible Gaussian mass outside the window"
-            )
-        if self.node_count < 3 or self.node_count % 2 == 0:
-            raise ValueError(f"node_count {self.node_count} must be odd and >= 3")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# half-width, in units of sqrt(t), of halfline_convolution's window
+_WINDOW = 10.0
+# Simpson nodes (odd) of halfline_convolution's space integral
+_SPACE_NODES = 2001
+# Simpson nodes (odd) of generator_residual's time integral
+_TIME_NODES = 65
+# spline nodes per ray of a tabulate_semigroup table reaching 12 sqrt(s)
+_TABLE_NODES = 400
 
 RayCallable = Callable[[float], float]
 FunctionLike = Union[PiecewiseFunction, Sequence[RayCallable]]
@@ -107,24 +95,21 @@ def _simpson(vals: np.ndarray, step: float) -> float:
     return float(step / 3.0 * np.dot(weights, vals))
 
 
-def halfline_convolution(
-    fn: RayCallable, t: float, x: float, quad: Optional[QuadratureConfig] = None
-) -> float:
+def halfline_convolution(fn: RayCallable, t: float, x: float) -> float:
     """(p_t fn)(x): convolve fn, supported on [0, inf), with phi_t.
 
     x may be negative; the Gaussian window is clipped to the support.
     """
     if t <= 0.0:
         raise NonPositiveTime(f"t = {t!r} must be > 0")
-    quad = quad or DEFAULT_QUADRATURE
-    radius = quad.truncation_radius_multiplier * math.sqrt(t)
+    radius = _WINDOW * math.sqrt(t)
     lo = max(0.0, x - radius)
     hi = x + radius
     if hi <= lo:
         return 0.0
-    ys = np.linspace(lo, hi, quad.node_count)
+    ys = np.linspace(lo, hi, _SPACE_NODES)
     integrand = vector_eval(fn, ys) * heat_kernel(ys - x, t)
-    result = _simpson(integrand, (hi - lo) / (quad.node_count - 1))
+    result = _simpson(integrand, (hi - lo) / (_SPACE_NODES - 1))
     if not math.isfinite(result):
         raise QuadratureDiverged(f"non-finite quadrature value at x={x}, t={t}")
     return result
@@ -153,11 +138,7 @@ def _deriv_components(f: PiecewiseFunction, n_rays: int, order: int) -> list[Ray
 
 
 def wbm_semigroup_apply(
-    f: FunctionLike,
-    spec: GraphSpec,
-    point: GraphPoint,
-    t: float,
-    quad: Optional[QuadratureConfig] = None,
+    f: FunctionLike, spec: GraphSpec, point: GraphPoint, t: float
 ) -> float:
     """Evaluate (P_t f)(point) from the closed-form ray decomposition.
 
@@ -170,7 +151,7 @@ def wbm_semigroup_apply(
     comps = _components(f, spec.n_rays)
     h = point.radius
     shared = math.fsum(
-        2.0 * a * halfline_convolution(fn, t, -h, quad)
+        2.0 * a * halfline_convolution(fn, t, -h)
         for a, fn in zip(spec.alpha, comps)
     )
     if h == 0.0:
@@ -178,17 +159,13 @@ def wbm_semigroup_apply(
     own = comps[point.ray - 1]
     return (
         shared
-        + halfline_convolution(own, t, h, quad)
-        - halfline_convolution(own, t, -h, quad)
+        + halfline_convolution(own, t, h)
+        - halfline_convolution(own, t, -h)
     )
 
 
 def semigroup_derivative(
-    f: PiecewiseFunction,
-    spec: GraphSpec,
-    point: GraphPoint,
-    t: float,
-    quad: Optional[QuadratureConfig] = None,
+    f: PiecewiseFunction, spec: GraphSpec, point: GraphPoint, t: float
 ) -> float:
     """Radial derivative of P_t f away from the origin via the exchange
     identity (P_t f)' = -P_t f' + 2 (p_t f_j')(h) on ray j.
@@ -201,21 +178,13 @@ def semigroup_derivative(
         raise OriginNotDifferentiable("radial derivative is one-sided at the origin")
     fprime = _deriv_components(f, spec.n_rays, order=1)
     own = fprime[point.ray - 1]
-    return -wbm_semigroup_apply(fprime, spec, point, t, quad) + 2.0 * halfline_convolution(
-        own, t, point.radius, quad
+    return -wbm_semigroup_apply(fprime, spec, point, t) + 2.0 * halfline_convolution(
+        own, t, point.radius
     )
 
 
-# Simpson nodes (odd) of generator_residual's time integral
-_TIME_NODES = 65
-
-
 def generator_residual(
-    f: PiecewiseFunction,
-    spec: GraphSpec,
-    point: GraphPoint,
-    t: float,
-    quad: Optional[QuadratureConfig] = None,
+    f: PiecewiseFunction, spec: GraphSpec, point: GraphPoint, t: float
 ) -> float:
     """P_t f(x) - f(x) - (1/2) integral_0^t (P_u f'')(x) du.
 
@@ -240,23 +209,18 @@ def generator_residual(
     vals[0] = 0.0
     for k in range(1, _TIME_NODES):
         v = vs[k]
-        vals[k] = 2.0 * v * wbm_semigroup_apply(fpp, spec, point, v * v, quad)
+        vals[k] = 2.0 * v * wbm_semigroup_apply(fpp, spec, point, v * v)
     time_integral = _simpson(vals, vmax / (_TIME_NODES - 1))
 
-    return wbm_semigroup_apply(f, spec, point, t, quad) - f(point) - 0.5 * time_integral
+    return wbm_semigroup_apply(f, spec, point, t) - f(point) - 0.5 * time_integral
 
 
 def tabulate_semigroup(
-    f: FunctionLike,
-    spec: GraphSpec,
-    s: float,
-    quad: Optional[QuadratureConfig] = None,
-    radius_max: Optional[float] = None,
-    nodes: int = 400,
+    f: FunctionLike, spec: GraphSpec, s: float, radius_max: Optional[float] = None
 ) -> PiecewiseFunction:
     """Tabulate P_s f per ray and wrap cubic splines as a PiecewiseFunction.
 
-    Default table reaches 12 sqrt(s) with 400 nodes; pass a larger
+    Default table reaches 12 sqrt(s) with _TABLE_NODES nodes; pass a larger
     radius_max when the table feeds another semigroup application whose
     quadrature window reaches further (the node count is scaled to keep
     the default spacing). Beyond the table the value is clamped to the
@@ -267,19 +231,19 @@ def tabulate_semigroup(
         raise NonPositiveTime(f"s = {s!r} must be > 0")
     base_radius = 12.0 * math.sqrt(s)
     radius = max(base_radius, radius_max) if radius_max is not None else base_radius
+    nodes = _TABLE_NODES
     if radius > base_radius:
         nodes = max(nodes, math.ceil(nodes * radius / base_radius))
     hs = np.linspace(0.0, radius, nodes)
 
-    origin_value = wbm_semigroup_apply(f, spec, spec.origin, s, quad)
+    origin_value = wbm_semigroup_apply(f, spec, spec.origin, s)
     components = []
     for ray in range(1, spec.n_rays + 1):
         vals = np.empty(nodes)
         vals[0] = origin_value
         for k in range(1, nodes):
-            vals[k] = wbm_semigroup_apply(
-                f, spec, GraphPoint(ray=ray, radius=float(hs[k])), s, quad
-            )
+            point = GraphPoint(ray=ray, radius=float(hs[k]))
+            vals[k] = wbm_semigroup_apply(f, spec, point, s)
         spline = CubicSpline(hs, vals, bc_type="not-a-knot")
         d1 = spline.derivative(1)
         d2 = spline.derivative(2)

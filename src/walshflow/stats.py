@@ -18,12 +18,13 @@ from scipy import special
 from scipy import stats as scipy_stats
 
 from walshflow.graph import GraphSpec, PiecewiseFunction, RayFunction, vector_eval
-from walshflow.semigroup import DEFAULT_QUADRATURE, QuadratureConfig, wbm_semigroup_apply
+from walshflow.semigroup import wbm_semigroup_apply
 
 __all__ = [
     "EmptySample",
     "ZeroExpected",
     "InsufficientSamples",
+    "MIN_FIT_SAMPLES",
     "TestReport",
     "ks_statistic",
     "chi_square_rays",
@@ -45,6 +46,17 @@ class ZeroExpected(ValueError):
 
 class InsufficientSamples(ValueError):
     """Too few samples for a stable fit."""
+
+
+# fewest merge levels above y that powerlaw_fit_coalescence fits
+MIN_FIT_SAMPLES = 1000
+# interior cdf window of the coalescence-law regression
+_FIT_WINDOW = (0.1, 0.9)
+# marginal_vs_semigroup's levels: KS and chi-square p-values must exceed
+# their alpha, every test-function z-score must stay within the bound
+_KS_ALPHA = 0.01
+_CHI_ALPHA = 0.01
+_Z_BOUND = 3.0
 
 
 @dataclass(frozen=True)
@@ -144,12 +156,7 @@ class PowerLawFit:
     n_used: int
 
 
-def powerlaw_fit_coalescence(
-    levels: Sequence[float],
-    y: float,
-    window: tuple[float, float] = (0.1, 0.9),
-    min_samples: int = 1000,
-) -> PowerLawFit:
+def powerlaw_fit_coalescence(levels: Sequence[float], y: float) -> PowerLawFit:
     """Fit the coalescence-level law P(level <= u) = (1 - y/u)^lambda.
 
     The empirical CDF is evaluated at every distinct level and regressed
@@ -159,11 +166,11 @@ def powerlaw_fit_coalescence(
     excluded from the regression.
     """
     arr = np.asarray(levels, dtype=float)
-    if arr.size < min_samples:
-        raise InsufficientSamples(f"{arr.size} merge levels, need {min_samples}")
+    if arr.size < MIN_FIT_SAMPLES:
+        raise InsufficientSamples(f"{arr.size} merge levels, need {MIN_FIT_SAMPLES}")
     distinct, counts = np.unique(arr, return_counts=True)
     cdf = np.cumsum(counts) / arr.size
-    lo, hi = window
+    lo, hi = _FIT_WINDOW
     keep = (cdf >= lo) & (cdf <= hi) & (distinct > y * (1.0 + 1e-12))
     if np.count_nonzero(keep) < 5:
         raise InsufficientSamples("not enough distinct levels above y in the window")
@@ -214,24 +221,16 @@ def _mean_of_function(
 
 
 def marginal_vs_semigroup(
-    spec: GraphSpec,
-    t: float,
-    rays: Sequence[int],
-    radii: Sequence[float],
-    functions: Optional[list[tuple[str, PiecewiseFunction]]] = None,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-    ks_alpha: float = 0.01,
-    chi_alpha: float = 0.01,
-    z_bound: float = 3.0,
-    name: str = "marginal-vs-semigroup",
+    spec: GraphSpec, t: float, rays: Sequence[int], radii: Sequence[float]
 ) -> TestReport:
     """Composite battery: sampled time-t marginal from the junction
     against the semigroup.
 
     Three checks: ray occupancy conditioned on a positive radius against
     the ray weights (chi-square), the radius law against the folded
-    Gaussian (KS), and sample means of test functions against the
-    quadrature values (z-tests). The KS p-value is only meaningful for
+    Gaussian (KS), and sample means of default_marginal_functions against
+    the quadrature values (z-tests); each p-value must exceed 1% and each
+    |z| stay within 3. The KS p-value is only meaningful for
     continuum samplers; lattice marginals have a discreteness floor and
     should be compared through the statistic across levels instead.
     """
@@ -249,26 +248,24 @@ def marginal_vs_semigroup(
     chi_stat, chi_p = chi_square_rays(counts, np.asarray(spec.alpha))
     details["chi2_stat"] = chi_stat
     details["chi2_p"] = chi_p
-    passed = passed and chi_p > chi_alpha
+    passed = passed and chi_p > _CHI_ALPHA
 
     ks_stat, ks_p = ks_statistic(rad_arr, folded_gaussian_cdf(t))
     details["ks_stat"] = ks_stat
     details["ks_p"] = ks_p
-    passed = passed and ks_p > ks_alpha
+    passed = passed and ks_p > _KS_ALPHA
 
-    if functions is None:
-        functions = default_marginal_functions(spec)
-    for fn_name, fn in functions:
-        reference = wbm_semigroup_apply(fn, spec, spec.origin, t, quad)
+    for fn_name, fn in default_marginal_functions(spec):
+        reference = wbm_semigroup_apply(fn, spec, spec.origin, t)
         mean, std = _mean_of_function(fn, ray_arr, rad_arr)
         z = (mean - reference) / (std / math.sqrt(n)) if std > 0 else math.inf
         details[f"z_{fn_name}"] = z
-        passed = passed and abs(z) <= z_bound
+        passed = passed and abs(z) <= _Z_BOUND
 
     return TestReport(
-        name=name,
+        name="marginal-vs-semigroup",
         statistic=ks_stat,
-        threshold=ks_alpha,
+        threshold=_KS_ALPHA,
         passed=passed,
         replicas=int(n),
         p_value=ks_p,

@@ -189,7 +189,7 @@ def test_05_flip_construction_vs_semigroup():
     report = marginal_vs_semigroup(SPEC3, 1.0, rays, radii)
 
     # the pathwise construction's ray law is grid-exact: check it directly
-    grid = TimeGrid(t0=0.0, dt=2.0**-6, steps=64)
+    grid = TimeGrid(dt=2.0**-6, steps=64)
     end_rays = []
     for rep in range(3000):
         path = wbm_flip_construct(grid, SPEC3, RngStream(502, (51, rep)))
@@ -231,7 +231,7 @@ def test_06_walk_convergence():
 
 
 def _ito_rms(fn, spec, dt, n_paths, seed):
-    grid = TimeGrid(t0=0.0, dt=dt, steps=int(round(1.0 / dt)))
+    grid = TimeGrid(dt=dt, steps=int(round(1.0 / dt)))
     acc = 0.0
     for rep in range(n_paths):
         path = wbm_flip_construct(grid, spec, RngStream(seed, (70, rep)))
@@ -255,7 +255,7 @@ def test_07_ito_expansion_rate():
 
 
 def test_08_local_time_band():
-    grid = TimeGrid(t0=0.0, dt=1e-4, steps=10000)
+    grid = TimeGrid(dt=1e-4, steps=10000)
     errors = {eps: 0.0 for eps in (0.2, 0.1, 0.05)}
     n_paths = 100
     for rep in range(n_paths):

@@ -1,6 +1,7 @@
 """Runner tests: config round-trip, exit codes, CSV emission, determinism."""
 
 import csv
+import hashlib
 import math
 import os
 from dataclasses import replace
@@ -9,6 +10,7 @@ import pytest
 
 from walshflow.cli import (
     _FLOW_CHUNK,
+    COMMANDS,
     DEFAULT_CONFIG,
     CheckFailed,
     ConfigInvalid,
@@ -66,6 +68,9 @@ class TestConfigRoundTrip:
             {"horizon": math.inf},
             {"level": 1},
             {"level": 3, "flow_horizon": 0.25},
+            # on the level-6 grid, but walk-converge's level 2 would floor
+            # 4^2 * horizon to 16 steps and test the law at the wrong time
+            {"level": 6, "dt": 4.0**-6, "horizon": 1.0 + 4.0**-6},
         ],
     )
     def test_validation_rejects(self, overrides):
@@ -257,3 +262,48 @@ class TestWorkerDeterminism:
             DEFAULT_CONFIG, dt=1e-3, replicas=4000, path_replicas=24, root_seed=4245
         )
         self._assert_pool_sizes_agree(tmp_path, config, "simulate-wbm", "2")
+
+
+# SHA-256 of every artifact the seven subcommands write at _FROZEN_CONFIG.
+# A digest may change only with a declared RNG-stream or artifact change.
+# At 10 paths verify-freidlin-sheu fails two Ito-residual ratio bands; its
+# report digest freezes that verdict too.
+_FROZEN_CONFIG = replace(
+    DEFAULT_CONFIG, replicas=1000, path_replicas=10, flow_replicas=20, merge_pairs=200
+)
+_FROZEN_FAILING = {"verify-freidlin-sheu"}
+_FROZEN_DIGESTS = {
+    "flow_experiment.csv": "ca06d80a1d788e6fe4ab48469b1fdffc477d7722a7df642d48fcb4e6b5308d19",
+    "flow_experiment_merges.csv": "f888b583f1852180e956159b1fbe0f227a7f329afffac6656e89bc30437e48b7",
+    "flow_experiment_reports.jsonl": "dc67bcd2acc3d0362834ccf5ae6f2bf683f2387af4f4c2100eea8fd45b9d9f6f",
+    "kernel_experiment.csv": "376c6bd5f8434dfc64ac92e3b1e95c7074dcc5588213a27b2ea2991b9b9e4eef",
+    "kernel_experiment_reports.jsonl": "a905f54e1c8dd4ffa225ada01cf036e96c4e7bb8eef42e66a81cd8979eecae23",
+    "simulate_wbm.csv": "f842ccf8d9076d1552142e2d1731bf58b3c715934d1094b3b75c71177ea37888",
+    "simulate_wbm_reports.jsonl": "fbc9f49dd5a03c3ca459380e38986fa8fa3741521ca708071554aac51d1dfb6f",
+    "tanaka_special_case.csv": "0c3394fc084cb90bb64924547628799e052228536371f31376f050960f4c246c",
+    "tanaka_special_case_reports.jsonl": "1924df9e2fe5e209a11f2c8c112ba158d24cbdeef61299c329d2989d9b95ea2e",
+    "verify_freidlin_sheu.csv": "3b2fed382da53e46f6f07e67fdc67c15f8268492bda02902fc469c65f62313f7",
+    "verify_freidlin_sheu_reports.jsonl": "cc2e72f0df9897d9fbe024d79d8b804158036429ef90e787ce7f269ed98e1af1",
+    "verify_semigroup.csv": "b9c617e9228895158574821acae5ff7fa9576c6554be709d168ba76062974aae",
+    "verify_semigroup_reports.jsonl": "ac17851b30c19d214fd250f822a1593f44a2ed0404d47c83262286ba96e6171d",
+    "walk_converge.csv": "c9ccfad3894f488f5c117ab9eba0cec2c84a74a7ebfbf216f4706941efa66efc",
+    "walk_converge_reports.jsonl": "1691e091d88d2e093b07493ed83f8a423cc9772b477706775ea49c59a684492c",
+}
+
+
+def test_artifacts_match_frozen_digests(tmp_path):
+    config = replace(_FROZEN_CONFIG, out_dir=str(tmp_path))
+    failing = set()
+    for subcommand in COMMANDS:
+        try:
+            run(subcommand, config)
+        except CheckFailed:
+            failing.add(subcommand)
+    assert failing == _FROZEN_FAILING
+    assert sorted(os.listdir(tmp_path)) == sorted(_FROZEN_DIGESTS)
+    for name, digest in _FROZEN_DIGESTS.items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, (
+            f"{name} changed: an RNG-stream or artifact change, which "
+            "CHANGES.md must declare together with the new digest"
+        )

@@ -17,8 +17,6 @@ from walshflow.flows import (
     LatticeFlowConfig,
     MappingFlow,
     MeasurePairSampler,
-    MissingIntermediateStart,
-    NeverMet,
     OffLatticeStart,
     SamplerInvalid,
     coalescence_time,
@@ -47,15 +45,16 @@ ALL_SPECS = [SPEC2, SPEC2H, SPEC3, TANAKA3, DOWN2]
 
 def _naive_flow(spec, config, stream):
     """Step-by-step reference dynamics, independent of the jump evolver."""
-    starts = config.start_indices()
     steps = config.steps
     gen = stream.child(KEY_FLOW_COINS).generator()
     u = gen.random(steps)
     xi = np.where(gen.random(steps) < 0.5, 1, -1)
     ap = spec.alpha_plus
-    out = np.full((len(starts), steps + 1), LATTICE_INF, dtype=np.int64)
-    for q, (s_idx, units, ray) in enumerate(starts):
-        z = spec.sign(ray) * units if units else 0
+    out = np.full((len(config.start_pairs), steps + 1), LATTICE_INF, dtype=np.int64)
+    for q, (s, x) in enumerate(config.start_pairs):
+        s_idx = int(round(s / config.dt))
+        units = int(round(x.radius / config.dx))
+        z = spec.sign(x.ray) * units if units else 0
         out[q, s_idx] = z
         for k in range(s_idx, steps):
             if ap == 0.5 or z != 0:
@@ -155,8 +154,6 @@ class TestScalarDynamics:
         cfg = _config_for(SPEC2H, 2, 64, [(0, 1, 0), (0, 1, 4)])
         ens = skew_lattice_flow(cfg, SPEC2H, RngStream(21))
         assert coalescence_time(ens, 0, 1) is None
-        with pytest.raises(NeverMet):
-            coalescence_time(ens, 0, 1, strict=True)
 
     def test_fully_positive_graph_keeps_trajectories_nonnegative(self):
         cfg = _config_for(TANAKA3, 2, 200, [(0, 3, 0)])
@@ -565,15 +562,6 @@ class TestProjectionAndComposition:
         )
         assert disc <= 1e-12
         assert set(composed.points) == set(direct.points)
-
-    def test_flow_property_strict_mode_raises(self):
-        cfg = _config_for(SPEC3, 4, 256, [(0, 1, 0)])
-        sampler = MeasurePairSampler(SPEC3, "dirichlet:4")
-        with pytest.raises(MissingIntermediateStart):
-            flow_property_check(
-                cfg, SPEC3, sampler, RngStream(801).child(0), 0, 64, 192,
-                auto_register=False,
-            )
 
 
 class TestRayWeightExtraction:

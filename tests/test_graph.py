@@ -11,15 +11,11 @@ from walshflow.graph import (
     RayFunction,
     SignsNotBlockSorted,
     WeightsNotNormalized,
-    WrongRayCount,
     central_difference,
     distance,
-    embed_line,
     flux_defect,
     graph_point,
     in_generator_domain,
-    project_line,
-    signed_coordinate,
     validate_spec,
 )
 
@@ -186,39 +182,6 @@ def test_radial_constructor():
     )
     assert f.n_rays == 3
     assert f(GraphPoint(ray=2, radius=0.0)) == 1.0
-
-
-def test_embed_line_example():
-    s = validate_spec((0.7, 0.3), (1, -1))
-    pt = embed_line(-2.0, s)
-    assert pt.ray == 2
-    assert pt.radius == 2.0
-    assert embed_line(0.0, s) == s.origin
-    with pytest.raises(WrongRayCount):
-        embed_line(1.0, spec3())
-
-
-@given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
-def test_embed_project_round_trip(y):
-    s = validate_spec((0.5, 0.5), (1, -1))
-    assert project_line(embed_line(y, s), s) == y
-
-
-@given(
-    st.integers(min_value=1, max_value=2),
-    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-)
-def test_project_embed_round_trip(ray, radius):
-    s = validate_spec((0.5, 0.5), (1, -1))
-    pt = graph_point(s, ray, radius)
-    assert embed_line(project_line(pt, s), s) == pt
-
-
-def test_signed_coordinate():
-    s = spec3()
-    assert signed_coordinate(GraphPoint(ray=1, radius=2.0), s) == 2.0
-    assert signed_coordinate(GraphPoint(ray=3, radius=2.0), s) == -2.0
-    assert signed_coordinate(s.origin, s) == 0.0
 
 
 def test_central_difference_cross_check():

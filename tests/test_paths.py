@@ -29,13 +29,13 @@ SPEC3 = validate_spec((0.4, 0.3, 0.3), (1, 1, -1))
 
 
 def test_time_grid():
-    g = TimeGrid(t0=0.0, dt=0.25, steps=4)
+    g = TimeGrid(dt=0.25, steps=4)
     assert np.allclose(g.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
     assert g.horizon == 1.0
     with pytest.raises(ValueError):
-        TimeGrid(t0=0.0, dt=0.0, steps=4)
+        TimeGrid(dt=0.0, steps=4)
     with pytest.raises(ValueError):
-        TimeGrid(t0=0.0, dt=0.1, steps=0)
+        TimeGrid(dt=0.1, steps=0)
 
 
 def test_rng_stream_determinism():
@@ -63,16 +63,16 @@ def test_rng_stream_rejects_bad_seed():
 
 
 def test_sample_brownian_shape_and_start():
-    grid = TimeGrid(0.0, 0.01, 100)
-    path = sample_brownian(grid, RngStream(5), start=2.0)
-    assert path.values[0] == 2.0
+    grid = TimeGrid(0.01, 100)
+    path = sample_brownian(grid, RngStream(5))
+    assert path.values[0] == 0.0
     assert len(path.values) == 101
-    again = sample_brownian(grid, RngStream(5), start=2.0)
+    again = sample_brownian(grid, RngStream(5))
     assert np.array_equal(path.values, again.values)
 
 
 def test_skorokhod_toy_example():
-    grid = TimeGrid(0.0, 1.0, 2)
+    grid = TimeGrid(1.0, 2)
     brownian = ScalarPath(grid=grid, values=np.array([0.0, -2.0, -2.0]))
     reflected, local = skorokhod_reflection(1.0, brownian)
     assert reflected.values.tolist() == [1.0, 0.0, 0.0]
@@ -80,7 +80,7 @@ def test_skorokhod_toy_example():
 
 
 def test_reflection_zeros_are_exact():
-    grid = TimeGrid(0.0, 0.001, 1000)
+    grid = TimeGrid(0.001, 1000)
     brownian = sample_brownian(grid, RngStream(11))
     reflected, local = skorokhod_reflection(0.3, brownian)
     driver = 0.3 + brownian.values
@@ -94,7 +94,7 @@ def test_reflection_zeros_are_exact():
 
 
 def test_local_time_band_flat_path():
-    grid = TimeGrid(0.0, 0.01, 100)
+    grid = TimeGrid(0.01, 100)
     flat = ScalarPath(grid=grid, values=np.zeros(101))
     assert local_time_band(flat, 0.1) == pytest.approx(5.0)
     with pytest.raises(ValueError):
@@ -152,7 +152,7 @@ def test_dyadic_label_brute_force_sweep():
 
 
 def test_walsh_path_validation():
-    grid = TimeGrid(0.0, 1.0, 3)
+    grid = TimeGrid(1.0, 3)
     radii = np.array([0.0, 1.0, 1.0, 0.0])
     good = WalshPath(grid=grid, rays=np.array([2, 1, 1, 2]), radii=radii, n_rays=2)
     assert good.point_at(1) == GraphPoint(ray=1, radius=1.0)
@@ -165,7 +165,7 @@ def test_walsh_path_validation():
 
 
 def test_flip_construct_invariants():
-    grid = TimeGrid(0.0, 0.005, 400)
+    grid = TimeGrid(0.005, 400)
     path = wbm_flip_construct(grid, SPEC3, RngStream(31))
     # the radius array is the reflected driver, bit for bit
     brownian = sample_brownian(grid, RngStream(31))
@@ -179,17 +179,8 @@ def test_flip_construct_invariants():
     assert np.array_equal(path.radii, again.radii)
 
 
-def test_flip_construct_start_keeps_initial_ray():
-    grid = TimeGrid(0.0, 0.002, 50)
-    start = GraphPoint(ray=2, radius=1.0)
-    path = wbm_flip_construct(grid, SPEC3, RngStream(77), start=start)
-    before_zero = np.flatnonzero(path.radii == 0.0)
-    first_zero = before_zero[0] if len(before_zero) else grid.steps + 1
-    assert np.all(path.rays[:first_zero] == 2)
-
-
 def test_flip_construct_ray_frequencies_rough():
-    grid = TimeGrid(0.0, 1.0 / 128, 128)
+    grid = TimeGrid(1.0 / 128, 128)
     counts = np.zeros(3)
     total = 0
     for rep in range(1000):
@@ -233,7 +224,7 @@ def test_scaled_walk_marginal_sign_frequencies():
 
 
 def test_freidlin_sheu_radius_function_telescopes():
-    grid = TimeGrid(0.0, 0.001, 1000)
+    grid = TimeGrid(0.001, 1000)
     path = wbm_flip_construct(grid, SPEC3, RngStream(321))
     radius_fn = PiecewiseFunction.radial(
         3,
@@ -246,7 +237,7 @@ def test_freidlin_sheu_radius_function_telescopes():
 
 
 def test_freidlin_sheu_requires_driver():
-    grid = TimeGrid(0.0, 1.0, 3)
+    grid = TimeGrid(1.0, 3)
     bare = WalshPath(
         grid=grid,
         rays=np.array([3, 1, 1, 3]),

@@ -14,11 +14,9 @@ from walshflow.graph import (
     validate_spec,
 )
 from walshflow.semigroup import (
-    DEFAULT_QUADRATURE,
     NonPositiveTime,
     NotInDomain,
     OriginNotDifferentiable,
-    QuadratureConfig,
     QuadratureDiverged,
     generator_residual,
     halfline_convolution,
@@ -32,16 +30,6 @@ SPEC2 = validate_spec((0.5, 0.5), (1, -1))
 SPEC2W = validate_spec((0.7, 0.3), (1, -1))
 SPEC3 = validate_spec((0.4, 0.3, 0.3), (1, 1, -1))
 SPEC5 = validate_spec((0.3, 0.25, 0.2, 0.15, 0.1), (1, 1, 1, -1, -1))
-
-
-def test_quadrature_config_validation():
-    QuadratureConfig(6.0, 3)
-    with pytest.raises(ValueError):
-        QuadratureConfig(5.0, 2001)
-    with pytest.raises(ValueError):
-        QuadratureConfig(10.0, 2000)
-    with pytest.raises(ValueError):
-        QuadratureConfig(10.0, 1)
 
 
 def test_heat_kernel_frozen_values():
