@@ -38,8 +38,8 @@ from walshflow.paths import (
     KEY_KERNEL_CHOICE,
     KEY_MAPPING_CHOICE,
     RngStream,
+    _skew_step,
     dyadic_label,
-    label_key,
 )
 
 __all__ = [
@@ -185,10 +185,9 @@ def measure_ray_weights(measure: KernelMeasure, spec: GraphSpec) -> np.ndarray:
 class MeasurePairSampler:
     """Sampling laws for the per-excursion ray-weight vectors.
 
-    One law on the plus simplex, one on the minus simplex; both declare
-    the normalized ray weights as their mean, which is what a valid
-    solution requires (biased laws can still be built, as statistical
-    negative controls). Named families:
+    One law on the plus simplex, one on the minus simplex; a valid
+    solution needs the normalized ray weights as their mean (biased laws
+    can still be built, as statistical negative controls). Named families:
 
       wiener           point mass at the normalized weights
       dirac-vertices   simplex vertex i with probability ratio_i
@@ -202,15 +201,10 @@ class MeasurePairSampler:
 
     def __init__(self, spec: GraphSpec, plus_name: str, minus_name: Optional[str] = None):
         self.spec = spec
-        self.plus_name = plus_name
-        self.minus_name = minus_name if minus_name is not None else plus_name
-        self.plus_dim = spec.p
-        self.minus_dim = spec.n_rays - spec.p
-        self.declared_plus = ray_ratios(spec, +1) if self.plus_dim else None
-        self.declared_minus = ray_ratios(spec, -1) if self.minus_dim else None
-        self._plus = self._build(self.plus_name, self.declared_plus) if self.plus_dim else None
+        minus_name = plus_name if minus_name is None else minus_name
+        self._plus = self._build(plus_name, ray_ratios(spec, +1)) if spec.p else None
         self._minus = (
-            self._build(self.minus_name, self.declared_minus) if self.minus_dim else None
+            self._build(minus_name, ray_ratios(spec, -1)) if spec.p < spec.n_rays else None
         )
 
     @staticmethod
@@ -262,12 +256,6 @@ class MeasurePairSampler:
             )
         return fn(gen)
 
-    def declared_mean(self, side: int) -> tuple[float, ...]:
-        mean = self.declared_plus if side > 0 else self.declared_minus
-        if mean is None:
-            raise SamplerInvalid("no rays on the requested side")
-        return mean
-
 
 @dataclass(frozen=True)
 class CoalescenceRecord:
@@ -308,9 +296,6 @@ class FlowEnsemble:
     @property
     def steps(self) -> int:
         return self.config.steps
-
-    def times(self) -> np.ndarray:
-        return self.config.dt * np.arange(self.steps + 1)
 
     def zeros_of(self, q: int) -> np.ndarray:
         if q not in self._zero_cache:
@@ -355,7 +340,7 @@ class FlowEnsemble:
         if (q, g) not in self._key_cache:
             d = int(zeros[pos]) if pos < len(zeros) else self.steps
             dt = self.config.dt
-            self._key_cache[(q, g)] = (q, *label_key(dyadic_label(g * dt, d * dt)))
+            self._key_cache[(q, g)] = (q, *dyadic_label(g * dt, d * dt))
         return self._key_cache[(q, g)]
 
     def merge_record(self, q: int) -> Optional[CoalescenceRecord]:
@@ -407,12 +392,7 @@ def _evolve_scalar(
         return traj
     while k < steps:
         if z == 0:
-            if alpha_plus == 1.0:
-                z = 1
-            elif alpha_plus == 0.0:
-                z = -1
-            else:
-                z = 1 if origin_up[k] else -1
+            z = 1 if origin_up[k] else -1
             k += 1
             traj[k] = z
             continue
@@ -471,27 +451,6 @@ def skew_lattice_flow(
 # time steps per streamed block, for coins and states alike
 _BLOCK_STEPS = 128
 _UP, _DOWN = np.int8(1), np.int8(-1)
-
-
-def _skew_step(
-    z: np.ndarray,
-    junction: Optional[np.ndarray],
-    xi: np.ndarray,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """One shared-coin step of the skew walk for every state in z.
-
-    A state moves by its Rademacher sign xi, except at the junction, where
-    it takes the junction step instead (+1 when the shared uniform is below
-    the plus-weight, else -1). junction is None at plus-weight 1/2, where
-    there is no junction rule.
-    """
-    if junction is None:
-        return np.add(z, xi, out=out)
-    at_junction = z == 0
-    out = np.add(z, xi, out=out)
-    np.copyto(out, junction, where=at_junction)
-    return out
 
 
 def _coin_blocks(streams: list[RngStream], steps: int, alpha_plus: float):

@@ -206,20 +206,6 @@ class PiecewiseFunction:
     def __call__(self, point: GraphPoint) -> float:
         return self.components[point.ray - 1].value(point.radius)
 
-    def deriv_at(self, point: GraphPoint) -> float:
-        comp = self.components[point.ray - 1]
-        if comp.deriv is None:
-            raise DerivativeUnavailable(f"ray {point.ray} has no derivative evaluator")
-        return comp.deriv(point.radius)
-
-    def second_deriv_at(self, point: GraphPoint) -> float:
-        comp = self.components[point.ray - 1]
-        if comp.second_deriv is None:
-            raise DerivativeUnavailable(
-                f"ray {point.ray} has no second-derivative evaluator"
-            )
-        return comp.second_deriv(point.radius)
-
     @classmethod
     def radial(
         cls,

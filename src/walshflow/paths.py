@@ -3,15 +3,20 @@
 A Walsh path is built from a reflected scalar driver: the radius follows
 the reflected Brownian motion exactly, and each positive excursion is
 assigned a ray by a categorical draw keyed on the excursion's dyadic
-label, so the same RNG stream always reproduces the same path, excursion
-by excursion, without any dependence on traversal order.
+label.
+
+Randomness: every draw comes from an RngStream addressed by (root seed,
+key tuple), the key led by one of the KEY_* purpose codes below. Draws
+made per excursion, here and in walshflow.flows, are keyed by the
+(numerator, exponent) that dyadic_label returns for the excursion's time
+interval, so the same root seed reproduces every path, excursion by
+excursion, whatever the traversal order or the worker count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -35,7 +40,6 @@ __all__ = [
     "skorokhod_reflection",
     "local_time_band",
     "dyadic_label",
-    "label_key",
     "wbm_flip_construct",
     "sample_wbm_exact",
     "scaled_walk_marginal",
@@ -167,16 +171,14 @@ def sample_brownian(grid: TimeGrid, stream: RngStream) -> ScalarPath:
     return ScalarPath(grid=grid, values=values)
 
 
-def skorokhod_reflection(start: float, brownian: ScalarPath) -> tuple[ScalarPath, ScalarPath]:
-    """Reflect start + B at zero; returns (reflected path, local time).
+def skorokhod_reflection(brownian: ScalarPath) -> tuple[ScalarPath, ScalarPath]:
+    """Reflect B - B_0 at zero; returns (reflected path, local time).
 
-    The local time is the running compensator -min(0, min_u(start + B_u));
+    The local time is the running compensator -min(0, min_u(B_u - B_0));
     both identities hold exactly in float arithmetic because the reflected
     value at an attained minimum is the same float subtracted from itself.
     """
-    if start < 0.0:
-        raise ValueError(f"start {start!r} must be >= 0")
-    w = start + (brownian.values - brownian.values[0])
+    w = brownian.values - brownian.values[0]
     floor_ = np.minimum.accumulate(np.minimum(w, 0.0))
     reflected = ScalarPath(grid=brownian.grid, values=w - floor_)
     local = ScalarPath(grid=brownian.grid, values=-floor_)
@@ -192,28 +194,32 @@ def local_time_band(path: ScalarPath, eps: float) -> float:
     return count * path.grid.dt / (2.0 * eps)
 
 
-def dyadic_label(u: float, v: float) -> Fraction:
-    """Least dyadic rational strictly inside ]u, v[ at the smallest level.
+def dyadic_label(u: float, v: float) -> tuple[int, int]:
+    """Least dyadic rational strictly inside ]u, v[ at the smallest level,
+    as the key (numerator, exponent) of numerator / 2^exponent, reduced.
 
-    Scans levels n = 0, 1, ... and at each takes the smallest k with
-    k/2^n > u, returning k/2^n as soon as it is below v. All comparisons
-    are exact (floats are binary rationals)."""
+    Exact integer arithmetic (floats are binary rationals): with u = U/2^E
+    and v = V/2^E, the level-(E - j) candidate ((U >> j) + 1) 2^j / 2^E is
+    below v exactly when U and V - 1 still differ at or above bit j, so
+    the smallest level takes j at their highest differing bit (at most E,
+    level 0). A negative u is first shifted by an integer, which labels
+    commute with, and an interval one unit wide is refined to 2^-(E+1)
+    units so that a lattice point lies strictly inside.
+    """
     if not u < v:
         raise EmptyInterval(f"interval ]{u!r}, {v!r}[ is empty")
-    fu = Fraction(u)
-    fv = Fraction(v)
-    for n in range(1100):
-        k = math.floor(fu * (1 << n)) + 1
-        cand = Fraction(k, 1 << n)
-        if cand < fv:
-            return cand
-    raise AssertionError("no dyadic point found; interval narrower than float spacing")
-
-
-def label_key(label: Fraction) -> tuple[int, int]:
-    """(numerator, level) encoding of a dyadic label for RNG keys."""
-    exp = label.denominator.bit_length() - 1
-    return label.numerator, exp
+    nu, du = float(u).as_integer_ratio()
+    nv, dv = float(v).as_integer_ratio()
+    E = max(du, dv).bit_length() - 1
+    U = nu << (E + 1 - du.bit_length())
+    V = nv << (E + 1 - dv.bit_length())
+    shift = max(0, -(U >> E))
+    U += shift << E
+    V += shift << E
+    if V - U < 2:
+        U, V, E = U << 1, V << 1, E + 1
+    j = min(E, (U ^ (V - 1)).bit_length() - 1)
+    return (U >> j) + 1 - (shift << (E - j)), E - j
 
 
 def ray_from_uniform(spec: GraphSpec, u) -> np.ndarray:
@@ -238,20 +244,19 @@ def wbm_flip_construct(grid: TimeGrid, spec: GraphSpec, stream: RngStream) -> Wa
     ray from a categorical draw keyed by the dyadic label of its time
     interval, and one still open at the final time is keyed with the grid
     end as its right endpoint. The driver starts at zero, so every
-    excursion begins after a grid point.
+    excursion begins after a grid point, and its interval, between two
+    distinct grid times, is never empty.
     """
     brownian = sample_brownian(grid, stream)
-    reflected, local = skorokhod_reflection(0.0, brownian)
+    reflected, local = skorokhod_reflection(brownian)
     values = reflected.values
     times = grid.times()
 
     rays = np.full(grid.steps + 1, spec.n_rays, dtype=np.int64)
     for first, last in _positive_runs(values):
         g_time = float(times[first - 1])
-        d_time = float(times[last + 1]) if last + 1 <= grid.steps else float(times[-1])
-        if not g_time < d_time:
-            d_time = math.nextafter(g_time, math.inf)
-        num, exp = label_key(dyadic_label(g_time, d_time))
+        d_time = float(times[min(last + 1, grid.steps)])
+        num, exp = dyadic_label(g_time, d_time)
         gen = stream.child(KEY_RAY_FLIP, num, exp).generator()
         rays[first : last + 1] = int(ray_from_uniform(spec, gen.random())[()])
 
@@ -310,6 +315,27 @@ def sample_wbm_exact(
     return rays, radii
 
 
+def _skew_step(
+    z: np.ndarray,
+    junction: np.ndarray | int | None,
+    xi: np.ndarray,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """One step of the skew walk for every state in z.
+
+    A state moves by its Rademacher sign xi, except at the junction, where
+    it takes the junction step instead, given per state or once for all
+    states. junction is None where there is no junction rule (the flows at
+    plus-weight 1/2).
+    """
+    if junction is None:
+        return np.add(z, xi, out=out)
+    at_junction = z == 0
+    out = np.add(z, xi, out=out)
+    np.copyto(out, junction, where=at_junction)
+    return out
+
+
 def scaled_walk_marginal(
     spec: GraphSpec,
     level: int,
@@ -327,16 +353,12 @@ def scaled_walk_marginal(
     gen = stream.child(KEY_WALK, level).generator()
     rays = np.full(replicas, spec.n_rays, dtype=np.int64)
     k = np.zeros(replicas, dtype=np.int64)
-    cum = np.cumsum(spec.alpha)
-    cum[-1] = 1.0
     for _ in range(steps):
         u = gen.random(replicas)
-        at_origin = k == 0
-        if np.any(at_origin):
-            rays[at_origin] = np.searchsorted(cum, u[at_origin], side="right") + 1
-            k[at_origin] = 1
-        off = ~at_origin
-        k[off] += np.where(u[off] < 0.5, 1, -1)
+        # the radius leaves the junction upward, on a ray drawn from u
+        leaving = k == 0
+        rays[leaving] = ray_from_uniform(spec, u[leaving])
+        k = _skew_step(k, 1, np.where(u < 0.5, 1, -1))
     rays[k == 0] = spec.n_rays
     return rays, k.astype(float) / float(2**level)
 

@@ -260,7 +260,7 @@ def test_08_local_time_band():
     n_paths = 100
     for rep in range(n_paths):
         brownian = sample_brownian(grid, RngStream(801, (80, rep)))
-        reflected, local = skorokhod_reflection(0.0, brownian)
+        reflected, local = skorokhod_reflection(brownian)
         exact = float(local.values[-1])
         for eps in errors:
             errors[eps] += abs(local_time_band(reflected, eps) - exact)

@@ -169,8 +169,8 @@ def test_piecewise_evaluation_and_origin_convention():
         components=(linear_ray(1.0), linear_ray(2.0), linear_ray(3.0))
     )
     assert f(GraphPoint(ray=2, radius=1.5)) == 3.0
-    # derivative at the origin reads the last ray's component
-    assert f.deriv_at(s.origin) == 3.0
+    # the origin lives on the last ray
+    assert f(s.origin) == 0.0 and s.origin.ray == 3
 
 
 def test_radial_constructor():

@@ -15,7 +15,6 @@ from walshflow.paths import (
     WalshPath,
     dyadic_label,
     freidlin_sheu_residual,
-    label_key,
     local_time_band,
     sample_brownian,
     sample_wbm_exact,
@@ -72,18 +71,19 @@ def test_sample_brownian_shape_and_start():
 
 
 def test_skorokhod_toy_example():
-    grid = TimeGrid(1.0, 2)
-    brownian = ScalarPath(grid=grid, values=np.array([0.0, -2.0, -2.0]))
-    reflected, local = skorokhod_reflection(1.0, brownian)
-    assert reflected.values.tolist() == [1.0, 0.0, 0.0]
-    assert local.values.tolist() == [0.0, 1.0, 1.0]
+    grid = TimeGrid(1.0, 4)
+    brownian = ScalarPath(grid=grid, values=np.array([0.0, -2.0, -1.0, -3.0, 1.0]))
+    reflected, local = skorokhod_reflection(brownian)
+    assert reflected.values.tolist() == [0.0, 0.0, 1.0, 0.0, 4.0]
+    # the compensator is the running depth of the minimum below 0
+    assert local.values.tolist() == [0.0, 2.0, 2.0, 3.0, 3.0]
 
 
 def test_reflection_zeros_are_exact():
     grid = TimeGrid(0.001, 1000)
     brownian = sample_brownian(grid, RngStream(11))
-    reflected, local = skorokhod_reflection(0.3, brownian)
-    driver = 0.3 + brownian.values
+    reflected, local = skorokhod_reflection(brownian)
+    driver = brownian.values
     at_min = driver == np.minimum.accumulate(np.minimum(driver, 0.0))
     # wherever the running minimum is (re)attained below zero, the
     # reflected value is the same float minus itself
@@ -102,22 +102,17 @@ def test_local_time_band_flat_path():
 
 
 def test_dyadic_label_examples():
-    assert dyadic_label(0.3, 0.8) == Fraction(1, 2)
-    assert dyadic_label(1.1, 3.2) == Fraction(2, 1)
-    assert dyadic_label(0.26, 0.49) == Fraction(3, 8)
+    # (numerator, exponent) of 1/2, 2 and 3/8
+    assert dyadic_label(0.3, 0.8) == (1, 1)
+    assert dyadic_label(1.1, 3.2) == (2, 0)
+    assert dyadic_label(0.26, 0.49) == (3, 3)
     with pytest.raises(EmptyInterval):
         dyadic_label(0.5, 0.5)
     with pytest.raises(EmptyInterval):
         dyadic_label(0.8, 0.3)
 
 
-def test_label_key():
-    assert label_key(Fraction(3, 8)) == (3, 3)
-    assert label_key(Fraction(2, 1)) == (2, 0)
-    assert label_key(Fraction(1, 2)) == (1, 1)
-
-
-def _brute_force_label(u, v, max_exp=40):
+def _brute_force_label(u, v, max_exp=1100):
     fu, fv = Fraction(u), Fraction(v)
     for n in range(max_exp + 1):
         scale = 1 << n
@@ -126,6 +121,10 @@ def _brute_force_label(u, v, max_exp=40):
         if candidate < fv:
             return candidate
     return None
+
+
+def _as_key(label):
+    return label.numerator, label.denominator.bit_length() - 1
 
 
 @settings(max_examples=200)
@@ -137,18 +136,42 @@ def test_dyadic_label_matches_brute_force(u, width):
     v = u + width
     expected = _brute_force_label(u, v)
     assert expected is not None
-    assert dyadic_label(u, v) == expected
+    assert dyadic_label(u, v) == _as_key(expected)
+
+
+def _program_intervals(rng):
+    """Intervals of the kinds the program labels: excursions on the 1e-4
+    flip grid and on the 4^-3..4^-6 flow lattices, then adjacent floats,
+    u = 0 and negated grid intervals."""
+    out = []
+    flip = TimeGrid(1e-4, 10_000).times()
+    g = rng.integers(0, 10_000, size=3000)
+    d = np.minimum(g + np.exp2(rng.uniform(0.0, 13.0, size=3000)).astype(int), 10_000)
+    out += [(float(flip[a]), float(flip[b])) for a, b in zip(g, d)]
+    for level in range(3, 7):
+        dt = 4.0**-level
+        g = rng.integers(0, 4 * 4**level, size=1000)
+        d = g + np.exp2(rng.uniform(0.0, 2 * level + 1, size=1000)).astype(int)
+        out += [(int(a) * dt, int(b) * dt) for a, b in zip(g, d)]
+    us = rng.uniform(-16.0, 16.0, size=1000)
+    out += [(float(u), float(np.nextafter(u, np.inf))) for u in us]
+    out += [(0.0, float(v)) for v in np.exp2(rng.uniform(-60.0, 4.0, size=999))]
+    out.append((0.0, 5e-324))
+    out += [(-b, -a) for a, b in out[:1000]]
+    return out
 
 
 def test_dyadic_label_brute_force_sweep():
     rng = np.random.default_rng(2024)
     us = rng.uniform(-8.0, 8.0, size=10_000)
     widths = np.exp2(rng.uniform(-25.0, 3.0, size=10_000))
-    for u, w in zip(us, widths):
-        u, v = float(u), float(u + w)
+    intervals = [(float(u), float(u + w)) for u, w in zip(us, widths)]
+    intervals += _program_intervals(rng)
+    assert len(intervals) >= 20_000
+    for u, v in intervals:
         if not u < v:
             continue
-        assert dyadic_label(u, v) == _brute_force_label(u, v)
+        assert dyadic_label(u, v) == _as_key(_brute_force_label(u, v)), (u, v)
 
 
 def test_walsh_path_validation():
@@ -169,7 +192,7 @@ def test_flip_construct_invariants():
     path = wbm_flip_construct(grid, SPEC3, RngStream(31))
     # the radius array is the reflected driver, bit for bit
     brownian = sample_brownian(grid, RngStream(31))
-    reflected, local = skorokhod_reflection(0.0, brownian)
+    reflected, local = skorokhod_reflection(brownian)
     assert np.array_equal(path.radii, reflected.values)
     assert np.array_equal(path.local_time, local.values)
     assert np.array_equal(path.brownian, brownian.values)
