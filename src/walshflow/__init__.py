@@ -10,7 +10,6 @@ from walshflow.graph import (
     GraphPoint,
     GraphSpec,
     PiecewiseFunction,
-    distance,
     flux_defect,
     validate_spec,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "GraphPoint",
     "PiecewiseFunction",
     "validate_spec",
-    "distance",
     "flux_defect",
     "__version__",
 ]

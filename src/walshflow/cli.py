@@ -306,6 +306,8 @@ def _map_replicas(task: Callable, args_list: list, workers: int) -> list:
     cannot change any artifact."""
     if workers <= 1 or len(args_list) <= 1:
         return [task(args) for args in args_list]
+    # the pool starts all its workers at the first submit
+    workers = min(workers, len(args_list))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(args_list) // (workers * 8))
         return list(pool.map(task, args_list, chunksize=chunk))
@@ -586,23 +588,25 @@ def _cmd_flow_experiment(config: ExperimentConfig):
     ]
 
     # dedicated merge-level study, run serially in the parent so that the
-    # artifact does not depend on the worker count
+    # artifact does not depend on the worker count; the law exists only for
+    # plus-weights strictly between 1/2 and 1, elsewhere it is skipped
     y = config.flow_y_units * 2.0 ** (-config.level)
-    merge_stream = RngStream(config.root_seed).child(KEY_FLOW_COINS, 0)
-    horizon_steps = int(round(config.flow_horizon * 4.0**config.level))
-    merged, censored = merge_level_samples(
-        spec,
-        config.level,
-        config.flow_y_units,
-        horizon_steps,
-        config.merge_pairs,
-        merge_stream,
-    )
+    law_applies = 0.5 < spec.alpha_plus < 1.0
+    merged, censored = [], 0
+    if law_applies:
+        merged, censored = merge_level_samples(
+            spec,
+            config.level,
+            config.flow_y_units,
+            int(round(config.flow_horizon * 4.0**config.level)),
+            config.merge_pairs,
+            RngStream(config.root_seed).child(KEY_FLOW_COINS, 0),
+        )
     merged_arr = np.asarray(merged, dtype=float)
     above = merged_arr[merged_arr > y * (1.0 + 1e-12)]
     merge_rows = [[i, float(u)] for i, u in enumerate(merged_arr)]
 
-    if 0.5 < spec.alpha_plus < 1.0 and above.size >= MIN_FIT_SAMPLES:
+    if law_applies and above.size >= MIN_FIT_SAMPLES:
         fit = powerlaw_fit_coalescence(above, y)
         reports.append(
             _report(

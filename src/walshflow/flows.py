@@ -365,86 +365,43 @@ class FlowEnsemble:
         return int(hits[0]) + born if len(hits) else None
 
 
-def _prepare_jump_index(csum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # stable argsort groups equal prefix sums with ascending indices
-    order = np.argsort(csum, kind="stable")
-    return csum[order], order
-
-
-def _evolve_scalar(
-    units0: int,
-    s_idx: int,
-    steps: int,
-    csum: np.ndarray,
-    sorted_csum: np.ndarray,
-    order: np.ndarray,
-    origin_up: np.ndarray,
-    alpha_plus: float,
-) -> np.ndarray:
-    """One trajectory; excursions are filled from the shared prefix sums,
-    junction steps are resolved one at a time."""
-    traj = np.full(steps + 1, LATTICE_INF, dtype=np.int64)
-    k = s_idx
-    z = units0
-    traj[k] = z
-    if alpha_plus == 0.5:
-        traj[k:] = z + csum[k:] - csum[k]
-        return traj
-    while k < steps:
-        if z == 0:
-            z = 1 if origin_up[k] else -1
-            k += 1
-            traj[k] = z
-            continue
-        # next zero: first j > k with csum[j] == csum[k] - z
-        target = csum[k] - z
-        lo = np.searchsorted(sorted_csum, target, side="left")
-        hi = np.searchsorted(sorted_csum, target, side="right")
-        j = None
-        if lo < hi:
-            pos = int(np.searchsorted(order[lo:hi], k, side="right"))
-            if pos < hi - lo:
-                j = int(order[lo + pos])
-        end = steps if j is None else min(j, steps)
-        traj[k + 1 : end + 1] = z + csum[k + 1 : end + 1] - csum[k]
-        k = end
-        z = int(traj[k])
-    return traj
-
-
 def skew_lattice_flow(
     config: LatticeFlowConfig, spec: GraphSpec, stream: RngStream
 ) -> FlowEnsemble:
     """Simulate the shared-coin lattice flow for every configured start.
 
-    Away from the junction every trajectory steps by the one shared
-    Rademacher sign; at the junction it steps up exactly when the shared
-    uniform is below the plus-weight (always up at weight 1, always down
-    at weight 0, and no junction rule at weight 1/2 where the flow is a
-    translation). When the plus-weight is not 1/2, all starts must agree
-    on (time index + signed units) parity, otherwise order could not be
-    preserved and OffLatticeStart is raised.
+    One generator draws `steps` junction uniforms, then `steps` Rademacher
+    uniforms. Each start then steps from its birth on the one rule of the
+    flow: away from the junction it moves by the shared sign; at the
+    junction it steps up exactly when the shared uniform is below the
+    plus-weight (always up at weight 1, always down at weight 0, and no
+    junction rule at weight 1/2 where the flow is a translation). When the
+    plus-weight is not 1/2, all starts must agree on (time index + signed
+    units) parity, otherwise order could not be preserved and
+    OffLatticeStart is raised.
     """
     steps = config.steps
     signed = config.signed_starts(spec)
-    if spec.alpha_plus != 0.5:
+    junction_rule = spec.alpha_plus != 0.5
+    if junction_rule:
         parities = {(s_idx + units) % 2 for s_idx, units, _ in signed}
         if len(parities) > 1:
             raise OffLatticeStart(
                 "starts mix lattice parities; trajectories could cross"
             )
     gen = stream.child(KEY_FLOW_COINS).generator()
-    origin_uniforms = gen.random(steps)
-    rademacher = np.where(gen.random(steps) < 0.5, 1, -1).astype(np.int64)
-    origin_up = origin_uniforms < spec.alpha_plus
-
-    csum = np.concatenate(([0], np.cumsum(rademacher)))
-    sorted_csum, order = _prepare_jump_index(csum)
-    traj = np.empty((len(signed), steps + 1), dtype=np.int64)
-    for q, (s_idx, units, _ray) in enumerate(signed):
-        traj[q] = _evolve_scalar(
-            units, s_idx, steps, csum, sorted_csum, order, origin_up, spec.alpha_plus
-        )
+    up = (gen.random(steps) < spec.alpha_plus).tolist()
+    xi = np.where(gen.random(steps) < 0.5, 1, -1).tolist()
+    traj = np.full((len(signed), steps + 1), LATTICE_INF, dtype=np.int64)
+    for q, (s_idx, z, _ray) in enumerate(signed):
+        row = [z]
+        for k in range(s_idx, steps):
+            if z == 0 and junction_rule:
+                z = 1 if up[k] else -1
+            else:
+                z += xi[k]
+            row.append(z)
+        traj[q, s_idx:] = row
     return FlowEnsemble(config, spec, traj, signed)
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "PiecewiseFunction",
     "validate_spec",
     "graph_point",
-    "distance",
     "flux_defect",
     "in_generator_domain",
     "central_difference",
@@ -160,11 +159,6 @@ def graph_point(spec: GraphSpec, ray: int, radius: float) -> GraphPoint:
     if radius == 0.0:
         return spec.origin
     return GraphPoint(ray=ray, radius=radius)
-
-
-def distance(x: GraphPoint, y: GraphPoint) -> float:
-    """Tree metric: |h - h'| on a shared ray, h + h' across rays."""
-    return abs(x.radius - y.radius) if x.ray == y.ray else x.radius + y.radius
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from walshflow.graph import (
-    GraphPoint,
     GraphSpec,
     PiecewiseFunction,
     flux_defect,
@@ -156,9 +155,6 @@ class WalshPath:
         inside = (~at_zero[1:]) & (~at_zero[:-1])
         if np.any(changed & inside):
             raise ValueError("ray changed inside a positive excursion")
-
-    def point_at(self, k: int) -> GraphPoint:
-        return GraphPoint(ray=int(self.rays[k]), radius=float(self.radii[k]))
 
 
 def sample_brownian(grid: TimeGrid, stream: RngStream) -> ScalarPath:

@@ -215,6 +215,17 @@ def generator_residual(
     return wbm_semigroup_apply(f, spec, point, t) - f(point) - 0.5 * time_integral
 
 
+def _clamped(table, radius: float, beyond: float):
+    """The table below radius, the constant beyond at and past it."""
+
+    def evaluate(h):
+        h = np.asarray(h, dtype=float)
+        out = np.where(h >= radius, beyond, table(np.minimum(h, radius)))
+        return float(out) if out.ndim == 0 else out
+
+    return evaluate
+
+
 def tabulate_semigroup(
     f: FunctionLike, spec: GraphSpec, s: float, radius_max: Optional[float] = None
 ) -> PiecewiseFunction:
@@ -245,24 +256,11 @@ def tabulate_semigroup(
             point = GraphPoint(ray=ray, radius=float(hs[k]))
             vals[k] = wbm_semigroup_apply(f, spec, point, s)
         spline = CubicSpline(hs, vals, bc_type="not-a-knot")
-        d1 = spline.derivative(1)
-        d2 = spline.derivative(2)
-        clamp = float(vals[-1])
-
-        def value(h, _s=spline, _r=radius, _c=clamp):
-            h = np.asarray(h, dtype=float)
-            out = np.where(h >= _r, _c, _s(np.minimum(h, _r)))
-            return float(out) if out.ndim == 0 else out
-
-        def deriv(h, _d=d1, _r=radius):
-            h = np.asarray(h, dtype=float)
-            out = np.where(h >= _r, 0.0, _d(np.minimum(h, _r)))
-            return float(out) if out.ndim == 0 else out
-
-        def second(h, _d=d2, _r=radius):
-            h = np.asarray(h, dtype=float)
-            out = np.where(h >= _r, 0.0, _d(np.minimum(h, _r)))
-            return float(out) if out.ndim == 0 else out
-
-        components.append(RayFunction(value=value, deriv=deriv, second_deriv=second))
+        components.append(
+            RayFunction(
+                value=_clamped(spline, radius, float(vals[-1])),
+                deriv=_clamped(spline.derivative(1), radius, 0.0),
+                second_deriv=_clamped(spline.derivative(2), radius, 0.0),
+            )
+        )
     return PiecewiseFunction(components=tuple(components))

@@ -227,12 +227,13 @@ def marginal_vs_semigroup(
     against the semigroup.
 
     Three checks: ray occupancy conditioned on a positive radius against
-    the ray weights (chi-square), the radius law against the folded
-    Gaussian (KS), and sample means of default_marginal_functions against
-    the quadrature values (z-tests); each p-value must exceed 1% and each
-    |z| stay within 3. The KS p-value is only meaningful for
-    continuum samplers; lattice marginals have a discreteness floor and
-    should be compared through the statistic across levels instead.
+    the ray weights (chi-square, skipped on a one-ray graph), the radius
+    law against the folded Gaussian (KS), and sample means of
+    default_marginal_functions against the quadrature values (z-tests);
+    each p-value must exceed 1% and each |z| stay within 3. The KS p-value
+    is only meaningful for continuum samplers; lattice marginals have a
+    discreteness floor and should be compared through the statistic across
+    levels instead.
     """
     ray_arr = np.asarray(rays, dtype=int)
     rad_arr = np.asarray(radii, dtype=float)
@@ -243,12 +244,13 @@ def marginal_vs_semigroup(
     details: dict[str, float] = {}
     passed = True
 
-    away = rad_arr > 0.0
-    counts = np.array([np.sum(ray_arr[away] == k) for k in range(1, spec.n_rays + 1)])
-    chi_stat, chi_p = chi_square_rays(counts, np.asarray(spec.alpha))
-    details["chi2_stat"] = chi_stat
-    details["chi2_p"] = chi_p
-    passed = passed and chi_p > _CHI_ALPHA
+    if spec.n_rays > 1:
+        away = rad_arr > 0.0
+        counts = np.array([np.sum(ray_arr[away] == k) for k in range(1, spec.n_rays + 1)])
+        chi_stat, chi_p = chi_square_rays(counts, np.asarray(spec.alpha))
+        details["chi2_stat"] = chi_stat
+        details["chi2_p"] = chi_p
+        passed = passed and chi_p > _CHI_ALPHA
 
     ks_stat, ks_p = ks_statistic(rad_arr, folded_gaussian_cdf(t))
     details["ks_stat"] = ks_stat

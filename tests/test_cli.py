@@ -2,12 +2,14 @@
 
 import csv
 import hashlib
+import json
 import math
 import os
 from dataclasses import replace
 
 import pytest
 
+from walshflow import cli as cli_module
 from walshflow.cli import (
     _FLOW_CHUNK,
     COMMANDS,
@@ -15,6 +17,7 @@ from walshflow.cli import (
     CheckFailed,
     ConfigInvalid,
     ExperimentConfig,
+    _map_replicas,
     emit_csv,
     load_config,
     main,
@@ -174,9 +177,73 @@ class TestExitCodes:
         assert "16 steps" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "subcommand, alpha, eps",
+        [
+            ("flow-experiment", (0.5, 0.5), (1, -1)),
+            ("flow-experiment", (0.6, 0.4), (1, 1)),
+            ("flow-experiment", (0.6, 0.4), (-1, -1)),
+            ("flow-experiment", (0.3, 0.7), (1, -1)),
+            ("flow-experiment", (1.0,), (1,)),
+            ("simulate-wbm", (1.0,), (1,)),
+        ],
+    )
+    def test_graphs_without_merge_law_or_second_ray_run(
+        self, tmp_path, subcommand, alpha, eps
+    ):
+        # plus-weights outside (1/2, 1) have no merge-level law, and a
+        # one-ray graph has no ray occupancy to test: both are skipped
+        out = tmp_path / "o"
+        config = replace(
+            DEFAULT_CONFIG,
+            alpha=alpha,
+            eps=eps,
+            level=3,
+            dt=1e-3,
+            replicas=2000,
+            path_replicas=4,
+            flow_replicas=30,
+            merge_pairs=50,
+            out_dir=str(out),
+        )
+        ini = tmp_path / "graph.ini"
+        ini.write_text(serialize_config(config), encoding="utf-8")
+        assert main([subcommand, "--config", str(ini)]) in (0, 1)
+        if subcommand == "flow-experiment":
+            merges = (out / "flow_experiment_merges.csv").read_text(encoding="utf-8")
+            assert merges == "sample,merge_level\n"
+            lines = (out / "flow_experiment_reports.jsonl").read_text(encoding="utf-8")
+            law = json.loads(lines.splitlines()[-1])
+            assert law["name"] == "coalescence-law"
+            assert law["details"]["skipped"] == 1.0
+
     def test_run_rejects_unknown_subcommand(self):
         with pytest.raises(ConfigInvalid):
             run("not-a-command", DEFAULT_CONFIG)
+
+
+def test_pool_is_no_larger_than_the_task_list(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, task, args_list, chunksize=1):
+            return map(task, args_list)
+
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    assert _map_replicas(abs, [-3, -1, 2], 8) == [3, 1, 2]
+    assert _map_replicas(abs, list(range(-20, 0)), 2) == list(range(20, 0, -1))
+    assert sizes == [3, 2]
 
 
 class TestSeedPrecedence:

@@ -44,7 +44,8 @@ ALL_SPECS = [SPEC2, SPEC2H, SPEC3, TANAKA3, DOWN2]
 
 
 def _naive_flow(spec, config, stream):
-    """Step-by-step reference dynamics, independent of the jump evolver."""
+    """Step-by-step reference dynamics, written apart from skew_lattice_flow:
+    it reads the raw draw arrays and spells out every plus-weight case."""
     steps = config.steps
     gen = stream.child(KEY_FLOW_COINS).generator()
     u = gen.random(steps)

@@ -12,7 +12,6 @@ from walshflow.graph import (
     SignsNotBlockSorted,
     WeightsNotNormalized,
     central_difference,
-    distance,
     flux_defect,
     graph_point,
     in_generator_domain,
@@ -73,40 +72,6 @@ def test_graph_point_validation():
         graph_point(s, 4, 1.0)
     with pytest.raises(ValueError):
         GraphPoint(ray=1, radius=-0.5)
-
-
-def test_distance_examples():
-    a = GraphPoint(ray=1, radius=2.0)
-    b = GraphPoint(ray=1, radius=0.5)
-    c = GraphPoint(ray=2, radius=1.0)
-    assert distance(a, b) == 1.5
-    assert distance(a, c) == 3.0
-    assert distance(a, a) == 0.0
-    o = spec3().origin
-    assert distance(o, a) == 2.0
-    assert distance(a, o) == 2.0
-
-
-points = st.builds(
-    GraphPoint,
-    ray=st.integers(min_value=1, max_value=5),
-    radius=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-)
-
-
-@given(points, points)
-def test_distance_symmetry(x, y):
-    assert distance(x, y) == distance(y, x)
-
-
-@given(points, points, points)
-def test_distance_triangle(x, y, z):
-    assert distance(x, z) <= distance(x, y) + distance(y, z) + 1e-9
-
-
-@given(points)
-def test_distance_identity(x):
-    assert distance(x, x) == 0.0
 
 
 def linear_ray(slope):

@@ -204,6 +204,15 @@ class TestMarginalBattery:
         report = marginal_vs_semigroup(SPEC3, 1.0, rays, radii)
         assert TestReport.from_json_line(report.to_json_line()) == report
 
+    def test_one_ray_graph_skips_the_ray_test(self):
+        one_ray = validate_spec((1.0,), (1,))
+        rays, radii = sample_wbm_exact(one_ray, 1.0, 20000, RngStream(2024).child(3))
+        report = marginal_vs_semigroup(one_ray, 1.0, rays, radii)
+        assert report.passed, report.details
+        assert "ks_p" in report.details
+        assert not any(name.startswith("chi2_") for name in report.details)
+        assert any(name.startswith("z_") for name in report.details)
+
     def test_empty_sample_raises(self):
         with pytest.raises(EmptySample):
             marginal_vs_semigroup(SPEC3, 1.0, [], [])
