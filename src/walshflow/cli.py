@@ -9,7 +9,8 @@ replica index), so a worker pool of any size produces byte-identical
 artifacts to a serial run.
 
 Exit codes: 0 success, 1 a mandatory check failed, 2 invalid
-configuration or usage, 3 input/output or runtime failure.
+configuration or usage, 3 input/output or runtime failure; an unexpected
+exception prints its traceback before the message.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import io
 import math
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -28,15 +30,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from walshflow.flows import (
-    KernelFlow,
     LatticeFlowConfig,
-    MappingFlow,
     MeasurePairSampler,
     SamplerInvalid,
     _flow_experiment_invariants,
     _merge_level,
     extract_ray_weights,
     filter_mapping_to_kernel,
+    mapping_rays,
     measure_ray_weights,
     merge_level_samples,
     ray_ratios,
@@ -99,6 +100,10 @@ _LATE_START_STEP = 16
 # walk-converge's lattice levels, coarsest first; horizon * 4^level must be
 # a whole number of steps at each, which the coarsest implies
 _WALK_LEVELS = (2, 3, 4, 5)
+# most steps a kept trajectory may have: kernel-experiment keeps each start's
+# horizon * 4^level lattice steps (int64) and every flip path keeps its
+# horizon / dt grid points in several float arrays, 32 MiB each at the budget
+_MAX_KEPT_STEPS = 2**22
 
 
 class ConfigInvalid(ValueError):
@@ -158,6 +163,15 @@ class ExperimentConfig:
         ):
             if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigInvalid(f"{name} = {ratio!r} is not an integer")
+        for name, steps in (
+            ("horizon * 4^level", self.horizon * 4.0**self.level),
+            ("horizon / dt", self.horizon / self.dt),
+        ):
+            if steps > _MAX_KEPT_STEPS:
+                raise ConfigInvalid(
+                    f"{name} = {steps:.0f} steps exceeds the budget of "
+                    f"{_MAX_KEPT_STEPS} steps for a kept trajectory"
+                )
         if round(self.flow_horizon * 4.0**self.level) <= _LATE_START_STEP:
             raise ConfigInvalid(
                 f"flow_horizon * 4^level must exceed {_LATE_START_STEP} steps, "
@@ -771,14 +785,9 @@ def _cmd_kernel_experiment(config: ExperimentConfig):
     )
 
     # projection: fixed coins, redraw weights and ray choice together
-    proj_counts = np.zeros(spec.n_rays)
     k_probe = g + 1
-    for r in range(replicas):
-        redraw = KernelFlow(flow.ensemble, flow.sampler, flow.stream, draw_index=r + 1)
-        mapping = MappingFlow(redraw, choice_index=r + 1)
-        pt = mapping.point_at(0, k_probe)
-        proj_counts[pt.ray - 1] += 1
-    proj_freq = proj_counts / replicas
+    rays = mapping_rays(flow, 0, k_probe, range(1, replicas + 1), redraw=True)
+    proj_freq = np.bincount(rays - 1, minlength=spec.n_rays) / replicas
     z_here = float(flow.ensemble.traj[0, k_probe]) * flow.ensemble.config.dx
     proj_ref = measure_ray_weights(
         wiener_kernel(spec, spec.origin, z_here, True), spec
@@ -950,6 +959,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # surface anything unexpected as a runtime failure
+        traceback.print_exc()
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -39,6 +39,7 @@ from walshflow.paths import (
     KEY_MAPPING_CHOICE,
     RngStream,
     _skew_step,
+    categorical,
     dyadic_label,
 )
 
@@ -62,6 +63,7 @@ __all__ = [
     "extract_ray_weights",
     "measure_ray_weights",
     "filter_mapping_to_kernel",
+    "mapping_rays",
     "project_kernel_to_wiener",
     "flow_property_check",
     "merge_level_samples",
@@ -209,18 +211,15 @@ class MeasurePairSampler:
 
     @staticmethod
     def _build(name: str, ratios: tuple[float, ...]):
+        """A point-mass family's vector, or a draw from a generator."""
         dim = len(ratios)
         if name == "wiener":
-            vec = np.asarray(ratios)
-            return lambda gen: vec.copy()
+            return np.asarray(ratios)
         if name == "dirac-vertices":
-            cum = np.cumsum(ratios)
-            cum[-1] = 1.0
 
             def vertex(gen):
-                i = int(np.searchsorted(cum, gen.random(), side="right"))
                 out = np.zeros(dim)
-                out[i] = 1.0
+                out[categorical(ratios, gen.random())] = 1.0
                 return out
 
             return vertex
@@ -245,16 +244,21 @@ class MeasurePairSampler:
                 raise SamplerInvalid(f"{name!r} has {len(vec)} weights, need {dim}")
             if np.any(vec < 0.0) or abs(float(np.sum(vec)) - 1.0) > 1e-9:
                 raise SamplerInvalid(f"{name!r} is not a probability vector")
-            return lambda gen: vec.copy()
+            return vec
         raise SamplerInvalid(f"unknown sampler family {name!r}")
 
-    def sample(self, side: int, gen: np.random.Generator) -> np.ndarray:
-        fn = self._plus if side > 0 else self._minus
-        if fn is None:
+    def sample(self, side: int, source: np.random.Generator | RngStream) -> np.ndarray:
+        """One weight vector on the side's simplex. A family that draws
+        takes its generator from source, built there when source is a
+        stream; the point-mass families build none."""
+        law = self._plus if side > 0 else self._minus
+        if law is None:
             raise SamplerInvalid(
                 "no rays on the requested side; the trajectory should never get there"
             )
-        return fn(gen)
+        if isinstance(law, np.ndarray):
+            return law.copy()
+        return law(source.generator() if isinstance(source, RngStream) else source)
 
 
 @dataclass(frozen=True)
@@ -641,8 +645,8 @@ class KernelFlow:
 
     def _weights_for(self, key: tuple[int, int, int], side: int) -> np.ndarray:
         if key not in self._weights_cache:
-            gen = self.stream.child(KEY_KERNEL_CHOICE, self.draw_index, *key).generator()
-            self._weights_cache[key] = self.sampler.sample(side, gen)
+            child = self.stream.child(KEY_KERNEL_CHOICE, self.draw_index, *key)
+            self._weights_cache[key] = self.sampler.sample(side, child)
         return self._weights_cache[key]
 
     def excursion_weights(self, q: int, k: int, side: int) -> np.ndarray:
@@ -687,11 +691,8 @@ class MappingFlow:
             gen = self.kernels.stream.child(
                 KEY_MAPPING_CHOICE, self.choice_index, *key
             ).generator()
-            cum = np.cumsum(weights)
-            cum[-1] = 1.0
-            offset = int(np.searchsorted(cum, gen.random(), side="right"))
-            base = 1 if side > 0 else self.kernels.ensemble.spec.p + 1
-            self._ray_cache[key] = base + offset
+            base = _first_ray(self.kernels.ensemble.spec, side)
+            self._ray_cache[key] = base + int(categorical(weights, gen.random()))
         return self._ray_cache[key]
 
     def point_at(self, q: int, k: int) -> GraphPoint:
@@ -705,6 +706,53 @@ class MappingFlow:
         side = 1 if z > 0 else -1
         ray = self._excursion_ray(q, k, side)
         return GraphPoint(ray=ray, radius=abs(z) * dx)
+
+
+def _first_ray(spec: GraphSpec, side: int) -> int:
+    """First ray of a side's block: the plus block leads."""
+    return 1 if side > 0 else spec.p + 1
+
+
+def _excursion_at(ensemble: FlowEnsemble, start_index: int, k: int) -> tuple[int, int]:
+    """(source start, side) of the excursion that start_index is on at
+    index k; raises unless that is after its junction visit."""
+    q, z, hit = ensemble.resolve(start_index, k)
+    if z == 0:
+        raise ValueError(f"index {k} is not inside an excursion of start {start_index}")
+    if not hit:
+        raise BeforeHitting("conditional ray choice only exists after the junction visit")
+    return q, 1 if z > 0 else -1
+
+
+def mapping_rays(
+    flow: KernelFlow,
+    start_index: int,
+    k: int,
+    choice_indices,
+    redraw: bool = False,
+) -> np.ndarray:
+    """The ray MappingFlow(flow, choice_index=c).point_at(start_index, k)
+    picks, for every choice index c, from one bulk draw of the choice
+    uniforms. With redraw, choice c picks from the weights of the kernel
+    flow with draw index c on the same ensemble instead.
+
+    Index k must lie inside an excursion after the junction visit.
+    """
+    ens = flow.ensemble
+    q, side = _excursion_at(ens, start_index, k)
+    choice_indices = list(choice_indices)
+    if redraw:
+        weights = np.array(
+            [
+                KernelFlow(ens, flow.sampler, flow.stream, c).excursion_weights(q, k, side)
+                for c in choice_indices
+            ]
+        )
+    else:
+        weights = flow.excursion_weights(q, k, side)
+    key = ens.excursion_key(q, k)
+    u = flow.stream.uniforms((KEY_MAPPING_CHOICE, c, *key) for c in choice_indices)
+    return _first_ray(ens.spec, side) + categorical(weights, u)
 
 
 def sample_kernel_flow(
@@ -758,19 +806,10 @@ def filter_mapping_to_kernel(
     Returns (frequencies, weight vector, replica count); the caller
     compares them at 3 sqrt(w(1-w)/replicas).
     """
-    ens = flow.ensemble
-    q, z, hit = ens.resolve(start_index, k)
-    if z == 0:
-        raise ValueError(f"index {k} is not inside an excursion of start {start_index}")
-    if not hit:
-        raise BeforeHitting("conditional ray choice only exists after the junction visit")
-    side = 1 if z > 0 else -1
+    q, side = _excursion_at(flow.ensemble, start_index, k)
     weights = flow.excursion_weights(q, k, side)
-    counts = np.zeros(len(weights))
-    base = 1 if side > 0 else ens.spec.p + 1
-    for r in range(replicas):
-        ray = MappingFlow(flow, choice_index=r)._excursion_ray(q, k, side)
-        counts[ray - base] += 1
+    rays = mapping_rays(flow, q, k, range(replicas))
+    counts = np.bincount(rays - _first_ray(flow.ensemble.spec, side), minlength=len(weights))
     return counts / replicas, np.asarray(weights, dtype=float), replicas
 
 

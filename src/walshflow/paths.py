@@ -10,7 +10,10 @@ key tuple), the key led by one of the KEY_* purpose codes below. Draws
 made per excursion, here and in walshflow.flows, are keyed by the
 (numerator, exponent) that dyadic_label returns for the excursion's time
 interval, so the same root seed reproduces every path, excursion by
-excursion, whatever the traversal order or the worker count.
+excursion, whatever the traversal order or the worker count. Keys that
+need one uniform each (the flip rays, the mapping choices) are drawn in
+bulk by RngStream.uniforms, which redoes numpy's SeedSequence and Philox
+hashing on arrays and is bit-equal to building each key's generator.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "scaled_walk_marginal",
     "freidlin_sheu_residual",
     "ray_from_uniform",
+    "categorical",
 ]
 
 # purpose codes for RNG stream keys; globally unique so no two draw sites
@@ -98,6 +102,118 @@ class ScalarPath:
             )
 
 
+# numpy's SeedSequence hashing on 32-bit words, with its pool of 4 words
+_M32 = 0xFFFFFFFF
+_POOL = 4
+_XSHIFT = 16
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+# Philox4x64-10: round multipliers and key (Weyl) increments
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+
+
+def _zigzag(part: int) -> int:
+    """Key part as a spawn-key entry: 0, -1, 1, -2, ... to 0, 1, 2, 3, ..."""
+    return 2 * part if part >= 0 else -2 * part - 1
+
+
+def _zigzag_words(parts) -> list[int]:
+    """SeedSequence entropy words of key parts: each part zigzag-encoded,
+    then split into little-endian 32-bit words (a part of 0 is one word)."""
+    words = []
+    for part in parts:
+        e = _zigzag(part)
+        words.append(e & _M32)
+        e >>= 32
+        while e:
+            words.append(e & _M32)
+            e >>= 32
+    return words
+
+
+def _hashmix(value, h: int):
+    """SeedSequence hashmix of value (an int, or an array of 32-bit words
+    held in uint64) under hash constant h; returns it and the next h."""
+    h_next = (h * _MULT_A) & _M32
+    value = ((value ^ h) * h_next) & _M32
+    return value ^ (value >> _XSHIFT), h_next
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return r ^ (r >> _XSHIFT)
+
+
+def _absorb(pool: list, words, h: int) -> tuple[list, int]:
+    """Mix entropy words past the pool size into every pool word, in order."""
+    for w in words:
+        for dst in range(_POOL):
+            hashed, h = _hashmix(w, h)
+            pool[dst] = _mix(pool[dst], hashed)
+    return pool, h
+
+
+def _root_pool(root_seed: int) -> tuple[list, int]:
+    """Pool and hash constant after the root seed's words, zero-padded to
+    the pool size (as SeedSequence pads them whenever a spawn key follows,
+    and as its pool fill does when none does)."""
+    # a root below 2^32 is one word; the zero pad makes that the same thing
+    words = [root_seed & _M32, root_seed >> 32] + [0] * (_POOL - 2)
+    pool = []
+    h = _INIT_A
+    for w in words:
+        hashed, h = _hashmix(w, h)
+        pool.append(hashed)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], hashed)
+    return pool, h
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of the 128-bit product m * x."""
+    m_lo, m_hi = m & _M32, m >> 32
+    x_lo, x_hi = x & _M32, x >> 32
+    t = x_lo * m_lo
+    u = x_lo * m_hi + (t >> 32)
+    w = x_hi * m_lo + (u & _M32)
+    return x_hi * m_hi + (u >> 32) + (w >> 32), x * m
+
+
+def _philox_first_uniform(pool: list) -> np.ndarray:
+    """random() of Generator(Philox(seed sequence with this pool)): the
+    Philox key is generate_state(2, uint64), the first block has counter
+    (1, 0, 0, 0), and only its word 0 is used."""
+    state = []
+    h = _INIT_B
+    for p in pool:
+        v = p ^ h
+        h = (h * _MULT_B) & _M32
+        v = (v * h) & _M32
+        state.append(v ^ (v >> _XSHIFT))
+    k0 = state[0] | (state[1] << 32)
+    k1 = state[2] | (state[3] << 32)
+    # round 1 on counter (1, 0, 0, 0) multiplies only by 1 and 0
+    c0, c1, c2, c3 = k0, 0, k1, _PHILOX_M0
+    for _ in range(_PHILOX_ROUNDS - 1):
+        k0 = k0 + _PHILOX_W0
+        k1 = k1 + _PHILOX_W1
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return (c0 >> 11) * 2.0**-53
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based random stream addressed by (root seed, key tuple).
@@ -118,9 +234,30 @@ class RngStream:
         return RngStream(self.root_seed, self.stream_key + tuple(int(p) for p in parts))
 
     def generator(self) -> np.random.Generator:
-        encoded = tuple(2 * k if k >= 0 else -2 * k - 1 for k in self.stream_key)
+        encoded = tuple(_zigzag(k) for k in self.stream_key)
         seq = np.random.SeedSequence(self.root_seed, spawn_key=encoded)
         return np.random.Generator(np.random.Philox(seq))
+
+    def uniforms(self, keys) -> np.ndarray:
+        """The first random() of each child key's generator, in one pass:
+        bit for bit [self.child(*key).generator().random() for key in keys].
+
+        SeedSequence and Philox4x64-10 are redone in uint64 arithmetic over
+        all keys with the same number of entropy words at once; the root
+        seed and this stream's key are hashed once per call.
+        """
+        words = [_zigzag_words(map(int, key)) for key in keys]
+        groups: dict[int, list[int]] = {}
+        for i, key_words in enumerate(words):
+            groups.setdefault(len(key_words), []).append(i)
+        pool, h = _root_pool(self.root_seed)
+        pool, h = _absorb(pool, _zigzag_words(self.stream_key), h)
+        out = np.empty(len(words))
+        for index in groups.values():
+            columns = np.array([words[i] for i in index], dtype=np.uint64).T
+            start = [np.full(len(index), p, dtype=np.uint64) for p in pool]
+            out[index] = _philox_first_uniform(_absorb(start, columns, h)[0])
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,19 +355,21 @@ def dyadic_label(u: float, v: float) -> tuple[int, int]:
     return (U >> j) + 1 - (shift << (E - j)), E - j
 
 
+def categorical(weights, u) -> np.ndarray:
+    """Category index of each uniform in u: the count of cumulative weights
+    at or below it (searchsorted, side right), the last pinned to 1 against
+    rounding. weights is one vector, or one row per uniform."""
+    cum = np.cumsum(weights, axis=-1)
+    cum[..., -1] = 1.0
+    u = np.asarray(u)
+    # one comparison per category: a reduction over the short last axis of
+    # a (uniforms, categories) array is several times slower
+    return sum((cum[..., j] <= u for j in range(cum.shape[-1])), np.int64(0))
+
+
 def ray_from_uniform(spec: GraphSpec, u) -> np.ndarray:
     """Map uniforms to ray indices with the spec's weights."""
-    cum = np.cumsum(spec.alpha)
-    cum[-1] = 1.0  # guard the top edge against rounding
-    return np.searchsorted(cum, np.asarray(u), side="right").astype(np.int64) + 1
-
-
-def _positive_runs(values: np.ndarray) -> list[tuple[int, int]]:
-    pos = values > 0.0
-    padded = np.concatenate(([False], pos, [False]))
-    starts = np.flatnonzero(padded[1:] & ~padded[:-1])
-    ends = np.flatnonzero(~padded[1:] & padded[:-1])
-    return list(zip(starts, ends - 1))
+    return categorical(spec.alpha, u) + 1
 
 
 def wbm_flip_construct(grid: TimeGrid, spec: GraphSpec, stream: RngStream) -> WalshPath:
@@ -241,20 +380,25 @@ def wbm_flip_construct(grid: TimeGrid, spec: GraphSpec, stream: RngStream) -> Wa
     interval, and one still open at the final time is keyed with the grid
     end as its right endpoint. The driver starts at zero, so every
     excursion begins after a grid point, and its interval, between two
-    distinct grid times, is never empty.
+    distinct grid times, is never empty. The flip uniforms of all the
+    path's excursions come from one bulk draw.
     """
     brownian = sample_brownian(grid, stream)
     reflected, local = skorokhod_reflection(brownian)
     values = reflected.values
     times = grid.times()
 
+    positive = values > 0.0
+    edges = np.diff(positive.astype(np.int8), prepend=0, append=0)
+    first = np.flatnonzero(edges == 1)
+    after = np.flatnonzero(edges == -1)  # one past each excursion's last point
+    g_times = times[first - 1].tolist()
+    d_times = times[np.minimum(after, grid.steps)].tolist()
+    u = stream.uniforms(
+        (KEY_RAY_FLIP, *dyadic_label(g, d)) for g, d in zip(g_times, d_times)
+    )
     rays = np.full(grid.steps + 1, spec.n_rays, dtype=np.int64)
-    for first, last in _positive_runs(values):
-        g_time = float(times[first - 1])
-        d_time = float(times[min(last + 1, grid.steps)])
-        num, exp = dyadic_label(g_time, d_time)
-        gen = stream.child(KEY_RAY_FLIP, num, exp).generator()
-        rays[first : last + 1] = int(ray_from_uniform(spec, gen.random())[()])
+    rays[positive] = np.repeat(ray_from_uniform(spec, u), after - first)
 
     return WalshPath(
         grid=grid,

@@ -12,6 +12,7 @@ import pytest
 from walshflow import cli as cli_module
 from walshflow.cli import (
     _FLOW_CHUNK,
+    _MAX_KEPT_STEPS,
     COMMANDS,
     DEFAULT_CONFIG,
     CheckFailed,
@@ -74,11 +75,22 @@ class TestConfigRoundTrip:
             # on the level-6 grid, but walk-converge's level 2 would floor
             # 4^2 * horizon to 16 steps and test the law at the wrong time
             {"level": 6, "dt": 4.0**-6, "horizon": 1.0 + 4.0**-6},
+            # kept trajectories over the step budget: 16.8M lattice steps
+            # per kernel-experiment start, 8.4M flip-path grid points
+            {"level": 12},
+            {"dt": 2.0**-23},
         ],
     )
     def test_validation_rejects(self, overrides):
         with pytest.raises(ConfigInvalid):
             replace(DEFAULT_CONFIG, **overrides).validate()
+
+    def test_step_budget_names_the_bound(self):
+        assert DEFAULT_CONFIG.horizon * 4.0**DEFAULT_CONFIG.level <= _MAX_KEPT_STEPS
+        assert DEFAULT_CONFIG.horizon / DEFAULT_CONFIG.dt <= _MAX_KEPT_STEPS
+        replace(DEFAULT_CONFIG, level=11).validate()  # 4^11 steps, at the budget
+        with pytest.raises(ConfigInvalid, match=f"budget of {_MAX_KEPT_STEPS} steps"):
+            replace(DEFAULT_CONFIG, level=12).validate()
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigInvalid):
@@ -135,6 +147,27 @@ class TestExitCodes:
         monkeypatch.setenv("WALSH_SEED", "not-a-number")
         code = main(["tanaka-special-case", "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_unexpected_exception_prints_traceback_and_exits_three(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def broken(config):
+            raise ZeroDivisionError("injected fault")
+
+        monkeypatch.setitem(COMMANDS, "verify-semigroup", broken)
+        code = main(["verify-semigroup", "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert "in broken" in err
+        assert "ZeroDivisionError: injected fault" in err
+        assert err.rstrip().endswith("runtime error: injected fault")
+
+    def test_over_budget_config_exits_two(self, tmp_path, capsys):
+        ini = tmp_path / "deep.ini"
+        ini.write_text(serialize_config(replace(DEFAULT_CONFIG, level=12)), encoding="utf-8")
+        assert main(["kernel-experiment", "--config", str(ini)]) == 2
+        assert f"budget of {_MAX_KEPT_STEPS} steps" in capsys.readouterr().err
 
     def test_success_writes_artifacts(self, tmp_path):
         out = tmp_path / "semi"

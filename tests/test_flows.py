@@ -23,6 +23,7 @@ from walshflow.flows import (
     extract_ray_weights,
     filter_mapping_to_kernel,
     flow_property_check,
+    mapping_rays,
     measure_ray_weights,
     merge_level_samples,
     project_kernel_to_wiener,
@@ -511,6 +512,32 @@ class TestMappingFlow:
                 if flow.ensemble.traj[0, k] != 0
             }
             assert len(rays) == 1
+
+    @pytest.mark.parametrize("sampler_name", ["dirichlet:4", "dirac-vertices", "wiener"])
+    def test_mapping_rays_equal_mapping_flow_loop(self, sampler_name):
+        # oracle: one MappingFlow per choice index, each drawing from its own
+        # generator, on every start and both sides of the junction
+        cfg, flow = _kernel_fixture(sampler_name=sampler_name)
+        ens = flow.ensemble
+        sides_seen = set()
+        for q in range(ens.n_starts):
+            for side, g, _d, _w in extract_ray_weights(flow, q)[:4]:
+                sides_seen.add(side)
+                choices = range(3, 60)
+                got = mapping_rays(flow, q, g + 1, choices)
+                want = [MappingFlow(flow, c).point_at(q, g + 1).ray for c in choices]
+                assert got.tolist() == want
+                got = mapping_rays(flow, q, g + 1, choices, redraw=True)
+                want = [
+                    MappingFlow(KernelFlow(ens, flow.sampler, flow.stream, c), c)
+                    .point_at(q, g + 1)
+                    .ray
+                    for c in choices
+                ]
+                assert got.tolist() == want
+        assert sides_seen == {1, -1}
+        with pytest.raises(ValueError):
+            mapping_rays(flow, 0, int(ens.zeros_of(0)[1]), range(3))
 
     def test_conditional_ray_frequencies_match_weights(self):
         cfg, flow = _kernel_fixture(sampler_name="uniform-simplex", seed=300)

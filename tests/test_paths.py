@@ -8,6 +8,8 @@ from scipy.stats import kstest, norm
 
 from walshflow.graph import PiecewiseFunction, validate_spec
 from walshflow.paths import (
+    KEY_MAPPING_CHOICE,
+    KEY_RAY_FLIP,
     EmptyInterval,
     RngStream,
     ScalarPath,
@@ -52,6 +54,83 @@ def test_rng_stream_zigzag_separates_signs():
     a = RngStream(7).child(-1)
     b = RngStream(7).child(1)
     assert not np.array_equal(a.generator().random(4), b.generator().random(4))
+
+
+def _uniform_keys(rng, n):
+    """n keys of mixed shapes and 32-bit word counts, shuffled together."""
+    keys = []
+    for i in range(n):
+        kind = i % 6
+        if kind == 0:  # flip ray: label of an interval on the 1e-4 grid
+            g = int(rng.integers(0, 10000))
+            d = g + int(rng.integers(1, 300))
+            keys.append((KEY_RAY_FLIP, *dyadic_label(g * 1e-4, d * 1e-4)))
+        elif kind == 1:  # mapping choice: label of a 4^-6 lattice excursion
+            g = int(rng.integers(0, 4096))
+            d = g + 2 * int(rng.integers(1, 200))
+            label = dyadic_label(g * 4.0**-6, d * 4.0**-6)
+            keys.append((KEY_MAPPING_CHOICE, int(rng.integers(0, 10001)), 0, *label))
+        elif kind == 2:  # negative (zigzag-encoded) parts and parts of 0
+            parts = rng.integers(-(2**31), 2**31, int(rng.integers(1, 6)))
+            parts[rng.random(len(parts)) < 0.3] = 0
+            keys.append(tuple(int(p) for p in parts))
+        elif kind == 3:  # parts of two to four words, either sign
+            keys.append(
+                tuple(
+                    int(rng.choice([-1, 1])) * int(rng.integers(1, 2**40)) << int(e)
+                    for e in rng.integers(0, 90, int(rng.integers(1, 4)))
+                )
+            )
+        elif kind == 4:  # zigzag edges: -2^31 encodes to 2^32 - 1, 2^31 to 2^32
+            keys.append((0, -(2**31), 2**31, -(2**63), 2**64 - 1)[: 1 + i % 5])
+        else:  # no key parts at all
+            keys.append(())
+    order = rng.permutation(n)
+    return [keys[j] for j in order]
+
+
+def test_uniforms_bit_equal_to_generator():
+    rng = np.random.default_rng(20240)
+    checked = 0
+    for root in (0, 7, 20240, 2**32 - 1, 2**32, 2**40 + 5, 2**63 + 11, 2**64 - 1):
+        for stream in (RngStream(root), RngStream(root).child(9, -3, 2**35)):
+            keys = _uniform_keys(rng, 700)
+            got = stream.uniforms(keys)
+            want = [stream.child(*key).generator().random() for key in keys]
+            assert got.dtype == np.float64
+            assert got.tolist() == want
+            checked += len(keys)
+            assert stream.uniforms([]).shape == (0,)
+    assert checked >= 10**4
+    # keys may be any iterable of int-like parts, passed once
+    stream = RngStream(5).child(1)
+    lazy = stream.uniforms((2, np.int64(k), 3) for k in range(4))
+    assert lazy.tolist() == stream.uniforms([(2, k, 3) for k in range(4)]).tolist()
+
+
+def test_flip_rays_equal_per_excursion_generators():
+    # oracle: find each excursion by a scalar scan, draw its ray from its
+    # own generator, map it with a hand-written cumulative search
+    grid = TimeGrid(dt=1e-3, steps=1000)
+    times = grid.times()
+    cum = np.cumsum(SPEC3.alpha)
+    cum[-1] = 1.0
+    for rep in range(6):
+        stream = RngStream(20240).child(9, rep)
+        path = wbm_flip_construct(grid, SPEC3, stream)
+        expected = np.full(grid.steps + 1, SPEC3.n_rays)
+        k = 1
+        while k <= grid.steps:
+            if path.radii[k] == 0.0:
+                k += 1
+                continue
+            first = k
+            while k <= grid.steps and path.radii[k] > 0.0:
+                k += 1
+            num, exp = dyadic_label(times[first - 1], times[min(k, grid.steps)])
+            u = stream.child(KEY_RAY_FLIP, num, exp).generator().random()
+            expected[first:k] = int(np.searchsorted(cum, u, side="right")) + 1
+        assert np.array_equal(path.rays, expected)
 
 
 def test_rng_stream_rejects_bad_seed():
