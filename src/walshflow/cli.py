@@ -698,33 +698,15 @@ def _kernel_task(args):
         )
         wiener_dev = max(wiener_dev, dev)
 
-    plus_sum = np.zeros(spec.p)
-    plus_sq = np.zeros(spec.p)
-    plus_count = 0
-    minus_dim = spec.n_rays - spec.p
-    minus_sum = np.zeros(minus_dim)
-    minus_sq = np.zeros(minus_dim)
-    minus_count = 0
+    # per side of the junction: excursion count, weight sum, squared sum
+    dims = {1: spec.p, -1: spec.n_rays - spec.p}
+    moments = {side: [0, np.zeros(dim), np.zeros(dim)] for side, dim in dims.items()}
     for side, _g, _d, weights in extract_ray_weights(flow, 0):
-        if side > 0:
-            plus_sum += weights
-            plus_sq += weights**2
-            plus_count += 1
-        else:
-            minus_sum += weights
-            minus_sq += weights**2
-            minus_count += 1
-    return (
-        rep,
-        mass_err,
-        wiener_dev,
-        plus_count,
-        plus_sum.tolist(),
-        plus_sq.tolist(),
-        minus_count,
-        minus_sum.tolist(),
-        minus_sq.tolist(),
-    )
+        acc = moments[side]
+        acc[0] += 1
+        acc[1] += weights
+        acc[2] += weights**2
+    return rep, mass_err, wiener_dev, moments
 
 
 def _moment_report(name, total, total_sq, count, declared):
@@ -740,6 +722,15 @@ def _moment_report(name, total, total_sq, count, declared):
     return _report(name, worst, 3.0, worst <= 3.0, count, **details)
 
 
+def _band_report(name, freq, expected, replicas):
+    """Pass when every frequency lies within 3 binomial standard deviations
+    of its expected value; the floor lets an exact 0 or 1 pass on equality."""
+    bound = 3.0 * np.sqrt(expected * (1 - expected) / replicas)
+    dev = np.abs(freq - expected)
+    ok = bool(np.all(dev <= np.maximum(bound, 1e-12)))
+    return _report(name, float(np.max(dev)), float(np.max(bound)), ok, replicas)
+
+
 def _cmd_kernel_experiment(config: ExperimentConfig):
     spec = config.spec()
     n_ens = max(8, min(200, config.replicas // 100))
@@ -747,59 +738,34 @@ def _cmd_kernel_experiment(config: ExperimentConfig):
     results = _map_replicas(_kernel_task, args, config.workers)
     results.sort(key=lambda r: r[0])
 
-    rows = [[r[0], r[1], r[2], r[3] + r[6]] for r in results]
+    rows = [
+        [rep, mass, dev, sum(acc[0] for acc in moments.values())]
+        for rep, mass, dev, moments in results
+    ]
     worst_mass = max(r[1] for r in results)
     reports = [
         _report("kernel-mass", worst_mass, 1e-12, worst_mass <= 1e-12, n_ens)
     ]
-
-    plus_count = sum(r[3] for r in results)
-    if plus_count:
-        plus_sum = np.sum([r[4] for r in results], axis=0)
-        plus_sq = np.sum([r[5] for r in results], axis=0)
-        reports.append(
-            _moment_report(
-                "moment-plus", plus_sum, plus_sq, plus_count, ray_ratios(spec, +1)
-            )
+    for side, name in ((1, "moment-plus"), (-1, "moment-minus")):
+        count, total, total_sq = (
+            np.sum([r[3][side][i] for r in results], axis=0) for i in range(3)
         )
-    minus_count = sum(r[6] for r in results)
-    if minus_count and spec.p < spec.n_rays:
-        minus_sum = np.sum([r[7] for r in results], axis=0)
-        minus_sq = np.sum([r[8] for r in results], axis=0)
-        reports.append(
-            _moment_report(
-                "moment-minus", minus_sum, minus_sq, minus_count, ray_ratios(spec, -1)
-            )
-        )
+        if count:
+            reports.append(_moment_report(name, total, total_sq, count, ray_ratios(spec, side)))
 
     # filtering: fixed coins and weights, redraw the ray choice
     flow = _single_start_kernel_flow(config, spec, n_ens + 1)
     _side, g, _d, _weights = extract_ray_weights(flow, 0)[0]
     replicas = min(config.replicas, 10000)
     freq, weights, _ = filter_mapping_to_kernel(flow, 0, g + 1, replicas)
-    bound = 3.0 * np.sqrt(weights * (1 - weights) / replicas)
-    filter_dev = float(np.max(np.abs(freq - weights)))
-    filter_ok = bool(np.all(np.abs(freq - weights) <= np.maximum(bound, 1e-12)))
-    reports.append(
-        _report("filtering", filter_dev, float(np.max(bound)), filter_ok, replicas)
-    )
+    reports.append(_band_report("filtering", freq, weights, replicas))
 
     # projection: fixed coins, redraw weights and ray choice together
-    k_probe = g + 1
-    rays = mapping_rays(flow, 0, k_probe, range(1, replicas + 1), redraw=True)
-    proj_freq = np.bincount(rays - 1, minlength=spec.n_rays) / replicas
-    z_here = float(flow.ensemble.traj[0, k_probe]) * flow.ensemble.config.dx
-    proj_ref = measure_ray_weights(
-        wiener_kernel(spec, spec.origin, z_here, True), spec
-    )
-    proj_bound = 3.0 * np.sqrt(proj_ref * (1 - proj_ref) / replicas)
-    proj_dev = float(np.max(np.abs(proj_freq - proj_ref)))
-    proj_ok = bool(np.all(np.abs(proj_freq - proj_ref) <= np.maximum(proj_bound, 1e-12)))
-    reports.append(
-        _report(
-            "wiener-projection", proj_dev, float(np.max(proj_bound)), proj_ok, replicas
-        )
-    )
+    rays = mapping_rays(flow, 0, g + 1, range(1, replicas + 1), redraw=True)
+    z_here = float(flow.ensemble.traj[0, g + 1]) * flow.ensemble.config.dx
+    reference = measure_ray_weights(wiener_kernel(spec, spec.origin, z_here, True), spec)
+    freq = np.bincount(rays - 1, minlength=spec.n_rays) / replicas
+    reports.append(_band_report("wiener-projection", freq, reference, replicas))
 
     headers = ["replica", "mass_error", "wiener_deviation", "excursions"]
     return [("", headers, rows)], reports

@@ -231,8 +231,8 @@ class MeasurePairSampler:
                 conc = float(name.split(":", 1)[1])
             except ValueError as exc:
                 raise SamplerInvalid(f"bad concentration in {name!r}") from exc
-            if conc <= 0.0:
-                raise SamplerInvalid(f"concentration must be > 0 in {name!r}")
+            if not 0.0 < conc < math.inf:
+                raise SamplerInvalid(f"concentration must be finite and > 0 in {name!r}")
             alpha_vec = conc * np.asarray(ratios)
             return lambda gen: gen.dirichlet(alpha_vec)
         if name.startswith("custom-weights:"):
@@ -242,7 +242,8 @@ class MeasurePairSampler:
                 raise SamplerInvalid(f"bad weight list in {name!r}") from exc
             if len(vec) != dim:
                 raise SamplerInvalid(f"{name!r} has {len(vec)} weights, need {dim}")
-            if np.any(vec < 0.0) or abs(float(np.sum(vec)) - 1.0) > 1e-9:
+            finite = bool(np.all(np.isfinite(vec)))
+            if not finite or np.any(vec < 0.0) or abs(float(np.sum(vec)) - 1.0) > 1e-9:
                 raise SamplerInvalid(f"{name!r} is not a probability vector")
             return vec
         raise SamplerInvalid(f"unknown sampler family {name!r}")
@@ -684,15 +685,11 @@ class MappingFlow:
         self.choice_index = choice_index
         self._ray_cache: dict[tuple[int, int, int], int] = {}
 
-    def _excursion_ray(self, q: int, k: int, side: int) -> int:
+    def _excursion_ray(self, q: int, k: int) -> int:
         key = self.kernels.ensemble.excursion_key(q, k)
         if key not in self._ray_cache:
-            weights = self.kernels._weights_for(key, side)
-            gen = self.kernels.stream.child(
-                KEY_MAPPING_CHOICE, self.choice_index, *key
-            ).generator()
-            base = _first_ray(self.kernels.ensemble.spec, side)
-            self._ray_cache[key] = base + int(categorical(weights, gen.random()))
+            rays = mapping_rays(self.kernels, q, k, (self.choice_index,))
+            self._ray_cache[key] = int(rays[0])
         return self._ray_cache[key]
 
     def point_at(self, q: int, k: int) -> GraphPoint:
@@ -703,9 +700,7 @@ class MappingFlow:
             return graph_point(ens.spec, ens.start_meta[q][2], abs(z) * dx)
         if z == 0:
             return ens.spec.origin
-        side = 1 if z > 0 else -1
-        ray = self._excursion_ray(q, k, side)
-        return GraphPoint(ray=ray, radius=abs(z) * dx)
+        return GraphPoint(ray=self._excursion_ray(q, k), radius=abs(z) * dx)
 
 
 def _first_ray(spec: GraphSpec, side: int) -> int:
@@ -731,10 +726,11 @@ def mapping_rays(
     choice_indices,
     redraw: bool = False,
 ) -> np.ndarray:
-    """The ray MappingFlow(flow, choice_index=c).point_at(start_index, k)
-    picks, for every choice index c, from one bulk draw of the choice
-    uniforms. With redraw, choice c picks from the weights of the kernel
-    flow with draw index c on the same ensemble instead.
+    """The ray a mapping flow with choice index c picks at (start_index, k),
+    for every choice index c, from one bulk draw of the choice uniforms:
+    the one draw behind MappingFlow, filtering and Wiener projection. With
+    redraw, choice c picks from the weights of the kernel flow with draw
+    index c on the same ensemble instead.
 
     Index k must lie inside an excursion after the junction visit.
     """
@@ -814,10 +810,7 @@ def filter_mapping_to_kernel(
 
 
 def project_kernel_to_wiener(
-    config: LatticeFlowConfig,
-    spec: GraphSpec,
-    sampler: MeasurePairSampler,
-    stream: RngStream,
+    flow: KernelFlow,
     start_index: int,
     k: int,
     replicas: int,
@@ -829,22 +822,16 @@ def project_kernel_to_wiener(
 
     Returns (mean ray weights over all rays, reference weights, count).
     """
-    ensemble = skew_lattice_flow(config, spec, stream)
-    q, z, hit = ensemble.resolve(start_index, k)
-    start_ray = ensemble.start_meta[q][2]
-    signed = float(z) * ensemble.config.dx
-    reference = wiener_kernel(
-        spec,
-        GraphPoint(ray=start_ray, radius=abs(signed)) if signed != 0.0 else spec.origin,
-        signed,
-        hit,
-    )
-    ref_weights = measure_ray_weights(reference, spec)
+    ens, spec = flow.ensemble, flow.ensemble.spec
+    q, z, hit = ens.resolve(start_index, k)
+    signed = float(z) * ens.config.dx
+    start = graph_point(spec, ens.start_meta[q][2], abs(signed))
+    reference = measure_ray_weights(wiener_kernel(spec, start, signed, hit), spec)
     acc = np.zeros(spec.n_rays)
     for r in range(replicas):
-        flow = KernelFlow(ensemble, sampler, stream, draw_index=r)
-        acc += measure_ray_weights(flow.kernel_at(start_index, k), spec)
-    return acc / replicas, ref_weights, replicas
+        redrawn = KernelFlow(ens, flow.sampler, flow.stream, draw_index=r)
+        acc += measure_ray_weights(redrawn.kernel_at(start_index, k), spec)
+    return acc / replicas, reference, replicas
 
 
 def flow_property_check(

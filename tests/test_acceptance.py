@@ -466,9 +466,8 @@ def test_12_moment_conditions():
     )
 
     proj_sampler = MeasurePairSampler(SPEC3, "dirichlet:4", "dirichlet:4")
-    freq, reference, n_proj = project_kernel_to_wiener(
-        config, SPEC3, proj_sampler, RngStream(1204, (122,)), 0, 1, 4000
-    )
+    proj_flow = sample_kernel_flow(config, SPEC3, proj_sampler, RngStream(1204, (122,)))
+    freq, reference, n_proj = project_kernel_to_wiener(proj_flow, 0, 1, 4000)
     bound = 3.0 * np.sqrt(reference * (1.0 - reference) / n_proj)
     proj_ok = bool(np.all(np.abs(freq - reference) <= np.maximum(bound, 1e-12)))
 

@@ -79,6 +79,10 @@ class TestConfigRoundTrip:
             # per kernel-experiment start, 8.4M flip-path grid points
             {"level": 12},
             {"dt": 2.0**-23},
+            # non-finite measure parameters
+            {"measure_plus": "dirichlet:nan"},
+            {"measure_plus": "dirichlet:inf"},
+            {"measure_plus": "custom-weights:nan,0.5"},
         ],
     )
     def test_validation_rejects(self, overrides):
@@ -407,3 +411,40 @@ def test_artifacts_match_frozen_digests(tmp_path):
             f"{name} changed: an RNG-stream or artifact change, which "
             "CHANGES.md must declare together with the new digest"
         )
+
+
+# SHA-256 of the kernel-experiment artifacts at _FROZEN_CONFIG under measures
+# that draw, where the moment sums and the filtering and projection bands
+# see random weights. On the default graph the minus block is one ray and
+# the first excursion at this seed goes down it, so the third case moves
+# ray 2 into the minus block to make the minus moments and both bands live.
+_FROZEN_DRAWING = [
+    (
+        {"measure_plus": "dirichlet:4", "measure_minus": "dirichlet:0.5"},
+        "94590e9cb56fd240c3f4dfa59af147946a27090b5aad8bf16a0818b722e873d6",
+        "9c2be5caa4a50027749a0b6a320788491a3f55b967f44508cfa7a95b1fd7e997",
+    ),
+    (
+        {"measure_plus": "dirac-vertices", "measure_minus": "dirac-vertices"},
+        "9b1d8754e6fe606f4388af7830777fa96bb335c21c10b67d8df8be373e7b19b0",
+        "9c01ea42b0a54b8e5d360435bfa75d13cb754e2421387067f6438b418a468038",
+    ),
+    (
+        {"measure_plus": "dirichlet:4", "measure_minus": "dirichlet:0.5", "eps": (1, -1, -1)},
+        "2eb2836c442559dd806174d10ddd042798bd9563695091fa83df9e9fd07b9ccf",
+        "2960b7aa5fb5e8a2018c60a8956a143e9a6dedda90baea4a84e06668005adb2d",
+    ),
+]
+
+
+@pytest.mark.parametrize("overrides, csv_digest, reports_digest", _FROZEN_DRAWING)
+def test_kernel_artifacts_match_frozen_digests_under_drawing_measures(
+    tmp_path, overrides, csv_digest, reports_digest
+):
+    run("kernel-experiment", replace(_FROZEN_CONFIG, out_dir=str(tmp_path), **overrides))
+    for name, digest in (
+        ("kernel_experiment.csv", csv_digest),
+        ("kernel_experiment_reports.jsonl", reports_digest),
+    ):
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, f"{name} changed under {overrides}"

@@ -33,7 +33,7 @@ from walshflow.flows import (
     wiener_kernel,
 )
 from walshflow.graph import GraphPoint, validate_spec
-from walshflow.paths import KEY_FLOW_COINS, RngStream
+from walshflow.paths import KEY_FLOW_COINS, KEY_MAPPING_CHOICE, RngStream, categorical
 
 SPEC2 = validate_spec((0.7, 0.3), (1, -1))
 SPEC2H = validate_spec((0.5, 0.5), (1, -1))
@@ -515,23 +515,30 @@ class TestMappingFlow:
 
     @pytest.mark.parametrize("sampler_name", ["dirichlet:4", "dirac-vertices", "wiener"])
     def test_mapping_rays_equal_mapping_flow_loop(self, sampler_name):
-        # oracle: one MappingFlow per choice index, each drawing from its own
-        # generator, on every start and both sides of the junction
+        # oracle: one generator per choice index, its first uniform mapped
+        # through the excursion's weights, on every start and both sides of
+        # the junction; with redraw the weights are those of draw index c
         cfg, flow = _kernel_fixture(sampler_name=sampler_name)
         ens = flow.ensemble
+
+        def oracle(kernels, q, k, side, c):
+            key = ens.excursion_key(q, k)
+            u = flow.stream.child(KEY_MAPPING_CHOICE, c, *key).generator().random()
+            first = 1 if side > 0 else SPEC3.p + 1
+            return first + int(categorical(kernels.excursion_weights(q, k, side), u))
+
         sides_seen = set()
         for q in range(ens.n_starts):
             for side, g, _d, _w in extract_ray_weights(flow, q)[:4]:
                 sides_seen.add(side)
                 choices = range(3, 60)
                 got = mapping_rays(flow, q, g + 1, choices)
-                want = [MappingFlow(flow, c).point_at(q, g + 1).ray for c in choices]
+                want = [oracle(flow, q, g + 1, side, c) for c in choices]
                 assert got.tolist() == want
+                assert [MappingFlow(flow, c).point_at(q, g + 1).ray for c in (3, 4)] == want[:2]
                 got = mapping_rays(flow, q, g + 1, choices, redraw=True)
                 want = [
-                    MappingFlow(KernelFlow(ens, flow.sampler, flow.stream, c), c)
-                    .point_at(q, g + 1)
-                    .ray
+                    oracle(KernelFlow(ens, flow.sampler, flow.stream, c), q, g + 1, side, c)
                     for c in choices
                 ]
                 assert got.tolist() == want
@@ -557,28 +564,24 @@ class TestProjectionAndComposition:
         cfg = _config_for(SPEC3, 4, 256, [(0, 1, 0)])
         sampler = MeasurePairSampler(SPEC3, "dirichlet:3")
         k = 101
-        mean, ref, n = project_kernel_to_wiener(
-            cfg, SPEC3, sampler, RngStream(411).child(0), 0, k, replicas=3000
-        )
+        flow = sample_kernel_flow(cfg, SPEC3, sampler, RngStream(411).child(0))
+        mean, ref, n = project_kernel_to_wiener(flow, 0, k, replicas=3000)
         assert np.all(np.abs(mean - ref) <= 0.025)
 
     def test_projection_detects_biased_sampler(self):
         cfg = _config_for(SPEC3, 4, 256, [(0, 1, 0)])
         sampler = MeasurePairSampler(SPEC3, "custom-weights:0.9,0.1", "wiener")
-        stream = RngStream(411).child(0)
-        ens = skew_lattice_flow(cfg, SPEC3, stream)
+        flow = sample_kernel_flow(cfg, SPEC3, sampler, RngStream(411).child(0))
+        ens = flow.ensemble
         k = int(np.flatnonzero(ens.traj[0, : ens.steps + 1] > 0)[-1])
-        mean, ref, n = project_kernel_to_wiener(
-            cfg, SPEC3, sampler, stream, 0, k, replicas=500
-        )
+        mean, ref, n = project_kernel_to_wiener(flow, 0, k, replicas=500)
         assert np.max(np.abs(mean - ref)) > 0.05
 
     def test_projection_with_point_mass_sampler_is_exact(self):
         cfg = _config_for(SPEC3, 4, 64, [(0, 1, 0)])
         sampler = MeasurePairSampler(SPEC3, "wiener")
-        mean, ref, n = project_kernel_to_wiener(
-            cfg, SPEC3, sampler, RngStream(412).child(0), 0, 33, replicas=8
-        )
+        flow = sample_kernel_flow(cfg, SPEC3, sampler, RngStream(412).child(0))
+        mean, ref, n = project_kernel_to_wiener(flow, 0, 33, replicas=8)
         np.testing.assert_allclose(mean, ref, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(8))
