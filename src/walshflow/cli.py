@@ -529,7 +529,8 @@ def _flow_starts(spec: GraphSpec, config: ExperimentConfig):
     dx = 2.0 ** (-config.level)
     dt = 4.0 ** (-config.level)
     y = config.flow_y_units
-    minus_ray = spec.n_rays if spec.p < spec.n_rays else min(2, spec.n_rays)
+    minus = spec.side_rays(-1)
+    minus_ray = minus[-1] if minus else min(2, spec.n_rays)
     return (
         (0.0, spec.origin),
         (0.0, GraphPoint(ray=1, radius=y * dx)),
@@ -699,7 +700,7 @@ def _kernel_task(args):
         wiener_dev = max(wiener_dev, dev)
 
     # per side of the junction: excursion count, weight sum, squared sum
-    dims = {1: spec.p, -1: spec.n_rays - spec.p}
+    dims = {side: len(spec.side_rays(side)) for side in (1, -1)}
     moments = {side: [0, np.zeros(dim), np.zeros(dim)] for side, dim in dims.items()}
     for side, _g, _d, weights in extract_ray_weights(flow, 0):
         acc = moments[side]
@@ -753,19 +754,29 @@ def _cmd_kernel_experiment(config: ExperimentConfig):
         if count:
             reports.append(_moment_report(name, total, total_sq, count, ray_ratios(spec, side)))
 
-    # filtering: fixed coins and weights, redraw the ray choice
+    # filtering and projection probe the first excursion of a fresh replica
+    # down a side of two rays or more: on one ray both bands are 0 and test
+    # nothing, so a graph without a wider side skips them
     flow = _single_start_kernel_flow(config, spec, n_ens + 1)
-    _side, g, _d, _weights = extract_ray_weights(flow, 0)[0]
+    probes = [
+        g + 1 for side, g, _d, _w in extract_ray_weights(flow, 0) if len(spec.side_rays(side)) > 1
+    ]
     replicas = min(config.replicas, 10000)
-    freq, weights, _ = filter_mapping_to_kernel(flow, 0, g + 1, replicas)
-    reports.append(_band_report("filtering", freq, weights, replicas))
+    if probes:
+        k = probes[0]
+        # filtering: fixed coins and weights, redraw the ray choice
+        freq, weights, _ = filter_mapping_to_kernel(flow, 0, k, replicas)
+        reports.append(_band_report("filtering", freq, weights, replicas))
 
-    # projection: fixed coins, redraw weights and ray choice together
-    rays = mapping_rays(flow, 0, g + 1, range(1, replicas + 1), redraw=True)
-    z_here = float(flow.ensemble.traj[0, g + 1]) * flow.ensemble.config.dx
-    reference = measure_ray_weights(wiener_kernel(spec, spec.origin, z_here, True), spec)
-    freq = np.bincount(rays - 1, minlength=spec.n_rays) / replicas
-    reports.append(_band_report("wiener-projection", freq, reference, replicas))
+        # projection: fixed coins, redraw weights and ray choice together
+        rays = mapping_rays(flow, 0, k, range(1, replicas + 1), redraw=True)
+        z_here = float(flow.ensemble.traj[0, k]) * flow.ensemble.config.dx
+        reference = measure_ray_weights(wiener_kernel(spec, spec.origin, z_here, True), spec)
+        freq = np.bincount(rays - 1, minlength=spec.n_rays) / replicas
+        reports.append(_band_report("wiener-projection", freq, reference, replicas))
+    else:
+        for name in ("filtering", "wiener-projection"):
+            reports.append(_report(name, 0.0, 0.0, True, replicas, skipped=1.0))
 
     headers = ["replica", "mass_error", "wiener_deviation", "excursions"]
     return [("", headers, rows)], reports

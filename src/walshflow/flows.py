@@ -87,13 +87,12 @@ class BeforeHitting(ValueError):
 def ray_ratios(spec: GraphSpec, side: int) -> tuple[float, ...]:
     """Normalized ray weights on one side of the junction: alpha_i/alpha+
     over the plus block (side +1) or alpha_j/alpha- over the minus block."""
-    if side > 0:
-        if spec.p == 0:
-            raise SamplerInvalid("no plus rays")
-        return tuple(a / spec.alpha_plus for a in spec.alpha[: spec.p])
-    if spec.p == spec.n_rays:
-        raise SamplerInvalid("no minus rays")
-    return tuple(a / spec.alpha_minus for a in spec.alpha[spec.p :])
+    rays = spec.side_rays(side)
+    if not rays:
+        raise SamplerInvalid(f"no {'plus' if side > 0 else 'minus'} rays")
+    alpha = spec.alpha[rays.start - 1 : rays.stop - 1]
+    total = math.fsum(alpha)
+    return tuple(a / total for a in alpha)
 
 
 @dataclass(frozen=True)
@@ -203,11 +202,12 @@ class MeasurePairSampler:
 
     def __init__(self, spec: GraphSpec, plus_name: str, minus_name: Optional[str] = None):
         self.spec = spec
-        minus_name = plus_name if minus_name is None else minus_name
-        self._plus = self._build(plus_name, ray_ratios(spec, +1)) if spec.p else None
-        self._minus = (
-            self._build(minus_name, ray_ratios(spec, -1)) if spec.p < spec.n_rays else None
-        )
+        names = {1: plus_name, -1: plus_name if minus_name is None else minus_name}
+        self._laws = {
+            side: self._build(name, ray_ratios(spec, side))
+            for side, name in names.items()
+            if spec.side_rays(side)
+        }
 
     @staticmethod
     def _build(name: str, ratios: tuple[float, ...]):
@@ -252,7 +252,7 @@ class MeasurePairSampler:
         """One weight vector on the side's simplex. A family that draws
         takes its generator from source, built there when source is a
         stream; the point-mass families build none."""
-        law = self._plus if side > 0 else self._minus
+        law = self._laws.get(side)
         if law is None:
             raise SamplerInvalid(
                 "no rays on the requested side; the trajectory should never get there"
@@ -275,7 +275,7 @@ class FlowEnsemble:
     """Scalar lattice trajectories driven by one shared coin sequence.
 
     The ensemble owns the excursions of its trajectories: every kernel and
-    mapping view on it keys its draws by excursion_key, so each excursion
+    mapping view on it keys its draws by excursion, so each excursion
     is found and labelled once, whatever the view.
     """
 
@@ -327,26 +327,31 @@ class FlowEnsemble:
             q = record.target_index
         raise AssertionError("coalescence chain does not terminate")
 
-    def excursion_key(self, q: int, k: int) -> tuple[int, int, int]:
-        """(source start, label numerator, label exponent) of the excursion
-        straddling index k on the trajectory start q follows there: the key
-        of every weight and ray draw on that excursion.
+    def excursion(self, q: int, k: int) -> tuple[tuple[int, int, int], int]:
+        """(key, side) of the excursion straddling index k on the trajectory
+        start q follows there. The key, (source start, label numerator,
+        label exponent), keys every weight and ray draw on that excursion;
+        the side is the sign of the trajectory on it.
 
         The excursion runs from the source's last zero g before k to its
         next zero (or the horizon); its dyadic label is computed once per
-        (source, g) and shared by every view on the ensemble.
+        (source, g) and shared by every view on the ensemble. Raises
+        BeforeHitting ahead of the first junction visit and ValueError at
+        the junction.
         """
-        q, _z, _hit = self.resolve(q, k)
+        q, z, hit = self.resolve(q, k)
+        if not hit:
+            raise BeforeHitting(f"start {q} has not visited the junction by index {k}")
+        if z == 0:
+            raise ValueError(f"index {k} is not inside an excursion of start {q}")
         zeros = self.zeros_of(q)
         pos = int(np.searchsorted(zeros, k))
-        if pos == 0:
-            raise BeforeHitting(f"start {q} has not left the junction by index {k}")
         g = int(zeros[pos - 1])
         if (q, g) not in self._key_cache:
             d = int(zeros[pos]) if pos < len(zeros) else self.steps
             dt = self.config.dt
             self._key_cache[(q, g)] = (q, *dyadic_label(g * dt, d * dt))
-        return self._key_cache[(q, g)]
+        return self._key_cache[(q, g)], 1 if z > 0 else -1
 
     def merge_record(self, q: int) -> Optional[CoalescenceRecord]:
         """First recorded coalescence of start q onto any earlier start."""
@@ -606,19 +611,12 @@ def wiener_kernel(
     junction visit; after it, mass splits over one side's rays in
     proportion to their weights, at the current radius.
     """
-    if not hit_junction:
-        return KernelMeasure.dirac(graph_point(spec, start.ray, abs(z_value)))
-    if z_value == 0.0:
-        return KernelMeasure.dirac(spec.origin)
-    if z_value > 0.0:
-        ratios = ray_ratios(spec, +1)
-        rays = range(1, spec.p + 1)
-    else:
-        ratios = ray_ratios(spec, -1)
-        rays = range(spec.p + 1, spec.n_rays + 1)
     radius = abs(z_value)
-    points = tuple(GraphPoint(ray=r, radius=radius) for r in rays)
-    return KernelMeasure(points=points, weights=ratios)
+    if not hit_junction or z_value == 0.0:
+        return KernelMeasure.dirac(graph_point(spec, start.ray, radius))
+    side = 1 if z_value > 0.0 else -1
+    points = tuple(GraphPoint(ray=r, radius=radius) for r in spec.side_rays(side))
+    return KernelMeasure(points=points, weights=ray_ratios(spec, side))
 
 
 class KernelFlow:
@@ -644,31 +642,25 @@ class KernelFlow:
         self.draw_index = draw_index
         self._weights_cache: dict[tuple[int, int, int], np.ndarray] = {}
 
-    def _weights_for(self, key: tuple[int, int, int], side: int) -> np.ndarray:
+    def excursion_weights(self, q: int, k: int) -> np.ndarray:
+        """Ray weights, over its side's block, of the excursion start q is
+        on at index k; drawn once per excursion on the law of its side."""
+        key, side = self.ensemble.excursion(q, k)
         if key not in self._weights_cache:
             child = self.stream.child(KEY_KERNEL_CHOICE, self.draw_index, *key)
             self._weights_cache[key] = self.sampler.sample(side, child)
         return self._weights_cache[key]
 
-    def excursion_weights(self, q: int, k: int, side: int) -> np.ndarray:
-        return self._weights_for(self.ensemble.excursion_key(q, k), side)
-
     def kernel_at(self, q: int, k: int) -> KernelMeasure:
         ens = self.ensemble
         q, z, hit = ens.resolve(q, k)
-        dx = ens.config.dx
-        if not hit:
-            point = graph_point(ens.spec, ens.start_meta[q][2], abs(z) * dx)
-            return KernelMeasure.dirac(point)
-        if z == 0:
-            return KernelMeasure.dirac(ens.spec.origin)
-        side = 1 if z > 0 else -1
-        weights = self.excursion_weights(q, k, side)
-        radius = abs(z) * dx
-        rays = range(1, ens.spec.p + 1) if side > 0 else range(ens.spec.p + 1, ens.spec.n_rays + 1)
+        radius = abs(z) * ens.config.dx
+        if not hit or z == 0:
+            return KernelMeasure.dirac(graph_point(ens.spec, ens.start_meta[q][2], radius))
+        rays = ens.spec.side_rays(1 if z > 0 else -1)
         points = []
         masses = []
-        for ray, w in zip(rays, weights):
+        for ray, w in zip(rays, self.excursion_weights(q, k)):
             if w > 0.0:
                 points.append(GraphPoint(ray=ray, radius=radius))
                 masses.append(float(w))
@@ -686,7 +678,7 @@ class MappingFlow:
         self._ray_cache: dict[tuple[int, int, int], int] = {}
 
     def _excursion_ray(self, q: int, k: int) -> int:
-        key = self.kernels.ensemble.excursion_key(q, k)
+        key, _side = self.kernels.ensemble.excursion(q, k)
         if key not in self._ray_cache:
             rays = mapping_rays(self.kernels, q, k, (self.choice_index,))
             self._ray_cache[key] = int(rays[0])
@@ -695,28 +687,10 @@ class MappingFlow:
     def point_at(self, q: int, k: int) -> GraphPoint:
         ens = self.kernels.ensemble
         q, z, hit = ens.resolve(q, k)
-        dx = ens.config.dx
-        if not hit:
-            return graph_point(ens.spec, ens.start_meta[q][2], abs(z) * dx)
-        if z == 0:
-            return ens.spec.origin
-        return GraphPoint(ray=self._excursion_ray(q, k), radius=abs(z) * dx)
-
-
-def _first_ray(spec: GraphSpec, side: int) -> int:
-    """First ray of a side's block: the plus block leads."""
-    return 1 if side > 0 else spec.p + 1
-
-
-def _excursion_at(ensemble: FlowEnsemble, start_index: int, k: int) -> tuple[int, int]:
-    """(source start, side) of the excursion that start_index is on at
-    index k; raises unless that is after its junction visit."""
-    q, z, hit = ensemble.resolve(start_index, k)
-    if z == 0:
-        raise ValueError(f"index {k} is not inside an excursion of start {start_index}")
-    if not hit:
-        raise BeforeHitting("conditional ray choice only exists after the junction visit")
-    return q, 1 if z > 0 else -1
+        radius = abs(z) * ens.config.dx
+        if not hit or z == 0:
+            return graph_point(ens.spec, ens.start_meta[q][2], radius)
+        return GraphPoint(ray=self._excursion_ray(q, k), radius=radius)
 
 
 def mapping_rays(
@@ -735,20 +709,19 @@ def mapping_rays(
     Index k must lie inside an excursion after the junction visit.
     """
     ens = flow.ensemble
-    q, side = _excursion_at(ens, start_index, k)
+    key, side = ens.excursion(start_index, k)
     choice_indices = list(choice_indices)
     if redraw:
         weights = np.array(
             [
-                KernelFlow(ens, flow.sampler, flow.stream, c).excursion_weights(q, k, side)
+                KernelFlow(ens, flow.sampler, flow.stream, c).excursion_weights(start_index, k)
                 for c in choice_indices
             ]
         )
     else:
-        weights = flow.excursion_weights(q, k, side)
-    key = ens.excursion_key(q, k)
+        weights = flow.excursion_weights(start_index, k)
     u = flow.stream.uniforms((KEY_MAPPING_CHOICE, c, *key) for c in choice_indices)
-    return _first_ray(ens.spec, side) + categorical(weights, u)
+    return ens.spec.side_rays(side).start + categorical(weights, u)
 
 
 def sample_kernel_flow(
@@ -775,17 +748,14 @@ def extract_ray_weights(
     zeros = ens.zeros_of(start_index)
     if not len(zeros):
         raise BeforeHitting(f"start {start_index} never reaches the junction")
-    traj = ens.traj[start_index]
     out = []
     for pos, g in enumerate(zeros):
         k = int(g) + 1
         if k > ens.steps:
             break
-        # unit steps leave the junction immediately, so traj[k] is never 0
         d = int(zeros[pos + 1]) if pos + 1 < len(zeros) else ens.steps
-        side = 1 if traj[k] > 0 else -1
-        weights = flow.excursion_weights(start_index, k, side)
-        out.append((side, int(g), d, weights))
+        _key, side = ens.excursion(start_index, k)
+        out.append((side, int(g), d, flow.excursion_weights(start_index, k)))
     return out
 
 
@@ -802,10 +772,11 @@ def filter_mapping_to_kernel(
     Returns (frequencies, weight vector, replica count); the caller
     compares them at 3 sqrt(w(1-w)/replicas).
     """
-    q, side = _excursion_at(flow.ensemble, start_index, k)
-    weights = flow.excursion_weights(q, k, side)
-    rays = mapping_rays(flow, q, k, range(replicas))
-    counts = np.bincount(rays - _first_ray(flow.ensemble.spec, side), minlength=len(weights))
+    _key, side = flow.ensemble.excursion(start_index, k)
+    weights = flow.excursion_weights(start_index, k)
+    rays = mapping_rays(flow, start_index, k, range(replicas))
+    first = flow.ensemble.spec.side_rays(side).start
+    counts = np.bincount(rays - first, minlength=len(weights))
     return counts / replicas, np.asarray(weights, dtype=float), replicas
 
 

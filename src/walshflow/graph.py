@@ -112,6 +112,12 @@ class GraphSpec:
     def alpha_minus(self) -> float:
         return math.fsum(self.alpha[self.p :])
 
+    def side_rays(self, side: int) -> range:
+        """Rays on one side of the junction: the plus block 1..p for side +1,
+        the minus block p+1..N for side -1; empty when the side has none."""
+        p = self.p
+        return range(1, p + 1) if side > 0 else range(p + 1, self.n_rays + 1)
+
     @property
     def origin(self) -> "GraphPoint":
         return GraphPoint(ray=self.n_rays, radius=0.0)

@@ -5,7 +5,10 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -223,13 +226,15 @@ class TestExitCodes:
             ("flow-experiment", (0.3, 0.7), (1, -1)),
             ("flow-experiment", (1.0,), (1,)),
             ("simulate-wbm", (1.0,), (1,)),
+            ("kernel-experiment", (0.7, 0.3), (1, -1)),
         ],
     )
     def test_graphs_without_merge_law_or_second_ray_run(
         self, tmp_path, subcommand, alpha, eps
     ):
-        # plus-weights outside (1/2, 1) have no merge-level law, and a
-        # one-ray graph has no ray occupancy to test: both are skipped
+        # plus-weights outside (1/2, 1) have no merge-level law, a one-ray
+        # graph has no ray occupancy to test, and with one ray per side the
+        # filtering and projection bands have no choice to test: all skipped
         out = tmp_path / "o"
         config = replace(
             DEFAULT_CONFIG,
@@ -253,6 +258,11 @@ class TestExitCodes:
             law = json.loads(lines.splitlines()[-1])
             assert law["name"] == "coalescence-law"
             assert law["details"]["skipped"] == 1.0
+        if subcommand == "kernel-experiment":
+            lines = (out / "kernel_experiment_reports.jsonl").read_text(encoding="utf-8")
+            reports = {r["name"]: r for r in map(json.loads, lines.splitlines())}
+            for name in ("filtering", "wiener-projection"):
+                assert reports[name]["details"]["skipped"] == 1.0
 
     def test_run_rejects_unknown_subcommand(self):
         with pytest.raises(ConfigInvalid):
@@ -281,6 +291,18 @@ def test_pool_is_no_larger_than_the_task_list(monkeypatch):
     assert _map_replicas(abs, [-3, -1, 2], 8) == [3, 1, 2]
     assert _map_replicas(abs, list(range(-20, 0)), 2) == list(range(20, 0, -1))
     assert sizes == [3, 2]
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats is slow to import and the chi-square survival function
+    # comes from scipy.special, so every CLI run skips that import
+    src = Path(cli_module.__file__).resolve().parents[1]
+    code = "import sys, walshflow.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestSeedPrecedence:
@@ -381,7 +403,7 @@ _FROZEN_DIGESTS = {
     "flow_experiment_merges.csv": "f888b583f1852180e956159b1fbe0f227a7f329afffac6656e89bc30437e48b7",
     "flow_experiment_reports.jsonl": "dc67bcd2acc3d0362834ccf5ae6f2bf683f2387af4f4c2100eea8fd45b9d9f6f",
     "kernel_experiment.csv": "376c6bd5f8434dfc64ac92e3b1e95c7074dcc5588213a27b2ea2991b9b9e4eef",
-    "kernel_experiment_reports.jsonl": "a905f54e1c8dd4ffa225ada01cf036e96c4e7bb8eef42e66a81cd8979eecae23",
+    "kernel_experiment_reports.jsonl": "ada90a4855140af2a7fd5d238da67943487ad04686c92fecaff374df01ef41e0",
     "simulate_wbm.csv": "f842ccf8d9076d1552142e2d1731bf58b3c715934d1094b3b75c71177ea37888",
     "simulate_wbm_reports.jsonl": "fbc9f49dd5a03c3ca459380e38986fa8fa3741521ca708071554aac51d1dfb6f",
     "tanaka_special_case.csv": "0c3394fc084cb90bb64924547628799e052228536371f31376f050960f4c246c",
@@ -411,23 +433,29 @@ def test_artifacts_match_frozen_digests(tmp_path):
             f"{name} changed: an RNG-stream or artifact change, which "
             "CHANGES.md must declare together with the new digest"
         )
+    # the filtering and projection bands probe an excursion with a ray choice
+    lines = (tmp_path / "kernel_experiment_reports.jsonl").read_text(encoding="utf-8")
+    thresholds = {r["name"]: r["threshold"] for r in map(json.loads, lines.splitlines())}
+    assert thresholds["filtering"] > 0.0
+    assert thresholds["wiener-projection"] > 0.0
 
 
 # SHA-256 of the kernel-experiment artifacts at _FROZEN_CONFIG under measures
 # that draw, where the moment sums and the filtering and projection bands
-# see random weights. On the default graph the minus block is one ray and
-# the first excursion at this seed goes down it, so the third case moves
-# ray 2 into the minus block to make the minus moments and both bands live.
+# see random weights. On the default graph the minus block is one ray, so
+# its moments see only the weight 1 and the bands probe a plus excursion;
+# the third case moves ray 2 into the minus block to make the minus moments
+# live and to let the bands probe a minus excursion.
 _FROZEN_DRAWING = [
     (
         {"measure_plus": "dirichlet:4", "measure_minus": "dirichlet:0.5"},
         "94590e9cb56fd240c3f4dfa59af147946a27090b5aad8bf16a0818b722e873d6",
-        "9c2be5caa4a50027749a0b6a320788491a3f55b967f44508cfa7a95b1fd7e997",
+        "3992e1a3535a6b8846053f542e5ac35fbdfcfca789845f5a4209ed3c83d87835",
     ),
     (
         {"measure_plus": "dirac-vertices", "measure_minus": "dirac-vertices"},
         "9b1d8754e6fe606f4388af7830777fa96bb335c21c10b67d8df8be373e7b19b0",
-        "9c01ea42b0a54b8e5d360435bfa75d13cb754e2421387067f6438b418a468038",
+        "83bafbb2fa170dc198735071e8a95a0bff13585e8bc25cb3bde2e08e87893ff5",
     ),
     (
         {"measure_plus": "dirichlet:4", "measure_minus": "dirichlet:0.5", "eps": (1, -1, -1)},

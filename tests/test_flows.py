@@ -392,7 +392,7 @@ class TestKernelFlow:
             for k in range(g + 1, min(d, g + 5)):
                 if flow.ensemble.traj[0, k] == 0:
                     continue
-                again = flow.excursion_weights(0, k, side)
+                again = flow.excursion_weights(0, k)
                 assert again is weights
 
     def test_kernel_copies_target_after_recorded_merge(self):
@@ -522,10 +522,10 @@ class TestMappingFlow:
         ens = flow.ensemble
 
         def oracle(kernels, q, k, side, c):
-            key = ens.excursion_key(q, k)
+            key, _side = ens.excursion(q, k)
             u = flow.stream.child(KEY_MAPPING_CHOICE, c, *key).generator().random()
             first = 1 if side > 0 else SPEC3.p + 1
-            return first + int(categorical(kernels.excursion_weights(q, k, side), u))
+            return first + int(categorical(kernels.excursion_weights(q, k), u))
 
         sides_seen = set()
         for q in range(ens.n_starts):
@@ -603,7 +603,9 @@ class TestRayWeightExtraction:
         with pytest.raises(BeforeHitting):
             extract_ray_weights(flow, 0)
         with pytest.raises(BeforeHitting):
-            flow.excursion_weights(0, 3, 1)
+            flow.excursion_weights(0, 3)
+        with pytest.raises(BeforeHitting):
+            flow.ensemble.excursion(0, 3)
 
     def test_rows_cover_excursions_with_matching_sides(self):
         cfg, flow = _kernel_fixture()
@@ -615,8 +617,14 @@ class TestRayWeightExtraction:
         for side, g, d, weights in rows:
             interior = ens.traj[0, g + 1 : d]
             assert np.all(np.sign(interior) == side)
+            assert {ens.excursion(0, k)[1] for k in range(g + 1, d)} == {side}
             dim = SPEC3.p if side > 0 else SPEC3.n_rays - SPEC3.p
             assert len(weights) == dim
+        # at the junction there is no excursion to key
+        for g in zeros:
+            with pytest.raises(ValueError) as raised:
+                ens.excursion(0, int(g))
+            assert not isinstance(raised.value, BeforeHitting)
 
     def test_rows_after_a_merge_follow_the_copy_chain(self):
         sampler = MeasurePairSampler(SPEC3, "dirichlet:4")

@@ -29,6 +29,18 @@ def test_validate_spec_accepts_valid():
     assert s.p == 2
     assert math.isclose(s.alpha_plus, 0.7)
     assert math.isclose(s.alpha_minus, 0.3)
+    # side_rays splits 1..N in order: the plus block, then the minus block
+    for alpha, eps in (
+        ((0.7, 0.3), (1, -1)),
+        ((0.4, 0.3, 0.3), (1, 1, -1)),
+        ((0.3, 0.2, 0.2, 0.15, 0.15), (1, 1, 1, -1, -1)),
+        ((0.5, 0.25, 0.25), (1, 1, 1)),
+    ):
+        spec = validate_spec(alpha, eps)
+        plus, minus = spec.side_rays(1), spec.side_rays(-1)
+        assert [*plus, *minus] == list(range(1, spec.n_rays + 1))
+        assert [spec.sign(r) for r in plus] == [1] * spec.p
+        assert [spec.sign(r) for r in minus] == [-1] * (spec.n_rays - spec.p)
 
 
 def test_validate_spec_degenerate_single_ray():
@@ -37,6 +49,8 @@ def test_validate_spec_degenerate_single_ray():
     assert s.p == 1
     assert s.alpha_plus == 1.0
     assert s.alpha_minus == 0.0
+    assert s.side_rays(1) == range(1, 2)
+    assert not s.side_rays(-1)
 
 
 def test_validate_spec_rejects_nonpositive_weight():
