@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from walshflow.graph import GraphPoint, GraphSpec, graph_point
+from walshflow.graph import WEIGHT_SUM_TOL, GraphPoint, GraphSpec, graph_point
 from walshflow.paths import (
     KEY_FLOW_COINS,
     KEY_KERNEL_CHOICE,
@@ -164,8 +164,9 @@ class KernelMeasure:
         for w in self.weights:
             if not w > 0.0:
                 raise ValueError(f"weight {w!r} must be > 0")
-        if abs(math.fsum(self.weights) - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {math.fsum(self.weights)!r}, not 1")
+        total = math.fsum(self.weights)
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"weights sum to {total!r}, not 1")
         if len(set(self.points)) != len(self.points):
             raise ValueError("atoms must be distinct")
 
@@ -243,7 +244,7 @@ class MeasurePairSampler:
             if len(vec) != dim:
                 raise SamplerInvalid(f"{name!r} has {len(vec)} weights, need {dim}")
             finite = bool(np.all(np.isfinite(vec)))
-            if not finite or np.any(vec < 0.0) or abs(float(np.sum(vec)) - 1.0) > 1e-9:
+            if not finite or np.any(vec < 0.0) or abs(math.fsum(vec) - 1.0) > WEIGHT_SUM_TOL:
                 raise SamplerInvalid(f"{name!r} is not a probability vector")
             return vec
         raise SamplerInvalid(f"unknown sampler family {name!r}")

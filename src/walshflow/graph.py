@@ -32,6 +32,7 @@ __all__ = [
     "vector_eval",
     "bump_family",
     "decay_family",
+    "slope_family",
 ]
 
 WEIGHT_SUM_TOL = 1e-12
@@ -108,10 +109,6 @@ class GraphSpec:
     def alpha_plus(self) -> float:
         return math.fsum(self.alpha[: self.p])
 
-    @property
-    def alpha_minus(self) -> float:
-        return math.fsum(self.alpha[self.p :])
-
     def side_rays(self, side: int) -> range:
         """Rays on one side of the junction: the plus block 1..p for side +1,
         the minus block p+1..N for side -1; empty when the side has none."""
@@ -170,7 +167,10 @@ def graph_point(spec: GraphSpec, ray: int, radius: float) -> GraphPoint:
 @dataclass(frozen=True)
 class RayFunction:
     """One component of a piecewise function: value on [0, inf) plus
-    optional first and second derivative evaluators."""
+    optional first and second derivative evaluators.
+
+    Each evaluator takes an array of radii and returns an array of the same
+    shape; a constant may return a scalar, which broadcasts."""
 
     value: Callable[[float], float]
     deriv: Optional[Callable[[float], float]] = None
@@ -250,16 +250,16 @@ def central_difference(fn: Callable[[float], float], x: float, step: float = 1e-
 
 
 def vector_eval(fn: Callable, xs) -> np.ndarray:
-    """Evaluate a per-ray callable on an array, falling back to a scalar
-    loop for callables that only take floats."""
+    """Evaluate a per-ray callable once on an array of radii. A 0-d result
+    (a constant) broadcasts to the input's shape; any other shape mismatch
+    raises ValueError."""
     xs = np.asarray(xs, dtype=float)
-    try:
-        vals = np.asarray(fn(xs), dtype=float)
-        if vals.shape == xs.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([fn(float(x)) for x in xs.ravel()], dtype=float).reshape(xs.shape)
+    vals = np.asarray(fn(xs), dtype=float)
+    if vals.shape == xs.shape:
+        return vals
+    if vals.ndim == 0:
+        return np.full(xs.shape, vals)
+    raise ValueError(f"callable returned shape {vals.shape} for radii of shape {xs.shape}")
 
 
 # Test functions with closed-form derivatives, vectorised with np.exp. The
@@ -294,3 +294,19 @@ def decay_family(coeffs: Sequence[float]) -> PiecewiseFunction:
         )
 
     return PiecewiseFunction(components=tuple(decay(c) for c in coeffs))
+
+
+def slope_family(coeffs: Sequence[float]) -> PiecewiseFunction:
+    """c_i h e^{-h} on ray i, with both derivatives. The value at the
+    junction is 0 whatever the coefficients; the slope there is c_i, so the
+    flux defect is sum_i alpha_i c_i, and the function is in the generator
+    domain only when that sum vanishes."""
+
+    def slope(c: float) -> RayFunction:
+        return RayFunction(
+            value=lambda h: c * h * np.exp(-h),
+            deriv=lambda h: c * (1.0 - h) * np.exp(-h),
+            second_deriv=lambda h: c * (h - 2.0) * np.exp(-h),
+        )
+
+    return PiecewiseFunction(components=tuple(slope(c) for c in coeffs))

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import special
 
-from walshflow.graph import GraphSpec, PiecewiseFunction, RayFunction, vector_eval
+from walshflow.graph import GraphSpec, PiecewiseFunction, decay_family, slope_family, vector_eval
 from walshflow.semigroup import wbm_semigroup_apply
 
 __all__ = [
@@ -199,15 +199,13 @@ def folded_gaussian_cdf(t: float) -> Callable[[np.ndarray], np.ndarray]:
 def default_marginal_functions(spec: GraphSpec) -> list[tuple[str, PiecewiseFunction]]:
     """Three bounded test functions: radial decay, a radial bump, and a
     ray-dependent profile that couples ray choice to radius."""
-    radial_decay = PiecewiseFunction.radial(spec.n_rays, lambda h: math.exp(-h))
-    bump = PiecewiseFunction.radial(spec.n_rays, lambda h: h * math.exp(-h))
+    ones = (1.0,) * spec.n_rays
     coeffs = [0.5 + 0.5 * i / max(spec.n_rays - 1, 1) for i in range(spec.n_rays)]
-    ray_profile = PiecewiseFunction(
-        components=tuple(
-            RayFunction(value=(lambda h, c=c: c * h * math.exp(-h))) for c in coeffs
-        )
-    )
-    return [("radial-decay", radial_decay), ("radial-bump", bump), ("ray-profile", ray_profile)]
+    return [
+        ("radial-decay", decay_family(ones)),
+        ("radial-bump", slope_family(ones)),
+        ("ray-profile", slope_family(coeffs)),
+    ]
 
 
 def _mean_of_function(

@@ -31,6 +31,7 @@ from walshflow.graph import (
     bump_family,
     central_difference,
     decay_family,
+    slope_family,
     validate_spec,
 )
 from walshflow.paths import (
@@ -75,21 +76,6 @@ def _ones(n_rays: int) -> PiecewiseFunction:
     )
 
 
-def _slope_family(coeffs) -> PiecewiseFunction:
-    from walshflow.graph import RayFunction
-
-    return PiecewiseFunction(
-        components=tuple(
-            RayFunction(
-                value=(lambda h, c=c: c * h * np.exp(-h)),
-                deriv=(lambda h, c=c: c * (1.0 - h) * np.exp(-h)),
-                second_deriv=(lambda h, c=c: c * (h - 2.0) * np.exp(-h)),
-            )
-            for c in coeffs
-        )
-    )
-
-
 def test_01_conservation_and_positivity():
     t_start = time.perf_counter()
     worst = 0.0
@@ -122,7 +108,7 @@ def test_02_semigroup_law():
     functions = [
         decay_family((1.0,) * 3),
         bump_family((1.0,) * 3),
-        _slope_family((0.6, 0.4, 0.2)),
+        slope_family((0.6, 0.4, 0.2)),
     ]
     eval_points = [
         SPEC3.origin,
@@ -148,9 +134,9 @@ def test_03_generator_identity():
     cases = [
         (SPEC3, bump_family((1.0,) * 3)),
         (SPEC3, bump_family((0.5,) * 3)),
-        (SPEC3, _slope_family((1.5, -1.0, -1.0))),
+        (SPEC3, slope_family((1.5, -1.0, -1.0))),
         (SPEC2, bump_family((1.0,) * 2)),
-        (SPEC2, _slope_family((3.0, -7.0))),
+        (SPEC2, slope_family((3.0, -7.0))),
         (SPEC5, bump_family((1.0,) * 5)),
     ]
     worst = 0.0

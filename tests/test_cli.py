@@ -86,6 +86,8 @@ class TestConfigRoundTrip:
             {"measure_plus": "dirichlet:nan"},
             {"measure_plus": "dirichlet:inf"},
             {"measure_plus": "custom-weights:nan,0.5"},
+            # off 1 by more than the ray-weight tolerance
+            {"measure_plus": "custom-weights:0.6,0.4000000005"},
         ],
     )
     def test_validation_rejects(self, overrides):
@@ -405,7 +407,7 @@ _FROZEN_DIGESTS = {
     "kernel_experiment.csv": "376c6bd5f8434dfc64ac92e3b1e95c7074dcc5588213a27b2ea2991b9b9e4eef",
     "kernel_experiment_reports.jsonl": "ada90a4855140af2a7fd5d238da67943487ad04686c92fecaff374df01ef41e0",
     "simulate_wbm.csv": "f842ccf8d9076d1552142e2d1731bf58b3c715934d1094b3b75c71177ea37888",
-    "simulate_wbm_reports.jsonl": "fbc9f49dd5a03c3ca459380e38986fa8fa3741521ca708071554aac51d1dfb6f",
+    "simulate_wbm_reports.jsonl": "ba5947f9069b9ae489b233ad5ab04bdc0b28f34189597a9f4bd61966a51eb77a",
     "tanaka_special_case.csv": "0c3394fc084cb90bb64924547628799e052228536371f31376f050960f4c246c",
     "tanaka_special_case_reports.jsonl": "1924df9e2fe5e209a11f2c8c112ba158d24cbdeef61299c329d2989d9b95ea2e",
     "verify_freidlin_sheu.csv": "3b2fed382da53e46f6f07e67fdc67c15f8268492bda02902fc469c65f62313f7",
@@ -415,6 +417,16 @@ _FROZEN_DIGESTS = {
     "walk_converge.csv": "c9ccfad3894f488f5c117ab9eba0cec2c84a74a7ebfbf216f4706941efa66efc",
     "walk_converge_reports.jsonl": "1691e091d88d2e093b07493ed83f8a423cc9772b477706775ea49c59a684492c",
 }
+
+
+def _moved_digests(out_dir, frozen: dict[str, str]) -> list[str]:
+    """One line per artifact whose SHA-256 differs from its frozen digest."""
+    moved = []
+    for name, digest in frozen.items():
+        got = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        if got != digest:
+            moved.append(f"{name}: {digest} -> {got}")
+    return moved
 
 
 def test_artifacts_match_frozen_digests(tmp_path):
@@ -427,12 +439,11 @@ def test_artifacts_match_frozen_digests(tmp_path):
             failing.add(subcommand)
     assert failing == _FROZEN_FAILING
     assert sorted(os.listdir(tmp_path)) == sorted(_FROZEN_DIGESTS)
-    for name, digest in _FROZEN_DIGESTS.items():
-        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert got == digest, (
-            f"{name} changed: an RNG-stream or artifact change, which "
-            "CHANGES.md must declare together with the new digest"
-        )
+    moved = _moved_digests(tmp_path, _FROZEN_DIGESTS)
+    assert not moved, (
+        "artifacts changed: an RNG-stream or artifact change, which CHANGES.md "
+        "must declare together with the new digests:\n" + "\n".join(moved)
+    )
     # the filtering and projection bands probe an excursion with a ray choice
     lines = (tmp_path / "kernel_experiment_reports.jsonl").read_text(encoding="utf-8")
     thresholds = {r["name"]: r["threshold"] for r in map(json.loads, lines.splitlines())}
@@ -470,9 +481,8 @@ def test_kernel_artifacts_match_frozen_digests_under_drawing_measures(
     tmp_path, overrides, csv_digest, reports_digest
 ):
     run("kernel-experiment", replace(_FROZEN_CONFIG, out_dir=str(tmp_path), **overrides))
-    for name, digest in (
-        ("kernel_experiment.csv", csv_digest),
-        ("kernel_experiment_reports.jsonl", reports_digest),
-    ):
-        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert got == digest, f"{name} changed under {overrides}"
+    moved = _moved_digests(
+        tmp_path,
+        {"kernel_experiment.csv": csv_digest, "kernel_experiment_reports.jsonl": reports_digest},
+    )
+    assert not moved, f"artifacts changed under {overrides}:\n" + "\n".join(moved)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +16,9 @@ from walshflow.graph import (
     flux_defect,
     graph_point,
     in_generator_domain,
+    slope_family,
     validate_spec,
+    vector_eval,
 )
 
 
@@ -28,7 +31,6 @@ def test_validate_spec_accepts_valid():
     assert s.n_rays == 3
     assert s.p == 2
     assert math.isclose(s.alpha_plus, 0.7)
-    assert math.isclose(s.alpha_minus, 0.3)
     # side_rays splits 1..N in order: the plus block, then the minus block
     for alpha, eps in (
         ((0.7, 0.3), (1, -1)),
@@ -48,7 +50,6 @@ def test_validate_spec_degenerate_single_ray():
     assert s.n_rays == 1
     assert s.p == 1
     assert s.alpha_plus == 1.0
-    assert s.alpha_minus == 0.0
     assert s.side_rays(1) == range(1, 2)
     assert not s.side_rays(-1)
 
@@ -103,6 +104,12 @@ def test_flux_defect_example():
     f = PiecewiseFunction(components=(linear_ray(1.0), linear_ray(-1.0)))
     assert flux_defect(f, s) == pytest.approx(0.4, abs=1e-15)
     assert not in_generator_domain(f, s)
+    # c_i h e^{-h} has slope c_i at the junction: the defect is sum alpha_i c_i
+    spec = spec3()
+    for coeffs, want in (((1.5, -1.0, -1.0), 0.0), ((1.0, 1.0, 1.0), 1.0)):
+        g = slope_family(coeffs)
+        assert flux_defect(g, spec) == pytest.approx(want, abs=1e-15)
+        assert in_generator_domain(g, spec) == (want == 0.0)
 
 
 def test_flux_defect_zero_for_balanced_slopes():
@@ -167,3 +174,21 @@ def test_central_difference_cross_check():
     # fallback agrees with the analytic derivative on a smooth profile
     got = central_difference(math.exp, 0.3)
     assert got == pytest.approx(math.exp(0.3), rel=1e-9)
+    for comp in slope_family((1.5, -1.0, 0.25)).components:
+        for h in (0.1, 0.8, 2.0, 4.5):
+            assert comp.deriv(h) == pytest.approx(central_difference(comp.value, h), abs=1e-9)
+            assert comp.second_deriv(h) == pytest.approx(
+                central_difference(comp.deriv, h), abs=1e-9
+            )
+
+
+def test_vector_eval_one_call_on_the_array():
+    xs = np.linspace(0.0, 2.0, 5)
+    # a constant returns a 0-d value, which broadcasts to the input's shape
+    assert np.array_equal(vector_eval(lambda h: 1.0, xs), np.ones(5))
+    assert np.array_equal(vector_eval(np.exp, xs), np.exp(xs))
+    # a scalar-only callable fails loudly instead of looping per element
+    with pytest.raises(TypeError):
+        vector_eval(math.exp, xs)
+    with pytest.raises(ValueError):
+        vector_eval(lambda h: np.ones(3), xs)

@@ -221,3 +221,7 @@ class TestMarginalBattery:
         for name, fn in default_marginal_functions(SPEC3):
             values = {comp.value(0.0) for comp in fn.components}
             assert len(values) == 1
+            # each component evaluates an array of radii in one call
+            radii = np.linspace(0.0, 3.0, 7).reshape(7, 1)
+            for comp in fn.components:
+                assert np.shape(comp.value(radii)) == radii.shape
