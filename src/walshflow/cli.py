@@ -63,6 +63,7 @@ from walshflow.paths import (
     sample_wbm_exact,
     scaled_walk_marginal,
     wbm_flip_construct,
+    wbm_flip_paths,
 )
 from walshflow.semigroup import (
     generator_residual,
@@ -160,6 +161,10 @@ class ExperimentConfig:
                 self.horizon * 4.0 ** _WALK_LEVELS[0],
             ),
             ("horizon / dt", self.horizon / self.dt),
+            (
+                "horizon / (4 dt) (verify-freidlin-sheu's coarse step)",
+                self.horizon / (4.0 * self.dt),
+            ),
         ):
             if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigInvalid(f"{name} = {ratio!r} is not an integer")
@@ -485,25 +490,62 @@ def _ito_test_functions(spec: GraphSpec):
     ]
 
 
-def _residual_rms(fn, spec, config, dt, paths, seed_offset):
-    steps = int(round(config.horizon / dt))
-    grid = TimeGrid(dt=dt, steps=steps)
-    acc = 0.0
-    for rep in range(paths):
-        stream = RngStream(config.root_seed).child(KEY_REPLICA, seed_offset + rep)
-        path = wbm_flip_construct(grid, spec, stream)
-        acc += freidlin_sheu_residual(fn, spec, path) ** 2
-    return math.sqrt(acc / paths)
+# Brownian values a verify-freidlin-sheu task keeps until its one bulk flip
+# draw: 4 MiB of float64, whatever the step
+_KEPT_DRIVER_VALUES = 2**19
+
+
+def _residual_chunk_paths(steps: int) -> int:
+    """Flip paths per verify-freidlin-sheu task on a grid of this many steps."""
+    return max(1, _KEPT_DRIVER_VALUES // (steps + 1))
+
+
+def _residual_task(args):
+    """Ito residuals of one test function on consecutive flip paths, in
+    replica order; the function is rebuilt here from its index, since the
+    ray callables cannot be pickled."""
+    config, fn_index, dt, first, count = args
+    spec = config.spec()
+    _name, fn = _ito_test_functions(spec)[fn_index]
+    grid = TimeGrid(dt=dt, steps=int(round(config.horizon / dt)))
+    root = RngStream(config.root_seed)
+    offset = 10000 * fn_index
+    streams = [root.child(KEY_REPLICA, offset + rep) for rep in range(first, first + count)]
+    return [freidlin_sheu_residual(fn, spec, path) for path in wbm_flip_paths(grid, spec, streams)]
+
+
+def _residual_rms(config: ExperimentConfig, runs) -> list[float]:
+    """RMS Ito residual over path_replicas flip paths for each (test
+    function index, dt) in runs. The paths of every run go in chunks of
+    _residual_chunk_paths through one map, so one pool serves them all."""
+    paths = config.path_replicas
+    tasks = []
+    for fn_index, dt in runs:
+        chunk = _residual_chunk_paths(int(round(config.horizon / dt)))
+        tasks += [
+            (config, fn_index, dt, first, min(chunk, paths - first))
+            for first in range(0, paths, chunk)
+        ]
+    # one square at a time in replica order, as a serial loop adds them;
+    # sum() is compensated for floats from Python 3.12 and would round apart
+    acc = dict.fromkeys(runs, 0.0)
+    results = _map_replicas(_residual_task, tasks, config.workers)
+    for (_config, fn_index, dt, _first, _count), residuals in zip(tasks, results):
+        for r in residuals:
+            acc[fn_index, dt] += r**2
+    return [math.sqrt(acc[run] / paths) for run in runs]
 
 
 def _cmd_verify_freidlin_sheu(config: ExperimentConfig):
     spec = config.spec()
     paths = config.path_replicas
+    functions = _ito_test_functions(spec)
+    steps = (4.0 * config.dt, config.dt)
+    rms = _residual_rms(config, [(idx, dt) for idx in range(len(functions)) for dt in steps])
     rows = []
     reports = []
-    for idx, (name, fn) in enumerate(_ito_test_functions(spec)):
-        coarse = _residual_rms(fn, spec, config, 4.0 * config.dt, paths, 10000 * idx)
-        fine = _residual_rms(fn, spec, config, config.dt, paths, 10000 * idx)
+    for idx, (name, _fn) in enumerate(functions):
+        coarse, fine = rms[2 * idx : 2 * idx + 2]
         ratio = coarse / fine if fine > 0 else math.inf
         rows.append([name, 4.0 * config.dt, coarse, config.dt, fine, ratio])
         ok = 1.7 <= ratio <= 2.6 and fine <= 5e-3
@@ -679,30 +721,27 @@ def _kernel_task(args):
     config, rep = args
     spec = config.spec()
     flow = _single_start_kernel_flow(config, spec, rep)
-    steps = flow.ensemble.steps
+    ens = flow.ensemble
+    rows = extract_ray_weights(flow, 0)
 
+    # the kernel at every stride-th index is read from the row of the
+    # excursion holding it, the one after the index's last zero (row i
+    # follows zero i); at the junction the kernel is the point mass there,
+    # which has no mass error and no Wiener deviation
+    probes = np.arange(0, ens.steps + 1, max(1, ens.steps // 64))
+    inside = probes[ens.traj[0, probes] != 0]
     mass_err = 0.0
     wiener_dev = 0.0
-    stride = max(1, steps // 64)
-    for k in range(0, steps + 1, stride):
-        measure = flow.kernel_at(0, k)
-        mass_err = max(mass_err, abs(math.fsum(measure.weights) - 1.0))
-        z = float(flow.ensemble.traj[0, k]) * flow.ensemble.config.dx
-        reference = wiener_kernel(spec, spec.origin, z, True)
-        dev = float(
-            np.max(
-                np.abs(
-                    measure_ray_weights(measure, spec)
-                    - measure_ray_weights(reference, spec)
-                )
-            )
-        )
+    for pos in np.unique(np.searchsorted(ens.zeros_of(0), inside)):
+        side, _g, _d, weights = rows[pos - 1]
+        mass_err = max(mass_err, abs(math.fsum(w for w in weights if w > 0.0) - 1.0))
+        dev = float(np.max(np.abs(weights - np.asarray(ray_ratios(spec, side)))))
         wiener_dev = max(wiener_dev, dev)
 
     # per side of the junction: excursion count, weight sum, squared sum
     dims = {side: len(spec.side_rays(side)) for side in (1, -1)}
     moments = {side: [0, np.zeros(dim), np.zeros(dim)] for side, dim in dims.items()}
-    for side, _g, _d, weights in extract_ray_weights(flow, 0):
+    for side, _g, _d, weights in rows:
         acc = moments[side]
         acc[0] += 1
         acc[1] += weights

@@ -646,7 +646,11 @@ class KernelFlow:
     def excursion_weights(self, q: int, k: int) -> np.ndarray:
         """Ray weights, over its side's block, of the excursion start q is
         on at index k; drawn once per excursion on the law of its side."""
-        key, side = self.ensemble.excursion(q, k)
+        return self._weights_for(*self.ensemble.excursion(q, k))
+
+    def _weights_for(self, key: tuple[int, int, int], side: int) -> np.ndarray:
+        """The weights of the excursion with this key and side, drawn on
+        first request and cached; for callers that already hold them."""
         if key not in self._weights_cache:
             child = self.stream.child(KEY_KERNEL_CHOICE, self.draw_index, *key)
             self._weights_cache[key] = self.sampler.sample(side, child)
@@ -715,12 +719,12 @@ def mapping_rays(
     if redraw:
         weights = np.array(
             [
-                KernelFlow(ens, flow.sampler, flow.stream, c).excursion_weights(start_index, k)
+                KernelFlow(ens, flow.sampler, flow.stream, c)._weights_for(key, side)
                 for c in choice_indices
             ]
         )
     else:
-        weights = flow.excursion_weights(start_index, k)
+        weights = flow._weights_for(key, side)
     u = flow.stream.uniforms((KEY_MAPPING_CHOICE, c, *key) for c in choice_indices)
     return ens.spec.side_rays(side).start + categorical(weights, u)
 
@@ -755,8 +759,8 @@ def extract_ray_weights(
         if k > ens.steps:
             break
         d = int(zeros[pos + 1]) if pos + 1 < len(zeros) else ens.steps
-        _key, side = ens.excursion(start_index, k)
-        out.append((side, int(g), d, flow.excursion_weights(start_index, k)))
+        key, side = ens.excursion(start_index, k)
+        out.append((side, int(g), d, flow._weights_for(key, side)))
     return out
 
 
@@ -773,8 +777,8 @@ def filter_mapping_to_kernel(
     Returns (frequencies, weight vector, replica count); the caller
     compares them at 3 sqrt(w(1-w)/replicas).
     """
-    _key, side = flow.ensemble.excursion(start_index, k)
-    weights = flow.excursion_weights(start_index, k)
+    key, side = flow.ensemble.excursion(start_index, k)
+    weights = flow._weights_for(key, side)
     rays = mapping_rays(flow, start_index, k, range(replicas))
     first = flow.ensemble.spec.side_rays(side).start
     counts = np.bincount(rays - first, minlength=len(weights))

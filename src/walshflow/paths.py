@@ -12,15 +12,18 @@ made per excursion, here and in walshflow.flows, are keyed by the
 interval, so the same root seed reproduces every path, excursion by
 excursion, whatever the traversal order or the worker count. Keys that
 need one uniform each (the flip rays, the mapping choices) are drawn in
-bulk by RngStream.uniforms, which redoes numpy's SeedSequence and Philox
+bulk by keyed_uniforms, which redoes numpy's SeedSequence and Philox
 hashing on arrays and is bit-equal to building each key's generator.
+It takes keys under several child streams of one root in one pass, so
+the flip rays of many paths (wbm_flip_paths) come from one draw;
+RngStream.uniforms is its one-stream case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -37,12 +40,14 @@ __all__ = [
     "TimeGrid",
     "ScalarPath",
     "RngStream",
+    "keyed_uniforms",
     "WalshPath",
     "sample_brownian",
     "skorokhod_reflection",
     "local_time_band",
     "dyadic_label",
     "wbm_flip_construct",
+    "wbm_flip_paths",
     "sample_wbm_exact",
     "scaled_walk_marginal",
     "freidlin_sheu_residual",
@@ -240,24 +245,58 @@ class RngStream:
 
     def uniforms(self, keys) -> np.ndarray:
         """The first random() of each child key's generator, in one pass:
-        bit for bit [self.child(*key).generator().random() for key in keys].
+        bit for bit [self.child(*key).generator().random() for key in keys]."""
+        return keyed_uniforms((self, key) for key in keys)
 
-        SeedSequence and Philox4x64-10 are redone in uint64 arithmetic over
-        all keys with the same number of entropy words at once; the root
-        seed and this stream's key are hashed once per call.
-        """
-        words = [_zigzag_words(map(int, key)) for key in keys]
-        groups: dict[int, list[int]] = {}
-        for i, key_words in enumerate(words):
-            groups.setdefault(len(key_words), []).append(i)
-        pool, h = _root_pool(self.root_seed)
-        pool, h = _absorb(pool, _zigzag_words(self.stream_key), h)
-        out = np.empty(len(words))
-        for index in groups.values():
-            columns = np.array([words[i] for i in index], dtype=np.uint64).T
-            start = [np.full(len(index), p, dtype=np.uint64) for p in pool]
-            out[index] = _philox_first_uniform(_absorb(start, columns, h)[0])
-        return out
+
+def keyed_uniforms(draws) -> np.ndarray:
+    """The first random() of each (stream, key) pair's generator, in one
+    pass: bit for bit [stream.child(*key).generator().random() for ...].
+
+    The streams may differ but must share one root seed (ValueError
+    otherwise). SeedSequence and Philox4x64-10 are redone in uint64
+    arithmetic: the root seed is hashed once per call and each distinct
+    stream key once, in Python ints; only the key words are hashed on
+    arrays, over all keys that start from the same hash constant and
+    have the same number of words at once. The hash constant after a
+    stream key depends only on how many words the key has.
+    """
+    root = None
+    prefixes: dict[tuple[int, ...], int] = {}  # stream key -> row of pools
+    pools, hashes = [], []
+    # (hash constant, key word count) -> (draw positions, pool rows, key words)
+    groups: dict[tuple[int, int], tuple[list, list, list]] = {}
+    last = None
+    count = 0
+    for count, (stream, key) in enumerate(draws, 1):
+        if stream is not last:
+            if root is None:
+                root = stream.root_seed
+                root_pool, root_h = _root_pool(root)
+            elif stream.root_seed != root:
+                raise ValueError(f"root seeds {root} and {stream.root_seed} in one draw")
+            row = prefixes.get(stream.stream_key)
+            if row is None:
+                pool, h = _absorb(list(root_pool), _zigzag_words(stream.stream_key), root_h)
+                row = prefixes[stream.stream_key] = len(pools)
+                pools.append(pool)
+                hashes.append(h)
+            last = stream
+        key_words = _zigzag_words(map(int, key))
+        group_key = (hashes[row], len(key_words))
+        group = groups.get(group_key)
+        if group is None:
+            group = groups[group_key] = ([], [], [])
+        group[0].append(count - 1)
+        group[1].append(row)
+        group[2].append(key_words)
+    out = np.empty(count)
+    table = np.array(pools, dtype=np.uint64)
+    for (h, _words), (index, rows, words) in groups.items():
+        start = list(table[rows].T)
+        columns = np.array(words, dtype=np.uint64).T
+        out[index] = _philox_first_uniform(_absorb(start, columns, h)[0])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,42 +411,63 @@ def ray_from_uniform(spec: GraphSpec, u) -> np.ndarray:
     return categorical(spec.alpha, u) + 1
 
 
-def wbm_flip_construct(grid: TimeGrid, spec: GraphSpec, stream: RngStream) -> WalshPath:
-    """Walsh path from the junction via excursion flips of a reflected driver.
+def wbm_flip_paths(grid: TimeGrid, spec: GraphSpec, streams) -> Iterator[WalshPath]:
+    """Walsh paths from the junction via excursion flips of reflected
+    drivers, one per stream, yielded in stream order.
 
-    The driver is B reflected at zero; every positive excursion gets its
+    Each driver is B reflected at zero; every positive excursion gets its
     ray from a categorical draw keyed by the dyadic label of its time
     interval, and one still open at the final time is keyed with the grid
     end as its right endpoint. The driver starts at zero, so every
     excursion begins after a grid point, and its interval, between two
-    distinct grid times, is never empty. The flip uniforms of all the
-    path's excursions come from one bulk draw.
+    distinct grid times, is never empty.
+
+    All drivers are sampled and labelled at the first request, keeping
+    only their Brownian values and excursion lengths; the flip uniforms
+    of every excursion of every path then come from one keyed_uniforms
+    call, and each path is assembled as it is yielded, its reflection
+    recomputed (but for the last path's, still at hand). The streams must
+    share one root seed (ValueError otherwise).
     """
-    brownian = sample_brownian(grid, stream)
-    reflected, local = skorokhod_reflection(brownian)
-    values = reflected.values
+    streams = list(streams)
+    if len({stream.root_seed for stream in streams}) > 1:
+        raise ValueError("flip paths are drawn in one pass under one root seed")
     times = grid.times()
+    drivers, draws = [], []
+    for stream in streams:
+        brownian = sample_brownian(grid, stream)
+        held = skorokhod_reflection(brownian)
+        edges = np.diff((held[0].values > 0.0).astype(np.int8), prepend=0, append=0)
+        first = np.flatnonzero(edges == 1)
+        after = np.flatnonzero(edges == -1)  # one past each excursion's last point
+        g_times = times[first - 1].tolist()
+        d_times = times[np.minimum(after, grid.steps)].tolist()
+        draws.extend(
+            (stream, (KEY_RAY_FLIP, *dyadic_label(g, d))) for g, d in zip(g_times, d_times)
+        )
+        drivers.append((brownian, after - first))
+    flips = ray_from_uniform(spec, keyed_uniforms(draws))
+    end = 0
+    for i, (brownian, lengths) in enumerate(drivers):
+        # the last driver's reflection is still held from the first pass
+        reflected, local = held if i == len(drivers) - 1 else skorokhod_reflection(brownian)
+        start, end = end, end + len(lengths)
+        rays = np.full(grid.steps + 1, spec.n_rays, dtype=np.int64)
+        rays[reflected.values > 0.0] = np.repeat(flips[start:end], lengths)
+        yield WalshPath(
+            grid=grid,
+            rays=rays,
+            radii=reflected.values,
+            n_rays=spec.n_rays,
+            brownian=brownian.values,
+            local_time=local.values,
+        )
 
-    positive = values > 0.0
-    edges = np.diff(positive.astype(np.int8), prepend=0, append=0)
-    first = np.flatnonzero(edges == 1)
-    after = np.flatnonzero(edges == -1)  # one past each excursion's last point
-    g_times = times[first - 1].tolist()
-    d_times = times[np.minimum(after, grid.steps)].tolist()
-    u = stream.uniforms(
-        (KEY_RAY_FLIP, *dyadic_label(g, d)) for g, d in zip(g_times, d_times)
-    )
-    rays = np.full(grid.steps + 1, spec.n_rays, dtype=np.int64)
-    rays[positive] = np.repeat(ray_from_uniform(spec, u), after - first)
 
-    return WalshPath(
-        grid=grid,
-        rays=rays,
-        radii=values,
-        n_rays=spec.n_rays,
-        brownian=brownian.values,
-        local_time=local.values,
-    )
+def wbm_flip_construct(grid: TimeGrid, spec: GraphSpec, stream: RngStream) -> WalshPath:
+    """The Walsh path of one stream: wbm_flip_paths of that stream alone."""
+    (path,) = wbm_flip_paths(grid, spec, [stream])
+    return path
 
 
 # coarse steps of sample_wbm_exact; the minimum within each is drawn exactly

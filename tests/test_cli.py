@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from walshflow import cli as cli_module
@@ -21,13 +22,26 @@ from walshflow.cli import (
     CheckFailed,
     ConfigInvalid,
     ExperimentConfig,
+    _ito_test_functions,
+    _kernel_task,
     _map_replicas,
+    _residual_chunk_paths,
+    _residual_rms,
+    _single_start_kernel_flow,
     emit_csv,
     load_config,
     main,
     parse_config,
     run,
     serialize_config,
+)
+from walshflow.flows import extract_ray_weights, measure_ray_weights, wiener_kernel
+from walshflow.paths import (
+    KEY_REPLICA,
+    RngStream,
+    TimeGrid,
+    freidlin_sheu_residual,
+    wbm_flip_construct,
 )
 
 
@@ -88,6 +102,9 @@ class TestConfigRoundTrip:
             {"measure_plus": "custom-weights:nan,0.5"},
             # off 1 by more than the ray-weight tolerance
             {"measure_plus": "custom-weights:0.6,0.4000000005"},
+            # horizon / dt is 10, but verify-freidlin-sheu's coarse step 4 dt
+            # would fit 2.5 times and its grid would end at t = 0.8
+            {"dt": 0.1},
         ],
     )
     def test_validation_rejects(self, overrides):
@@ -385,11 +402,97 @@ class TestWorkerDeterminism:
         config = replace(DEFAULT_CONFIG, level=4, replicas=800, root_seed=4244)
         self._assert_pool_sizes_agree(tmp_path, config, "kernel-experiment", "2")
 
+    def test_freidlin_sheu_artifacts_identical_across_pool_sizes(self, tmp_path):
+        # two full chunks of fine-step paths and a remainder; the coarse
+        # step's chunk holds them all
+        steps = round(DEFAULT_CONFIG.horizon / DEFAULT_CONFIG.dt)
+        paths = 2 * _residual_chunk_paths(steps) + 7
+        config = replace(DEFAULT_CONFIG, path_replicas=paths, root_seed=4246)
+        self._assert_pool_sizes_agree(tmp_path, config, "verify-freidlin-sheu", "2")
+
     def test_path_artifacts_identical_across_pool_sizes(self, tmp_path):
         config = replace(
             DEFAULT_CONFIG, dt=1e-3, replicas=4000, path_replicas=24, root_seed=4245
         )
         self._assert_pool_sizes_agree(tmp_path, config, "simulate-wbm", "2")
+
+
+def test_residual_rms_equals_per_path_loop():
+    # oracle: one flip path built at a time, its squared residual summed in
+    # replica order; the path count crosses a chunk boundary at the fine step
+    steps = round(DEFAULT_CONFIG.horizon / DEFAULT_CONFIG.dt)
+    config = replace(DEFAULT_CONFIG, path_replicas=_residual_chunk_paths(steps) + 3)
+    spec = config.spec()
+    functions = _ito_test_functions(spec)
+    runs = [(idx, dt) for idx in range(len(functions)) for dt in (4 * config.dt, config.dt)]
+    want = []
+    for fn_index, dt in runs:
+        grid = TimeGrid(dt=dt, steps=round(config.horizon / dt))
+        acc = 0.0
+        for rep in range(config.path_replicas):
+            stream = RngStream(config.root_seed).child(KEY_REPLICA, 10000 * fn_index + rep)
+            path = wbm_flip_construct(grid, spec, stream)
+            acc += freidlin_sheu_residual(functions[fn_index][1], spec, path) ** 2
+        want.append(math.sqrt(acc / config.path_replicas))
+    assert _residual_rms(config, runs) == want
+
+
+def _kernel_task_oracle(config, rep):
+    """_kernel_task's statistics from a kernel measure and a Wiener kernel
+    built at every probe index, and its moments from the excursion rows."""
+    spec = config.spec()
+    flow = _single_start_kernel_flow(config, spec, rep)
+    steps = flow.ensemble.steps
+    mass_err = 0.0
+    wiener_dev = 0.0
+    for k in range(0, steps + 1, max(1, steps // 64)):
+        measure = flow.kernel_at(0, k)
+        mass_err = max(mass_err, abs(math.fsum(measure.weights) - 1.0))
+        z = float(flow.ensemble.traj[0, k]) * flow.ensemble.config.dx
+        reference = wiener_kernel(spec, spec.origin, z, True)
+        dev = float(
+            np.max(
+                np.abs(
+                    measure_ray_weights(measure, spec) - measure_ray_weights(reference, spec)
+                )
+            )
+        )
+        wiener_dev = max(wiener_dev, dev)
+    moments = {side: [0, 0.0, 0.0] for side in (1, -1)}
+    for side, _g, _d, weights in extract_ray_weights(flow, 0):
+        acc = moments[side]
+        acc[0] += 1
+        acc[1] = acc[1] + weights
+        acc[2] = acc[2] + weights**2
+    return mass_err, wiener_dev, moments
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"measure_plus": "wiener"},
+        {"measure_plus": "dirichlet:4", "measure_minus": "dirichlet:0.5", "eps": (1, -1, -1)},
+        {"measure_plus": "dirac-vertices"},
+        {"measure_plus": "uniform-simplex"},
+        {"measure_plus": "custom-weights:0.6,0.4", "measure_minus": "wiener"},
+    ],
+)
+def test_kernel_task_equals_per_index_kernels(overrides):
+    config = replace(DEFAULT_CONFIG, level=5, **overrides)
+    dev_seen = 0.0
+    for rep in range(4):
+        got_rep, mass_err, wiener_dev, moments = _kernel_task((config, rep))
+        want_mass, want_dev, want_moments = _kernel_task_oracle(config, rep)
+        assert got_rep == rep
+        assert (mass_err, wiener_dev) == (want_mass, want_dev)
+        for side, (count, total, total_sq) in want_moments.items():
+            assert moments[side][0] == count
+            if count:
+                assert moments[side][1].tobytes() == total.tobytes()
+                assert moments[side][2].tobytes() == total_sq.tobytes()
+        dev_seen = max(dev_seen, wiener_dev)
+    # the measures that differ from the Wiener kernel show it at a probe
+    assert (dev_seen > 0.0) == (overrides["measure_plus"] != "wiener")
 
 
 # SHA-256 of every artifact the seven subcommands write at _FROZEN_CONFIG.

@@ -10,6 +10,7 @@ from walshflow.graph import PiecewiseFunction, validate_spec
 from walshflow.paths import (
     KEY_MAPPING_CHOICE,
     KEY_RAY_FLIP,
+    KEY_REPLICA,
     EmptyInterval,
     RngStream,
     ScalarPath,
@@ -17,12 +18,14 @@ from walshflow.paths import (
     WalshPath,
     dyadic_label,
     freidlin_sheu_residual,
+    keyed_uniforms,
     local_time_band,
     sample_brownian,
     sample_wbm_exact,
     scaled_walk_marginal,
     skorokhod_reflection,
     wbm_flip_construct,
+    wbm_flip_paths,
 )
 
 SPEC2 = validate_spec((0.7, 0.3), (1, -1))
@@ -106,6 +109,54 @@ def test_uniforms_bit_equal_to_generator():
     stream = RngStream(5).child(1)
     lazy = stream.uniforms((2, np.int64(k), 3) for k in range(4))
     assert lazy.tolist() == stream.uniforms([(2, k, 3) for k in range(4)]).tolist()
+
+
+def test_keyed_uniforms_across_streams_bit_equal():
+    # 24 streams under one root: replica streams, the root itself, and
+    # stream keys of up to seven words with negative parts and parts of
+    # 2^32 and more; their keys interleaved in one call
+    rng = np.random.default_rng(777)
+    root = RngStream(2**40 + 5)
+    streams = [root.child(KEY_REPLICA, rep) for rep in range(16)] + [
+        root,
+        root.child(-1),
+        root.child(9, -3, 2**35),
+        root.child(2**32),
+        root.child(-(2**33), 7, 0, 2**64 - 1),
+        root.child(KEY_REPLICA, -12),
+        root.child(0, 0, 0, 0, 0),
+        root.child(2**31, -(2**31)),
+    ]
+    picks = rng.integers(0, len(streams), 2400)
+    draws = [(streams[i], key) for i, key in zip(picks, _uniform_keys(rng, len(picks)))]
+    got = keyed_uniforms(draws)
+    want = [stream.child(*key).generator().random() for stream, key in draws]
+    assert got.dtype == np.float64
+    assert got.tolist() == want
+    assert len(set(picks.tolist())) == len(streams)
+    # each stream's share is that stream's one-stream draw
+    for i in (0, 16, 20):
+        mine = [key for j, (_stream, key) in zip(picks, draws) if j == i]
+        assert streams[i].uniforms(mine).tolist() == got[picks == i].tolist()
+    assert keyed_uniforms([]).shape == (0,)
+    with pytest.raises(ValueError, match="root seeds"):
+        keyed_uniforms([(root, (1,)), (RngStream(5), (1,))])
+
+
+def test_flip_paths_equal_one_stream_construction():
+    grid = TimeGrid(dt=1e-3, steps=1000)
+    root = RngStream(20240)
+    streams = [root.child(KEY_REPLICA, rep) for rep in range(7)] + [root, root.child(-4, 2**33)]
+    paths = list(wbm_flip_paths(grid, SPEC3, streams))
+    assert len(paths) == len(streams)
+    for stream, path in zip(streams, paths):
+        alone = wbm_flip_construct(grid, SPEC3, stream)
+        for name in ("rays", "radii", "brownian", "local_time"):
+            got, want = getattr(path, name), getattr(alone, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert list(wbm_flip_paths(grid, SPEC3, [])) == []
+    with pytest.raises(ValueError, match="one root seed"):
+        next(wbm_flip_paths(grid, SPEC3, [root.child(1), RngStream(20241).child(1)]))
 
 
 def test_flip_rays_equal_per_excursion_generators():
