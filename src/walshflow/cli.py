@@ -38,12 +38,10 @@ from walshflow.flows import (
     extract_ray_weights,
     filter_mapping_to_kernel,
     mapping_rays,
-    measure_ray_weights,
     merge_level_samples,
     ray_ratios,
     sample_kernel_flow,
     skew_lattice_flow,
-    wiener_kernel,
 )
 from walshflow.graph import (
     GraphPoint,
@@ -490,14 +488,14 @@ def _ito_test_functions(spec: GraphSpec):
     ]
 
 
-# Brownian values a verify-freidlin-sheu task keeps until its one bulk flip
-# draw: 4 MiB of float64, whatever the step
+# driver values (Brownian path, reflection, local time) a verify-freidlin-sheu
+# task keeps until its one bulk flip draw: 4 MiB of float64, whatever the step
 _KEPT_DRIVER_VALUES = 2**19
 
 
 def _residual_chunk_paths(steps: int) -> int:
     """Flip paths per verify-freidlin-sheu task on a grid of this many steps."""
-    return max(1, _KEPT_DRIVER_VALUES // (steps + 1))
+    return max(1, _KEPT_DRIVER_VALUES // (3 * (steps + 1)))
 
 
 def _residual_task(args):
@@ -724,16 +722,14 @@ def _kernel_task(args):
     ens = flow.ensemble
     rows = extract_ray_weights(flow, 0)
 
-    # the kernel at every stride-th index is read from the row of the
-    # excursion holding it, the one after the index's last zero (row i
-    # follows zero i); at the junction the kernel is the point mass there,
-    # which has no mass error and no Wiener deviation
+    # every stride-th index off the junction reads its excursion's row; at
+    # the junction the kernel is a point mass, with no mass error or deviation
     probes = np.arange(0, ens.steps + 1, max(1, ens.steps // 64))
     inside = probes[ens.traj[0, probes] != 0]
     mass_err = 0.0
     wiener_dev = 0.0
-    for pos in np.unique(np.searchsorted(ens.zeros_of(0), inside)):
-        side, _g, _d, weights = rows[pos - 1]
+    for row in np.unique(ens.excursion_row(0, inside)):
+        side, _g, _d, weights = rows[row]
         mass_err = max(mass_err, abs(math.fsum(w for w in weights if w > 0.0) - 1.0))
         dev = float(np.max(np.abs(weights - np.asarray(ray_ratios(spec, side)))))
         wiener_dev = max(wiener_dev, dev)
@@ -797,22 +793,21 @@ def _cmd_kernel_experiment(config: ExperimentConfig):
     # down a side of two rays or more: on one ray both bands are 0 and test
     # nothing, so a graph without a wider side skips them
     flow = _single_start_kernel_flow(config, spec, n_ens + 1)
-    probes = [
-        g + 1 for side, g, _d, _w in extract_ray_weights(flow, 0) if len(spec.side_rays(side)) > 1
-    ]
+    excursions = extract_ray_weights(flow, 0)
+    probes = [(side, g + 1) for side, g, _d, _w in excursions if len(spec.side_rays(side)) > 1]
     replicas = min(config.replicas, 10000)
     if probes:
-        k = probes[0]
+        side, k = probes[0]
         # filtering: fixed coins and weights, redraw the ray choice
         freq, weights, _ = filter_mapping_to_kernel(flow, 0, k, replicas)
         reports.append(_band_report("filtering", freq, weights, replicas))
 
-        # projection: fixed coins, redraw weights and ray choice together
+        # projection: fixed coins, redraw weights and ray choice together;
+        # the noise-measurable kernel splits by the side's ray ratios
         rays = mapping_rays(flow, 0, k, range(1, replicas + 1), redraw=True)
-        z_here = float(flow.ensemble.traj[0, k]) * flow.ensemble.config.dx
-        reference = measure_ray_weights(wiener_kernel(spec, spec.origin, z_here, True), spec)
-        freq = np.bincount(rays - 1, minlength=spec.n_rays) / replicas
-        reports.append(_band_report("wiener-projection", freq, reference, replicas))
+        reference = np.asarray(ray_ratios(spec, side))
+        freq = np.bincount(rays - spec.side_rays(side).start, minlength=len(reference))
+        reports.append(_band_report("wiener-projection", freq / replicas, reference, replicas))
     else:
         for name in ("filtering", "wiener-projection"):
             reports.append(_report(name, 0.0, 0.0, True, replicas, skipped=1.0))
@@ -836,17 +831,15 @@ def _cmd_tanaka_special_case(config: ExperimentConfig):
     )
     stream = RngStream(config.root_seed).child(KEY_REPLICA, 1)
     flow = sample_kernel_flow(flow_config, tanaka, sampler, stream)
-    steps = flow.ensemble.steps
-    worst = 0.0
-    for k in range(0, steps + 1):
-        measure = flow.kernel_at(0, k)
-        z = int(flow.ensemble.traj[0, k])
-        if z != 0:
-            dev = max(abs(w - 0.5) for w in measure.weights)
-            worst = max(worst, dev)
-            if k % max(1, steps // 32) == 0:
-                rows.append(["tanaka-weights", k, float(z), dev])
-    reports.append(_report("tanaka-split", worst, 0.0, worst == 0.0, steps))
+    ens = flow.ensemble
+    # every stride-th index off the junction reads its excursion's row
+    devs = [float(np.max(np.abs(w - 0.5))) for _side, _g, _d, w in extract_ray_weights(flow, 0)]
+    probes = np.arange(0, ens.steps + 1, max(1, ens.steps // 32))
+    inside = probes[ens.traj[0, probes] != 0]
+    for k, row in zip(inside.tolist(), ens.excursion_row(0, inside).tolist()):
+        rows.append(["tanaka-weights", k, float(ens.traj[0, k]), devs[row]])
+    worst = max(devs, default=0.0)
+    reports.append(_report("tanaka-split", worst, 0.0, worst == 0.0, ens.steps))
 
     # one positive and one negative ray: the scalar marginal sign law
     skew = validate_spec((0.7, 0.3), (1, -1))

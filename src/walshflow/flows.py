@@ -13,6 +13,8 @@ plus-weight 1/2 the flow is a pure translation with no junction rule, and
 the record is the first plain equality instead). Scalar values can become
 equal one step before a recorded merge; shared coins keep them equal from
 then on, so everything after the record is bitwise identical either way.
+Kernels and mappings key their draws by the rows of FlowEnsemble.excursions,
+one table per trajectory, labelled by paths.find_excursions.
 
 The flow experiment does not keep trajectories. A replica-batched kernel
 steps a (starts, replicas) integer state through time, each replica on its
@@ -40,7 +42,7 @@ from walshflow.paths import (
     RngStream,
     _skew_step,
     categorical,
-    dyadic_label,
+    find_excursions,
 )
 
 __all__ = [
@@ -276,8 +278,8 @@ class FlowEnsemble:
     """Scalar lattice trajectories driven by one shared coin sequence.
 
     The ensemble owns the excursions of its trajectories: every kernel and
-    mapping view on it keys its draws by excursion, so each excursion
-    is found and labelled once, whatever the view.
+    mapping view on it keys its draws by a row of excursions(q), the one
+    table per trajectory, found through excursion_row, the one index rule.
     """
 
     def __init__(
@@ -293,7 +295,7 @@ class FlowEnsemble:
         self.start_meta = start_meta  # (s_index, signed_units, ray)
         self._zero_cache: dict[int, np.ndarray] = {}
         self._merge_cache: dict[int, Optional[CoalescenceRecord]] = {}
-        self._key_cache: dict[tuple[int, int], tuple[int, int, int]] = {}
+        self._excursion_cache: dict[int, np.ndarray] = {}
 
     @property
     def n_starts(self) -> int:
@@ -328,31 +330,46 @@ class FlowEnsemble:
             q = record.target_index
         raise AssertionError("coalescence chain does not terminate")
 
+    def excursions(self, q: int) -> np.ndarray:
+        """One int64 row per excursion of the trajectory start q follows, in
+        time order: bounds g and d (paths.find_excursions), side (the sign
+        on it), then the key of its draws (source start, label numerator,
+        label exponent). Up to its recorded merge the rows are q's own, then
+        the merge target's that end after the merge, so the copy chain is
+        followed as resolve follows it and each excursion labelled once.
+        """
+        if q not in self._excursion_cache:
+            record = self.merge_record(q)
+            m = self.steps if record is None else record.merge_index
+            # q's own rows start before the merge; at plus-weight 1/2 a start
+            # can merge inside an excursion, which runs on to q's next zero
+            off = self.traj[q] != 0
+            off[m:] = np.logical_and.accumulate(off[m:])
+            g, d, labels = find_excursions(off, self.config.dt)
+            keys = np.array([(q, *label) for label in labels], dtype=np.int64).reshape(-1, 3)
+            table = np.column_stack([g, d, np.sign(self.traj[q, g + 1]), keys])
+            if record is not None:
+                theirs = self.excursions(record.target_index)
+                table = np.concatenate([table, theirs[theirs[:, 1] > m]])
+            self._excursion_cache[q] = table
+        return self._excursion_cache[q]
+
+    def excursion_row(self, q: int, k):
+        """Row of excursions(q) holding index k (an int or an index array)."""
+        return np.searchsorted(self.excursions(q)[:, 0], k) - 1
+
     def excursion(self, q: int, k: int) -> tuple[tuple[int, int, int], int]:
         """(key, side) of the excursion straddling index k on the trajectory
-        start q follows there. The key, (source start, label numerator,
-        label exponent), keys every weight and ray draw on that excursion;
-        the side is the sign of the trajectory on it.
-
-        The excursion runs from the source's last zero g before k to its
-        next zero (or the horizon); its dyadic label is computed once per
-        (source, g) and shared by every view on the ensemble. Raises
-        BeforeHitting ahead of the first junction visit and ValueError at
-        the junction.
-        """
-        q, z, hit = self.resolve(q, k)
+        start q follows there, from its row of excursions(q). Raises
+        BeforeHitting ahead of the first junction visit, ValueError at the
+        junction."""
+        source, z, hit = self.resolve(q, k)
         if not hit:
-            raise BeforeHitting(f"start {q} has not visited the junction by index {k}")
+            raise BeforeHitting(f"start {source} has not visited the junction by index {k}")
         if z == 0:
-            raise ValueError(f"index {k} is not inside an excursion of start {q}")
-        zeros = self.zeros_of(q)
-        pos = int(np.searchsorted(zeros, k))
-        g = int(zeros[pos - 1])
-        if (q, g) not in self._key_cache:
-            d = int(zeros[pos]) if pos < len(zeros) else self.steps
-            dt = self.config.dt
-            self._key_cache[(q, g)] = (q, *dyadic_label(g * dt, d * dt))
-        return self._key_cache[(q, g)], 1 if z > 0 else -1
+            raise ValueError(f"index {k} is not inside an excursion of start {source}")
+        _g, _d, side, *key = self.excursions(q)[self.excursion_row(q, k)].tolist()
+        return tuple(key), side
 
     def merge_record(self, q: int) -> Optional[CoalescenceRecord]:
         """First recorded coalescence of start q onto any earlier start."""
@@ -744,24 +761,18 @@ def sample_kernel_flow(
 def extract_ray_weights(
     flow: KernelFlow, start_index: int
 ) -> list[tuple[int, int, int, np.ndarray]]:
-    """Per completed-or-final excursion after the first junction visit:
+    """The rows of FlowEnsemble.excursions(start_index) with their weights:
     (side, start index, end index, ray weights over that side's block).
 
     Raises BeforeHitting when the trajectory never reaches the junction.
     """
     ens = flow.ensemble
-    zeros = ens.zeros_of(start_index)
-    if not len(zeros):
+    if not len(ens.zeros_of(start_index)):
         raise BeforeHitting(f"start {start_index} never reaches the junction")
-    out = []
-    for pos, g in enumerate(zeros):
-        k = int(g) + 1
-        if k > ens.steps:
-            break
-        d = int(zeros[pos + 1]) if pos + 1 < len(zeros) else ens.steps
-        key, side = ens.excursion(start_index, k)
-        out.append((side, int(g), d, flow._weights_for(key, side)))
-    return out
+    return [
+        (side, g, d, flow._weights_for(tuple(key), side))
+        for g, d, side, *key in ens.excursions(start_index).tolist()
+    ]
 
 
 def filter_mapping_to_kernel(

@@ -7,10 +7,10 @@ label.
 
 Randomness: every draw comes from an RngStream addressed by (root seed,
 key tuple), the key led by one of the KEY_* purpose codes below. Draws
-made per excursion, here and in walshflow.flows, are keyed by the
-(numerator, exponent) that dyadic_label returns for the excursion's time
-interval, so the same root seed reproduces every path, excursion by
-excursion, whatever the traversal order or the worker count. Keys that
+made per excursion, here and in walshflow.flows, are keyed by the label
+that find_excursions, the one excursion finder, gives its time interval,
+so the same root seed reproduces every path, excursion by excursion,
+whatever the traversal order or the worker count. Keys that
 need one uniform each (the flip rays, the mapping choices) are drawn in
 bulk by keyed_uniforms, which redoes numpy's SeedSequence and Philox
 hashing on arrays and is bit-equal to building each key's generator.
@@ -46,6 +46,7 @@ __all__ = [
     "skorokhod_reflection",
     "local_time_band",
     "dyadic_label",
+    "find_excursions",
     "wbm_flip_construct",
     "wbm_flip_paths",
     "sample_wbm_exact",
@@ -84,9 +85,6 @@ class TimeGrid:
             raise ValueError(f"dt = {self.dt!r} must be > 0")
         if self.steps < 1:
             raise ValueError(f"steps = {self.steps!r} must be >= 1")
-
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.steps + 1)
 
     @property
     def horizon(self) -> float:
@@ -411,46 +409,44 @@ def ray_from_uniform(spec: GraphSpec, u) -> np.ndarray:
     return categorical(spec.alpha, u) + 1
 
 
+def find_excursions(off: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, list]:
+    """Bounds (g, d) and dyadic label of every excursion of a path on the
+    grid k*dt, from its boolean mask of points off the junction: a run off
+    it after a junction point g, up to the next junction point d or, still
+    open, the last index. A run from index 0 is not an excursion."""
+    g = np.flatnonzero(~off[:-1] & off[1:])
+    zeros = np.flatnonzero(~off)
+    d = np.append(zeros, len(off) - 1)[np.searchsorted(zeros, g, side="right")]
+    labels = [dyadic_label(u, v) for u, v in zip((g * dt).tolist(), (d * dt).tolist())]
+    return g, d, labels
+
+
 def wbm_flip_paths(grid: TimeGrid, spec: GraphSpec, streams) -> Iterator[WalshPath]:
     """Walsh paths from the junction via excursion flips of reflected
     drivers, one per stream, yielded in stream order.
 
-    Each driver is B reflected at zero; every positive excursion gets its
-    ray from a categorical draw keyed by the dyadic label of its time
-    interval, and one still open at the final time is keyed with the grid
-    end as its right endpoint. The driver starts at zero, so every
-    excursion begins after a grid point, and its interval, between two
-    distinct grid times, is never empty.
+    Each driver is B reflected at zero, so every positive run follows a
+    junction point and is an excursion that find_excursions labels; its
+    ray comes from a categorical draw keyed by the label.
 
-    All drivers are sampled and labelled at the first request, keeping
-    only their Brownian values and excursion lengths; the flip uniforms
-    of every excursion of every path then come from one keyed_uniforms
-    call, and each path is assembled as it is yielded, its reflection
-    recomputed (but for the last path's, still at hand). The streams must
-    share one root seed (ValueError otherwise).
+    All drivers are sampled, reflected and labelled at the first request;
+    the flip uniforms of every excursion of every path then come from one
+    keyed_uniforms call, and each path is assembled as it is yielded. The
+    streams must share one root seed, as keyed_uniforms checks.
     """
-    streams = list(streams)
-    if len({stream.root_seed for stream in streams}) > 1:
-        raise ValueError("flip paths are drawn in one pass under one root seed")
-    times = grid.times()
     drivers, draws = [], []
     for stream in streams:
         brownian = sample_brownian(grid, stream)
-        held = skorokhod_reflection(brownian)
-        edges = np.diff((held[0].values > 0.0).astype(np.int8), prepend=0, append=0)
-        first = np.flatnonzero(edges == 1)
-        after = np.flatnonzero(edges == -1)  # one past each excursion's last point
-        g_times = times[first - 1].tolist()
-        d_times = times[np.minimum(after, grid.steps)].tolist()
-        draws.extend(
-            (stream, (KEY_RAY_FLIP, *dyadic_label(g, d))) for g, d in zip(g_times, d_times)
-        )
-        drivers.append((brownian, after - first))
+        reflected, local = skorokhod_reflection(brownian)
+        off = reflected.values > 0.0
+        g, d, labels = find_excursions(off, grid.dt)
+        draws.extend((stream, (KEY_RAY_FLIP, *label)) for label in labels)
+        # points off the junction per excursion: a run still open at the
+        # last index holds d itself
+        drivers.append((brownian, reflected, local, d - g - 1 + off[d]))
     flips = ray_from_uniform(spec, keyed_uniforms(draws))
     end = 0
-    for i, (brownian, lengths) in enumerate(drivers):
-        # the last driver's reflection is still held from the first pass
-        reflected, local = held if i == len(drivers) - 1 else skorokhod_reflection(brownian)
+    for brownian, reflected, local, lengths in drivers:
         start, end = end, end + len(lengths)
         rays = np.full(grid.steps + 1, spec.n_rays, dtype=np.int64)
         rays[reflected.values > 0.0] = np.repeat(flips[start:end], lengths)

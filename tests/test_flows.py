@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from walshflow import flows as flows_module
+from walshflow import paths as paths_module
 from walshflow.flows import (
     LATTICE_INF,
     BeforeHitting,
@@ -33,7 +33,13 @@ from walshflow.flows import (
     wiener_kernel,
 )
 from walshflow.graph import GraphPoint, validate_spec
-from walshflow.paths import KEY_FLOW_COINS, KEY_MAPPING_CHOICE, RngStream, categorical
+from walshflow.paths import (
+    KEY_FLOW_COINS,
+    KEY_MAPPING_CHOICE,
+    RngStream,
+    categorical,
+    dyadic_label,
+)
 
 SPEC2 = validate_spec((0.7, 0.3), (1, -1))
 SPEC2H = validate_spec((0.5, 0.5), (1, -1))
@@ -460,30 +466,41 @@ class TestMappingFlow:
                     assert pt.is_origin and pt.ray == SPEC3.n_rays
 
     def test_one_lookup_labels_its_excursion_once(self, monkeypatch):
-        cfg, flow = _kernel_fixture()
-        ens = flow.ensemble
-        k = int(ens.zeros_of(0)[1]) + 1
         calls = []
-        label = flows_module.dyadic_label
+        label = paths_module.dyadic_label
 
         def counted(u, v):
             calls.append((u, v))
             return label(u, v)
 
-        monkeypatch.setattr(flows_module, "dyadic_label", counted)
+        monkeypatch.setattr(paths_module, "dyadic_label", counted)
+        cfg, flow = _kernel_fixture()
+        ens = flow.ensemble
+        k = int(ens.zeros_of(0)[1]) + 1
         MappingFlow(flow).point_at(0, k)
-        assert len(calls) == 1
-        # other draws and choices on the same ensemble share the label
+        # the first lookup labels each excursion of its trajectory once
+        rows = len(ens.excursions(0))
+        assert len(calls) == rows > 2
+        # other draws and choices, kernels and filtering on the same
+        # ensemble share the labels
         other = KernelFlow(ens, flow.sampler, flow.stream, draw_index=3)
         MappingFlow(other, choice_index=5).point_at(0, k)
         other.kernel_at(0, k)
-        assert len(calls) == 1
+        filter_mapping_to_kernel(flow, 0, int(ens.zeros_of(0)[2]) + 1, 50)
+        assert len(calls) == rows
 
+        # every start: one label per excursion of the ensemble, that is per
+        # distinct (source start, left end), merged starts included
         calls.clear()
         _cfg, fresh = _kernel_fixture()
-        k = int(fresh.ensemble.zeros_of(0)[2]) + 1
-        filter_mapping_to_kernel(fresh, 0, k, 50)
-        assert len(calls) <= 1
+        ens = fresh.ensemble
+        assert any(ens.merge_record(q) is not None for q in range(ens.n_starts))
+        excursions = set()
+        for q in range(ens.n_starts):
+            for k in range(ens.born_at(q), ens.steps + 1):
+                fresh.kernel_at(q, k)
+            excursions |= {(source, g) for g, _d, _side, source, *_ in ens.excursions(q).tolist()}
+        assert len(calls) == len(excursions)
 
     def test_filtering_follows_the_copy_chain(self):
         cfg, flow = _kernel_fixture()
@@ -593,6 +610,77 @@ class TestProjectionAndComposition:
         )
         assert disc <= 1e-12
         assert set(composed.points) == set(direct.points)
+
+
+def _scan_excursion_rows(ens, q):
+    """Oracle, index by index: the start q follows there (resolve), then
+    that start's last zero before the index and its next zero (or the
+    horizon), labelled on its own. Maps each index inside an excursion to
+    (g, d, side, key)."""
+    dt = ens.config.dt
+    out = {}
+    for k in range(ens.born_at(q), ens.steps + 1):
+        source, z, hit = ens.resolve(q, k)
+        if not hit or z == 0:
+            continue
+        zeros = np.flatnonzero(ens.traj[source] == 0)
+        g = int(zeros[zeros < k][-1])
+        later = zeros[zeros > k]
+        d = int(later[0]) if len(later) else ens.steps
+        out[k] = (g, d, 1 if z > 0 else -1, (source, *dyadic_label(g * dt, d * dt)))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    spec=st.sampled_from(ALL_SPECS),
+    seed=st.integers(0, 2**20),
+    starts=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 5)), min_size=1, max_size=4),
+    copy_at=st.integers(1, 40),
+    copy_first=st.booleans(),
+)
+# start 2 born late at the junction and start 3 born off it, then a start
+# born on start 0's path: merging at the junction; at plus-weight 1/2, where
+# it merges at birth, placed after start 0 (inside one of its excursions,
+# or one step before start 0's next zero) or before it (so that start 0
+# merges inside one of its own excursions)
+@example(spec=SPEC3, seed=1, starts=[(0, 0), (6, 0), (5, 3)], copy_at=9, copy_first=False)
+@example(spec=SPEC2H, seed=0, starts=[(0, 0), (6, 0), (5, 3)], copy_at=1, copy_first=False)
+@example(spec=SPEC2H, seed=0, starts=[(0, 0), (6, 0), (5, 3)], copy_at=13, copy_first=False)
+@example(spec=SPEC2H, seed=0, starts=[(0, 0), (6, 0), (5, 3)], copy_at=5, copy_first=True)
+def test_excursion_table_matches_index_scan(spec, seed, starts, copy_at, copy_first):
+    # starts born off the junction (their LATTICE_INF prefix and first run
+    # are one run from index 0) or late at it, plus one born where start 0
+    # is at copy_at, which merges at birth when there is no junction rule
+    level, steps = 2, 64
+    starts = [(s, 1 + s % spec.n_rays, u + (s + u) % 2) for s, u in starts]
+    stream = RngStream(seed)
+    base = skew_lattice_flow(_config_for(spec, level, steps, starts), spec, stream)
+    z = int(base.traj[0, copy_at])
+    if z != LATTICE_INF and spec.side_rays(1 if z >= 0 else -1):
+        copy = (copy_at, spec.side_rays(1 if z >= 0 else -1)[0], abs(z))
+        starts = [copy] + starts if copy_first else starts + [copy]
+    ens = skew_lattice_flow(_config_for(spec, level, steps, starts), spec, stream)
+    for q in range(ens.n_starts):
+        rows = ens.excursions(q)
+        assert rows.dtype == np.int64 and rows.shape[1] == 6
+        assert np.all(np.diff(rows[:, 0]) > 0)
+        table = [(g, d, side, tuple(key)) for g, d, side, *key in rows.tolist()]
+        scan = _scan_excursion_rows(ens, q)
+        for k in range(ens.born_at(q), ens.steps + 1):
+            if k in scan:
+                assert table[int(ens.excursion_row(q, k))] == scan[k]
+                assert ens.excursion(q, k) == (scan[k][3], scan[k][2])
+            else:
+                with pytest.raises(ValueError):
+                    ens.excursion(q, k)
+        # every row holds an index of the start but one: at plus-weight 1/2,
+        # the excursion of the start it copies from birth when that
+        # excursion ends one step after the birth
+        extra = set(table) - set(scan.values())
+        assert all(row[0] < ens.born_at(q) for row in extra)
+        assert not extra or spec.alpha_plus == 0.5
+        assert set(scan.values()) <= set(table)
 
 
 class TestRayWeightExtraction:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import kstest, norm
 
 from walshflow.graph import PiecewiseFunction, validate_spec
@@ -17,6 +17,7 @@ from walshflow.paths import (
     TimeGrid,
     WalshPath,
     dyadic_label,
+    find_excursions,
     freidlin_sheu_residual,
     keyed_uniforms,
     local_time_band,
@@ -34,7 +35,6 @@ SPEC3 = validate_spec((0.4, 0.3, 0.3), (1, 1, -1))
 
 def test_time_grid():
     g = TimeGrid(dt=0.25, steps=4)
-    assert np.allclose(g.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
     assert g.horizon == 1.0
     with pytest.raises(ValueError):
         TimeGrid(dt=0.0, steps=4)
@@ -155,7 +155,7 @@ def test_flip_paths_equal_one_stream_construction():
             got, want = getattr(path, name), getattr(alone, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert list(wbm_flip_paths(grid, SPEC3, [])) == []
-    with pytest.raises(ValueError, match="one root seed"):
+    with pytest.raises(ValueError, match="root seeds"):
         next(wbm_flip_paths(grid, SPEC3, [root.child(1), RngStream(20241).child(1)]))
 
 
@@ -163,7 +163,7 @@ def test_flip_rays_equal_per_excursion_generators():
     # oracle: find each excursion by a scalar scan, draw its ray from its
     # own generator, map it with a hand-written cumulative search
     grid = TimeGrid(dt=1e-3, steps=1000)
-    times = grid.times()
+    times = grid.dt * np.arange(grid.steps + 1)
     cum = np.cumsum(SPEC3.alpha)
     cum[-1] = 1.0
     for rep in range(6):
@@ -231,6 +231,38 @@ def test_local_time_band_flat_path():
         local_time_band(flat, 0.0)
 
 
+def _scan_excursions(off, dt):
+    """Oracle: walk the mask point by point; each run off the junction that
+    starts right after a junction point runs to the next junction point,
+    or to the last index when it is still open there."""
+    rows = []
+    for k in range(1, len(off)):
+        if off[k] and not off[k - 1]:
+            d = k
+            while d < len(off) - 1 and off[d]:
+                d += 1
+            rows.append((k - 1, d, dyadic_label((k - 1) * dt, d * dt)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.booleans(), min_size=1, max_size=80),
+    st.sampled_from([1e-3, 1e-4, 4.0**-5, 0.25, 0.3, 2.0]),
+)
+@example([True, True, False, True, True, False], 1e-3)  # a run from index 0
+@example([False, False, True, False, False, False, True, False], 1e-3)  # junction runs
+@example([False, True, True], 4.0**-5)  # a run open at the last index
+@example([True] * 7, 0.25)
+@example([False] * 7, 0.25)
+@example([True], 0.25)
+@example([False], 0.25)
+def test_find_excursions_matches_scalar_scan(off, dt):
+    g, d, labels = find_excursions(np.array(off), dt)
+    assert g.dtype.kind == d.dtype.kind == "i"
+    assert list(zip(g.tolist(), d.tolist(), labels)) == _scan_excursions(off, dt)
+
+
 def test_dyadic_label_examples():
     # (numerator, exponent) of 1/2, 2 and 3/8
     assert dyadic_label(0.3, 0.8) == (1, 1)
@@ -274,7 +306,7 @@ def _program_intervals(rng):
     flip grid and on the 4^-3..4^-6 flow lattices, then adjacent floats,
     u = 0 and negated grid intervals."""
     out = []
-    flip = TimeGrid(1e-4, 10_000).times()
+    flip = 1e-4 * np.arange(10_001)
     g = rng.integers(0, 10_000, size=3000)
     d = np.minimum(g + np.exp2(rng.uniform(0.0, 13.0, size=3000)).astype(int), 10_000)
     out += [(float(flip[a]), float(flip[b])) for a, b in zip(g, d)]
