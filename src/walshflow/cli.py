@@ -722,13 +722,12 @@ def _kernel_task(args):
     ens = flow.ensemble
     rows = extract_ray_weights(flow, 0)
 
-    # every stride-th index off the junction reads its excursion's row; at
-    # the junction the kernel is a point mass, with no mass error or deviation
-    probes = np.arange(0, ens.steps + 1, max(1, ens.steps // 64))
-    inside = probes[ens.traj[0, probes] != 0]
+    # every stride-th index inside an excursion reads its row; at the
+    # junction the kernel is a point mass, with no mass error or deviation
+    probes = ens.excursion_row(0, np.arange(0, ens.steps + 1, max(1, ens.steps // 64)))
     mass_err = 0.0
     wiener_dev = 0.0
-    for row in np.unique(ens.excursion_row(0, inside)):
+    for row in np.unique(probes[probes >= 0]):
         side, _g, _d, weights = rows[row]
         mass_err = max(mass_err, abs(math.fsum(w for w in weights if w > 0.0) - 1.0))
         dev = float(np.max(np.abs(weights - np.asarray(ray_ratios(spec, side)))))
@@ -832,12 +831,12 @@ def _cmd_tanaka_special_case(config: ExperimentConfig):
     stream = RngStream(config.root_seed).child(KEY_REPLICA, 1)
     flow = sample_kernel_flow(flow_config, tanaka, sampler, stream)
     ens = flow.ensemble
-    # every stride-th index off the junction reads its excursion's row
+    # every stride-th index inside an excursion reads its row
     devs = [float(np.max(np.abs(w - 0.5))) for _side, _g, _d, w in extract_ray_weights(flow, 0)]
     probes = np.arange(0, ens.steps + 1, max(1, ens.steps // 32))
-    inside = probes[ens.traj[0, probes] != 0]
-    for k, row in zip(inside.tolist(), ens.excursion_row(0, inside).tolist()):
-        rows.append(["tanaka-weights", k, float(ens.traj[0, k]), devs[row]])
+    for k, row in zip(probes.tolist(), ens.excursion_row(0, probes).tolist()):
+        if row >= 0:
+            rows.append(["tanaka-weights", k, float(ens.traj[0, k]), devs[row]])
     worst = max(devs, default=0.0)
     reports.append(_report("tanaka-split", worst, 0.0, worst == 0.0, ens.steps))
 

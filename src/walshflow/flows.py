@@ -13,8 +13,10 @@ plus-weight 1/2 the flow is a pure translation with no junction rule, and
 the record is the first plain equality instead). Scalar values can become
 equal one step before a recorded merge; shared coins keep them equal from
 then on, so everything after the record is bitwise identical either way.
-Kernels and mappings key their draws by the rows of FlowEnsemble.excursions,
-one table per trajectory, labelled by paths.find_excursions.
+A start's value and junction visits therefore come from its own row; the
+copy chain of merges serves only the draw keys. Kernels and mappings key
+their draws by the rows of FlowEnsemble.excursions, one table per
+trajectory, labelled by paths.find_excursions.
 
 The flow experiment does not keep trajectories. A replica-batched kernel
 steps a (starts, replicas) integer state through time, each replica on its
@@ -280,6 +282,7 @@ class FlowEnsemble:
     The ensemble owns the excursions of its trajectories: every kernel and
     mapping view on it keys its draws by a row of excursions(q), the one
     table per trajectory, found through excursion_row, the one index rule.
+    The copy chain of merges is followed only there, for the draw keys.
     """
 
     def __init__(
@@ -313,36 +316,20 @@ class FlowEnsemble:
     def born_at(self, q: int) -> int:
         return self.start_meta[q][0]
 
-    def resolve(self, q: int, k: int) -> tuple[int, int, bool]:
-        """The start whose trajectory start q follows at index k, its signed
-        units there, and whether it has visited the junction by then.
-
-        After a recorded coalescence a start copies its merge target, so
-        the copy chain is followed to the start that carries index k.
-        """
-        if k < self.born_at(q):
-            raise ValueError(f"start {q} is not born at index {k}")
-        for _ in range(self.n_starts + 1):
-            record = self.merge_record(q)
-            if record is None or k <= record.merge_index:
-                zeros = self.zeros_of(q)
-                return q, int(self.traj[q][k]), bool(len(zeros) and zeros[0] <= k)
-            q = record.target_index
-        raise AssertionError("coalescence chain does not terminate")
-
     def excursions(self, q: int) -> np.ndarray:
-        """One int64 row per excursion of the trajectory start q follows, in
-        time order: bounds g and d (paths.find_excursions), side (the sign
-        on it), then the key of its draws (source start, label numerator,
-        label exponent). Up to its recorded merge the rows are q's own, then
-        the merge target's that end after the merge, so the copy chain is
-        followed as resolve follows it and each excursion labelled once.
+        """One int64 row per excursion of start q from its first junction
+        visit on, in time order: bounds g and d (paths.find_excursions), side
+        (the sign on it), then the key of its draws (source start, label
+        numerator, label exponent). Rows starting before q's recorded merge
+        are q's own; the rest are the merge target's, so each excursion is
+        labelled once, keyed by the start down the merge chain that carried
+        it when it began.
         """
         if q not in self._excursion_cache:
             record = self.merge_record(q)
             m = self.steps if record is None else record.merge_index
-            # q's own rows start before the merge; at plus-weight 1/2 a start
-            # can merge inside an excursion, which runs on to q's next zero
+            # at plus-weight 1/2 a start can merge inside its own excursion,
+            # which then runs on to its next zero
             off = self.traj[q] != 0
             off[m:] = np.logical_and.accumulate(off[m:])
             g, d, labels = find_excursions(off, self.config.dt)
@@ -350,25 +337,29 @@ class FlowEnsemble:
             table = np.column_stack([g, d, np.sign(self.traj[q, g + 1]), keys])
             if record is not None:
                 theirs = self.excursions(record.target_index)
-                table = np.concatenate([table, theirs[theirs[:, 1] > m]])
+                table = np.concatenate([table, theirs[theirs[:, 0] >= m]])
             self._excursion_cache[q] = table
         return self._excursion_cache[q]
 
     def excursion_row(self, q: int, k):
-        """Row of excursions(q) holding index k (an int or an index array)."""
-        return np.searchsorted(self.excursions(q)[:, 0], k) - 1
+        """Row of excursions(q) holding index k (an int or an index array),
+        -1 where k is inside no excursion: at the junction, or before q's
+        first visit to it. ValueError before q's birth."""
+        if np.min(k) < self.born_at(q):
+            raise ValueError(f"start {q} is not born at index {np.min(k)}")
+        row = np.searchsorted(self.excursions(q)[:, 0], k) - 1
+        return np.where(self.traj[q, k] != 0, row, -1)
 
     def excursion(self, q: int, k: int) -> tuple[tuple[int, int, int], int]:
-        """(key, side) of the excursion straddling index k on the trajectory
-        start q follows there, from its row of excursions(q). Raises
-        BeforeHitting ahead of the first junction visit, ValueError at the
-        junction."""
-        source, z, hit = self.resolve(q, k)
-        if not hit:
-            raise BeforeHitting(f"start {source} has not visited the junction by index {k}")
-        if z == 0:
-            raise ValueError(f"index {k} is not inside an excursion of start {source}")
-        _g, _d, side, *key = self.excursions(q)[self.excursion_row(q, k)].tolist()
+        """(key, side) of the excursion start q is on at index k, from its
+        row of excursions(q). Raises BeforeHitting ahead of the first
+        junction visit, ValueError at the junction."""
+        row = self.excursion_row(q, k)
+        if row < 0 and self.traj[q, k] == 0:
+            raise ValueError(f"index {k} is not inside an excursion of start {q}")
+        if row < 0:
+            raise BeforeHitting(f"start {q} has not visited the junction by index {k}")
+        _g, _d, side, *key = self.excursions(q)[row].tolist()
         return tuple(key), side
 
     def merge_record(self, q: int) -> Optional[CoalescenceRecord]:
@@ -643,8 +634,8 @@ class KernelFlow:
     Per excursion of each trajectory one ray-weight vector is drawn from
     the measure pair, keyed by the ensemble's excursion key (start
     priority, excursion label), so the vector is constant across the
-    excursion and identical on replay. After a recorded coalescence the
-    kernel copies its merge target.
+    excursion and identical on replay. An excursion begun after a recorded
+    coalescence has its merge target's key, so the kernel copies the target's.
     """
 
     def __init__(
@@ -675,9 +666,9 @@ class KernelFlow:
 
     def kernel_at(self, q: int, k: int) -> KernelMeasure:
         ens = self.ensemble
-        q, z, hit = ens.resolve(q, k)
+        z = int(ens.traj[q, k])
         radius = abs(z) * ens.config.dx
-        if not hit or z == 0:
+        if ens.excursion_row(q, k) < 0:
             return KernelMeasure.dirac(graph_point(ens.spec, ens.start_meta[q][2], radius))
         rays = ens.spec.side_rays(1 if z > 0 else -1)
         points = []
@@ -708,9 +699,8 @@ class MappingFlow:
 
     def point_at(self, q: int, k: int) -> GraphPoint:
         ens = self.kernels.ensemble
-        q, z, hit = ens.resolve(q, k)
-        radius = abs(z) * ens.config.dx
-        if not hit or z == 0:
+        radius = abs(int(ens.traj[q, k])) * ens.config.dx
+        if ens.excursion_row(q, k) < 0:
             return graph_point(ens.spec, ens.start_meta[q][2], radius)
         return GraphPoint(ray=self._excursion_ray(q, k), radius=radius)
 
@@ -810,9 +800,9 @@ def project_kernel_to_wiener(
     Returns (mean ray weights over all rays, reference weights, count).
     """
     ens, spec = flow.ensemble, flow.ensemble.spec
-    q, z, hit = ens.resolve(start_index, k)
-    signed = float(z) * ens.config.dx
-    start = graph_point(spec, ens.start_meta[q][2], abs(signed))
+    signed = float(ens.traj[start_index, k]) * ens.config.dx
+    start = graph_point(spec, ens.start_meta[start_index][2], abs(signed))
+    hit = bool(ens.excursion_row(start_index, k) >= 0)
     reference = measure_ray_weights(wiener_kernel(spec, start, signed, hit), spec)
     acc = np.zeros(spec.n_rays)
     for r in range(replicas):

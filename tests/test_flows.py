@@ -46,8 +46,9 @@ SPEC2H = validate_spec((0.5, 0.5), (1, -1))
 SPEC3 = validate_spec((0.4, 0.3, 0.3), (1, 1, -1))
 TANAKA3 = validate_spec((0.5, 0.25, 0.25), (1, 1, 1))
 DOWN2 = validate_spec((0.6, 0.4), (-1, -1))
+HALF3 = validate_spec((0.25, 0.25, 0.5), (1, 1, -1))
 
-ALL_SPECS = [SPEC2, SPEC2H, SPEC3, TANAKA3, DOWN2]
+ALL_SPECS = [SPEC2, SPEC2H, SPEC3, TANAKA3, DOWN2, HALF3]
 
 
 def _naive_flow(spec, config, stream):
@@ -448,15 +449,8 @@ class TestMappingFlow:
         for q in range(ens.n_starts):
             for k in range(ens.born_at(q), ens.steps + 1):
                 pt = mapping.point_at(q, k)
-                # resolve the copy chain the same way the kernel does
-                src = q
-                while True:
-                    rec = ens.merge_record(src)
-                    if rec is not None and k > rec.merge_index:
-                        src = rec.target_index
-                        continue
-                    break
-                z = int(ens.traj[src, k])
+                # after a merge the start's own row is its target's
+                z = int(ens.traj[q, k])
                 assert pt.radius == abs(z) * cfg.dx
                 if z > 0:
                     assert 1 <= pt.ray <= SPEC3.p
@@ -613,20 +607,26 @@ class TestProjectionAndComposition:
 
 
 def _scan_excursion_rows(ens, q):
-    """Oracle, index by index: the start q follows there (resolve), then
-    that start's last zero before the index and its next zero (or the
-    horizon), labelled on its own. Maps each index inside an excursion to
-    (g, d, side, key)."""
+    """Oracle, index by index: start q's last zero before the index and its
+    next zero (or the horizon), labelled on their own. An excursion starting
+    before q's recorded merge is q's; a later one belongs to the first start
+    down the merge chain that carries it then. Maps each index inside an
+    excursion to (g, d, side, key)."""
     dt = ens.config.dt
+    zeros = np.flatnonzero(ens.traj[q] == 0)
     out = {}
     for k in range(ens.born_at(q), ens.steps + 1):
-        source, z, hit = ens.resolve(q, k)
-        if not hit or z == 0:
+        z = int(ens.traj[q, k])
+        if z == 0 or not len(zeros) or zeros[0] > k:
             continue
-        zeros = np.flatnonzero(ens.traj[source] == 0)
         g = int(zeros[zeros < k][-1])
         later = zeros[zeros > k]
         d = int(later[0]) if len(later) else ens.steps
+        source = q
+        record = ens.merge_record(source)
+        while record is not None and g >= record.merge_index:
+            source = record.target_index
+            record = ens.merge_record(source)
         out[k] = (g, d, 1 if z > 0 else -1, (source, *dyadic_label(g * dt, d * dt)))
     return out
 
@@ -648,6 +648,8 @@ def _scan_excursion_rows(ens, q):
 @example(spec=SPEC2H, seed=0, starts=[(0, 0), (6, 0), (5, 3)], copy_at=1, copy_first=False)
 @example(spec=SPEC2H, seed=0, starts=[(0, 0), (6, 0), (5, 3)], copy_at=13, copy_first=False)
 @example(spec=SPEC2H, seed=0, starts=[(0, 0), (6, 0), (5, 3)], copy_at=5, copy_first=True)
+@example(spec=HALF3, seed=5, starts=[(0, 0)], copy_at=8, copy_first=False)
+@example(spec=HALF3, seed=5, starts=[(0, 0)], copy_at=8, copy_first=True)
 def test_excursion_table_matches_index_scan(spec, seed, starts, copy_at, copy_first):
     # starts born off the junction (their LATTICE_INF prefix and first run
     # are one run from index 0) or late at it, plus one born where start 0
@@ -662,25 +664,65 @@ def test_excursion_table_matches_index_scan(spec, seed, starts, copy_at, copy_fi
         starts = [copy] + starts if copy_first else starts + [copy]
     ens = skew_lattice_flow(_config_for(spec, level, steps, starts), spec, stream)
     for q in range(ens.n_starts):
+        # a start follows its merge target bitwise from the recorded merge on
+        record = ens.merge_record(q)
+        if record is not None:
+            m = record.merge_index
+            assert np.array_equal(ens.traj[q, m:], ens.traj[record.target_index, m:])
         rows = ens.excursions(q)
         assert rows.dtype == np.int64 and rows.shape[1] == 6
         assert np.all(np.diff(rows[:, 0]) > 0)
         table = [(g, d, side, tuple(key)) for g, d, side, *key in rows.tolist()]
         scan = _scan_excursion_rows(ens, q)
+        assert set(table) == set(scan.values())
         for k in range(ens.born_at(q), ens.steps + 1):
             if k in scan:
                 assert table[int(ens.excursion_row(q, k))] == scan[k]
                 assert ens.excursion(q, k) == (scan[k][3], scan[k][2])
             else:
+                assert ens.excursion_row(q, k) == -1
                 with pytest.raises(ValueError):
                     ens.excursion(q, k)
-        # every row holds an index of the start but one: at plus-weight 1/2,
-        # the excursion of the start it copies from birth when that
-        # excursion ends one step after the birth
-        extra = set(table) - set(scan.values())
-        assert all(row[0] < ens.born_at(q) for row in extra)
-        assert not extra or spec.alpha_plus == 0.5
-        assert set(scan.values()) <= set(table)
+        if ens.born_at(q) > 0:
+            with pytest.raises(ValueError):
+                ens.excursion_row(q, ens.born_at(q) - 1)
+
+
+class TestHalfWeightMerges:
+    """At plus-weight 1/2 a merge is the first plain equality, so a start
+    can merge before its own first junction visit or inside one of its
+    own excursions; either way it keeps its own kernel up to the zero."""
+
+    def _flow(self, starts):
+        cfg = _config_for(HALF3, 2, 64, starts)
+        sampler = MeasurePairSampler(HALF3, "wiener")
+        return sample_kernel_flow(cfg, HALF3, sampler, RngStream(5))
+
+    def test_start_born_on_a_path_is_a_point_mass_until_its_first_visit(self):
+        flow = self._flow([(0, 1, 0), (8, 1, 2)])
+        ens = flow.ensemble
+        assert ens.merge_record(1).merge_index == 8
+        assert int(ens.zeros_of(1)[0]) == 12
+        for k in range(9, 12):
+            radius = abs(int(ens.traj[1, k])) * ens.config.dx
+            assert flow.kernel_at(1, k) == KernelMeasure.dirac(GraphPoint(ray=1, radius=radius))
+            assert ens.excursion_row(1, k) == -1
+            with pytest.raises(BeforeHitting):
+                ens.excursion(1, k)
+        # start 0's excursion from before start 1's birth is not start 1's
+        row = [6, 12, 1, 0, 1, 1]
+        assert row in ens.excursions(0).tolist()
+        assert row not in ens.excursions(1).tolist()
+
+    def test_start_merging_inside_its_excursion_keeps_it(self):
+        flow = self._flow([(8, 1, 2), (0, 1, 0)])
+        ens = flow.ensemble
+        assert ens.merge_record(1).merge_index == 8
+        for k in range(9, 12):
+            assert ens.excursion(1, k) == ((1, 1, 1), 1)
+            radius = abs(int(ens.traj[1, k])) * ens.config.dx
+            points = (GraphPoint(ray=1, radius=radius), GraphPoint(ray=2, radius=radius))
+            assert flow.kernel_at(1, k) == KernelMeasure(points=points, weights=(0.5, 0.5))
 
 
 class TestRayWeightExtraction:
