@@ -103,6 +103,10 @@ _WALK_LEVELS = (2, 3, 4, 5)
 # horizon * 4^level lattice steps (int64) and every flip path keeps its
 # horizon / dt grid points in several float arrays, 32 MiB each at the budget
 _MAX_KEPT_STEPS = 2**22
+# most flow-experiment merge pairs: merge_level_samples steps five int64 or
+# float64 arrays of one entry per pair, 2 MiB each at the budget, and the
+# merges artifact holds one row per merged pair
+_MAX_MERGE_PAIRS = 2**18
 
 
 class ConfigInvalid(ValueError):
@@ -175,6 +179,11 @@ class ExperimentConfig:
                     f"{name} = {steps:.0f} steps exceeds the budget of "
                     f"{_MAX_KEPT_STEPS} steps for a kept trajectory"
                 )
+        if self.merge_pairs > _MAX_MERGE_PAIRS:
+            raise ConfigInvalid(
+                f"merge_pairs = {self.merge_pairs} exceeds the budget of "
+                f"{_MAX_MERGE_PAIRS} merge pairs"
+            )
         if round(self.flow_horizon * 4.0**self.level) <= _LATE_START_STEP:
             raise ConfigInvalid(
                 f"flow_horizon * 4^level must exceed {_LATE_START_STEP} steps, "
@@ -579,9 +588,22 @@ def _flow_starts(spec: GraphSpec, config: ExperimentConfig):
     )
 
 
-# replicas per flow-experiment task, stepped together by the kernel: enough to
-# spread numpy's per-call cost, few enough to keep its block buffers near 1 MB
-_FLOW_CHUNK = 200
+# replicas per flow-experiment task, stepped together by the kernel. A task
+# holds at least _FLOW_CHUNK_MIN unless the run has fewer, so the pool never
+# outgrows ceil(flow_replicas / _FLOW_CHUNK_MIN); it holds at most
+# _FLOW_CHUNK_MAX, so with about 5 kB of generators, state block and packed
+# coins per replica its buffers stay near 10 MB whatever the config
+_FLOW_CHUNK_MIN = 200
+_FLOW_CHUNK_MAX = 2048
+
+
+def _flow_chunks(replicas: int, workers: int) -> list[tuple[int, int]]:
+    """(first replica, count) per flow-experiment task: one task per worker,
+    of even size within the chunk bounds; only the last may hold fewer."""
+    most = -(-replicas // _FLOW_CHUNK_MIN)
+    tasks = min(max(workers, -(-replicas // _FLOW_CHUNK_MAX)), most)
+    size = -(-replicas // tasks)
+    return [(first, min(size, replicas - first)) for first in range(0, replicas, size)]
 
 
 def _flow_chunk(args):
@@ -599,32 +621,17 @@ def _flow_chunk(args):
     monotone, flow_prop, permanence, at_zero, merge, visits = _flow_experiment_invariants(
         flow_config, spec, streams
     )
-    rows = []
-    for i, rep in enumerate(reps):
-        merge_idx = int(merge[i])
-        if merge_idx < 0 or ap <= 0.5:
-            merge_level = math.nan
-        else:
-            merge_level = _merge_level(config.flow_y_units, dx, ap, int(visits[i]))
-        rows.append(
-            (
-                rep,
-                bool(monotone[i]),
-                bool(flow_prop[i]),
-                bool(permanence[i]),
-                bool(at_zero[i]),
-                merge_idx,
-                merge_level,
-            )
-        )
-    return rows
+    levels = _merge_level(config.flow_y_units, dx, ap, visits)
+    levels[(merge < 0) | (ap <= 0.5)] = math.nan
+    columns = (monotone, flow_prop, permanence, at_zero, merge, levels)
+    return list(zip(reps, *(column.tolist() for column in columns)))
 
 
 def _cmd_flow_experiment(config: ExperimentConfig):
     spec = config.spec()
     chunks = [
-        (config, first, min(_FLOW_CHUNK, config.flow_replicas - first))
-        for first in range(0, config.flow_replicas, _FLOW_CHUNK)
+        (config, first, count)
+        for first, count in _flow_chunks(config.flow_replicas, config.workers)
     ]
     rows = [
         row for chunk in _map_replicas(_flow_chunk, chunks, config.workers) for row in chunk

@@ -20,12 +20,14 @@ trajectory, labelled by paths.find_excursions.
 
 The flow experiment does not keep trajectories. A replica-batched kernel
 steps a (starts, replicas) integer state through time, each replica on its
-own coins, which it draws block by block as the same numbers
-skew_lattice_flow draws. After every block of _BLOCK_STEPS steps it folds
-the block into running invariants: monotone order, the flow property,
-permanence and merge-at-junction against the merge record, the (0, 1)
-merge index and the junction visits before it. Memory is therefore
-O(replicas x starts x block) whatever the horizon.
+own coins: the same numbers skew_lattice_flow draws, drawn with one
+generator call per stream, kind (junction or sign) and span of
+_SPAN_STEPS steps and kept as packed bits. After every block of
+_BLOCK_STEPS steps it folds the block into running invariants: monotone
+order, the flow property, permanence and merge-at-junction against the
+merge record, the (0, 1) merge index and the junction visits before it.
+Memory is therefore O(replicas x (starts x _BLOCK_STEPS + _SPAN_STEPS / 8))
+whatever the horizon.
 """
 
 from __future__ import annotations
@@ -425,8 +427,10 @@ def skew_lattice_flow(
 
 
 # time steps per streamed block, for coins and states alike
-_BLOCK_STEPS = 128
-_UP, _DOWN = np.int8(1), np.int8(-1)
+_BLOCK_STEPS = 64
+# time steps of coins one generator call draws per stream, kept as packed
+# bits; a multiple of _BLOCK_STEPS, so every block starts on a whole byte
+_SPAN_STEPS = 2048
 
 
 def _coin_blocks(streams: list[RngStream], steps: int, alpha_plus: float):
@@ -435,26 +439,37 @@ def _coin_blocks(streams: list[RngStream], steps: int, alpha_plus: float):
     Yields (junction, xi) per block of at most _BLOCK_STEPS steps, each a
     (replicas, block) int8 array of +-1; junction is None at plus-weight
     1/2. A stream holds `steps` origin uniforms followed by `steps`
-    Rademacher uniforms, so a second generator, moved past the first run,
-    reads the signs alongside the uniforms.
+    Rademacher uniforms, so a second Philox on the same seed sequence,
+    moved past the first run, reads the signs alongside the uniforms. Each
+    bit generator serves a span of _SPAN_STEPS draws per call, kept only as
+    packed bits: a uniform is (raw >> 11) / 2^53, so it is below p exactly
+    when raw >> 11 is below ceil(p 2^53). Memory is therefore
+    O(replicas x _SPAN_STEPS / 8) whatever the horizon.
     """
-    origin = [s.child(KEY_FLOW_COINS).generator() for s in streams]
-    signs = [s.child(KEY_FLOW_COINS).generator() for s in streams]
+    junction_rule = alpha_plus != 0.5
+    signs = [s.child(KEY_FLOW_COINS).generator().bit_generator for s in streams]
+    kinds = [(signs, math.ceil(0.5 * 2.0**53))]
+    if junction_rule:
+        origin = [type(g)(g.seed_seq) for g in signs]
+        kinds.insert(0, (origin, math.ceil(alpha_plus * 2.0**53)))
     for gen in signs:
         # Philox advances by counters of four 64-bit draws, one per uniform
-        gen.bit_generator.advance(steps // 4)
-        gen.random(steps % 4)
-    uniforms = np.empty((len(streams), _BLOCK_STEPS))
-    for k0 in range(0, steps, _BLOCK_STEPS):
-        u = uniforms[:, : min(_BLOCK_STEPS, steps - k0)]
-        junction = None
-        if alpha_plus != 0.5:
-            for row, gen in zip(u, origin):
-                gen.random(out=row)
-            junction = np.where(u < alpha_plus, _UP, _DOWN)
-        for row, gen in zip(u, signs):
-            gen.random(out=row)
-        yield junction, np.where(u < 0.5, _UP, _DOWN)
+        gen.advance(steps // 4)
+        gen.random_raw(steps % 4)
+    bits = np.empty((len(kinds), len(streams), _SPAN_STEPS // 8), dtype=np.uint8)
+    for s0 in range(0, steps, _SPAN_STEPS):
+        width = min(_SPAN_STEPS, steps - s0)
+        for packed, (gens, below) in zip(bits, kinds):
+            for row, gen in zip(packed, gens):
+                uniform_bits = gen.random_raw(width) >> 11
+                row[: -(-width // 8)] = np.packbits(uniform_bits < below)
+        for k0 in range(0, width, _BLOCK_STEPS):
+            block = min(_BLOCK_STEPS, width - k0)
+            chunk = bits[:, :, k0 // 8 : -(-(k0 + block) // 8)]
+            coins = np.unpackbits(chunk, axis=-1, count=block).view(np.int8)
+            coins *= 2
+            coins -= 1  # bit 1 steps up, bit 0 down
+            yield (coins[0] if junction_rule else None), coins[-1]
 
 
 def _skew_flow_states(
@@ -470,11 +485,13 @@ def _skew_flow_states(
     (k0, rows) per time block, where rows[j, q, r] is start q of replica r
     at index k0 + j for j = 0..width: consecutive blocks share one row.
     rows is a view of a buffer the next block overwrites, and its entries
-    ahead of a start's birth mean nothing. Memory is
-    O(_BLOCK_STEPS x starts x replicas) whatever the horizon.
+    ahead of a start's birth mean nothing. States take the narrowest
+    integer type that holds every reachable value. With the coins of
+    _coin_blocks, memory is O(replicas x (starts x _BLOCK_STEPS +
+    _SPAN_STEPS / 8)) whatever the horizon.
     """
     reach = steps + max(abs(units or 0) for _, units in starts)
-    dtype = np.int32 if reach < 2**31 else np.int64
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if reach <= np.iinfo(t).max)
     rows = np.zeros((_BLOCK_STEPS + 1, len(starts), len(streams)), dtype=dtype)
     born: dict[int, list[tuple[int, Optional[int]]]] = {}
     for q, (birth, units) in enumerate(starts):
@@ -486,8 +503,8 @@ def _skew_flow_states(
 
     if 0 in born:
         enter(0, rows[0])
-    blocks = _coin_blocks(streams, steps, alpha_plus)
-    for k0, (junction, xi) in zip(range(0, steps, _BLOCK_STEPS), blocks):
+    k0 = 0
+    for junction, xi in _coin_blocks(streams, steps, alpha_plus):
         width = xi.shape[1]
         for j in range(width):
             step_up = None if junction is None else junction[:, j]
@@ -496,6 +513,7 @@ def _skew_flow_states(
                 enter(k0 + j + 1, rows[j + 1])
         yield k0, rows[: width + 1]
         rows[0] = rows[width]
+        k0 += width
 
 
 def _flow_invariants(
@@ -523,57 +541,64 @@ def _flow_invariants(
     """
     n = len(births) - 1
     replica = np.arange(n_replicas)
-    same_time = sorted((q for q in range(n) if births[q] == 0), key=lambda q: units[q])
+    order = sorted((q for q in range(n) if births[q] == 0), key=lambda q: units[q])
+    never = np.iinfo(np.int64).max
     monotone = np.ones(n_replicas, dtype=bool)
     flow_prop = np.ones(n_replicas, dtype=bool)
     permanence = np.ones(n_replicas, dtype=bool)
     at_zero = np.ones(n_replicas, dtype=bool)
-    merge_at = np.full((n, n_replicas), -1, dtype=np.int64)
+    merge_at = np.full((n, n_replicas), never, dtype=np.int64)
     target = np.zeros((n, n_replicas), dtype=np.intp)
     visits = np.zeros(n_replicas, dtype=np.int64)
-    never = np.iinfo(np.int64).max
     for k0, rows in blocks:
-        index = np.arange(k0, k0 + len(rows))[:, None]
-        at_junction = rows == 0
-        for a, b in zip(same_time, same_time[1:]):
-            monotone &= np.all(rows[:, a] <= rows[:, b], axis=0)
+        index = np.arange(k0, k0 + len(rows))
+        born = (index[:, None] >= births[:n])[:, :, None]
+        at_junction = rows[:, :n] == 0
+        at_junction &= born
+        monotone &= np.all(rows[:, order[:-1]] <= rows[:, order[1:]], axis=(0, 1))
         lo = max(births[n] - k0, 0)
         flow_prop &= np.all(rows[lo:, n] == rows[lo:, 0], axis=0)
 
         for q in range(1, n):
-            pending = merge_at[q] < 0
+            pending = merge_at[q] == never
             if not pending.any():
                 continue
-            first = np.full(n_replicas, never)
-            for i in range(q):
-                lo = max(births[i], births[q], k0) - k0
-                if lo >= len(rows):
-                    continue
-                if junction_rule:
-                    meet = at_junction[lo:, i] & at_junction[lo:, q]
-                else:
-                    meet = rows[lo:, i] == rows[lo:, q]
-                pos = np.where(meet.any(axis=0), meet.argmax(axis=0) + k0 + lo, never)
-                earlier = pending & (pos < first)
-                first[earlier] = pos[earlier]
-                target[q, earlier] = i
-            new = pending & (first < never)
-            merge_at[q, new] = first[new]
-            if junction_rule and new.any():
-                at, r = first[new] - k0, replica[new]
-                at_zero[new] &= at_junction[at, q, r] & at_junction[at, target[q, r], r]
+            if junction_rule:
+                meet = at_junction[:, :q] & at_junction[:, q, None]
+            else:
+                meet = (rows[:, :q] == rows[:, q, None]) & born[:, :q] & born[:, q, None]
+            new, to, at = _first_meetings(meet, pending, k0)
+            target[q, new], merge_at[q, new] = to, at
+            if junction_rule:
+                at_zero[new] &= at_junction[at - k0, q, new] & at_junction[at - k0, to, new]
 
         for q in range(1, n):
-            t = merge_at[q]
-            if (t >= 0).any():
-                other = rows[:, target[q], replica]
-                differ = (rows[:, q] != other) & (index >= t) & (t >= 0)
+            if (merge_at[q] < never).any():
+                differ = rows[:, q] != rows[:, target[q], replica]
+                differ &= index[:, None] >= merge_at[q]
                 permanence &= ~differ.any(axis=0)
 
-        limit = np.where(merge_at[1] >= 0, merge_at[1], never)
-        counted = (index[:-1] >= births[1]) & (index[:-1] < limit)
-        visits += np.sum(at_junction[:-1, 1] & counted, axis=0)
-    return monotone, flow_prop, permanence, at_zero, merge_at[1], visits
+        before = index[:-1, None] < merge_at[1]
+        visits += np.count_nonzero(at_junction[:-1, 1] & before, axis=0)
+        # drop the block's arrays before the next block's are made
+        at_junction = born = before = meet = differ = None
+    merge = np.where(merge_at[1] < never, merge_at[1], -1)
+    return monotone, flow_prop, permanence, at_zero, merge, visits
+
+
+def _first_meetings(meet: np.ndarray, pending: np.ndarray, k0: int):
+    """The replicas whose start first meets an earlier start in this block.
+
+    meet[j, i, r] says that in replica r the start meets start i at index
+    k0 + j; only pending replicas count. Returns (replicas, targets,
+    indices): the earliest meeting of each, the smallest target on ties.
+    """
+    i, r = np.nonzero(meet.any(axis=0) & pending)
+    first = np.full(meet.shape[1:], np.iinfo(np.int64).max)
+    first[i, r] = meet[:, i, r].argmax(axis=0) + k0
+    new = np.unique(r)
+    targets = first[:, new].argmin(axis=0)
+    return new, targets, first[targets, new]
 
 
 def _flow_experiment_invariants(

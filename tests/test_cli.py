@@ -9,19 +9,23 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from walshflow import cli as cli_module
 from walshflow.cli import (
-    _FLOW_CHUNK,
+    _FLOW_CHUNK_MAX,
+    _FLOW_CHUNK_MIN,
     _MAX_KEPT_STEPS,
+    _MAX_MERGE_PAIRS,
     COMMANDS,
     DEFAULT_CONFIG,
     CheckFailed,
     ConfigInvalid,
     ExperimentConfig,
+    _flow_chunks,
     _ito_test_functions,
     _kernel_task,
     _map_replicas,
@@ -105,6 +109,9 @@ class TestConfigRoundTrip:
             # horizon / dt is 10, but verify-freidlin-sheu's coarse step 4 dt
             # would fit 2.5 times and its grid would end at t = 0.8
             {"dt": 0.1},
+            # merge-level pairs over the budget: five arrays of 8 GB each
+            {"merge_pairs": 10**9},
+            {"merge_pairs": _MAX_MERGE_PAIRS + 1},
         ],
     )
     def test_validation_rejects(self, overrides):
@@ -117,6 +124,12 @@ class TestConfigRoundTrip:
         replace(DEFAULT_CONFIG, level=11).validate()  # 4^11 steps, at the budget
         with pytest.raises(ConfigInvalid, match=f"budget of {_MAX_KEPT_STEPS} steps"):
             replace(DEFAULT_CONFIG, level=12).validate()
+
+    def test_merge_pair_budget_names_the_bound(self):
+        assert DEFAULT_CONFIG.merge_pairs <= _MAX_MERGE_PAIRS
+        replace(DEFAULT_CONFIG, merge_pairs=_MAX_MERGE_PAIRS).validate()
+        with pytest.raises(ConfigInvalid, match=f"budget of {_MAX_MERGE_PAIRS} merge pairs"):
+            replace(DEFAULT_CONFIG, merge_pairs=_MAX_MERGE_PAIRS + 1).validate()
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigInvalid):
@@ -288,14 +301,15 @@ class TestExitCodes:
             run("not-a-command", DEFAULT_CONFIG)
 
 
-def test_pool_is_no_larger_than_the_task_list(monkeypatch):
-    sizes = []
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace the process pool by one that records each pool size and task
+    count asked for and maps in this process, so no process starts."""
+    asked = SimpleNamespace(sizes=[], tasks=[])
 
     class RecordingPool:
-        """Records the pool size asked for and maps in this process."""
-
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            asked.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -304,12 +318,57 @@ def test_pool_is_no_larger_than_the_task_list(monkeypatch):
             return False
 
         def map(self, task, args_list, chunksize=1):
+            asked.tasks.append(len(args_list))
             return map(task, args_list)
 
     monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    return asked
+
+
+def test_pool_is_no_larger_than_the_task_list(recording_pool):
     assert _map_replicas(abs, [-3, -1, 2], 8) == [3, 1, 2]
     assert _map_replicas(abs, list(range(-20, 0)), 2) == list(range(20, 0, -1))
-    assert sizes == [3, 2]
+    assert recording_pool.sizes == [3, 2]
+
+
+@pytest.mark.parametrize("replicas", [1, 199, 200, 401, 1200, 2049, 5000])
+@pytest.mark.parametrize("workers", [1, 2, 3, 7, 10**6])
+def test_flow_chunks_split_evenly_within_bounds(replicas, workers):
+    chunks = _flow_chunks(replicas, workers)
+    firsts = [first for first, _ in chunks]
+    counts = [count for _, count in chunks]
+    assert firsts == [sum(counts[:i]) for i in range(len(counts))]
+    assert sum(counts) == replicas
+    assert set(counts[:-1]) <= {counts[0]} and counts[-1] <= counts[0]
+    assert counts[0] <= _FLOW_CHUNK_MAX
+    # never more tasks than fixed chunks of _FLOW_CHUNK_MIN made, and one
+    # task per worker up to that many
+    most = -(-replicas // _FLOW_CHUNK_MIN)
+    assert min(workers, most) <= len(chunks) <= most
+
+
+def test_flow_chunks_at_the_default_config():
+    replicas = DEFAULT_CONFIG.flow_replicas
+    assert _flow_chunks(replicas, 1) == [(0, replicas)]
+    assert _flow_chunks(replicas, 2) == [(0, replicas // 2), (replicas // 2, replicas // 2)]
+
+
+def test_flow_pool_is_no_larger_than_before(tmp_path, recording_pool):
+    # a huge worker count asks for one task per _FLOW_CHUNK_MIN replicas,
+    # as many as the fixed chunks did, and a pool no larger
+    replicas = 2 * _FLOW_CHUNK_MIN + 1
+    config = replace(
+        DEFAULT_CONFIG,
+        level=3,
+        flow_horizon=1.0,
+        flow_replicas=replicas,
+        merge_pairs=60,
+        workers=10**6,
+        out_dir=str(tmp_path / "out"),
+    ).validate()
+    run("flow-experiment", config)
+    assert recording_pool.tasks == [3]
+    assert recording_pool.sizes == [3]
 
 
 def test_cli_import_does_not_load_scipy_stats():
@@ -349,12 +408,14 @@ class TestSeedPrecedence:
 
 class TestWorkerDeterminism:
     @staticmethod
-    def _assert_pool_sizes_agree(tmp_path, config, subcommand="flow-experiment", pool="3"):
+    def _assert_pool_sizes_agree(
+        tmp_path, config, subcommand="flow-experiment", pools=("3",)
+    ):
         ini = tmp_path / "run.ini"
         ini.write_text(serialize_config(config), encoding="utf-8")
         outs = []
-        for name, workers in (("serial", "1"), ("pool", pool)):
-            out = tmp_path / name
+        for workers in ("1", *pools):
+            out = tmp_path / f"workers{workers}"
             code = main(
                 [
                     subcommand,
@@ -369,11 +430,12 @@ class TestWorkerDeterminism:
             assert code == 0
             outs.append(out)
         artifacts = sorted(os.listdir(outs[0]))
-        assert artifacts and artifacts == sorted(os.listdir(outs[1]))
-        for artifact in artifacts:
-            left = (outs[0] / artifact).read_bytes()
-            right = (outs[1] / artifact).read_bytes()
-            assert left == right, artifact
+        assert artifacts
+        for out in outs[1:]:
+            assert artifacts == sorted(os.listdir(out))
+            for artifact in artifacts:
+                left = (outs[0] / artifact).read_bytes()
+                assert left == (out / artifact).read_bytes(), (out.name, artifact)
 
     def test_flow_artifacts_identical_across_pool_sizes(self, tmp_path):
         config = replace(
@@ -386,21 +448,26 @@ class TestWorkerDeterminism:
         self._assert_pool_sizes_agree(tmp_path, config)
 
     def test_flow_artifacts_identical_across_partial_replica_chunks(self, tmp_path):
-        # three tasks, the last one partly filled, so the pool really runs
+        # an odd replica count: at 2 and 3 workers the last task is only
+        # partly filled, and the pool really runs
+        replicas = 2 * _FLOW_CHUNK_MIN + 1
+        for workers in (2, 3):
+            counts = [count for _, count in _flow_chunks(replicas, workers)]
+            assert len(counts) == workers and counts[-1] < counts[0]
         config = replace(
             DEFAULT_CONFIG,
             level=3,
             flow_horizon=1.0,
-            flow_replicas=2 * _FLOW_CHUNK + 17,
+            flow_replicas=replicas,
             merge_pairs=60,
             root_seed=4243,
         )
-        self._assert_pool_sizes_agree(tmp_path, config)
+        self._assert_pool_sizes_agree(tmp_path, config, pools=("2", "3"))
 
     def test_kernel_artifacts_identical_across_pool_sizes(self, tmp_path):
         # eight kernel ensembles, the fewest the subcommand runs
         config = replace(DEFAULT_CONFIG, level=4, replicas=800, root_seed=4244)
-        self._assert_pool_sizes_agree(tmp_path, config, "kernel-experiment", "2")
+        self._assert_pool_sizes_agree(tmp_path, config, "kernel-experiment", ("2",))
 
     def test_freidlin_sheu_artifacts_identical_across_pool_sizes(self, tmp_path):
         # two full chunks of fine-step paths and a remainder; the coarse
@@ -408,13 +475,13 @@ class TestWorkerDeterminism:
         steps = round(DEFAULT_CONFIG.horizon / DEFAULT_CONFIG.dt)
         paths = 2 * _residual_chunk_paths(steps) + 7
         config = replace(DEFAULT_CONFIG, path_replicas=paths, root_seed=4246)
-        self._assert_pool_sizes_agree(tmp_path, config, "verify-freidlin-sheu", "2")
+        self._assert_pool_sizes_agree(tmp_path, config, "verify-freidlin-sheu", ("2",))
 
     def test_path_artifacts_identical_across_pool_sizes(self, tmp_path):
         config = replace(
             DEFAULT_CONFIG, dt=1e-3, replicas=4000, path_replicas=24, root_seed=4245
         )
-        self._assert_pool_sizes_agree(tmp_path, config, "simulate-wbm", "2")
+        self._assert_pool_sizes_agree(tmp_path, config, "simulate-wbm", ("2",))
 
 
 def test_residual_rms_equals_per_path_loop():

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from walshflow import flows
 from walshflow.cli import DEFAULT_CONFIG, _flow_chunk, _flow_starts
 from walshflow.flows import (
     LatticeFlowConfig,
@@ -72,6 +73,49 @@ def test_kernel_states_equal_skew_lattice_flow_rows(batch):
                     np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
             seen = k0 + len(rows) - 1
         assert seen == config.steps
+
+
+# plus-weights 0, 1/2, 1 and generic
+SPAN_SPECS = [LATTICE_SPECS[0], LATTICE_SPECS[1], LATTICE_SPECS[3], LATTICE_SPECS[5]]
+
+
+@pytest.mark.parametrize("spec", SPAN_SPECS, ids=lambda spec: f"a+={spec.alpha_plus:g}")
+@pytest.mark.parametrize("span", [None, 64, 128])
+def test_kernel_states_equal_flow_rows_across_draw_spans(monkeypatch, spec, span):
+    """Horizons over several draw spans that end mid-byte, with starts that
+    enter from start 0 just before a span boundary and near the end."""
+    if span is not None:
+        monkeypatch.setattr(flows, "_SPAN_STEPS", span)
+    span = flows._SPAN_STEPS
+    steps = 3 * span + 13
+    level = 2
+    dx = 2.0 ** (-level)
+    # (birth, ray, units), all on one lattice parity
+    plan = [(0, 1, 0), (0, spec.n_rays, 4), (0, 1, 2), (33, 1, 3)]
+    pairs = [
+        (birth * 4.0 ** (-level), spec.origin if units == 0 else GraphPoint(ray, units * dx))
+        for birth, ray, units in plan
+    ]
+    config = LatticeFlowConfig(
+        level=level, horizon=steps * 4.0 ** (-level), start_pairs=tuple(pairs)
+    )
+    assert config.steps == steps and steps % 8
+    starts = [(birth, spec.sign(ray) * units) for birth, ray, units in plan]
+    starts += [(span - 1, None), (steps - 3, None)]
+    streams = [RngStream(4247).child(KEY_REPLICA, rep) for rep in range(3)]
+    refs = [skew_lattice_flow(config, spec, s).traj for s in streams]
+    seen = 0
+    for k0, rows in _skew_flow_states(spec.alpha_plus, steps, starts, streams):
+        assert k0 == seen
+        for r, ref in enumerate(refs):
+            for q, (birth, units) in enumerate(starts):
+                source = ref[0] if units is None else ref[q]
+                lo = max(birth, k0)
+                np.testing.assert_array_equal(
+                    rows[lo - k0 :, q, r], source[lo : k0 + len(rows)]
+                )
+        seen = k0 + len(rows) - 1
+    assert seen == steps
 
 
 def _flow_task_oracle(config, rep):
