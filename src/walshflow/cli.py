@@ -103,8 +103,8 @@ _WALK_LEVELS = (2, 3, 4, 5)
 # horizon * 4^level lattice steps (int64) and every flip path keeps its
 # horizon / dt grid points in several float arrays, 32 MiB each at the budget
 _MAX_KEPT_STEPS = 2**22
-# most flow-experiment merge pairs: merge_level_samples steps five int64 or
-# float64 arrays of one entry per pair, 2 MiB each at the budget, and the
+# most flow-experiment merge pairs: merge_level_samples keeps a few arrays of
+# one entry of at most 8 bytes per pair, 2 MiB each at the budget, and the
 # merges artifact holds one row per merged pair
 _MAX_MERGE_PAIRS = 2**18
 

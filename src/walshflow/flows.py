@@ -431,6 +431,20 @@ _BLOCK_STEPS = 64
 # time steps of coins one generator call draws per stream, kept as packed
 # bits; a multiple of _BLOCK_STEPS, so every block starts on a whole byte
 _SPAN_STEPS = 2048
+# Philox words merge_level_samples draws at a time (or the multiple one step
+# needs); fixed rather than sized by the pair count, which raised peak memory
+_MERGE_DRAW_WORDS = 2**14
+
+
+def _raw_below(p: float) -> int:
+    """The raw-word threshold of probability p: a uniform is (raw >> 11) /
+    2^53, so it is below p exactly when raw < ceil(p 2^53) 2^11."""
+    return math.ceil(p * 2.0**53) << 11
+
+
+def _state_dtype(reach: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds +-reach."""
+    return next(t for t in (np.int16, np.int32, np.int64) if reach <= np.iinfo(t).max)
 
 
 def _coin_blocks(streams: list[RngStream], steps: int, alpha_plus: float):
@@ -442,16 +456,15 @@ def _coin_blocks(streams: list[RngStream], steps: int, alpha_plus: float):
     Rademacher uniforms, so a second Philox on the same seed sequence,
     moved past the first run, reads the signs alongside the uniforms. Each
     bit generator serves a span of _SPAN_STEPS draws per call, kept only as
-    packed bits: a uniform is (raw >> 11) / 2^53, so it is below p exactly
-    when raw >> 11 is below ceil(p 2^53). Memory is therefore
+    packed bits of raw < _raw_below(p). Memory is therefore
     O(replicas x _SPAN_STEPS / 8) whatever the horizon.
     """
     junction_rule = alpha_plus != 0.5
     signs = [s.child(KEY_FLOW_COINS).generator().bit_generator for s in streams]
-    kinds = [(signs, math.ceil(0.5 * 2.0**53))]
+    kinds = [(signs, _raw_below(0.5))]
     if junction_rule:
         origin = [type(g)(g.seed_seq) for g in signs]
-        kinds.insert(0, (origin, math.ceil(alpha_plus * 2.0**53)))
+        kinds.insert(0, (origin, _raw_below(alpha_plus)))
     for gen in signs:
         # Philox advances by counters of four 64-bit draws, one per uniform
         gen.advance(steps // 4)
@@ -461,8 +474,7 @@ def _coin_blocks(streams: list[RngStream], steps: int, alpha_plus: float):
         width = min(_SPAN_STEPS, steps - s0)
         for packed, (gens, below) in zip(bits, kinds):
             for row, gen in zip(packed, gens):
-                uniform_bits = gen.random_raw(width) >> 11
-                row[: -(-width // 8)] = np.packbits(uniform_bits < below)
+                row[: -(-width // 8)] = np.packbits(gen.random_raw(width) < below)
         for k0 in range(0, width, _BLOCK_STEPS):
             block = min(_BLOCK_STEPS, width - k0)
             chunk = bits[:, :, k0 // 8 : -(-(k0 + block) // 8)]
@@ -490,8 +502,7 @@ def _skew_flow_states(
     _coin_blocks, memory is O(replicas x (starts x _BLOCK_STEPS +
     _SPAN_STEPS / 8)) whatever the horizon.
     """
-    reach = steps + max(abs(units or 0) for _, units in starts)
-    dtype = next(t for t in (np.int16, np.int32, np.int64) if reach <= np.iinfo(t).max)
+    dtype = _state_dtype(steps + max(abs(units or 0) for _, units in starts))
     rows = np.zeros((_BLOCK_STEPS + 1, len(starts), len(streams)), dtype=dtype)
     born: dict[int, list[tuple[int, Optional[int]]]] = {}
     for q, (birth, units) in enumerate(starts):
@@ -540,7 +551,6 @@ def _flow_invariants(
     meeting with any earlier start, the smallest target on ties.
     """
     n = len(births) - 1
-    replica = np.arange(n_replicas)
     order = sorted((q for q in range(n) if births[q] == 0), key=lambda q: units[q])
     never = np.iinfo(np.int64).max
     monotone = np.ones(n_replicas, dtype=bool)
@@ -555,7 +565,8 @@ def _flow_invariants(
         born = (index[:, None] >= births[:n])[:, :, None]
         at_junction = rows[:, :n] == 0
         at_junction &= born
-        monotone &= np.all(rows[:, order[:-1]] <= rows[:, order[1:]], axis=(0, 1))
+        for a, b in zip(order[:-1], order[1:]):
+            monotone &= np.all(rows[:, a] <= rows[:, b], axis=0)
         lo = max(births[n] - k0, 0)
         flow_prop &= np.all(rows[lo:, n] == rows[lo:, 0], axis=0)
 
@@ -572,16 +583,19 @@ def _flow_invariants(
             if junction_rule:
                 at_zero[new] &= at_junction[at - k0, q, new] & at_junction[at - k0, to, new]
 
+        # each earlier start densely, counted only where it is q's target
         for q in range(1, n):
             if (merge_at[q] < never).any():
-                differ = rows[:, q] != rows[:, target[q], replica]
-                differ &= index[:, None] >= merge_at[q]
-                permanence &= ~differ.any(axis=0)
+                after = index[:, None] >= merge_at[q]
+                for t in range(q):
+                    differ = rows[:, q] != rows[:, t]
+                    differ &= after
+                    permanence &= ~(differ.any(axis=0) & (target[q] == t))
 
         before = index[:-1, None] < merge_at[1]
         visits += np.count_nonzero(at_junction[:-1, 1] & before, axis=0)
         # drop the block's arrays before the next block's are made
-        at_junction = born = before = meet = differ = None
+        at_junction = born = before = meet = after = differ = None
     merge = np.where(merge_at[1] < never, merge_at[1], -1)
     return monotone, flow_prop, permanence, at_zero, merge, visits
 
@@ -914,50 +928,64 @@ def merge_level_samples(
     stream: RngStream,
 ) -> tuple[np.ndarray, int]:
     """Coalescence levels for pairs started at the junction and at
-    +y_units, one independent coin sequence per pair.
+    +y_units, all pairs drawing from the one KEY_FLOW_COINS stream.
 
     The level of a merge is y + (2 a+ - 1) dx * (junction visits of the
     upper trajectory before the merge): the lattice local time the upper
     trajectory accumulated, measured on the skew scale, which is always
-    >= y. Returns (levels of merged pairs, number censored at the
-    horizon).
+    >= y. Returns (levels of the merged pairs in pair order, number
+    censored at the horizon).
+
+    Draw layout: a step with m unmerged pairs takes the stream's next 2m
+    64-bit words. The unmerged pair of rank r (pairs ranked by index)
+    steps up at the junction when word r is below _raw_below(a+), and up
+    away from it when word m + r is below _raw_below(1/2): the uniforms of
+    random(m) for the junction, then random(m) for the signs. The words
+    are read _MERGE_DRAW_WORDS at a time, the unused tail carried over.
     """
     if y_units <= 0 or y_units % 2 != 0:
         raise OffLatticeStart("upper start must be a positive even number of units")
     ap = spec.alpha_plus
     if not 0.5 < ap < 1.0:
         raise ValueError("merge-level law needs a plus-weight strictly between 1/2 and 1")
-    gen = stream.child(KEY_FLOW_COINS).generator()
-    dx = 2.0 ** (-level)
+    gen = stream.child(KEY_FLOW_COINS).generator().bit_generator
+    up_below, sign_below = _raw_below(ap), _raw_below(0.5)
+    dtype = _state_dtype(horizon_steps + y_units)
+    step = np.array([-1, 1], dtype=dtype)
 
-    z_x = np.zeros(n_pairs, dtype=np.int64)
-    z_y = np.full(n_pairs, y_units, dtype=np.int64)
-    visits_y = np.zeros(n_pairs, dtype=np.int64)
-    alive_idx = np.arange(n_pairs)
-    levels = np.full(n_pairs, np.nan)
+    # unmerged pairs only, packed in rank order: both walks, the upper
+    # walk's junction visits and the pair's index
+    z = np.zeros((2, n_pairs), dtype=dtype)
+    z[1] = y_units
+    visits = np.zeros(n_pairs, dtype=dtype)
+    pair = np.arange(n_pairs)
+    merged_visits = np.full(n_pairs, -1, dtype=np.int64)
+    # the undrawn coins, as +-1 steps, of a junction and of a sign word
+    up = sign = np.empty(0, dtype=dtype)
 
     for _ in range(horizon_steps):
-        if not len(alive_idx):
+        m = len(pair)
+        if not m:
             break
-        m = len(alive_idx)
-        u_origin = gen.random(m)
-        xi = np.where(gen.random(m) < 0.5, 1, -1)
-        junction = np.where(u_origin < ap, 1, -1)
+        if len(up) < 2 * m:
+            more = -(-(2 * m - len(up)) // _MERGE_DRAW_WORDS) * _MERGE_DRAW_WORDS
+            words = gen.random_raw(more)
+            fresh_up = step.take((words < up_below).view(np.uint8))
+            fresh_sign = step.take((words < sign_below).view(np.uint8))
+            up, sign = np.concatenate((up, fresh_up)), np.concatenate((sign, fresh_sign))
+        junction, xi = up[:m], sign[m : 2 * m]
+        up, sign = up[2 * m :], sign[2 * m :]
 
-        zx = z_x[alive_idx]
-        zy = z_y[alive_idx]
-        visits_y[alive_idx[zy == 0]] += 1
+        at_junction = z == 0
+        visits += at_junction[1]
+        _skew_step(z, junction, xi, out=z, at_junction=at_junction)
 
-        new_zx = _skew_step(zx, junction, xi)
-        new_zy = _skew_step(zy, junction, xi)
-        z_x[alive_idx] = new_zx
-        z_y[alive_idx] = new_zy
+        unmerged = z[0] | z[1]
+        if np.count_nonzero(unmerged) < m:
+            keep = unmerged != 0
+            hit = ~keep
+            merged_visits[pair[hit]] = visits[hit]
+            z, visits, pair = z[:, keep], visits[keep], pair[keep]
 
-        merged = (new_zx == 0) & (new_zy == 0)
-        if np.any(merged):
-            hit = alive_idx[merged]
-            levels[hit] = _merge_level(y_units, dx, ap, visits_y[hit])
-            alive_idx = alive_idx[~merged]
-
-    merged_levels = levels[~np.isnan(levels)]
-    return merged_levels, int(len(alive_idx))
+    merged = merged_visits[merged_visits >= 0]
+    return _merge_level(y_units, 2.0 ** (-level), ap, merged), len(pair)

@@ -274,3 +274,40 @@ def test_flow_property_fails_when_the_appended_start_is_pushed_after_birth():
     got = _streamed(traj, births, units)
     assert not got["flow_prop"]
     assert got["monotone"] and got["permanence"]
+
+
+def _replica_merging_past_start_0(q=3):
+    """A replica in which start q merges into an earlier start other than
+    start 0 before the last step: (traj, births, units, merge index, target)."""
+    for seed in range(200):
+        ens, traj, births, units = _full_trajectories(seed)
+        record = ens.merge_record(q)
+        if (
+            record is not None
+            and record.target_index != 0
+            and record.merge_index + 1 < ens.steps
+        ):
+            return traj, births, units, record.merge_index, record.target_index
+    raise AssertionError(f"no replica merged start {q} into a start other than 0")
+
+
+def test_permanence_fails_when_a_start_leaves_a_target_other_than_start_0():
+    traj, births, units, t, _target = _replica_merging_past_start_0()
+    assert _streamed(traj, births, units)["permanence"]
+    traj[3, t + 1 :] += 2
+    got = _streamed(traj, births, units)
+    assert not got["permanence"]
+    assert got["monotone"] and got["flow_prop"]
+
+
+def test_permanence_fails_when_a_start_follows_another_start_than_its_target():
+    traj, births, units, t, target = _replica_merging_past_start_0()
+    other = next(
+        s
+        for s in range(3)
+        if s != target and not np.array_equal(traj[s, t + 1 :], traj[target, t + 1 :])
+    )
+    traj[3, t + 1 :] = traj[other, t + 1 :]
+    got = _streamed(traj, births, units)
+    assert not got["permanence"]
+    assert got["monotone"] and got["flow_prop"]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from walshflow import flows
 from walshflow import paths as paths_module
 from walshflow.flows import (
     LATTICE_INF,
@@ -37,6 +38,7 @@ from walshflow.paths import (
     KEY_FLOW_COINS,
     KEY_MAPPING_CHOICE,
     RngStream,
+    _skew_step,
     categorical,
     dyadic_label,
 )
@@ -783,7 +785,85 @@ class TestRayWeightExtraction:
         np.testing.assert_array_equal(measure_ray_weights(origin, SPEC3), [0, 0, 0])
 
 
+def _merge_levels_oracle(spec, level, y_units, horizon_steps, n_pairs, stream):
+    """merge_level_samples as a per-step loop: every step draws random(m)
+    junction uniforms, then random(m) signs, for its m unmerged pairs, and
+    steps them through index arrays with paths._skew_step."""
+    ap = spec.alpha_plus
+    gen = stream.child(KEY_FLOW_COINS).generator()
+    dx = 2.0 ** (-level)
+    z_x = np.zeros(n_pairs, dtype=np.int64)
+    z_y = np.full(n_pairs, y_units, dtype=np.int64)
+    visits_y = np.zeros(n_pairs, dtype=np.int64)
+    alive_idx = np.arange(n_pairs)
+    levels = np.full(n_pairs, np.nan)
+    for _ in range(horizon_steps):
+        if not len(alive_idx):
+            break
+        m = len(alive_idx)
+        u_origin = gen.random(m)
+        xi = np.where(gen.random(m) < 0.5, 1, -1)
+        junction = np.where(u_origin < ap, 1, -1)
+        zx = z_x[alive_idx]
+        zy = z_y[alive_idx]
+        visits_y[alive_idx[zy == 0]] += 1
+        new_zx = _skew_step(zx, junction, xi)
+        new_zy = _skew_step(zy, junction, xi)
+        z_x[alive_idx] = new_zx
+        z_y[alive_idx] = new_zy
+        merged = (new_zx == 0) & (new_zy == 0)
+        if np.any(merged):
+            hit = alive_idx[merged]
+            levels[hit] = y_units * dx + (2.0 * ap - 1.0) * dx * visits_y[hit]
+            alive_idx = alive_idx[~merged]
+    return levels[~np.isnan(levels)], int(len(alive_idx))
+
+
+def _assert_merge_levels_match_oracle(args):
+    levels, censored = merge_level_samples(*args)
+    want, want_censored = _merge_levels_oracle(*args)
+    assert censored == want_censored
+    assert levels.dtype == want.dtype and levels.tobytes() == want.tobytes()
+    return levels, censored
+
+
+# more pairs than half a draw, so a step's words cross a refill
+_MANY_PAIRS = flows._MERGE_DRAW_WORDS // 2 + 7
+
+
 class TestMergeLevels:
+    @pytest.mark.parametrize("ap", [0.55, 0.7, 0.9])
+    @pytest.mark.parametrize("y_units", [2, 4, 8])
+    @pytest.mark.parametrize("n_pairs", [1, 9, _MANY_PAIRS])
+    def test_bulk_draws_equal_per_step_oracle(self, ap, y_units, n_pairs):
+        spec = validate_spec((ap, 1.0 - ap), (1, -1))
+        for seed, steps in enumerate([0, 1, 300]):
+            args = (spec, 4, y_units, steps, n_pairs, RngStream(7000 + seed, (n_pairs,)))
+            _levels, censored = _assert_merge_levels_match_oracle(args)
+            if steps == 0:
+                assert censored == n_pairs
+
+    @pytest.mark.parametrize("ap", [0.55, 0.7, 0.9])
+    def test_every_pair_merges_before_the_horizon(self, ap):
+        spec = validate_spec((ap, 1.0 - ap), (1, -1))
+        levels, censored = _assert_merge_levels_match_oracle(
+            (spec, 4, 2, 2000, 9, RngStream(0))
+        )
+        assert censored == 0 and len(levels) == 9
+
+    @pytest.mark.parametrize("draw_words", [4, 16, 64])
+    def test_small_draws_refill_inside_steps(self, monkeypatch, draw_words):
+        monkeypatch.setattr(flows, "_MERGE_DRAW_WORDS", draw_words)
+        for n_pairs in (9, 40):
+            _assert_merge_levels_match_oracle((SPEC2, 3, 2, 400, n_pairs, RngStream(63)))
+
+    @pytest.mark.parametrize("reach, dtype", [(32767, np.int16), (32768, np.int32)])
+    def test_state_type_edge(self, reach, dtype):
+        """horizon_steps + y_units at the int16 edge picks int16, one past it
+        int32; the levels match the oracle either way."""
+        assert flows._state_dtype(reach) is dtype
+        _assert_merge_levels_match_oracle((SPEC2, 3, 2, reach - 2, 9, RngStream(64)))
+
     def test_levels_never_below_initial_separation(self):
         levels, censored = merge_level_samples(SPEC2, 4, 2, 4096, 400, RngStream(60))
         assert len(levels) + censored == 400
