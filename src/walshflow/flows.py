@@ -436,10 +436,17 @@ _SPAN_STEPS = 2048
 _MERGE_DRAW_WORDS = 2**14
 
 
-def _raw_below(p: float) -> int:
-    """The raw-word threshold of probability p: a uniform is (raw >> 11) /
-    2^53, so it is below p exactly when raw < ceil(p 2^53) 2^11."""
-    return math.ceil(p * 2.0**53) << 11
+def _uniforms_below(words: np.ndarray, p: float) -> np.ndarray:
+    """Which raw Philox words give a uniform below p, as a bool array.
+
+    A uniform is (raw >> 11) / 2^53, so it is below p exactly when raw <
+    ceil(p 2^53) 2^11. That threshold is 2^64 at p = 1, outside uint64,
+    so that case is every word rather than a comparison.
+    """
+    units = math.ceil(p * 2.0**53)
+    if units >= 2**53:
+        return np.ones(words.shape, dtype=bool)
+    return words < (units << 11)
 
 
 def _state_dtype(reach: int) -> type:
@@ -456,15 +463,15 @@ def _coin_blocks(streams: list[RngStream], steps: int, alpha_plus: float):
     Rademacher uniforms, so a second Philox on the same seed sequence,
     moved past the first run, reads the signs alongside the uniforms. Each
     bit generator serves a span of _SPAN_STEPS draws per call, kept only as
-    packed bits of raw < _raw_below(p). Memory is therefore
+    packed bits of _uniforms_below(raw, p). Memory is therefore
     O(replicas x _SPAN_STEPS / 8) whatever the horizon.
     """
     junction_rule = alpha_plus != 0.5
     signs = [s.child(KEY_FLOW_COINS).generator().bit_generator for s in streams]
-    kinds = [(signs, _raw_below(0.5))]
+    kinds = [(signs, 0.5)]
     if junction_rule:
         origin = [type(g)(g.seed_seq) for g in signs]
-        kinds.insert(0, (origin, _raw_below(alpha_plus)))
+        kinds.insert(0, (origin, alpha_plus))
     for gen in signs:
         # Philox advances by counters of four 64-bit draws, one per uniform
         gen.advance(steps // 4)
@@ -472,9 +479,9 @@ def _coin_blocks(streams: list[RngStream], steps: int, alpha_plus: float):
     bits = np.empty((len(kinds), len(streams), _SPAN_STEPS // 8), dtype=np.uint8)
     for s0 in range(0, steps, _SPAN_STEPS):
         width = min(_SPAN_STEPS, steps - s0)
-        for packed, (gens, below) in zip(bits, kinds):
+        for packed, (gens, p) in zip(bits, kinds):
             for row, gen in zip(packed, gens):
-                row[: -(-width // 8)] = np.packbits(gen.random_raw(width) < below)
+                row[: -(-width // 8)] = np.packbits(_uniforms_below(gen.random_raw(width), p))
         for k0 in range(0, width, _BLOCK_STEPS):
             block = min(_BLOCK_STEPS, width - k0)
             chunk = bits[:, :, k0 // 8 : -(-(k0 + block) // 8)]
@@ -938,8 +945,8 @@ def merge_level_samples(
 
     Draw layout: a step with m unmerged pairs takes the stream's next 2m
     64-bit words. The unmerged pair of rank r (pairs ranked by index)
-    steps up at the junction when word r is below _raw_below(a+), and up
-    away from it when word m + r is below _raw_below(1/2): the uniforms of
+    steps up at the junction when word r gives a uniform below a+, and up
+    away from it when word m + r gives one below 1/2: the uniforms of
     random(m) for the junction, then random(m) for the signs. The words
     are read _MERGE_DRAW_WORDS at a time, the unused tail carried over.
     """
@@ -949,7 +956,6 @@ def merge_level_samples(
     if not 0.5 < ap < 1.0:
         raise ValueError("merge-level law needs a plus-weight strictly between 1/2 and 1")
     gen = stream.child(KEY_FLOW_COINS).generator().bit_generator
-    up_below, sign_below = _raw_below(ap), _raw_below(0.5)
     dtype = _state_dtype(horizon_steps + y_units)
     step = np.array([-1, 1], dtype=dtype)
 
@@ -970,15 +976,14 @@ def merge_level_samples(
         if len(up) < 2 * m:
             more = -(-(2 * m - len(up)) // _MERGE_DRAW_WORDS) * _MERGE_DRAW_WORDS
             words = gen.random_raw(more)
-            fresh_up = step.take((words < up_below).view(np.uint8))
-            fresh_sign = step.take((words < sign_below).view(np.uint8))
+            fresh_up = step.take(_uniforms_below(words, ap).view(np.uint8))
+            fresh_sign = step.take(_uniforms_below(words, 0.5).view(np.uint8))
             up, sign = np.concatenate((up, fresh_up)), np.concatenate((sign, fresh_sign))
         junction, xi = up[:m], sign[m : 2 * m]
         up, sign = up[2 * m :], sign[2 * m :]
 
-        at_junction = z == 0
-        visits += at_junction[1]
-        _skew_step(z, junction, xi, out=z, at_junction=at_junction)
+        visits += z[1] == 0
+        _skew_step(z, junction, xi, out=z)
 
         unmerged = z[0] | z[1]
         if np.count_nonzero(unmerged) < m:

@@ -516,19 +516,17 @@ def _skew_step(
     junction: np.ndarray | int | None,
     xi: np.ndarray,
     out: Optional[np.ndarray] = None,
-    at_junction: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One step of the skew walk for every state in z.
 
     A state moves by its Rademacher sign xi, except at the junction, where
     it takes the junction step instead, given per state or once for all
     states. junction is None where there is no junction rule (the flows at
-    plus-weight 1/2). at_junction, if given, is the caller's z == 0.
+    plus-weight 1/2).
     """
     if junction is None:
         return np.add(z, xi, out=out)
-    if at_junction is None:
-        at_junction = z == 0
+    at_junction = z == 0
     out = np.add(z, xi, out=out)
     np.copyto(out, junction, where=at_junction)
     return out

@@ -311,3 +311,22 @@ def test_permanence_fails_when_a_start_follows_another_start_than_its_target():
     got = _streamed(traj, births, units)
     assert not got["permanence"]
     assert got["monotone"] and got["flow_prop"]
+
+
+def test_permanence_fails_when_a_start_follows_an_earlier_start_born_after_its_merge():
+    """Start 2 merges into start 0 at index 2, then runs with start 1, an
+    earlier start born at index 6. Entries ahead of a birth mean nothing,
+    so start 1's are set to start 2's values: start 2 then equals start 1
+    at every index from its merge on, yet leaves its own target."""
+    leader = [0, -1, 0, -1, -2, -3, -2, -3, -4, -3, -4, -5, -4]
+    leaver = [2, 1, 0, 1, 2, 3, 4, 5, 4, 5, 6, 5, 6]
+    never = np.iinfo(np.int64).max
+    traj = np.array([leader, leaver, leaver, [never] * 4 + leader[4:]], dtype=np.int64)
+    births, units = [0, 6, 0, 4], [0, leaver[6], 2, None]
+    for width in (4, 50):
+        got = _streamed(traj, births, units, width=width)
+        assert not got["permanence"]
+        assert got["monotone"] and got["flow_prop"] and got["at_zero"]
+    # with start 2 kept on its target the same replica passes
+    traj[2, 2:] = leader[2:]
+    assert _streamed(traj, births, units, width=4)["permanence"]

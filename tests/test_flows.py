@@ -785,6 +785,25 @@ class TestRayWeightExtraction:
         np.testing.assert_array_equal(measure_ray_weights(origin, SPEC3), [0, 0, 0])
 
 
+@pytest.mark.parametrize("p", [0.0, 2.0**-53, 0.3, 0.5, 0.7, 1.0 - 2.0**-53, 1.0])
+def test_uniforms_below_matches_the_uniforms_of_the_words(p):
+    """Words at the edges of every 2^11-word bucket, and a Philox run: the
+    bool of each is the uniform (word >> 11) / 2^53 < p, at p = 0 and 1 too."""
+    top = 2**64 - 1
+    edges = np.array(
+        [0, 1, 2**11 - 1, 2**11, 2**63, top - 2**11, top - 2**11 + 1, top], dtype=np.uint64
+    )
+    gen = np.random.Philox(5)
+    words = np.concatenate([edges, gen.random_raw(4096)])
+    got = flows._uniforms_below(words, p)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, (words >> np.uint64(11)) * 2.0**-53 < p)
+    np.testing.assert_array_equal(
+        flows._uniforms_below(np.random.Philox(5).random_raw(64), p),
+        np.random.Generator(np.random.Philox(5)).random(64) < p,
+    )
+
+
 def _merge_levels_oracle(spec, level, y_units, horizon_steps, n_pairs, stream):
     """merge_level_samples as a per-step loop: every step draws random(m)
     junction uniforms, then random(m) signs, for its m unmerged pairs, and

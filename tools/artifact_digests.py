@@ -12,10 +12,6 @@ their manifests are equal:
 
 --src picks the walshflow source tree to run (by default the one next to
 this script), so a checkout without this script can be measured too.
---subcommands limits the manifest to some of the seven, for a quick diff
-of one command's runs:
-
-    python3 tools/artifact_digests.py --subcommands flow-experiment
 """
 
 from __future__ import annotations
@@ -39,12 +35,12 @@ SUBCOMMANDS = (
 )
 
 
-def manifest(src: Path, seeds, workers, subcommands=SUBCOMMANDS) -> list[str]:
+def manifest(src: Path, seeds, workers) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("WALSH_SEED", None)
     lines = []
     with tempfile.TemporaryDirectory(prefix="walshflow-digests-") as tmp:
-        for cmd in subcommands:
+        for cmd in SUBCOMMANDS:
             for seed in seeds:
                 for w in workers:
                     run = f"{cmd}/seed{seed}/workers{w}"
@@ -68,13 +64,10 @@ def main() -> int:
     parser.add_argument("--src", type=Path, default=default_src)
     parser.add_argument("--seeds", type=int, nargs="+", default=[20240, 777])
     parser.add_argument("--workers", type=int, nargs="+", default=[1, 2])
-    parser.add_argument(
-        "--subcommands", nargs="+", choices=SUBCOMMANDS, default=list(SUBCOMMANDS)
-    )
     args = parser.parse_args()
     if not (args.src / "walshflow" / "cli.py").is_file():
         parser.error(f"{args.src} holds no walshflow package")
-    for line in manifest(args.src.resolve(), args.seeds, args.workers, args.subcommands):
+    for line in manifest(args.src.resolve(), args.seeds, args.workers):
         print(line)
     return 0
 
