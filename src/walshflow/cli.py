@@ -60,7 +60,6 @@ from walshflow.paths import (
     freidlin_sheu_residual,
     sample_wbm_exact,
     scaled_walk_marginal,
-    wbm_flip_construct,
     wbm_flip_paths,
 )
 from walshflow.semigroup import (
@@ -416,29 +415,41 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
     return [("", headers, rows)], reports
 
 
+# driver values (Brownian path, reflection, local time) a simulate-wbm or
+# verify-freidlin-sheu task keeps until its one bulk flip draw: 4 MiB of
+# float64, whatever the step
+_KEPT_DRIVER_VALUES = 2**19
+
+
+def _flip_chunk_paths(steps: int) -> int:
+    """Flip paths per simulate-wbm or verify-freidlin-sheu task on a grid
+    of this many steps."""
+    return max(1, _KEPT_DRIVER_VALUES // (3 * (steps + 1)))
+
+
 # --- simulate-wbm ----------------------------------------------------------
 
 
 def _path_task(args):
-    config, rep = args
+    """Final ray, radius and local time of consecutive flip paths, one row
+    per replica, in replica order."""
+    config, first, count = args
     spec = config.spec()
-    steps = int(round(config.horizon / config.dt))
-    grid = TimeGrid(dt=config.dt, steps=steps)
-    stream = RngStream(config.root_seed).child(KEY_REPLICA, rep)
-    path = wbm_flip_construct(grid, spec, stream)
-    return (
-        rep,
-        int(path.rays[-1]),
-        float(path.radii[-1]),
-        float(path.local_time[-1]),
-    )
+    grid = TimeGrid(dt=config.dt, steps=int(round(config.horizon / config.dt)))
+    reps = range(first, first + count)
+    streams = [RngStream(config.root_seed).child(KEY_REPLICA, rep) for rep in reps]
+    return [
+        (rep, int(path.rays[-1]), float(path.radii[-1]), float(path.local_time[-1]))
+        for rep, path in zip(reps, wbm_flip_paths(grid, spec, streams))
+    ]
 
 
 def _cmd_simulate_wbm(config: ExperimentConfig):
     spec = config.spec()
-    args = [(config, rep) for rep in range(config.path_replicas)]
-    rows = _map_replicas(_path_task, args, config.workers)
-    rows.sort(key=lambda r: r[0])
+    paths = config.path_replicas
+    chunk = _flip_chunk_paths(int(round(config.horizon / config.dt)))
+    tasks = [(config, first, min(chunk, paths - first)) for first in range(0, paths, chunk)]
+    rows = [row for rows in _map_replicas(_path_task, tasks, config.workers) for row in rows]
 
     stream = RngStream(config.root_seed).child(KEY_REPLICA, config.path_replicas + 1)
     rays, radii = sample_wbm_exact(spec, config.horizon, config.replicas, stream)
@@ -497,16 +508,6 @@ def _ito_test_functions(spec: GraphSpec):
     ]
 
 
-# driver values (Brownian path, reflection, local time) a verify-freidlin-sheu
-# task keeps until its one bulk flip draw: 4 MiB of float64, whatever the step
-_KEPT_DRIVER_VALUES = 2**19
-
-
-def _residual_chunk_paths(steps: int) -> int:
-    """Flip paths per verify-freidlin-sheu task on a grid of this many steps."""
-    return max(1, _KEPT_DRIVER_VALUES // (3 * (steps + 1)))
-
-
 def _residual_task(args):
     """Ito residuals of one test function on consecutive flip paths, in
     replica order; the function is rebuilt here from its index, since the
@@ -524,11 +525,11 @@ def _residual_task(args):
 def _residual_rms(config: ExperimentConfig, runs) -> list[float]:
     """RMS Ito residual over path_replicas flip paths for each (test
     function index, dt) in runs. The paths of every run go in chunks of
-    _residual_chunk_paths through one map, so one pool serves them all."""
+    _flip_chunk_paths through one map, so one pool serves them all."""
     paths = config.path_replicas
     tasks = []
     for fn_index, dt in runs:
-        chunk = _residual_chunk_paths(int(round(config.horizon / dt)))
+        chunk = _flip_chunk_paths(int(round(config.horizon / dt)))
         tasks += [
             (config, fn_index, dt, first, min(chunk, paths - first))
             for first in range(0, paths, chunk)

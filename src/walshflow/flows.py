@@ -255,10 +255,15 @@ class MeasurePairSampler:
             return vec
         raise SamplerInvalid(f"unknown sampler family {name!r}")
 
-    def sample(self, side: int, source: np.random.Generator | RngStream) -> np.ndarray:
+    def draws(self, side: int) -> bool:
+        """Whether the side's law draws, and so takes a generator."""
+        return callable(self._laws.get(side))
+
+    def sample(self, side: int, source: np.random.Generator | RngStream | None) -> np.ndarray:
         """One weight vector on the side's simplex. A family that draws
         takes its generator from source, built there when source is a
-        stream; the point-mass families build none."""
+        stream; the point-mass families read no source, so callers that
+        check draws first may pass None for them."""
         law = self._laws.get(side)
         if law is None:
             raise SamplerInvalid(
@@ -335,8 +340,8 @@ class FlowEnsemble:
             off = self.traj[q] != 0
             off[m:] = np.logical_and.accumulate(off[m:])
             g, d, labels = find_excursions(off, self.config.dt)
-            keys = np.array([(q, *label) for label in labels], dtype=np.int64).reshape(-1, 3)
-            table = np.column_stack([g, d, np.sign(self.traj[q, g + 1]), keys])
+            side = np.sign(self.traj[q, g + 1])
+            table = np.column_stack([g, d, side, np.full(len(g), q), labels])
             if record is not None:
                 theirs = self.excursions(record.target_index)
                 table = np.concatenate([table, theirs[theirs[:, 0] >= m]])
@@ -706,7 +711,9 @@ class KernelFlow:
         """The weights of the excursion with this key and side, drawn on
         first request and cached; for callers that already hold them."""
         if key not in self._weights_cache:
-            child = self.stream.child(KEY_KERNEL_CHOICE, self.draw_index, *key)
+            child = None
+            if self.sampler.draws(side):
+                child = self.stream.child(KEY_KERNEL_CHOICE, self.draw_index, *key)
             self._weights_cache[key] = self.sampler.sample(side, child)
         return self._weights_cache[key]
 
@@ -778,7 +785,10 @@ def mapping_rays(
         )
     else:
         weights = flow._weights_for(key, side)
-    u = flow.stream.uniforms((KEY_MAPPING_CHOICE, c, *key) for c in choice_indices)
+    keys = np.empty((len(choice_indices), 5), dtype=np.int64)
+    keys[:] = (KEY_MAPPING_CHOICE, 0, *key)
+    keys[:, 1] = choice_indices
+    u = flow.stream.uniforms(keys)
     return ens.spec.side_rays(side).start + categorical(weights, u)
 
 

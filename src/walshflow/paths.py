@@ -10,13 +10,16 @@ key tuple), the key led by one of the KEY_* purpose codes below. Draws
 made per excursion, here and in walshflow.flows, are keyed by the label
 that find_excursions, the one excursion finder, gives its time interval,
 so the same root seed reproduces every path, excursion by excursion,
-whatever the traversal order or the worker count. Keys that
-need one uniform each (the flip rays, the mapping choices) are drawn in
-bulk by keyed_uniforms, which redoes numpy's SeedSequence and Philox
-hashing on arrays and is bit-equal to building each key's generator.
-It takes keys under several child streams of one root in one pass, so
-the flip rays of many paths (wbm_flip_paths) come from one draw;
-RngStream.uniforms is its one-stream case.
+whatever the traversal order or the worker count. find_excursions labels
+every excursion of a path, or of many paths at once, in a few array
+operations; dyadic_label is the same rule on one interval, in Python
+ints, and serves as its oracle. Keys that need one uniform each (the flip
+rays, the mapping choices) are drawn in bulk by keyed_uniforms, which
+redoes numpy's SeedSequence and Philox hashing on arrays and is bit-equal
+to building each key's generator. It takes keys, one int64 row per draw,
+under several child streams of one root in one pass, so the flip rays of
+many paths (wbm_flip_paths) come from one draw; RngStream.uniforms is its
+one-stream case.
 """
 
 from __future__ import annotations
@@ -243,57 +246,69 @@ class RngStream:
 
     def uniforms(self, keys) -> np.ndarray:
         """The first random() of each child key's generator, in one pass:
-        bit for bit [self.child(*key).generator().random() for key in keys]."""
-        return keyed_uniforms((self, key) for key in keys)
+        bit for bit [self.child(*key).generator().random() for key in keys],
+        for keys given as an (n, parts) int64 array."""
+        return keyed_uniforms([self], np.zeros(len(keys), dtype=np.intp), keys)
 
 
-def keyed_uniforms(draws) -> np.ndarray:
-    """The first random() of each (stream, key) pair's generator, in one
-    pass: bit for bit [stream.child(*key).generator().random() for ...].
+def _key_words(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_zigzag_words of every row of an int64 key array: per part its low
+    32-bit word, then its high word where that is not 0, interleaved into
+    (n, 2 * parts) words with a mask of the ones a row keeps."""
+    encoded = (keys.view(np.uint64) << np.uint64(1)) ^ (keys >> 63).view(np.uint64)
+    words = np.stack([encoded & np.uint64(_M32), encoded >> np.uint64(32)], axis=2)
+    kept = words != 0
+    kept[:, :, 0] = True
+    n = len(keys)
+    return words.reshape(n, -1), kept.reshape(n, -1)
 
-    The streams may differ but must share one root seed (ValueError
-    otherwise). SeedSequence and Philox4x64-10 are redone in uint64
-    arithmetic: the root seed is hashed once per call and each distinct
-    stream key once, in Python ints; only the key words are hashed on
-    arrays, over all keys that start from the same hash constant and
+
+def keyed_uniforms(streams, which, keys) -> np.ndarray:
+    """The first random() of each draw's generator, in one pass: bit for
+    bit [streams[i].child(*key).generator().random() for i, key in
+    zip(which, keys)], with keys an (n, parts) int64 array.
+
+    The streams must share one root seed (ValueError otherwise); key
+    parts outside int64 raise, and belong in the stream keys, which take
+    any int. SeedSequence and Philox4x64-10 are redone in uint64
+    arithmetic: the root seed is hashed once per call and each stream
+    key once, in Python ints; the key words are encoded and hashed on
+    arrays, over all draws that start from the same hash constant and
     have the same number of words at once. The hash constant after a
     stream key depends only on how many words the key has.
     """
-    root = None
-    prefixes: dict[tuple[int, ...], int] = {}  # stream key -> row of pools
+    roots = sorted({stream.root_seed for stream in streams})
+    if len(roots) > 1:
+        raise ValueError(f"root seeds {roots[0]} and {roots[1]} in one draw")
+    keys = np.asarray(keys, dtype=np.int64)
+    which = np.asarray(which, dtype=np.intp)
+    if keys.ndim != 2 or which.shape != keys.shape[:1]:
+        raise ValueError(f"keys of shape {keys.shape} for {which.shape} draws")
+    out = np.empty(len(keys))
+    if not len(keys):
+        return out
+    root_pool, root_h = _root_pool(streams[0].root_seed)
     pools, hashes = [], []
-    # (hash constant, key word count) -> (draw positions, pool rows, key words)
-    groups: dict[tuple[int, int], tuple[list, list, list]] = {}
-    last = None
-    count = 0
-    for count, (stream, key) in enumerate(draws, 1):
-        if stream is not last:
-            if root is None:
-                root = stream.root_seed
-                root_pool, root_h = _root_pool(root)
-            elif stream.root_seed != root:
-                raise ValueError(f"root seeds {root} and {stream.root_seed} in one draw")
-            row = prefixes.get(stream.stream_key)
-            if row is None:
-                pool, h = _absorb(list(root_pool), _zigzag_words(stream.stream_key), root_h)
-                row = prefixes[stream.stream_key] = len(pools)
-                pools.append(pool)
-                hashes.append(h)
-            last = stream
-        key_words = _zigzag_words(map(int, key))
-        group_key = (hashes[row], len(key_words))
-        group = groups.get(group_key)
-        if group is None:
-            group = groups[group_key] = ([], [], [])
-        group[0].append(count - 1)
-        group[1].append(row)
-        group[2].append(key_words)
-    out = np.empty(count)
+    for stream in streams:
+        pool, h = _absorb(list(root_pool), _zigzag_words(stream.stream_key), root_h)
+        pools.append(pool)
+        hashes.append(h)
     table = np.array(pools, dtype=np.uint64)
-    for (h, _words), (index, rows, words) in groups.items():
-        start = list(table[rows].T)
-        columns = np.array(words, dtype=np.uint64).T
-        out[index] = _philox_first_uniform(_absorb(start, columns, h)[0])
+    words, kept = _key_words(keys)
+    # draws with one hash constant and word count (0 to 2 * parts) share
+    # a group, coded as constant index * width + word count
+    width = words.shape[1] + 1
+    constants, constant_of_stream = np.unique(hashes, return_inverse=True)
+    codes, group_of_draw = np.unique(
+        constant_of_stream[which] * width + np.count_nonzero(kept, axis=1),
+        return_inverse=True,
+    )
+    for group, code in enumerate(codes.tolist()):
+        rows = np.flatnonzero(group_of_draw == group)
+        h, count = int(constants[code // width]), code % width
+        columns = words[rows][kept[rows]].reshape(len(rows), count).T
+        start = list(table[which[rows]].T)
+        out[rows] = _philox_first_uniform(_absorb(start, columns, h)[0])
     return out
 
 
@@ -375,6 +390,9 @@ def dyadic_label(u: float, v: float) -> tuple[int, int]:
     level 0). A negative u is first shifted by an integer, which labels
     commute with, and an interval one unit wide is refined to 2^-(E+1)
     units so that a lattice point lies strictly inside.
+
+    The program labels through find_excursions, on arrays; this scalar
+    form, exact for every pair of floats, is kept as its oracle.
     """
     if not u < v:
         raise EmptyInterval(f"interval ]{u!r}, {v!r}[ is empty")
@@ -390,6 +408,41 @@ def dyadic_label(u: float, v: float) -> tuple[int, int]:
         U, V, E = U << 1, V << 1, E + 1
     j = min(E, (U ^ (V - 1)).bit_length() - 1)
     return (U >> j) + 1 - (shift << (E - j)), E - j
+
+
+def _dyadic_labels(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """dyadic_label of every interval ]u[i], v[i][, as (n, 2) int64 rows
+    (numerator, exponent), by the level rule: the first level L at which
+    floor(u 2^L) + 1 < v 2^L, with that numerator.
+
+    At a level K that every row reaches, floor(u 2^L) and the last integer
+    below v 2^L are A >> (K - L) and C >> (K - L), for A = floor(u 2^K)
+    and C = ceil(v 2^K) - 1; so, as in dyadic_label, L is K less the
+    highest bit at which A and C differ, capped at K. Scaling by 2^K and
+    rounding are exact in floats, and the integers below exact while
+    |u| and |v| times 2^K stay under 2^53; ValueError outside that domain
+    (on a grid k dt of n steps, |A| is about 4n at most).
+    """
+    labels = np.empty((len(u), 2), dtype=np.int64)
+    if not len(u):
+        return labels
+    if not np.all(u < v):
+        raise EmptyInterval("an interval to label is empty")
+    # twice the narrowest width's leading power of two is at least one
+    # unit of level K, so every row has its label by then
+    top = max(0, 2 - int(np.frexp(np.min(v - u))[1]))
+    reach = max(np.max(np.abs(u)), np.max(np.abs(v)))
+    if not (np.isfinite(reach) and int(np.frexp(reach)[1]) + top <= 53):
+        raise ValueError(f"labels at level {top} of |t| up to {reach!r} exceed 2^53")
+    low = np.floor(np.ldexp(u, top)).astype(np.int64)
+    high = np.ceil(np.ldexp(v, top)).astype(np.int64) - 1
+    differ = low ^ high
+    # bit length from the float exponent, exact below 2^53; different
+    # signs differ above every bit
+    drop = np.where(differ < 0, top, np.minimum(top, np.frexp(differ.astype(float))[1] - 1))
+    labels[:, 0] = (low >> drop) + 1
+    labels[:, 1] = top - drop
+    return labels
 
 
 def categorical(weights, u) -> np.ndarray:
@@ -409,16 +462,30 @@ def ray_from_uniform(spec: GraphSpec, u) -> np.ndarray:
     return categorical(spec.alpha, u) + 1
 
 
-def find_excursions(off: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, list]:
+def find_excursions(off: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bounds (g, d) and dyadic label of every excursion of a path on the
     grid k*dt, from its boolean mask of points off the junction: a run off
     it after a junction point g, up to the next junction point d or, still
-    open, the last index. A run from index 0 is not an excursion."""
-    g = np.flatnonzero(~off[:-1] & off[1:])
-    zeros = np.flatnonzero(~off)
-    d = np.append(zeros, len(off) - 1)[np.searchsorted(zeros, g, side="right")]
-    labels = [dyadic_label(u, v) for u, v in zip((g * dt).tolist(), (d * dt).tolist())]
-    return g, d, labels
+    open, the last index. A run from index 0 is not an excursion.
+
+    off may also hold one path per row; the bounds then index off.ravel(),
+    row by row, and each row is labelled on its own grid. Labels come as
+    (n, 2) int64 rows (numerator, exponent) from _dyadic_labels, all paths
+    in one pass.
+    """
+    points = off.shape[-1]
+    flat = off.ravel()
+    # the first point of every excursion: off, after a junction point of
+    # its own row (a row's index 0 follows the previous row's last point)
+    first = np.flatnonzero(flat[1:] & ~flat[:-1]) + 1
+    first = first[first % points != 0]
+    # an excursion ends at its row's next junction point, or its last point
+    stops = ~flat
+    stops[points - 1 :: points] = True
+    zeros = np.flatnonzero(stops)
+    g = first - 1
+    d = zeros[np.searchsorted(zeros, first)]
+    return g, d, _dyadic_labels((g % points) * dt, (d % points) * dt)
 
 
 def wbm_flip_paths(grid: TimeGrid, spec: GraphSpec, streams) -> Iterator[WalshPath]:
@@ -429,27 +496,33 @@ def wbm_flip_paths(grid: TimeGrid, spec: GraphSpec, streams) -> Iterator[WalshPa
     junction point and is an excursion that find_excursions labels; its
     ray comes from a categorical draw keyed by the label.
 
-    All drivers are sampled, reflected and labelled at the first request;
-    the flip uniforms of every excursion of every path then come from one
-    keyed_uniforms call, and each path is assembled as it is yielded. The
-    streams must share one root seed, as keyed_uniforms checks.
+    All drivers are sampled and reflected at the first request; one
+    find_excursions call labels the excursions of all of them, and one
+    keyed_uniforms call draws their flip uniforms. Each path is assembled
+    as it is yielded. The streams must share one root seed, as
+    keyed_uniforms checks.
     """
-    drivers, draws = [], []
-    for stream in streams:
+    streams = list(streams)
+    points = grid.steps + 1
+    drivers = []
+    off = np.empty((len(streams), points), dtype=bool)
+    for stream, row in zip(streams, off):
         brownian = sample_brownian(grid, stream)
         reflected, local = skorokhod_reflection(brownian)
-        off = reflected.values > 0.0
-        g, d, labels = find_excursions(off, grid.dt)
-        draws.extend((stream, (KEY_RAY_FLIP, *label)) for label in labels)
-        # points off the junction per excursion: a run still open at the
-        # last index holds d itself
-        drivers.append((brownian, reflected, local, d - g - 1 + off[d]))
-    flips = ray_from_uniform(spec, keyed_uniforms(draws))
+        np.greater(reflected.values, 0.0, out=row)
+        drivers.append((brownian, reflected, local))
+    g, d, labels = find_excursions(off, grid.dt)
+    keys = np.column_stack([np.full(len(g), KEY_RAY_FLIP), labels])
+    flips = ray_from_uniform(spec, keyed_uniforms(streams, g // points, keys))
+    # points off the junction per excursion: a run still open at the last
+    # index holds d itself
+    lengths = d - g - 1 + off.ravel()[d]
+    ends = np.cumsum(np.bincount(g // points, minlength=len(streams))).tolist()
     end = 0
-    for brownian, reflected, local, lengths in drivers:
-        start, end = end, end + len(lengths)
-        rays = np.full(grid.steps + 1, spec.n_rays, dtype=np.int64)
-        rays[reflected.values > 0.0] = np.repeat(flips[start:end], lengths)
+    for (brownian, reflected, local), row, stop in zip(drivers, off, ends):
+        start, end = end, stop
+        rays = np.full(points, spec.n_rays, dtype=np.int64)
+        rays[row] = np.repeat(flips[start:end], lengths[start:end])
         yield WalshPath(
             grid=grid,
             rays=rays,
@@ -461,7 +534,9 @@ def wbm_flip_paths(grid: TimeGrid, spec: GraphSpec, streams) -> Iterator[WalshPa
 
 
 def wbm_flip_construct(grid: TimeGrid, spec: GraphSpec, stream: RngStream) -> WalshPath:
-    """The Walsh path of one stream: wbm_flip_paths of that stream alone."""
+    """The Walsh path of one stream: wbm_flip_paths of that stream alone.
+    The program draws paths in chunks through wbm_flip_paths; this shim
+    keeps the one-path form for tests and the benchmark's traced name."""
     (path,) = wbm_flip_paths(grid, spec, [stream])
     return path
 
@@ -490,21 +565,33 @@ def sample_wbm_exact(
     gen = stream.child(KEY_EXACT_MARGINAL).generator()
     steps = _EXACT_STEPS
     dt = t / steps
-    increments = gen.standard_normal((replicas, steps)) * math.sqrt(dt)
+    # four (replicas, steps) buffers, each reused in place once its values
+    # are spent: the peak memory of this sampler is the peak of simulate-wbm
+    increments = gen.standard_normal((replicas, steps))
+    increments *= math.sqrt(dt)
     endpoints = np.cumsum(increments, axis=1)
-    starts = np.concatenate([np.zeros((replicas, 1)), endpoints[:, :-1]], axis=1)
+    # step minima (start + end - disc) / 2, the first step starting at 0
+    step_minima = np.empty_like(endpoints)
+    step_minima[:, 0] = 0.0
+    step_minima[:, 1:] = endpoints[:, :-1]
+    step_minima += endpoints
 
-    u_min = gen.random((replicas, steps))
-    log_u = np.log1p(-u_min)  # log of a (0,1] uniform
-    disc = np.sqrt(np.square(increments) - 2.0 * dt * log_u)
-    step_minima = (starts + endpoints - disc) / 2.0
+    # disc = sqrt(increment^2 - 2 dt log(1 - u)), a log of a (0,1] uniform
+    spare = gen.random((replicas, steps))
+    np.log1p(np.negative(spare, out=spare), out=spare)
+    spare *= 2.0 * dt
+    disc = np.square(increments, out=increments)
+    disc -= spare
+    np.sqrt(disc, out=disc)
+    step_minima -= disc
+    step_minima /= 2.0
 
-    running = np.minimum.accumulate(step_minima, axis=1)
+    running = np.minimum.accumulate(step_minima, axis=1, out=spare)
     radii = endpoints[:, -1] - running[:, -1]
     # step whose bridge minimum is the overall one: excursion identity proxy
     argmin_step = np.argmax(step_minima <= running[:, -1:], axis=1)
 
-    u_ray = gen.random((replicas, steps))
+    u_ray = gen.random((replicas, steps), out=disc)
     chosen = u_ray[np.arange(replicas), argmin_step]
     rays = ray_from_uniform(spec, chosen)
     rays[radii == 0.0] = spec.n_rays  # measure-zero guard

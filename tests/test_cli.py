@@ -25,11 +25,12 @@ from walshflow.cli import (
     CheckFailed,
     ConfigInvalid,
     ExperimentConfig,
+    _cmd_simulate_wbm,
+    _flip_chunk_paths,
     _flow_chunks,
     _ito_test_functions,
     _kernel_task,
     _map_replicas,
-    _residual_chunk_paths,
     _residual_rms,
     _single_start_kernel_flow,
     emit_csv,
@@ -473,22 +474,40 @@ class TestWorkerDeterminism:
         # two full chunks of fine-step paths and a remainder; the coarse
         # step's chunk holds them all
         steps = round(DEFAULT_CONFIG.horizon / DEFAULT_CONFIG.dt)
-        paths = 2 * _residual_chunk_paths(steps) + 7
+        paths = 2 * _flip_chunk_paths(steps) + 7
         config = replace(DEFAULT_CONFIG, path_replicas=paths, root_seed=4246)
         self._assert_pool_sizes_agree(tmp_path, config, "verify-freidlin-sheu", ("2",))
 
     def test_path_artifacts_identical_across_pool_sizes(self, tmp_path):
+        # two full chunks of paths and a remainder
+        paths = 2 * _flip_chunk_paths(1000) + 7
         config = replace(
-            DEFAULT_CONFIG, dt=1e-3, replicas=4000, path_replicas=24, root_seed=4245
+            DEFAULT_CONFIG, dt=1e-3, replicas=4000, path_replicas=paths, root_seed=4245
         )
         self._assert_pool_sizes_agree(tmp_path, config, "simulate-wbm", ("2",))
+
+
+def test_simulate_wbm_rows_equal_per_path_construction():
+    # oracle: one flip path built at a time; the paths fill one chunk and
+    # spill three into the next
+    steps = round(DEFAULT_CONFIG.horizon / DEFAULT_CONFIG.dt)
+    config = replace(DEFAULT_CONFIG, path_replicas=_flip_chunk_paths(steps) + 3, replicas=100)
+    grid = TimeGrid(dt=config.dt, steps=steps)
+    spec = config.spec()
+    want = []
+    for rep in range(config.path_replicas):
+        stream = RngStream(config.root_seed).child(KEY_REPLICA, rep)
+        path = wbm_flip_construct(grid, spec, stream)
+        want.append((rep, int(path.rays[-1]), float(path.radii[-1]), float(path.local_time[-1])))
+    [(_name, _headers, rows)], _reports = _cmd_simulate_wbm(config)
+    assert rows == want
 
 
 def test_residual_rms_equals_per_path_loop():
     # oracle: one flip path built at a time, its squared residual summed in
     # replica order; the path count crosses a chunk boundary at the fine step
     steps = round(DEFAULT_CONFIG.horizon / DEFAULT_CONFIG.dt)
-    config = replace(DEFAULT_CONFIG, path_replicas=_residual_chunk_paths(steps) + 3)
+    config = replace(DEFAULT_CONFIG, path_replicas=_flip_chunk_paths(steps) + 3)
     spec = config.spec()
     functions = _ito_test_functions(spec)
     runs = [(idx, dt) for idx in range(len(functions)) for dt in (4 * config.dt, config.dt)]

@@ -36,6 +36,7 @@ from walshflow.flows import (
 from walshflow.graph import GraphPoint, validate_spec
 from walshflow.paths import (
     KEY_FLOW_COINS,
+    KEY_KERNEL_CHOICE,
     KEY_MAPPING_CHOICE,
     RngStream,
     _skew_step,
@@ -364,6 +365,29 @@ class TestSamplers:
         assert abs(draws.mean(axis=0)[0] - 4.0 / 7.0) > 0.05
 
 
+    def test_only_drawing_laws_build_a_child_stream(self, monkeypatch):
+        names = ("wiener", "custom-weights:0.8,0.2", "dirac-vertices", "dirichlet:4")
+        assert [MeasurePairSampler(SPEC3, n, "wiener").draws(1) for n in names] == [0, 0, 1, 1]
+        assert not MeasurePairSampler(TANAKA3, "dirichlet:4").draws(-1)
+        flows = {name: _kernel_fixture(name)[1] for name in ("wiener", "dirichlet:4")}
+        built = []
+        child = RngStream.child
+
+        def counted(stream, *parts):
+            built.append(parts)
+            return child(stream, *parts)
+
+        monkeypatch.setattr(RngStream, "child", counted)
+        # a point mass reads no generator: its weights need no stream
+        rows = extract_ray_weights(flows["wiener"], 0)
+        assert built == [] and len(rows) > 2
+        for side, _g, _d, weights in rows:
+            assert weights.tolist() == list(ray_ratios(SPEC3, side))
+        # a drawing law builds one stream per excursion key
+        rows = extract_ray_weights(flows["dirichlet:4"], 0)
+        assert len(built) == len(rows) and all(p[0] == KEY_KERNEL_CHOICE for p in built)
+
+
 def _kernel_fixture(sampler_name="dirichlet:4", seed=910):
     cfg = _config_for(SPEC3, 4, 256, [(0, 1, 0), (0, 2, 2), (0, 3, 2)])
     sampler = MeasurePairSampler(SPEC3, sampler_name)
@@ -462,14 +486,15 @@ class TestMappingFlow:
                     assert pt.is_origin and pt.ray == SPEC3.n_rays
 
     def test_one_lookup_labels_its_excursion_once(self, monkeypatch):
+        # calls holds one entry per row the array labeller labels
         calls = []
-        label = paths_module.dyadic_label
+        label = paths_module._dyadic_labels
 
         def counted(u, v):
-            calls.append((u, v))
+            calls.extend(zip(u.tolist(), v.tolist()))
             return label(u, v)
 
-        monkeypatch.setattr(paths_module, "dyadic_label", counted)
+        monkeypatch.setattr(paths_module, "_dyadic_labels", counted)
         cfg, flow = _kernel_fixture()
         ens = flow.ensemble
         k = int(ens.zeros_of(0)[1]) + 1

@@ -8,6 +8,7 @@ from scipy.stats import kstest, norm
 
 from walshflow.graph import PiecewiseFunction, validate_spec
 from walshflow.paths import (
+    KEY_EXACT_MARGINAL,
     KEY_MAPPING_CHOICE,
     KEY_RAY_FLIP,
     KEY_REPLICA,
@@ -16,6 +17,7 @@ from walshflow.paths import (
     ScalarPath,
     TimeGrid,
     WalshPath,
+    _dyadic_labels,
     dyadic_label,
     find_excursions,
     freidlin_sheu_residual,
@@ -60,7 +62,8 @@ def test_rng_stream_zigzag_separates_signs():
 
 
 def _uniform_keys(rng, n):
-    """n keys of mixed shapes and 32-bit word counts, shuffled together."""
+    """n keys of mixed shapes and 32-bit word counts, shuffled together;
+    every part fits int64 (larger parts go in stream keys)."""
     keys = []
     for i in range(n):
         kind = i % 6
@@ -77,44 +80,58 @@ def _uniform_keys(rng, n):
             parts = rng.integers(-(2**31), 2**31, int(rng.integers(1, 6)))
             parts[rng.random(len(parts)) < 0.3] = 0
             keys.append(tuple(int(p) for p in parts))
-        elif kind == 3:  # parts of two to four words, either sign
+        elif kind == 3:  # parts of two words, either sign
             keys.append(
                 tuple(
                     int(rng.choice([-1, 1])) * int(rng.integers(1, 2**40)) << int(e)
-                    for e in rng.integers(0, 90, int(rng.integers(1, 4)))
+                    for e in rng.integers(0, 23, int(rng.integers(1, 4)))
                 )
             )
-        elif kind == 4:  # zigzag edges: -2^31 encodes to 2^32 - 1, 2^31 to 2^32
-            keys.append((0, -(2**31), 2**31, -(2**63), 2**64 - 1)[: 1 + i % 5])
+        elif kind == 4:  # zigzag edges: -2^31 encodes to 2^32 - 1, 2^31 to 2^32,
+            # the int64 ends to 2^64 - 1 and 2^64 - 2
+            keys.append((0, -(2**31), 2**31, -(2**63), 2**63 - 1)[: 1 + i % 5])
         else:  # no key parts at all
             keys.append(())
     order = rng.permutation(n)
     return [keys[j] for j in order]
 
 
+def _by_length(keys):
+    """(positions, (count, parts) int64 array) of the keys of each length."""
+    lengths = np.array([len(key) for key in keys])
+    for length in np.unique(lengths).tolist():
+        index = np.flatnonzero(lengths == length)
+        yield index, np.array([keys[j] for j in index], dtype=np.int64)
+
+
 def test_uniforms_bit_equal_to_generator():
     rng = np.random.default_rng(20240)
     checked = 0
     for root in (0, 7, 20240, 2**32 - 1, 2**32, 2**40 + 5, 2**63 + 11, 2**64 - 1):
-        for stream in (RngStream(root), RngStream(root).child(9, -3, 2**35)):
-            keys = _uniform_keys(rng, 700)
-            got = stream.uniforms(keys)
-            want = [stream.child(*key).generator().random() for key in keys]
-            assert got.dtype == np.float64
-            assert got.tolist() == want
-            checked += len(keys)
-            assert stream.uniforms([]).shape == (0,)
+        for stream in (
+            RngStream(root),
+            RngStream(root).child(9, -3, 2**35),
+            # stream keys take parts of any size: here of two to four words
+            RngStream(root).child(-(2**89), 2**64 - 1, 2**40 << 50, -(2**63) - 1),
+        ):
+            for _index, keys in _by_length(_uniform_keys(rng, 500)):
+                got = stream.uniforms(keys)
+                want = [stream.child(*key).generator().random() for key in keys.tolist()]
+                assert got.dtype == np.float64
+                assert got.tolist() == want
+                checked += len(keys)
+            assert stream.uniforms(np.empty((0, 3), dtype=np.int64)).shape == (0,)
     assert checked >= 10**4
-    # keys may be any iterable of int-like parts, passed once
-    stream = RngStream(5).child(1)
-    lazy = stream.uniforms((2, np.int64(k), 3) for k in range(4))
-    assert lazy.tolist() == stream.uniforms([(2, k, 3) for k in range(4)]).tolist()
+    # a key part outside int64 raises instead of wrapping
+    for part in (2**63, -(2**63) - 1, 2**64 - 1):
+        with pytest.raises(OverflowError):
+            RngStream(5).uniforms([(KEY_RAY_FLIP, part)])
 
 
 def test_keyed_uniforms_across_streams_bit_equal():
     # 24 streams under one root: replica streams, the root itself, and
     # stream keys of up to seven words with negative parts and parts of
-    # 2^32 and more; their keys interleaved in one call
+    # 2^32 and more; their keys interleaved in one call per key length
     rng = np.random.default_rng(777)
     root = RngStream(2**40 + 5)
     streams = [root.child(KEY_REPLICA, rep) for rep in range(16)] + [
@@ -128,19 +145,24 @@ def test_keyed_uniforms_across_streams_bit_equal():
         root.child(2**31, -(2**31)),
     ]
     picks = rng.integers(0, len(streams), 2400)
-    draws = [(streams[i], key) for i, key in zip(picks, _uniform_keys(rng, len(picks)))]
-    got = keyed_uniforms(draws)
-    want = [stream.child(*key).generator().random() for stream, key in draws]
-    assert got.dtype == np.float64
-    assert got.tolist() == want
+    keys = _uniform_keys(rng, len(picks))
+    for index, array in _by_length(keys):
+        got = keyed_uniforms(streams, picks[index], array)
+        want = [
+            streams[i].child(*key).generator().random()
+            for i, key in zip(picks[index].tolist(), array.tolist())
+        ]
+        assert got.dtype == np.float64
+        assert got.tolist() == want
+        # each stream's share is that stream's one-stream draw
+        for i in (0, 16, 20):
+            mine = picks[index] == i
+            assert streams[i].uniforms(array[mine]).tolist() == got[mine].tolist()
     assert len(set(picks.tolist())) == len(streams)
-    # each stream's share is that stream's one-stream draw
-    for i in (0, 16, 20):
-        mine = [key for j, (_stream, key) in zip(picks, draws) if j == i]
-        assert streams[i].uniforms(mine).tolist() == got[picks == i].tolist()
-    assert keyed_uniforms([]).shape == (0,)
+    empty = keyed_uniforms([], np.empty(0, dtype=np.intp), np.empty((0, 3), dtype=np.int64))
+    assert empty.shape == (0,)
     with pytest.raises(ValueError, match="root seeds"):
-        keyed_uniforms([(root, (1,)), (RngStream(5), (1,))])
+        keyed_uniforms([root, RngStream(5)], [0, 1], [(1,), (1,)])
 
 
 def test_flip_paths_equal_one_stream_construction():
@@ -155,6 +177,19 @@ def test_flip_paths_equal_one_stream_construction():
             got, want = getattr(path, name), getattr(alone, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert list(wbm_flip_paths(grid, SPEC3, [])) == []
+    # one-step paths: some end at the junction with no excursion at all,
+    # and a chunk of only those draws nothing
+    grid = TimeGrid(dt=1.0, steps=1)
+    paths = list(wbm_flip_paths(grid, SPEC3, streams))
+    flat = [path for path in paths if path.radii[-1] == 0.0]
+    assert 0 < len(flat) < len(paths)
+    for path in flat:
+        assert path.rays.tolist() == [SPEC3.n_rays] * 2
+    chosen = [s for s, path in zip(streams, paths) if path.radii[-1] == 0.0]
+    alone = [wbm_flip_construct(grid, SPEC3, stream) for stream in chosen]
+    assert [p.rays.tolist() for p in wbm_flip_paths(grid, SPEC3, chosen)] == [
+        p.rays.tolist() for p in alone
+    ]
     with pytest.raises(ValueError, match="root seeds"):
         next(wbm_flip_paths(grid, SPEC3, [root.child(1), RngStream(20241).child(1)]))
 
@@ -260,7 +295,22 @@ def _scan_excursions(off, dt):
 def test_find_excursions_matches_scalar_scan(off, dt):
     g, d, labels = find_excursions(np.array(off), dt)
     assert g.dtype.kind == d.dtype.kind == "i"
-    assert list(zip(g.tolist(), d.tolist(), labels)) == _scan_excursions(off, dt)
+    assert labels.dtype == np.int64 and labels.shape == (len(g), 2)
+    got = [(a, b, tuple(label)) for a, b, label in zip(g.tolist(), d.tolist(), labels.tolist())]
+    assert got == _scan_excursions(off, dt)
+    # one path per row: each row's excursions, its bounds offset by the
+    # row's start in the flattened mask
+    rows = [off, off[::-1], [not x for x in off], off]
+    g, d, labels = find_excursions(np.array(rows), dt)
+    got = [(a, b, tuple(label)) for a, b, label in zip(g.tolist(), d.tolist(), labels.tolist())]
+    n = len(off)
+    want = [
+        (r * n + a, r * n + b, label)
+        for r, row in enumerate(rows)
+        for a, b, label in _scan_excursions(row, dt)
+    ]
+    assert got == want
+    assert find_excursions(np.zeros((0, n), dtype=bool), dt)[2].shape == (0, 2)
 
 
 def test_dyadic_label_examples():
@@ -336,6 +386,79 @@ def test_dyadic_label_brute_force_sweep():
         assert dyadic_label(u, v) == _as_key(_brute_force_label(u, v)), (u, v)
 
 
+def _scalar_labels(u, v):
+    return [dyadic_label(a, b) for a, b in zip(u.tolist(), v.tolist())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-16.0, max_value=16.0),
+            st.floats(min_value=2.0**-30, max_value=8.0),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+@example([(0.0, 1.0), (-3.0, 1.0), (2.5, 1.0), (0.3, 2.0**-30)])  # one unit wide
+def test_array_labels_match_scalar_rule(rows):
+    # every row of a call is labelled at the level the narrowest row needs
+    u = np.array([a for a, _w in rows])
+    v = u + np.array([w for _a, w in rows])
+    keep = u < v
+    u, v = u[keep], v[keep]
+    assert [tuple(r) for r in _dyadic_labels(u, v).tolist()] == _scalar_labels(u, v)
+
+
+def test_array_labels_sweep():
+    rng = np.random.default_rng(17)
+    cases = []
+    # grid intervals ]g dt, d dt[ at non-dyadic and dyadic steps, each grid
+    # in one call, then the same intervals negated
+    for dt in (1e-4, 0.3, 1 / 3, 4.0**-6):
+        g = rng.integers(0, 20_000, size=3000)
+        d = g + np.exp2(rng.uniform(0.0, 14.0, size=3000)).astype(np.int64)
+        cases += [(g * dt, d * dt), (-d * dt, -g * dt)]
+    # intervals one unit wide, from integers and from between them
+    starts = np.concatenate([np.arange(-40.0, 40.0), rng.uniform(-40.0, 40.0, size=500)])
+    cases.append((starts, starts + 1.0))
+    # mixed signs and widths in one call
+    u = rng.uniform(-8.0, 8.0, size=5000)
+    v = u + np.exp2(rng.uniform(-20.0, 3.0, size=5000))
+    cases.append((u, v))
+    for u, v in cases:
+        assert (u < v).all()
+        labels = _dyadic_labels(u, v)
+        assert labels.dtype == np.int64
+        assert [tuple(r) for r in labels.tolist()] == _scalar_labels(u, v)
+    empty = np.empty(0)
+    assert _dyadic_labels(empty, empty).shape == (0, 2)
+
+
+def test_array_labels_outside_exact_domain_raise():
+    # dyadic_label handles these; the array rule would need integers of
+    # 2^53 or more, so it refuses rather than round
+    ones = np.array([1.0, 0.25])
+    for u, v in (
+        (ones, np.nextafter(ones, 2.0)),
+        (np.array([2.0**60]), np.array([2.0**60 + 2.0**9])),
+        (np.array([0.0, 1e300]), np.array([1e-300, 2e300])),
+    ):
+        dyadic_label(float(u[-1]), float(v[-1]))
+        with pytest.raises(ValueError, match="2\\^53"):
+            _dyadic_labels(u, v)
+    with pytest.raises(ValueError, match="2\\^53"):
+        _dyadic_labels(np.array([0.0]), np.array([np.inf]))
+    with pytest.raises(EmptyInterval):
+        _dyadic_labels(np.array([0.1, 0.5]), np.array([0.2, 0.5]))
+    # on the widest grid the program takes, labels stay inside the domain
+    steps = 2**22
+    g = np.array([0, steps // 2, steps - 1])
+    u, v = g * 1e-4, (g + 1) * 1e-4
+    assert [tuple(r) for r in _dyadic_labels(u, v).tolist()] == _scalar_labels(u, v)
+
+
 def test_walsh_path_validation():
     grid = TimeGrid(1.0, 3)
     radii = np.array([0.0, 1.0, 1.0, 0.0])
@@ -393,6 +516,37 @@ def test_sample_wbm_exact_marginal():
     again_rays, again_radii = sample_wbm_exact(SPEC3, 1.0, 20_000, RngStream(123))
     assert np.array_equal(rays, again_rays)
     assert np.array_equal(radii, again_radii)
+
+
+def _exact_marginal_oracle(spec, t, replicas, stream):
+    """sample_wbm_exact written as whole-array expressions, one new array
+    per operation: the same float operations in the same order."""
+    gen = stream.child(KEY_EXACT_MARGINAL).generator()
+    dt = t / 16
+    increments = gen.standard_normal((replicas, 16)) * math.sqrt(dt)
+    endpoints = np.cumsum(increments, axis=1)
+    starts = np.concatenate([np.zeros((replicas, 1)), endpoints[:, :-1]], axis=1)
+    log_u = np.log1p(-gen.random((replicas, 16)))
+    disc = np.sqrt(np.square(increments) - 2.0 * dt * log_u)
+    step_minima = (starts + endpoints - disc) / 2.0
+    running = np.minimum.accumulate(step_minima, axis=1)
+    radii = endpoints[:, -1] - running[:, -1]
+    argmin_step = np.argmax(step_minima <= running[:, -1:], axis=1)
+    chosen = gen.random((replicas, 16))[np.arange(replicas), argmin_step]
+    cum = np.cumsum(spec.alpha)
+    cum[-1] = 1.0
+    rays = np.searchsorted(cum, chosen, side="right") + 1
+    rays[radii == 0.0] = spec.n_rays
+    return rays, radii
+
+
+def test_sample_wbm_exact_bit_equal_to_array_expressions():
+    for seed, t, replicas in ((1, 1.0, 5000), (2, 0.3, 1), (3, 4.0, 17)):
+        stream = RngStream(seed).child(KEY_REPLICA, 201)
+        rays, radii = sample_wbm_exact(SPEC3, t, replicas, stream)
+        want_rays, want_radii = _exact_marginal_oracle(SPEC3, t, replicas, stream)
+        assert rays.tolist() == want_rays.tolist()
+        assert radii.tobytes() == want_radii.tobytes()
 
 
 def test_scaled_walk_marginal_sign_frequencies():
