@@ -449,7 +449,8 @@ def _cmd_simulate_wbm(config: ExperimentConfig):
     paths = config.path_replicas
     chunk = _flip_chunk_paths(int(round(config.horizon / config.dt)))
     tasks = [(config, first, min(chunk, paths - first)) for first in range(0, paths, chunk)]
-    rows = [row for rows in _map_replicas(_path_task, tasks, config.workers) for row in rows]
+    results = _map_replicas(_path_task, tasks, config.workers)
+    rows = [row for task_rows in results for row in task_rows]
 
     stream = RngStream(config.root_seed).child(KEY_REPLICA, config.path_replicas + 1)
     rays, radii = sample_wbm_exact(spec, config.horizon, config.replicas, stream)

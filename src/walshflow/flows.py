@@ -215,6 +215,8 @@ class MeasurePairSampler:
             for side, name in names.items()
             if spec.side_rays(side)
         }
+        # the sides whose law draws, and so takes a generator
+        self.drawing_sides = frozenset(side for side, law in self._laws.items() if callable(law))
 
     @staticmethod
     def _build(name: str, ratios: tuple[float, ...]):
@@ -255,15 +257,11 @@ class MeasurePairSampler:
             return vec
         raise SamplerInvalid(f"unknown sampler family {name!r}")
 
-    def draws(self, side: int) -> bool:
-        """Whether the side's law draws, and so takes a generator."""
-        return callable(self._laws.get(side))
-
     def sample(self, side: int, source: np.random.Generator | RngStream | None) -> np.ndarray:
         """One weight vector on the side's simplex. A family that draws
         takes its generator from source, built there when source is a
-        stream; the point-mass families read no source, so callers that
-        check draws first may pass None for them."""
+        stream; the point-mass families read no source, so a caller may
+        pass None for a side outside drawing_sides."""
         law = self._laws.get(side)
         if law is None:
             raise SamplerInvalid(
@@ -712,7 +710,7 @@ class KernelFlow:
         first request and cached; for callers that already hold them."""
         if key not in self._weights_cache:
             child = None
-            if self.sampler.draws(side):
+            if side in self.sampler.drawing_sides:
                 child = self.stream.child(KEY_KERNEL_CHOICE, self.draw_index, *key)
             self._weights_cache[key] = self.sampler.sample(side, child)
         return self._weights_cache[key]

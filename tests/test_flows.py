@@ -364,11 +364,11 @@ class TestSamplers:
         assert abs(draws.mean(axis=0)[0] - 0.5) < 0.03
         assert abs(draws.mean(axis=0)[0] - 4.0 / 7.0) > 0.05
 
-
     def test_only_drawing_laws_build_a_child_stream(self, monkeypatch):
         names = ("wiener", "custom-weights:0.8,0.2", "dirac-vertices", "dirichlet:4")
-        assert [MeasurePairSampler(SPEC3, n, "wiener").draws(1) for n in names] == [0, 0, 1, 1]
-        assert not MeasurePairSampler(TANAKA3, "dirichlet:4").draws(-1)
+        drawing = [MeasurePairSampler(SPEC3, n, "wiener").drawing_sides for n in names]
+        assert drawing == [set(), set(), {1}, {1}]
+        assert MeasurePairSampler(TANAKA3, "dirichlet:4").drawing_sides == {1}
         flows = {name: _kernel_fixture(name)[1] for name in ("wiener", "dirichlet:4")}
         built = []
         child = RngStream.child
