@@ -9,6 +9,7 @@ minus block. The origin is canonically attached to ray N.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -134,7 +135,8 @@ def validate_spec(alpha: Sequence[float], eps: Sequence[int]) -> GraphSpec:
 
 @dataclass(frozen=True)
 class GraphPoint:
-    """A point of the star graph: ray index (1-based) and radius >= 0.
+    """A point of the star graph: ray index (1-based) and radius >= 0
+    (NaN is rejected).
 
     The origin is the unique point with radius 0; construct points through
     :func:`graph_point` so the origin is always canonicalized to ray N.
@@ -144,7 +146,7 @@ class GraphPoint:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius < 0.0:
+        if not self.radius >= 0.0:
             raise ValueError(f"radius {self.radius!r} must be >= 0")
         if self.ray < 1:
             raise ValueError(f"ray {self.ray!r} must be >= 1")
@@ -264,7 +266,24 @@ def vector_eval(fn: Callable, xs) -> np.ndarray:
 
 # Test functions with closed-form derivatives, vectorised with np.exp. The
 # order of operations is part of the contract: reports that evaluate them
-# are compared byte for byte.
+# are compared byte for byte. Rays with the same coefficient share one
+# RayFunction, as PiecewiseFunction.radial's rays do, so the semigroup
+# quadrature runs once per distinct coefficient.
+
+
+def _per_coefficient(
+    make: Callable[[float], RayFunction], coeffs: Sequence[float]
+) -> PiecewiseFunction:
+    """One RayFunction per distinct coefficient, keyed on its exact float
+    bits, so that 0.0 and -0.0 stay apart."""
+    made: dict[bytes, RayFunction] = {}
+    components = []
+    for c in coeffs:
+        key = struct.pack("<d", c)
+        if key not in made:
+            made[key] = make(c)
+        components.append(made[key])
+    return PiecewiseFunction(components=tuple(components))
 
 
 def bump_family(coeffs: Sequence[float]) -> PiecewiseFunction:
@@ -278,7 +297,7 @@ def bump_family(coeffs: Sequence[float]) -> PiecewiseFunction:
             second_deriv=lambda h: c * (2.0 - 4.0 * h + h * h) * np.exp(-h),
         )
 
-    return PiecewiseFunction(components=tuple(bump(c) for c in coeffs))
+    return _per_coefficient(bump, coeffs)
 
 
 def decay_family(coeffs: Sequence[float]) -> PiecewiseFunction:
@@ -293,7 +312,7 @@ def decay_family(coeffs: Sequence[float]) -> PiecewiseFunction:
             second_deriv=lambda h: c * np.exp(-h),
         )
 
-    return PiecewiseFunction(components=tuple(decay(c) for c in coeffs))
+    return _per_coefficient(decay, coeffs)
 
 
 def slope_family(coeffs: Sequence[float]) -> PiecewiseFunction:
@@ -309,4 +328,4 @@ def slope_family(coeffs: Sequence[float]) -> PiecewiseFunction:
             second_deriv=lambda h: c * (h - 2.0) * np.exp(-h),
         )
 
-    return PiecewiseFunction(components=tuple(slope(c) for c in coeffs))
+    return _per_coefficient(slope, coeffs)

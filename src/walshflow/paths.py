@@ -499,8 +499,9 @@ def wbm_flip_paths(grid: TimeGrid, spec: GraphSpec, streams) -> Iterator[WalshPa
     All drivers are sampled and reflected at the first request; one
     find_excursions call labels the excursions of all of them, and one
     keyed_uniforms call draws their flip uniforms. Each path is assembled
-    as it is yielded. The streams must share one root seed, as
-    keyed_uniforms checks.
+    as it is yielded, and the generator lets go of its drivers then, so a
+    path the caller drops is freed before the chunk ends. The streams must
+    share one root seed, as keyed_uniforms checks.
     """
     streams = list(streams)
     points = grid.steps + 1
@@ -519,8 +520,10 @@ def wbm_flip_paths(grid: TimeGrid, spec: GraphSpec, streams) -> Iterator[WalshPa
     lengths = d - g - 1 + off.ravel()[d]
     ends = np.cumsum(np.bincount(g // points, minlength=len(streams))).tolist()
     end = 0
-    for (brownian, reflected, local), row, stop in zip(drivers, off, ends):
+    drivers.reverse()
+    for row, stop in zip(off, ends):
         start, end = end, stop
+        brownian, reflected, local = drivers.pop()
         rays = np.full(points, spec.n_rays, dtype=np.int64)
         rays[row] = np.repeat(flips[start:end], lengths[start:end])
         yield WalshPath(

@@ -9,8 +9,23 @@ where (p_t g)(x) = integral_0^inf g(y) phi_t(x - y) dy convolves g, extended
 by zero to the negative axis, with the Gaussian kernel phi_t. At the origin
 only the weighted sum survives. Quadrature is one fixed rule: composite
 Simpson on 2001 nodes (_SPACE_NODES) over the window +-10 sqrt(t) (_WINDOW)
-around the Gaussian center, clipped to [0, inf). Semigroup tables hold 400
-spline nodes per ray (_TABLE_NODES) out to 12 sqrt(s).
+around the Gaussian center, clipped to [0, inf).
+
+The decomposition is written once (_ray_decomposition) and convolves each
+distinct component, told apart by identity, once per call: (p_t g)(-h)
+serves both the junction sum and the own ray's -h term, and rays that share
+a component (PiecewiseFunction.radial, or equal coefficients in the
+graph.*_family catalogue) share its convolutions. Semigroup tables hold 400
+spline nodes per ray (_TABLE_NODES) out to 12 sqrt(s), one table per
+distinct component.
+
+halfline_convolution takes one centre or a 1-d array of them; a scalar is
+the one-row case of the same row kernel. Live windows are integrated in
+C-contiguous blocks of at most _BLOCK_ROWS rows and each row keeps its own
+np.dot with the Simpson weights, so every value is bit for bit the
+one-window pass: a strided block can take another np.exp loop, and a
+matrix-vector product another summation order, and both move last bits.
+Empty windows are skipped before any work.
 """
 
 from __future__ import annotations
@@ -88,31 +103,64 @@ def heat_kernel(y, t: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _simpson(vals: np.ndarray, step: float) -> float:
-    weights = np.ones(len(vals))
+def _simpson_weights(n: int) -> np.ndarray:
+    weights = np.ones(n)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float(step / 3.0 * np.dot(weights, vals))
+    return weights
 
 
-def halfline_convolution(fn: RayCallable, t: float, x: float) -> float:
+def _simpson(vals: np.ndarray, step: float) -> float:
+    return float(step / 3.0 * np.dot(_simpson_weights(len(vals)), vals))
+
+
+# the space integral's Simpson weights and node indices, built once
+_SPACE_WEIGHTS = _simpson_weights(_SPACE_NODES)
+_NODE_INDEX = np.arange(_SPACE_NODES, dtype=float)
+# windows per quadrature block: 16 rows of _SPACE_NODES float64 keep each
+# temporary near 256 KB
+_BLOCK_ROWS = 16
+
+
+def halfline_convolution(fn: RayCallable, t: float, x):
     """(p_t fn)(x): convolve fn, supported on [0, inf), with phi_t.
 
-    x may be negative; the Gaussian window is clipped to the support.
+    x is a scalar (the result is a float) or a 1-d array of centres (the
+    result is an array of the same length); it may be negative, and the
+    Gaussian window is clipped to the support.
+
+    Each centre gets its own Simpson pass: nodes lo + i step with the last
+    node at hi (np.linspace's arithmetic), the integrand on a C-contiguous
+    block of rows, and its own np.dot with the weights. An empty window
+    (hi <= lo) is 0.0 and costs nothing; a NaN centre or time has a live
+    window and ends in QuadratureDiverged.
     """
     if t <= 0.0:
         raise NonPositiveTime(f"t = {t!r} must be > 0")
+    centres = np.asarray(x, dtype=float)
+    if centres.ndim > 1:
+        raise ValueError(f"centres must be a scalar or 1-d, got shape {centres.shape}")
+    xs = centres.reshape(-1)
     radius = _WINDOW * math.sqrt(t)
-    lo = max(0.0, x - radius)
-    hi = x + radius
-    if hi <= lo:
-        return 0.0
-    ys = np.linspace(lo, hi, _SPACE_NODES)
-    integrand = vector_eval(fn, ys) * heat_kernel(ys - x, t)
-    result = _simpson(integrand, (hi - lo) / (_SPACE_NODES - 1))
-    if not math.isfinite(result):
+    reach = xs - radius
+    lo = np.where(reach > 0.0, reach, 0.0)
+    hi = xs + radius
+    steps = (hi - lo) / (_SPACE_NODES - 1)
+    values = np.zeros(len(xs))
+    live = np.flatnonzero(~(hi <= lo))
+    for first in range(0, len(live), _BLOCK_ROWS):
+        rows = live[first : first + _BLOCK_ROWS]
+        nodes = _NODE_INDEX * steps[rows, None]
+        nodes += lo[rows, None]
+        nodes[:, -1] = hi[rows]
+        integrand = vector_eval(fn, nodes) * heat_kernel(nodes - xs[rows, None], t)
+        for row, vals in zip(rows.tolist(), integrand):
+            values[row] = steps[row] / 3.0 * np.dot(_SPACE_WEIGHTS, vals)
+    diverged = np.flatnonzero(~np.isfinite(values))
+    if len(diverged):
+        x = float(xs[diverged[0]])
         raise QuadratureDiverged(f"non-finite quadrature value at x={x}, t={t}")
-    return result
+    return float(values[0]) if centres.ndim == 0 else values
 
 
 def _components(f: FunctionLike, n_rays: int) -> list[RayCallable]:
@@ -137,6 +185,43 @@ def _deriv_components(f: PiecewiseFunction, n_rays: int, order: int) -> list[Ray
     return comps
 
 
+def _check_ray(spec: GraphSpec, point: GraphPoint) -> None:
+    if point.ray > spec.n_rays:
+        raise ValueError(f"point on ray {point.ray}, spec has {spec.n_rays} rays")
+
+
+def _ray_decomposition(
+    comps: Sequence[RayCallable],
+    alpha: Sequence[float],
+    t: float,
+    hs: np.ndarray,
+    owners: Sequence[RayCallable],
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """P_t f at the radii hs, each convolution once per distinct component.
+
+    Returns the junction term 2 sum_i alpha_i (p_t f_i)(-h), which is P_t f
+    at the origin where h == 0, and, keyed by id, for every component g in
+    owners the value junction term + (p_t g)(h) - (p_t g)(-h) on a ray
+    whose component is g (the junction term itself where h == 0).
+    Components are told apart by identity.
+    """
+    distinct = {id(fn): fn for fn in comps}
+    owned = {id(fn) for fn in owners}
+    n = len(hs)
+    inner, outer = {}, {}
+    for key, fn in distinct.items():
+        centres = np.concatenate([-hs, hs]) if key in owned else -hs
+        values = halfline_convolution(fn, t, centres)
+        inner[key], outer[key] = values[:n], values[n:]
+    terms = 2.0 * np.asarray(alpha)[:, None] * np.array([inner[id(fn)] for fn in comps])
+    shared = np.array([math.fsum(column) for column in terms.T.tolist()])
+    at_origin = hs == 0.0
+    rays = {
+        key: np.where(at_origin, shared, shared + outer[key] - inner[key]) for key in owned
+    }
+    return shared, rays
+
+
 def wbm_semigroup_apply(
     f: FunctionLike, spec: GraphSpec, point: GraphPoint, t: float
 ) -> float:
@@ -149,19 +234,14 @@ def wbm_semigroup_apply(
     if t <= 0.0:
         raise NonPositiveTime(f"t = {t!r} must be > 0")
     comps = _components(f, spec.n_rays)
-    h = point.radius
-    shared = math.fsum(
-        2.0 * a * halfline_convolution(fn, t, -h)
-        for a, fn in zip(spec.alpha, comps)
-    )
-    if h == 0.0:
-        return shared
+    _check_ray(spec, point)
+    h = np.array([point.radius])
+    if point.is_origin:
+        shared, _ = _ray_decomposition(comps, spec.alpha, t, h, ())
+        return float(shared[0])
     own = comps[point.ray - 1]
-    return (
-        shared
-        + halfline_convolution(own, t, h)
-        - halfline_convolution(own, t, -h)
-    )
+    _, rays = _ray_decomposition(comps, spec.alpha, t, h, (own,))
+    return float(rays[id(own)][0])
 
 
 def semigroup_derivative(
@@ -177,6 +257,7 @@ def semigroup_derivative(
     if point.is_origin:
         raise OriginNotDifferentiable("radial derivative is one-sided at the origin")
     fprime = _deriv_components(f, spec.n_rays, order=1)
+    _check_ray(spec, point)
     own = fprime[point.ray - 1]
     return -wbm_semigroup_apply(fprime, spec, point, t) + 2.0 * halfline_convolution(
         own, t, point.radius
@@ -231,6 +312,9 @@ def tabulate_semigroup(
 ) -> PiecewiseFunction:
     """Tabulate P_s f per ray and wrap cubic splines as a PiecewiseFunction.
 
+    Rays whose components are the same object share one table: the ray
+    decomposition gives them the same values at every node.
+
     Default table reaches 12 sqrt(s) with _TABLE_NODES nodes; pass a larger
     radius_max when the table feeds another semigroup application whose
     quadrature window reaches further (the node count is scaled to keep
@@ -247,20 +331,14 @@ def tabulate_semigroup(
         nodes = max(nodes, math.ceil(nodes * radius / base_radius))
     hs = np.linspace(0.0, radius, nodes)
 
-    origin_value = wbm_semigroup_apply(f, spec, spec.origin, s)
-    components = []
-    for ray in range(1, spec.n_rays + 1):
-        vals = np.empty(nodes)
-        vals[0] = origin_value
-        for k in range(1, nodes):
-            point = GraphPoint(ray=ray, radius=float(hs[k]))
-            vals[k] = wbm_semigroup_apply(f, spec, point, s)
+    comps = _components(f, spec.n_rays)
+    _, rays = _ray_decomposition(comps, spec.alpha, s, hs, comps)
+    tables = {}
+    for key, vals in rays.items():
         spline = CubicSpline(hs, vals, bc_type="not-a-knot")
-        components.append(
-            RayFunction(
-                value=_clamped(spline, radius, float(vals[-1])),
-                deriv=_clamped(spline.derivative(1), radius, 0.0),
-                second_deriv=_clamped(spline.derivative(2), radius, 0.0),
-            )
+        tables[key] = RayFunction(
+            value=_clamped(spline, radius, float(vals[-1])),
+            deriv=_clamped(spline.derivative(1), radius, 0.0),
+            second_deriv=_clamped(spline.derivative(2), radius, 0.0),
         )
-    return PiecewiseFunction(components=tuple(components))
+    return PiecewiseFunction(components=tuple(tables[id(fn)] for fn in comps))

@@ -1,4 +1,5 @@
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -192,6 +193,18 @@ def test_flip_paths_equal_one_stream_construction():
     ]
     with pytest.raises(ValueError, match="root seeds"):
         next(wbm_flip_paths(grid, SPEC3, [root.child(1), RngStream(20241).child(1)]))
+
+
+def test_flip_paths_free_dropped_drivers_within_chunk():
+    grid = TimeGrid(dt=1e-3, steps=1000)
+    root = RngStream(20240)
+    paths = wbm_flip_paths(grid, SPEC3, [root.child(KEY_REPLICA, rep) for rep in range(4)])
+    first = next(paths)
+    refs = [weakref.ref(getattr(first, name)) for name in ("radii", "brownian", "local_time")]
+    del first
+    second = next(paths)
+    assert [ref() for ref in refs] == [None, None, None]
+    assert second.radii is not None and len(list(paths)) == 2
 
 
 def test_flip_rays_equal_per_excursion_generators():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.stats import norm
 
 from walshflow.graph import (
@@ -11,13 +12,19 @@ from walshflow.graph import (
     bump_family,
     central_difference,
     decay_family,
+    slope_family,
     validate_spec,
+    vector_eval,
 )
 from walshflow.semigroup import (
+    _BLOCK_ROWS,
+    _SPACE_NODES,
+    _WINDOW,
     NonPositiveTime,
     NotInDomain,
     OriginNotDifferentiable,
     QuadratureDiverged,
+    _clamped,
     generator_residual,
     halfline_convolution,
     heat_kernel,
@@ -242,3 +249,207 @@ def test_tabulate_spline_derivative_cross_check():
     got = comp.deriv(1.0)
     fd = central_difference(comp.value, 1.0)
     assert got == pytest.approx(fd, rel=1e-6)
+
+
+# Oracles: the per-point quadrature as it was before the row kernel, one
+# 2001-node Simpson pass per centre and every convolution of the ray
+# decomposition recomputed per point and ray. The row kernel and the shared
+# components must reproduce them bit for bit.
+
+
+def _halfline_oracle(fn, t, x):
+    radius = _WINDOW * math.sqrt(t)
+    lo = max(0.0, x - radius)
+    hi = x + radius
+    if hi <= lo:
+        return 0.0
+    ys = np.linspace(lo, hi, _SPACE_NODES)
+    integrand = vector_eval(fn, ys) * heat_kernel(ys - x, t)
+    weights = np.ones(_SPACE_NODES)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    step = (hi - lo) / (_SPACE_NODES - 1)
+    result = float(step / 3.0 * np.dot(weights, integrand))
+    if not math.isfinite(result):
+        raise QuadratureDiverged(f"non-finite quadrature value at x={x}, t={t}")
+    return result
+
+
+def _apply_oracle(f, spec, point, t):
+    comps = [c.value for c in f.components] if isinstance(f, PiecewiseFunction) else list(f)
+    h = point.radius
+    shared = math.fsum(2.0 * a * _halfline_oracle(fn, t, -h) for a, fn in zip(spec.alpha, comps))
+    if h == 0.0:
+        return shared
+    own = comps[point.ray - 1]
+    return shared + _halfline_oracle(own, t, h) - _halfline_oracle(own, t, -h)
+
+
+def _tabulate_oracle(f, spec, s, radius_max=None):
+    base_radius = 12.0 * math.sqrt(s)
+    radius = max(base_radius, radius_max) if radius_max is not None else base_radius
+    nodes = 400
+    if radius > base_radius:
+        nodes = max(nodes, math.ceil(nodes * radius / base_radius))
+    hs = np.linspace(0.0, radius, nodes)
+    origin_value = _apply_oracle(f, spec, spec.origin, s)
+    components = []
+    for ray in range(1, spec.n_rays + 1):
+        vals = np.empty(nodes)
+        vals[0] = origin_value
+        for k in range(1, nodes):
+            vals[k] = _apply_oracle(f, spec, GraphPoint(ray=ray, radius=float(hs[k])), s)
+        spline = CubicSpline(hs, vals, bc_type="not-a-knot")
+        components.append(
+            RayFunction(
+                value=_clamped(spline, radius, float(vals[-1])),
+                deriv=_clamped(spline.derivative(1), radius, 0.0),
+                second_deriv=_clamped(spline.derivative(2), radius, 0.0),
+            )
+        )
+    return PiecewiseFunction(components=tuple(components))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _centres(t, n):
+    """n centres: -radius exactly, 0, +radius, then a sweep from left of the
+    support to right of it."""
+    radius = _WINDOW * math.sqrt(t)
+    sweep = np.linspace(-1.5 * radius, 1.5 * radius + 2.0, max(n - 3, 0))
+    return np.concatenate([[-radius, 0.0, radius], sweep])[:n]
+
+
+_TABLE = tabulate_semigroup(bump_family((1.0, 1.0)), SPEC2, 0.5).components[0].value
+_ROW_FUNCTIONS = {
+    "bump": bump_family((1.5,)).components[0].value,
+    "constant-0d": lambda y: np.array(0.75),
+    "python-constant": lambda y: 1.0,
+    "spline-table": _TABLE,
+}
+
+
+@pytest.mark.parametrize("t", [1e-4, 0.25, 1.0, 4.0])
+@pytest.mark.parametrize("n", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 1000])
+def test_halfline_rows_bit_equal_to_per_point_oracle(t, n):
+    xs = _centres(t, n)
+    assert xs[0] == -_WINDOW * math.sqrt(t)
+    for name, fn in _ROW_FUNCTIONS.items():
+        got = halfline_convolution(fn, t, xs)
+        assert got.shape == (n,)
+        want = [_halfline_oracle(fn, t, float(x)) for x in xs]
+        assert _bits(got) == _bits(want), name
+        assert _bits([halfline_convolution(fn, t, float(xs[-1]))]) == _bits(want[-1:])
+    assert halfline_convolution(fn, t, -_WINDOW * math.sqrt(t)) == 0.0
+
+
+def test_halfline_empty_and_bad_centres():
+    fn = _ROW_FUNCTIONS["bump"]
+    assert halfline_convolution(fn, 1.0, np.empty(0)).shape == (0,)
+    with pytest.raises(ValueError, match="1-d"):
+        halfline_convolution(fn, 1.0, np.zeros((2, 2)))
+
+
+def test_halfline_nan_centre_or_time_diverges():
+    # a NaN window is live, never a silent 0.0
+    fn = _ROW_FUNCTIONS["python-constant"]
+    with pytest.raises(QuadratureDiverged):
+        halfline_convolution(fn, 1.0, math.nan)
+    with pytest.raises(QuadratureDiverged):
+        halfline_convolution(fn, 1.0, np.array([-30.0, 0.5, math.nan, 30.0]))
+    with pytest.raises(QuadratureDiverged):
+        halfline_convolution(fn, math.nan, 0.5)
+    with pytest.raises(QuadratureDiverged):
+        _halfline_oracle(fn, 1.0, math.nan)
+
+
+def _indicators(n_rays, k):
+    return tuple(
+        (lambda y, hit=(i == k): np.full_like(np.asarray(y, dtype=float), 1.0 if hit else 0.0))
+        for i in range(1, n_rays + 1)
+    )
+
+
+_APPLY_CASES = [
+    (SPEC2, bump_family((1.0, 1.0))),
+    (SPEC2W, slope_family((0.3, -0.7))),
+    (SPEC3, bump_family((0.5, 1.0, 1.5))),
+    (SPEC3, PiecewiseFunction.radial(3, value=lambda h: np.exp(-h * h))),
+    (SPEC3, _indicators(3, 2)),
+    (SPEC3, tabulate_semigroup(bump_family((1.0, 1.0, 2.0)), SPEC3, 0.25, radius_max=13.5)),
+    (SPEC5, bump_family((1.0, 1.0, 2.0, 2.0, 0.5))),
+    (SPEC5, [lambda y: np.ones_like(np.asarray(y, dtype=float))] * 5),
+]
+
+
+@pytest.mark.parametrize("spec, f", _APPLY_CASES)
+def test_apply_bit_equal_to_per_point_oracle(spec, f):
+    points = [spec.origin] + [
+        GraphPoint(ray=ray, radius=h)
+        for ray in (1, spec.n_rays)
+        for h in (1e-3, 0.7, 2.3, 15.0)
+    ]
+    for t in (1e-4, 0.25, 1.0, 4.0):
+        for point in points:
+            got = wbm_semigroup_apply(f, spec, point, t)
+            assert isinstance(got, float)
+            assert _bits([got]) == _bits([_apply_oracle(f, spec, point, t)]), (point, t)
+
+
+_TABLE_CASES = {
+    "spec2-equal": (SPEC2, bump_family((1.0, 1.0))),
+    "spec3-distinct": (SPEC3, bump_family((0.5, 1.0, 1.5))),
+    "spec5-mixed": (SPEC5, slope_family((1.0, 1.0, -2.0, 0.5, 0.5))),
+    "spec3-radial": (SPEC3, PiecewiseFunction.radial(3, value=lambda h: np.exp(-h * h))),
+}
+
+
+@pytest.mark.parametrize("radius_max", [None, 13.5])
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+def test_tabulate_bit_equal_to_per_point_oracle(case, radius_max):
+    spec, f = _TABLE_CASES[case]
+    got = tabulate_semigroup(f, spec, 1.0, radius_max=radius_max)
+    want = _tabulate_oracle(f, spec, 1.0, radius_max=radius_max)
+    hs = np.concatenate([np.linspace(0.0, 16.0, 1601), [0.37, 5.3e-3, 12.0, 13.5]])
+    for mine, theirs in zip(got.components, want.components):
+        for name in ("value", "deriv", "second_deriv"):
+            assert _bits(getattr(mine, name)(hs)) == _bits(getattr(theirs, name)(hs)), name
+    # rays with the same component share one table
+    sharing = [
+        [j for j in range(spec.n_rays) if f.components[j] is f.components[i]]
+        for i in range(spec.n_rays)
+    ]
+    for i, same in enumerate(sharing):
+        assert [j for j in range(spec.n_rays) if got.components[j] is got.components[i]] == same
+
+
+@pytest.mark.parametrize("family", [bump_family, decay_family, slope_family])
+def test_families_share_one_component_per_coefficient(family):
+    # decay_family needs its coefficients within 1e-9 of each other
+    f = family((1.0, 1.0, 1.0 + 1e-12, 1.0))
+    first, second, third, fourth = f.components
+    assert first is second is fourth and third is not first
+    # keyed on exact bits: 0.0 and -0.0 are two coefficients
+    zero, minus_zero = family((0.0, -0.0)).components
+    assert zero is not minus_zero
+    minus, again = family((-0.0, -0.0)).components
+    assert minus is again
+
+
+def test_apply_rejects_ray_beyond_spec():
+    f = bump_family((1.0, 1.0))
+    for radius in (0.0, 0.5):
+        with pytest.raises(ValueError, match="ray 3, spec has 2 rays"):
+            wbm_semigroup_apply(f, SPEC2, GraphPoint(ray=3, radius=radius), 1.0)
+    with pytest.raises(ValueError, match="ray 4, spec has 3 rays"):
+        semigroup_derivative(bump_family((1.0,) * 3), SPEC3, GraphPoint(ray=4, radius=0.5), 1.0)
+
+
+def test_graph_point_rejects_nan_radius():
+    with pytest.raises(ValueError, match="radius"):
+        GraphPoint(ray=1, radius=math.nan)
+    with pytest.raises(ValueError, match="radius"):
+        GraphPoint(ray=1, radius=-1e-300)
+    assert GraphPoint(ray=1, radius=0.0).is_origin
