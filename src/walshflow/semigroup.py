@@ -19,6 +19,12 @@ graph.*_family catalogue) share its convolutions. Semigroup tables hold 400
 spline nodes per ray (_TABLE_NODES) out to 12 sqrt(s), one table per
 distinct component.
 
+The tables are walshflow's own not-a-knot cubic splines (_not_a_knot,
+_piecewise_cubic), bit for bit scipy's CubicSpline on the uniform table
+nodes: the same tridiagonal system for the node slopes, solved as LAPACK
+gtsv solves it with no row interchange, which uniform nodes never need.
+scipy.interpolate is not imported.
+
 halfline_convolution takes one centre or a 1-d array of them; a scalar is
 the one-row case of the same row kernel. Live windows are integrated in
 C-contiguous blocks of at most _BLOCK_ROWS rows and each row keeps its own
@@ -34,7 +40,6 @@ import math
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from walshflow.graph import (
     DOMAIN_TOL,
@@ -298,6 +303,87 @@ def generator_residual(
     return wbm_semigroup_apply(f, spec, point, t) - f(point) - 0.5 * time_integral
 
 
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients, shape (4, n - 1), of the not-a-knot cubic spline through
+    (x, y): on [x_i, x_i+1] it is sum_k c[3 - k, i] (h - x_i)^k.
+
+    Bit for bit scipy's CubicSpline(x, y, bc_type="not-a-knot") for n >= 4:
+    the same banded system for the node slopes, solved the way LAPACK gtsv
+    solves it when no row is interchanged (forward sweep, then
+    back-substitution, the second superdiagonal zero), and
+    CubicHermiteSpline's coefficient formulas. The first row has
+    |d| == |dl| and every later row of uniform nodes is diagonally dominant,
+    so no row needs an interchange; nodes whose row would need one raise
+    ValueError. Non-finite values raise QuadratureDiverged.
+    """
+    n = len(x)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if len(bad):
+        raise QuadratureDiverged(f"non-finite table value at h={float(x[bad[0]])}")
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d = np.empty(n)
+    du = np.empty(n - 1)
+    dl = np.empty(n - 1)
+    b = np.empty(n)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du[1:] = dx[:-1]
+    dl[:-1] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot at both ends: the third derivative is continuous at x_1
+    # and at x_n-2
+    width = x[2] - x[0]
+    d[0] = dx[1]
+    du[0] = width
+    b[0] = ((dx[0] + 2 * width) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / width
+    width = x[-1] - x[-3]
+    d[-1] = dx[-2]
+    dl[-1] = width
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * width + dx[-1]) * dx[-2] * slope[-1]) / width
+
+    d, du, dl, b = d.tolist(), du.tolist(), dl.tolist(), b.tolist()
+    for i in range(n - 1):
+        if not abs(d[i]) >= abs(dl[i]):
+            raise ValueError(f"spline row {i} needs a row interchange: nodes are not uniform")
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        b[i + 1] -= fact * b[i]
+    b[-1] /= d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - 0.0 * b[i + 2]) / d[i]
+
+    slopes = np.array(b)
+    t = (slopes[:-1] + slopes[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - slopes[:-1]) / dx - t, slopes[:-1], y[:-1]))
+
+
+def _piecewise_cubic(x: np.ndarray, coeffs: np.ndarray):
+    """Evaluate the piecewise polynomial coeffs (highest power first) on the
+    breakpoints x with scipy PPoly's arithmetic: interval i with
+    x_i <= h < x_i+1, clipped to the first and last, and powers of
+    h - x_i built by repeated multiplication, not Horner's rule."""
+
+    def evaluate(h):
+        h = np.asarray(h, dtype=float)
+        i = np.clip(np.searchsorted(x, h, "right") - 1, 0, len(x) - 2)
+        offset = h - x[i]
+        out = coeffs[-1][i] + 0.0
+        power = offset
+        for k in range(len(coeffs) - 2, -1, -1):
+            out = out + coeffs[k][i] * power
+            if k:
+                power = power * offset
+        return out
+
+    return evaluate
+
+
+# a cubic's coefficients times these give its first and second derivative's
+_FIRST = np.array([[3.0], [2.0], [1.0]])
+_SECOND = np.array([[6.0], [2.0]])
+
+
 def _clamped(table, radius: float, beyond: float):
     """The table below radius, the constant beyond at and past it."""
 
@@ -314,18 +400,24 @@ def tabulate_semigroup(
 ) -> PiecewiseFunction:
     """Tabulate P_s f per ray and wrap cubic splines as a PiecewiseFunction.
 
-    Rays whose components are the same object share one table: the ray
-    decomposition gives them the same values at every node.
+    The splines are walshflow's own not-a-knot cubics (_not_a_knot), bit
+    for bit scipy's CubicSpline on the uniform table nodes, from a solve
+    that takes no row interchange. A non-finite table value raises
+    QuadratureDiverged. Rays whose components are the same object share
+    one table: the ray decomposition gives them the same values at every
+    node.
 
     Default table reaches 12 sqrt(s) with _TABLE_NODES nodes; pass a larger
-    radius_max when the table feeds another semigroup application whose
-    quadrature window reaches further (the node count is scaled to keep
-    the default spacing). Beyond the table the value is clamped to the
+    finite radius_max when the table feeds another semigroup application
+    whose quadrature window reaches further (the node count is scaled to
+    keep the default spacing). Beyond the table the value is clamped to the
     last node; callers must keep the clamped region under negligible
     Gaussian mass.
     """
     if s <= 0.0:
         raise NonPositiveTime(f"s = {s!r} must be > 0")
+    if radius_max is not None and not math.isfinite(radius_max):
+        raise ValueError(f"radius_max = {radius_max!r} must be finite")
     base_radius = 12.0 * math.sqrt(s)
     radius = max(base_radius, radius_max) if radius_max is not None else base_radius
     nodes = _TABLE_NODES
@@ -337,10 +429,10 @@ def tabulate_semigroup(
     _, rays = _ray_decomposition(comps, spec.alpha, s, hs, comps)
     tables = {}
     for key, vals in rays.items():
-        spline = CubicSpline(hs, vals, bc_type="not-a-knot")
+        coeffs = _not_a_knot(hs, vals)
         tables[key] = RayFunction(
-            value=_clamped(spline, radius, float(vals[-1])),
-            deriv=_clamped(spline.derivative(1), radius, 0.0),
-            second_deriv=_clamped(spline.derivative(2), radius, 0.0),
+            value=_clamped(_piecewise_cubic(hs, coeffs), radius, float(vals[-1])),
+            deriv=_clamped(_piecewise_cubic(hs, _FIRST * coeffs[:3]), radius, 0.0),
+            second_deriv=_clamped(_piecewise_cubic(hs, _SECOND * coeffs[:2]), radius, 0.0),
         )
     return PiecewiseFunction(components=tuple(tables[id(fn)] for fn in comps))

@@ -25,6 +25,8 @@ from walshflow.semigroup import (
     OriginNotDifferentiable,
     QuadratureDiverged,
     _clamped,
+    _not_a_knot,
+    _piecewise_cubic,
     generator_residual,
     halfline_convolution,
     heat_kernel,
@@ -285,13 +287,19 @@ def _apply_oracle(f, spec, point, t):
     return shared + _halfline_oracle(own, t, h) - _halfline_oracle(own, t, -h)
 
 
-def _tabulate_oracle(f, spec, s, radius_max=None):
+def _table_nodes(s, radius_max=None):
     base_radius = 12.0 * math.sqrt(s)
     radius = max(base_radius, radius_max) if radius_max is not None else base_radius
     nodes = 400
     if radius > base_radius:
         nodes = max(nodes, math.ceil(nodes * radius / base_radius))
-    hs = np.linspace(0.0, radius, nodes)
+    return np.linspace(0.0, radius, nodes)
+
+
+def _tabulate_oracle(f, spec, s, radius_max=None):
+    # scipy's CubicSpline is the spline oracle; the package builds its own
+    hs = _table_nodes(s, radius_max)
+    radius, nodes = float(hs[-1]), len(hs)
     origin_value = _apply_oracle(f, spec, spec.origin, s)
     components = []
     for ray in range(1, spec.n_rays + 1):
@@ -423,6 +431,81 @@ def test_tabulate_bit_equal_to_per_point_oracle(case, radius_max):
     ]
     for i, same in enumerate(sharing):
         assert [j for j in range(spec.n_rays) if got.components[j] is got.components[i]] == same
+
+
+# verify-semigroup's tables (s = 0.25 and 1 at radius_max 13.5) and a
+# 4,500-node one
+_CLI_TABLE_NODES = {0.25: 900, 1.0: 450, 0.01: 4500}
+
+
+@pytest.mark.parametrize("s", sorted(_CLI_TABLE_NODES))
+def test_tabulate_cli_tables_bit_equal_to_per_point_oracle(s):
+    f = bump_family((1.0,) * 3)
+    hs = _table_nodes(s, 13.5)
+    assert len(hs) == _CLI_TABLE_NODES[s] and hs[-1] == 13.5
+    (got,) = set(tabulate_semigroup(f, SPEC3, s, radius_max=13.5).components)
+    want = _tabulate_oracle(f, SPEC3, s, radius_max=13.5).components[0]
+    # every node, every midpoint, the radius exactly, and both sides of the table
+    probes = np.concatenate([hs, (hs[:-1] + hs[1:]) / 2, [-0.25, -0.0, 13.5, 14.0, math.nan]])
+    for name in ("value", "deriv", "second_deriv"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert _bits(mine(probes)) == _bits(theirs(probes)), name
+        assert _bits(mine(probes.reshape(-1, 1))) == _bits(theirs(probes.reshape(-1, 1))), name
+        for h in (0.0, 0.7, 13.5, np.float64(2.3), np.array(5.1), math.nan):
+            value = mine(h)
+            assert isinstance(value, float), (name, h)
+            assert _bits([value]) == _bits([theirs(h)]), (name, h)
+    assert math.isnan(got.value(math.nan))
+    assert got.value(13.5) == got.value(20.0)
+
+
+_SPLINE_DERIVATIVES = {
+    1: np.array([[3.0], [2.0], [1.0]]),
+    2: np.array([[6.0], [2.0]]),
+}
+
+
+@pytest.mark.parametrize("n", [4, 5, 400, 4500])
+def test_not_a_knot_bit_equal_to_cubic_spline(n):
+    rng = np.random.default_rng(n)
+    for radius in (1.0, 3.7, 13.5):
+        x = np.linspace(0.0, radius, n)
+        y = rng.standard_normal(n)
+        coeffs = _not_a_knot(x, y)
+        oracle = CubicSpline(x, y, bc_type="not-a-knot")
+        assert _bits(coeffs) == _bits(oracle.c)
+        probes = np.concatenate([x, rng.uniform(-0.5, radius + 0.5, 2000), [math.nan]])
+        assert _bits(_piecewise_cubic(x, coeffs)(probes)) == _bits(oracle(probes))
+        for order, factor in _SPLINE_DERIVATIVES.items():
+            mine = _piecewise_cubic(x, factor * coeffs[: 4 - order])
+            assert _bits(mine(probes)) == _bits(oracle.derivative(order)(probes)), order
+
+
+def test_not_a_knot_refuses_interchange_and_non_finite_values():
+    # row 1 pivots on dx0 + dx1 = 2 against dx2 = 8: gtsv would swap rows
+    with pytest.raises(ValueError, match="row interchange"):
+        _not_a_knot(np.array([0.0, 1.0, 2.0, 10.0, 11.0]), np.arange(5.0))
+    x = np.linspace(0.0, 1.0, 6)
+    for bad in (math.nan, math.inf, -math.inf):
+        y = np.ones(6)
+        y[3] = bad
+        with pytest.raises(QuadratureDiverged, match="h=0.6"):
+            _not_a_knot(x, y)
+
+
+def test_tabulate_never_returns_a_nan_table():
+    nan_far_out = PiecewiseFunction.radial(
+        2, value=lambda h: np.where(np.asarray(h) > 5.0, math.nan, 1.0)
+    )
+    with pytest.raises(QuadratureDiverged):
+        tabulate_semigroup(nan_far_out, SPEC2, 1.0)
+
+
+@pytest.mark.parametrize("radius_max", [math.nan, math.inf, -math.inf])
+def test_tabulate_rejects_non_finite_radius_max(radius_max):
+    # max(base, nan) was base, a silent default; inf overflowed math.ceil
+    with pytest.raises(ValueError, match="radius_max"):
+        tabulate_semigroup(bump_family((1.0, 1.0)), SPEC2, 1.0, radius_max=radius_max)
 
 
 @pytest.mark.parametrize("family", [bump_family, decay_family, slope_family])
