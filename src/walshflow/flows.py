@@ -45,6 +45,8 @@ from walshflow.paths import (
     KEY_MAPPING_CHOICE,
     RngStream,
     _skew_step,
+    _state_dtype,
+    _uniforms_below,
     categorical,
     find_excursions,
 )
@@ -437,24 +439,6 @@ _SPAN_STEPS = 2048
 # Philox words merge_level_samples draws at a time (or the multiple one step
 # needs); fixed rather than sized by the pair count, which raised peak memory
 _MERGE_DRAW_WORDS = 2**14
-
-
-def _uniforms_below(words: np.ndarray, p: float) -> np.ndarray:
-    """Which raw Philox words give a uniform below p, as a bool array.
-
-    A uniform is (raw >> 11) / 2^53, so it is below p exactly when raw <
-    ceil(p 2^53) 2^11. That threshold is 2^64 at p = 1, outside uint64,
-    so that case is every word rather than a comparison.
-    """
-    units = math.ceil(p * 2.0**53)
-    if units >= 2**53:
-        return np.ones(words.shape, dtype=bool)
-    return words < (units << 11)
-
-
-def _state_dtype(reach: int) -> type:
-    """The narrowest of int16, int32 and int64 that holds +-reach."""
-    return next(t for t in (np.int16, np.int32, np.int64) if reach <= np.iinfo(t).max)
 
 
 def _coin_blocks(streams: list[RngStream], steps: int, alpha_plus: float):

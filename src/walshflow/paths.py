@@ -601,6 +601,24 @@ def sample_wbm_exact(
     return rays, radii
 
 
+def _uniforms_below(words: np.ndarray, p: float) -> np.ndarray:
+    """Which raw Philox words give a uniform below p, as a bool array.
+
+    A uniform is (raw >> 11) / 2^53, so it is below p exactly when raw <
+    ceil(p 2^53) 2^11. That threshold is 2^64 at p = 1, outside uint64,
+    so that case is every word rather than a comparison.
+    """
+    units = math.ceil(p * 2.0**53)
+    if units >= 2**53:
+        return np.ones(words.shape, dtype=bool)
+    return words < (units << 11)
+
+
+def _state_dtype(reach: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds +-reach."""
+    return next(t for t in (np.int16, np.int32, np.int64) if reach <= np.iinfo(t).max)
+
+
 def _skew_step(
     z: np.ndarray,
     junction: np.ndarray | int | None,
@@ -632,19 +650,41 @@ def scaled_walk_marginal(
     """Sample the walk after floor(2^(2n) t) steps, scaled by 2^-n.
 
     Returns (rays, radii); the origin reports the canonical ray.
+
+    Each step draws one uniform u per replica, random(replicas) of the
+    stream: away from the junction the radius steps up when u < 1/2 and
+    down otherwise, and at the junction it steps up onto a ray drawn from
+    u. Three exact facts make that cheap:
+
+    - the uniform is (raw >> 11) 2^-53 of the step's raw Philox word, so
+      the sign is _uniforms_below(words, 1/2), read from random_raw;
+    - the junction step is +1 and from 0 both signs land on 1, so the step
+      is k <- |k + xi|, an add and an abs on a state of
+      _state_dtype(steps);
+    - the ray reported is the one drawn at the replica's last departure
+      from 0, so only that step's word is kept, and ray_from_uniform runs
+      once, on its uniform, after the last step.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t = {t!r} must be finite and >= 0")
+    if replicas < 1:
+        raise ValueError("need at least one replica")
     steps = int(math.floor((4**level) * t))
-    gen = stream.child(KEY_WALK, level).generator()
-    rays = np.full(replicas, spec.n_rays, dtype=np.int64)
-    k = np.zeros(replicas, dtype=np.int64)
+    bits = stream.child(KEY_WALK, level).generator().bit_generator
+    k = np.zeros(replicas, dtype=_state_dtype(steps))
+    departure = np.zeros(replicas, dtype=np.uint64)
     for _ in range(steps):
-        u = gen.random(replicas)
-        # the radius leaves the junction upward, on a ray drawn from u
-        leaving = k == 0
-        rays[leaving] = ray_from_uniform(spec, u[leaving])
-        k = _skew_step(k, 1, np.where(u < 0.5, 1, -1))
+        words = bits.random_raw(replicas)
+        np.copyto(departure, words, where=k == 0)
+        xi = _uniforms_below(words, 0.5).view(np.int8)
+        xi *= 2
+        xi -= 1  # up below 1/2, down otherwise
+        k += xi
+        np.abs(k, out=k)
+    departure >>= np.uint64(11)
+    rays = ray_from_uniform(spec, departure * 2.0**-53)
     rays[k == 0] = spec.n_rays
     return rays, k.astype(float) / float(2**level)
 

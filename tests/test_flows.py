@@ -820,11 +820,11 @@ def test_uniforms_below_matches_the_uniforms_of_the_words(p):
     )
     gen = np.random.Philox(5)
     words = np.concatenate([edges, gen.random_raw(4096)])
-    got = flows._uniforms_below(words, p)
+    got = paths_module._uniforms_below(words, p)
     assert got.dtype == bool
     np.testing.assert_array_equal(got, (words >> np.uint64(11)) * 2.0**-53 < p)
     np.testing.assert_array_equal(
-        flows._uniforms_below(np.random.Philox(5).random_raw(64), p),
+        paths_module._uniforms_below(np.random.Philox(5).random_raw(64), p),
         np.random.Generator(np.random.Philox(5)).random(64) < p,
     )
 
@@ -905,7 +905,7 @@ class TestMergeLevels:
     def test_state_type_edge(self, reach, dtype):
         """horizon_steps + y_units at the int16 edge picks int16, one past it
         int32; the levels match the oracle either way."""
-        assert flows._state_dtype(reach) is dtype
+        assert paths_module._state_dtype(reach) is dtype
         _assert_merge_levels_match_oracle((SPEC2, 3, 2, reach - 2, 9, RngStream(64)))
 
     def test_levels_never_below_initial_separation(self):

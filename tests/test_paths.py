@@ -13,17 +13,21 @@ from walshflow.paths import (
     KEY_MAPPING_CHOICE,
     KEY_RAY_FLIP,
     KEY_REPLICA,
+    KEY_WALK,
     EmptyInterval,
     RngStream,
     ScalarPath,
     TimeGrid,
     WalshPath,
     _dyadic_labels,
+    _skew_step,
+    _state_dtype,
     dyadic_label,
     find_excursions,
     freidlin_sheu_residual,
     keyed_uniforms,
     local_time_band,
+    ray_from_uniform,
     sample_brownian,
     sample_wbm_exact,
     scaled_walk_marginal,
@@ -572,6 +576,73 @@ def test_scaled_walk_marginal_sign_frequencies():
     # walk lives on the scaled lattice
     lattice = np.round(radii * 8) / 8
     assert np.array_equal(lattice, radii)
+
+
+def _walk_marginal_oracle(spec, level, t, replicas, stream):
+    """scaled_walk_marginal as a per-step loop on the uniforms of
+    random(replicas): a replica at the junction draws its ray from the
+    step's uniform, and every replica steps through paths._skew_step with
+    junction step +1 and sign +1 below 1/2."""
+    steps = int(math.floor((4**level) * t))
+    gen = stream.child(KEY_WALK, level).generator()
+    rays = np.full(replicas, spec.n_rays, dtype=np.int64)
+    k = np.zeros(replicas, dtype=np.int64)
+    for _ in range(steps):
+        u = gen.random(replicas)
+        leaving = k == 0
+        rays[leaving] = ray_from_uniform(spec, u[leaving])
+        k = _skew_step(k, 1, np.where(u < 0.5, 1, -1))
+    rays[k == 0] = spec.n_rays
+    return rays, k.astype(float) / float(2**level)
+
+
+def _assert_walk_matches_oracle(spec, level, t, replicas, stream):
+    rays, radii = scaled_walk_marginal(spec, level, t, replicas, stream)
+    want_rays, want_radii = _walk_marginal_oracle(spec, level, t, replicas, stream)
+    assert rays.dtype == want_rays.dtype and rays.tolist() == want_rays.tolist()
+    assert radii.dtype == want_radii.dtype and radii.tobytes() == want_radii.tobytes()
+    return rays, radii
+
+
+@pytest.mark.parametrize("spec", [SPEC2, SPEC3], ids=["spec2", "spec3"])
+@pytest.mark.parametrize("level", range(6))
+def test_scaled_walk_marginal_bit_equal_to_per_step_oracle(spec, level):
+    """Every t and replica count at the level, three seeds each; level 0 at
+    t = 0.25 takes no step and leaves every replica at the origin."""
+    for t in (0.25, 0.7, 1.0):
+        for replicas in (1, 2, 999):
+            for seed in (11, 12, 13):
+                stream = RngStream(seed).child(KEY_REPLICA, replicas)
+                rays, radii = _assert_walk_matches_oracle(spec, level, t, replicas, stream)
+                if math.floor(4**level * t) == 0:
+                    assert np.all(radii == 0.0) and np.all(rays == spec.n_rays)
+
+
+@pytest.mark.parametrize("steps, dtype", [(2**15 - 1, np.int16), (2**15, np.int32)])
+def test_scaled_walk_marginal_state_type_edge(steps, dtype):
+    """2^15 - 1 steps keep the int16 state, 2^15 widen it to int32; the
+    walk matches the oracle on both sides of the edge."""
+    assert _state_dtype(steps) is dtype
+    t = steps / 4**8
+    assert math.floor(4**8 * t) == steps
+    _assert_walk_matches_oracle(SPEC3, 8, t, 3, RngStream(70))
+
+
+def test_scaled_walk_marginal_rejects_negative_t():
+    with pytest.raises(ValueError, match="t ="):
+        scaled_walk_marginal(SPEC2, 2, -0.25, 10, RngStream(1))
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_scaled_walk_marginal_rejects_non_finite_t(t):
+    with pytest.raises(ValueError, match="t ="):
+        scaled_walk_marginal(SPEC2, 2, t, 10, RngStream(1))
+
+
+@pytest.mark.parametrize("replicas", [0, -1])
+def test_scaled_walk_marginal_rejects_too_few_replicas(replicas):
+    with pytest.raises(ValueError, match="replica"):
+        scaled_walk_marginal(SPEC2, 2, 1.0, replicas, RngStream(1))
 
 
 def test_freidlin_sheu_radius_function_telescopes():
