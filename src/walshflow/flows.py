@@ -554,42 +554,53 @@ def _flow_invariants(
     merge_at = np.full((n, n_replicas), never, dtype=np.int64)
     target = np.zeros((n, n_replicas), dtype=np.intp)
     visits = np.zeros(n_replicas, dtype=np.int64)
+    # one buffer each for the whole horizon, written in place per block:
+    # allocated per block, they can cost fresh pages on every block
+    at_junction_buf = np.empty((_BLOCK_STEPS + 1, n, n_replicas), dtype=bool)
+    meet_buf = np.empty_like(at_junction_buf)
+    pair_buf = np.empty((_BLOCK_STEPS + 1, n_replicas), dtype=bool)
+    after_buf = np.empty_like(pair_buf)
     for k0, rows in blocks:
-        index = np.arange(k0, k0 + len(rows))
+        width = len(rows)
+        index = np.arange(k0, k0 + width)
         born = (index[:, None] >= births[:n])[:, :, None]
-        at_junction = rows[:, :n] == 0
+        at_junction = np.equal(rows[:, :n], 0, out=at_junction_buf[:width])
         at_junction &= born
+        pair = pair_buf[:width]
         for a, b in zip(order[:-1], order[1:]):
-            monotone &= np.all(rows[:, a] <= rows[:, b], axis=0)
-        lo = max(births[n] - k0, 0)
-        flow_prop &= np.all(rows[lo:, n] == rows[lo:, 0], axis=0)
+            monotone &= np.less_equal(rows[:, a], rows[:, b], out=pair).all(axis=0)
+        lo = min(max(births[n] - k0, 0), width)
+        flow_prop &= np.equal(rows[lo:, n], rows[lo:, 0], out=pair[lo:]).all(axis=0)
 
         for q in range(1, n):
             pending = merge_at[q] == never
             if not pending.any():
                 continue
+            meet = meet_buf[:width, :q]
             if junction_rule:
-                meet = at_junction[:, :q] & at_junction[:, q, None]
+                np.logical_and(at_junction[:, :q], at_junction[:, q, None], out=meet)
             else:
-                meet = (rows[:, :q] == rows[:, q, None]) & born[:, :q] & born[:, q, None]
+                np.equal(rows[:, :q], rows[:, q, None], out=meet)
+                meet &= born[:, :q]
+                meet &= born[:, q, None]
             new, to, at = _first_meetings(meet, pending, k0)
             target[q, new], merge_at[q, new] = to, at
             if junction_rule:
                 at_zero[new] &= at_junction[at - k0, q, new] & at_junction[at - k0, to, new]
 
         # each earlier start densely, counted only where it is q's target
+        after = after_buf[:width]
         for q in range(1, n):
             if (merge_at[q] < never).any():
-                after = index[:, None] >= merge_at[q]
+                np.greater_equal(index[:, None], merge_at[q], out=after)
                 for t in range(q):
-                    differ = rows[:, q] != rows[:, t]
+                    differ = np.not_equal(rows[:, q], rows[:, t], out=pair)
                     differ &= after
                     permanence &= ~(differ.any(axis=0) & (target[q] == t))
 
-        before = index[:-1, None] < merge_at[1]
-        visits += np.count_nonzero(at_junction[:-1, 1] & before, axis=0)
-        # drop the block's arrays before the next block's are made
-        at_junction = born = before = meet = after = differ = None
+        before = np.less(index[:-1, None], merge_at[1], out=pair[:-1])
+        before &= at_junction[:-1, 1]
+        visits += np.count_nonzero(before, axis=0)
     merge = np.where(merge_at[1] < never, merge_at[1], -1)
     return monotone, flow_prop, permanence, at_zero, merge, visits
 

@@ -561,8 +561,8 @@ def sample_wbm_exact(
     with no grid bias. The flip draw for the excursion straddling t is
     keyed by the step where the running minimum was last attained.
     """
-    if t <= 0.0:
-        raise ValueError(f"t = {t!r} must be > 0")
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"t = {t!r} must be finite and > 0")
     if replicas < 1:
         raise ValueError("need at least one replica")
     gen = stream.child(KEY_EXACT_MARGINAL).generator()

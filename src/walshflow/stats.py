@@ -3,7 +3,9 @@
 Small, composable pieces: a serializable report record, the classical
 one-sample statistics used by the verification commands, a power-law
 fit for coalescence levels, and the composite marginal-vs-semigroup
-battery that compares sampled laws against quadrature references.
+battery that compares sampled laws against quadrature references. The
+Kolmogorov and chi-square survival functions and the error function are
+built here from math, so the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from walshflow.graph import GraphSpec, PiecewiseFunction, decay_family, slope_family, vector_eval
 from walshflow.semigroup import wbm_semigroup_apply
@@ -114,8 +115,30 @@ def ks_statistic(samples: Sequence[float], cdf: Callable[[np.ndarray], np.ndarra
     d_minus = float(np.max(f - (np.arange(n) / n)))
     d = max(d_plus, d_minus)
     root = math.sqrt(n)
-    p = float(special.kolmogorov((root + 0.12 + 0.11 / root) * d))
+    p = _kolmogorov_sf((root + 0.12 + 0.11 / root) * d)
     return d, min(max(p, 0.0), 1.0)
+
+
+# terms of the Kolmogorov series: past the sixth, each side's terms fall
+# below 1e-20 of the first, on its side of the switch at y = 1
+_KOLMOGOROV_TERMS = range(1, 7)
+
+
+def _kolmogorov_sf(y: float) -> float:
+    """P(K > y) for the Kolmogorov distribution K.
+
+    The alternating series 2 sum (-1)^(k-1) exp(-2 k^2 y^2) from y = 1
+    up, and below 1 the complement of its theta dual,
+    sqrt(2 pi) / y sum exp(-(2k - 1)^2 pi^2 / (8 y^2)); each converges
+    fast on its side.
+    """
+    if y <= 0.0:
+        return 1.0
+    if y >= 1.0:
+        return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * (k * y) ** 2) for k in _KOLMOGOROV_TERMS)
+    c = -((math.pi / y) ** 2) / 8.0
+    cdf = math.sqrt(2.0 * math.pi) / y * sum(math.exp(c * (2 * k - 1) ** 2) for k in _KOLMOGOROV_TERMS)
+    return 1.0 - cdf
 
 
 def chi_square_rays(counts: Sequence[float], probs: Sequence[float]) -> tuple[float, float]:
@@ -137,9 +160,30 @@ def chi_square_rays(counts: Sequence[float], probs: Sequence[float]) -> tuple[fl
         raise ZeroExpected("a cell has zero expected count")
     expected = total * p / p.sum()
     stat = float(np.sum((obs - expected) ** 2 / expected))
-    # the chi-square survival function, without importing scipy.stats
-    p_value = float(special.chdtrc(obs.size - 1, stat))
-    return stat, p_value
+    return stat, _chi_square_sf(obs.size - 1, stat)
+
+
+def _chi_square_sf(df: int, x: float) -> float:
+    """P(X > x) for X chi-square with a positive integer df.
+
+    The finite recursion Q(k + 2) = Q(k) + (x/2)^(k/2) e^(-x/2) / Gamma(k/2 + 1)
+    from Q(2) = e^(-x/2) at even df and Q(1) = erfc(sqrt(x/2)) at odd df;
+    every term is positive.
+    """
+    if x <= 0.0:
+        return 1.0
+    half = x / 2.0
+    if df % 2 == 0:
+        k, total = 2, math.exp(-half)
+        term = half * total
+    else:
+        k, total = 1, math.erfc(math.sqrt(half))
+        term = math.sqrt(half) * math.exp(-half) / math.gamma(1.5)
+    while k < df:
+        total += term
+        k += 2
+        term *= half / (k / 2.0)
+    return total
 
 
 @dataclass(frozen=True)
@@ -190,10 +234,14 @@ def powerlaw_fit_coalescence(levels: Sequence[float], y: float) -> PowerLawFit:
     )
 
 
+# math.erf on every entry of an array, as a float array
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
 def folded_gaussian_cdf(t: float) -> Callable[[np.ndarray], np.ndarray]:
     """Distribution of the radius at time t started at the junction."""
     scale = math.sqrt(t)
-    return lambda r: special.erf(np.asarray(r) / (scale * math.sqrt(2.0)))
+    return lambda r: np.asarray(_erf(np.asarray(r) / (scale * math.sqrt(2.0))), dtype=float)
 
 
 def default_marginal_functions(spec: GraphSpec) -> list[tuple[str, PiecewiseFunction]]:

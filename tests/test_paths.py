@@ -628,6 +628,12 @@ def test_scaled_walk_marginal_state_type_edge(steps, dtype):
     _assert_walk_matches_oracle(SPEC3, 8, t, 3, RngStream(70))
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_sample_wbm_exact_rejects_t_not_finite_and_positive(t):
+    with pytest.raises(ValueError, match="t ="):
+        sample_wbm_exact(SPEC3, t, 4, RngStream(1))
+
+
 def test_scaled_walk_marginal_rejects_negative_t():
     with pytest.raises(ValueError, match="t ="):
         scaled_walk_marginal(SPEC2, 2, -0.25, 10, RngStream(1))

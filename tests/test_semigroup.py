@@ -70,6 +70,36 @@ def test_halfline_convolution_frozen_values():
     )
 
 
+def _halfline_closed_form(k: int, t: float, x: float) -> float:
+    """The integral over h >= 0 of h^k e^-h phi_t(h - x), for k = 0, 1, 2.
+
+    Completing the square, e^-h phi_t(h - x) = e^(t/2 - x) phi_t(h - m)
+    with m = x - t, so the integral is e^(t/2 - x) E[Y^k; Y > 0] for Y
+    normal with mean m and variance t: the truncated moments below, in
+    Phi and phi at a = m / sqrt(t).
+    """
+    s = math.sqrt(t)
+    m = x - t
+    a = m / s
+    cdf = 0.5 * math.erfc(-a / math.sqrt(2.0))
+    pdf = math.exp(-a * a / 2.0) / math.sqrt(2.0 * math.pi)
+    moment = (cdf, m * cdf + s * pdf, (m * m + t) * cdf + m * s * pdf)[k]
+    return math.exp(t / 2.0 - x) * moment
+
+
+@pytest.mark.parametrize("t", [1 / 16, 0.25, 1.0, 4.0])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("c", [1.0, -2.5])
+def test_halfline_convolution_matches_closed_form(c, k, t):
+    fn = lambda h: c * np.asarray(h, dtype=float) ** k * np.exp(-np.asarray(h, dtype=float))
+    xs = np.linspace(-3.0, 5.0, 8)
+    got = halfline_convolution(fn, t, xs)
+    for x, value in zip(xs, got):
+        # the quadrature is linear in fn, so its error scales with |c|
+        assert abs(value - c * _halfline_closed_form(k, t, float(x))) <= 1e-10 * abs(c), x
+        assert halfline_convolution(fn, t, float(x)) == value
+
+
 def test_halfline_convolution_window_left_of_support():
     assert halfline_convolution(lambda y: 1.0, 1.0, -20.0) == 0.0
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from walshflow.paths import RngStream, sample_wbm_exact
 from walshflow.stats import (
@@ -20,6 +21,8 @@ from walshflow.stats import (
     folded_gaussian_cdf,
     ks_statistic,
     marginal_vs_semigroup,
+    _chi_square_sf,
+    _kolmogorov_sf,
     powerlaw_fit_coalescence,
 )
 from walshflow.graph import validate_spec
@@ -101,6 +104,22 @@ class TestKsStatistic:
         _, p = ks_statistic(u, lambda x: np.clip(x, 0.0, 1.0))
         assert p < 0.01
 
+    def test_kolmogorov_sf_matches_scipy(self):
+        # both series and the switch between them at y = 1; scipy's own
+        # switch sits near 0.82
+        ys = np.concatenate(
+            [np.linspace(0.05, 4.0, 800), [0.82, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]]
+        )
+        for y in ys:
+            want = float(special.kolmogorov(y))
+            assert abs(_kolmogorov_sf(float(y)) - want) <= 1e-12 * want, y
+
+    def test_kolmogorov_sf_limits(self):
+        assert _kolmogorov_sf(0.0) == 1.0
+        assert _kolmogorov_sf(-1.0) == 1.0
+        assert _kolmogorov_sf(0.01) == 1.0
+        assert _kolmogorov_sf(40.0) == 0.0
+
 
 class TestChiSquare:
     def test_frozen_example(self):
@@ -121,6 +140,16 @@ class TestChiSquare:
             chi_square_rays([10], [1.0])
         with pytest.raises(ValueError):
             chi_square_rays([10, -1], [0.5, 0.5])
+
+    @pytest.mark.parametrize("df", range(1, 7))
+    def test_chi_square_sf_matches_scipy(self, df):
+        for x in np.geomspace(0.01, 60.0, 400):
+            want = float(special.chdtrc(df, x))
+            assert abs(_chi_square_sf(df, float(x)) - want) <= 1e-12 * want, x
+
+    @pytest.mark.parametrize("df", range(1, 7))
+    def test_chi_square_sf_at_zero(self, df):
+        assert _chi_square_sf(df, 0.0) == 1.0
 
     def test_null_calibration(self):
         rejections = 0
@@ -172,6 +201,14 @@ class TestFoldedGaussian:
     def test_frozen_value(self):
         cdf = folded_gaussian_cdf(4.0)
         assert abs(float(cdf(np.array(2.0))) - 0.6826894921370859) < 1e-12
+
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+    def test_matches_scipy_erf_within_4_ulp(self, t):
+        r = np.linspace(0.0, 12.0, 20_001)
+        got = folded_gaussian_cdf(t)(r)
+        want = special.erf(r / (math.sqrt(t) * math.sqrt(2.0)))
+        assert got.dtype == np.float64 and got.shape == r.shape
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
     def test_limits(self):
         cdf = folded_gaussian_cdf(1.0)
