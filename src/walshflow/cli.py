@@ -29,6 +29,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+# numpy loads these on first use, and every subcommand but verify-semigroup
+# uses them (np.unique reaches numpy.ma); load them at start-up, so that a
+# run's time is its own work
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from walshflow.flows import (
     LatticeFlowConfig,
     MeasurePairSampler,

@@ -164,14 +164,12 @@ def chi_square_rays(counts: Sequence[float], probs: Sequence[float]) -> tuple[fl
 
 
 def _chi_square_sf(df: int, x: float) -> float:
-    """P(X > x) for X chi-square with a positive integer df.
+    """P(X > x) for X chi-square with a positive integer df, at x >= 0.
 
     The finite recursion Q(k + 2) = Q(k) + (x/2)^(k/2) e^(-x/2) / Gamma(k/2 + 1)
     from Q(2) = e^(-x/2) at even df and Q(1) = erfc(sqrt(x/2)) at odd df;
     every term is positive.
     """
-    if x <= 0.0:
-        return 1.0
     half = x / 2.0
     if df % 2 == 0:
         k, total = 2, math.exp(-half)
@@ -234,7 +232,7 @@ def powerlaw_fit_coalescence(levels: Sequence[float], y: float) -> PowerLawFit:
     )
 
 
-# math.erf on every entry of an array, as a float array
+# math.erf entry by entry; the object array it returns is cast to float
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 
