@@ -569,7 +569,7 @@ def _flow_invariants(
         pair = pair_buf[:width]
         for a, b in zip(order[:-1], order[1:]):
             monotone &= np.less_equal(rows[:, a], rows[:, b], out=pair).all(axis=0)
-        lo = min(max(births[n] - k0, 0), width)
+        lo = max(births[n] - k0, 0)
         flow_prop &= np.equal(rows[lo:, n], rows[lo:, 0], out=pair[lo:]).all(axis=0)
 
         for q in range(1, n):

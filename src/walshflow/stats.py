@@ -130,10 +130,8 @@ def _kolmogorov_sf(y: float) -> float:
     The alternating series 2 sum (-1)^(k-1) exp(-2 k^2 y^2) from y = 1
     up, and below 1 the complement of its theta dual,
     sqrt(2 pi) / y sum exp(-(2k - 1)^2 pi^2 / (8 y^2)); each converges
-    fast on its side.
+    fast on its side. y > 0, as every KS statistic is at least 1/(2n).
     """
-    if y <= 0.0:
-        return 1.0
     if y >= 1.0:
         return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * (k * y) ** 2) for k in _KOLMOGOROV_TERMS)
     c = -((math.pi / y) ** 2) / 8.0
