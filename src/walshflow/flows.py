@@ -16,7 +16,10 @@ then on, so everything after the record is bitwise identical either way.
 A start's value and junction visits therefore come from its own row; the
 copy chain of merges serves only the draw keys. Kernels and mappings key
 their draws by the rows of FlowEnsemble.excursions, one table per
-trajectory, labelled by paths.find_excursions.
+trajectory, labelled by paths.find_excursions; a KernelFlow draws their
+ray weights into one array per trajectory (MeasurePairSampler.draw, one
+call per side), copies a merged start's from its target, and mappings
+read that array, keeping nothing of their own.
 
 The flow experiment does not keep trajectories. A replica-batched kernel
 steps a (starts, replicas) integer state through time, each replica on its
@@ -92,13 +95,18 @@ class BeforeHitting(ValueError):
     """Ray weights requested before the trajectory reached the junction."""
 
 
+def _block(spec: GraphSpec, side: int) -> slice:
+    """Columns of a side's rays in a vector over all rays."""
+    rays = spec.side_rays(side)
+    return slice(rays.start - 1, rays.stop - 1)
+
+
 def ray_ratios(spec: GraphSpec, side: int) -> tuple[float, ...]:
     """Normalized ray weights on one side of the junction: alpha_i/alpha+
     over the plus block (side +1) or alpha_j/alpha- over the minus block."""
-    rays = spec.side_rays(side)
-    if not rays:
+    if not spec.side_rays(side):
         raise SamplerInvalid(f"no {'plus' if side > 0 else 'minus'} rays")
-    alpha = spec.alpha[rays.start - 1 : rays.stop - 1]
+    alpha = spec.alpha[_block(spec, side)]
     total = math.fsum(alpha)
     return tuple(a / total for a in alpha)
 
@@ -217,26 +225,19 @@ class MeasurePairSampler:
             for side, name in names.items()
             if spec.side_rays(side)
         }
-        # the sides whose law draws, and so takes a generator
-        self.drawing_sides = frozenset(side for side, law in self._laws.items() if callable(law))
 
     @staticmethod
-    def _build(name: str, ratios: tuple[float, ...]):
-        """A point-mass family's vector, or a draw from a generator."""
+    def _build(name: str, ratios: tuple[float, ...]) -> tuple[str, np.ndarray]:
+        """(kind, vector) of a family: a "point" mass at the vector, a
+        "vertex" drawn with the vector's probabilities, or a "dirichlet"
+        law with the vector as its concentrations."""
         dim = len(ratios)
         if name == "wiener":
-            return np.asarray(ratios)
+            return "point", np.asarray(ratios)
         if name == "dirac-vertices":
-
-            def vertex(gen):
-                out = np.zeros(dim)
-                out[categorical(ratios, gen.random())] = 1.0
-                return out
-
-            return vertex
+            return "vertex", np.asarray(ratios)
         if name == "uniform-simplex":
-            ones = np.ones(dim)
-            return lambda gen: gen.dirichlet(ones)
+            return "dirichlet", np.ones(dim)
         if name.startswith("dirichlet:"):
             try:
                 conc = float(name.split(":", 1)[1])
@@ -244,8 +245,7 @@ class MeasurePairSampler:
                 raise SamplerInvalid(f"bad concentration in {name!r}") from exc
             if not 0.0 < conc < math.inf:
                 raise SamplerInvalid(f"concentration must be finite and > 0 in {name!r}")
-            alpha_vec = conc * np.asarray(ratios)
-            return lambda gen: gen.dirichlet(alpha_vec)
+            return "dirichlet", conc * np.asarray(ratios)
         if name.startswith("custom-weights:"):
             try:
                 vec = np.array([float(v) for v in name.split(":", 1)[1].split(",")])
@@ -256,22 +256,34 @@ class MeasurePairSampler:
             finite = bool(np.all(np.isfinite(vec)))
             if not finite or np.any(vec < 0.0) or abs(math.fsum(vec) - 1.0) > WEIGHT_SUM_TOL:
                 raise SamplerInvalid(f"{name!r} is not a probability vector")
-            return vec
+            return "point", vec
         raise SamplerInvalid(f"unknown sampler family {name!r}")
 
-    def sample(self, side: int, source: np.random.Generator | RngStream | None) -> np.ndarray:
-        """One weight vector on the side's simplex. A family that draws
-        takes its generator from source, built there when source is a
-        stream; the point-mass families read no source, so a caller may
-        pass None for a side outside drawing_sides."""
+    def draw(self, side: int, stream: RngStream, keys) -> np.ndarray:
+        """One weight vector on the side's simplex per row of keys, an
+        (n, parts) int64 array, as an (n, dim) matrix. Row i depends only
+        on stream.child(*keys[i]): a point mass reads no stream (its rows
+        are one read-only vector), a vertex is picked by the child's first
+        uniform (one stream.uniforms call for all rows), and a Dirichlet
+        row takes the child's generator."""
         law = self._laws.get(side)
         if law is None:
             raise SamplerInvalid(
                 "no rays on the requested side; the trajectory should never get there"
             )
-        if isinstance(law, np.ndarray):
-            return law.copy()
-        return law(source.generator() if isinstance(source, RngStream) else source)
+        kind, vec = law
+        keys = np.asarray(keys, dtype=np.int64)
+        if kind == "point":
+            return np.broadcast_to(vec, (len(keys), len(vec)))
+        if kind == "vertex":
+            return np.eye(len(vec))[categorical(vec, stream.uniforms(keys))]
+        rows = [stream.child(*key).generator().dirichlet(vec) for key in keys.tolist()]
+        return np.array(rows).reshape(len(keys), len(vec))
+
+
+def _choice_keys(indices, key) -> np.ndarray:
+    """Int64 key rows (c, *key), one per index c."""
+    return np.column_stack([np.asarray(indices), np.tile(key, (len(indices), 1))])
 
 
 @dataclass(frozen=True)
@@ -693,22 +705,35 @@ class KernelFlow:
         self.sampler = sampler
         self.stream = stream
         self.draw_index = draw_index
-        self._weights_cache: dict[tuple[int, int, int], np.ndarray] = {}
+        self._tables: dict[int, np.ndarray] = {}
+
+    def weight_table(self, q: int) -> np.ndarray:
+        """(rows, n_rays) ray weights, row i for row i of excursions(q):
+        the excursion's vector over its side's rays, 0 on the other side."""
+        if q not in self._tables:
+            ens = self.ensemble
+            rows = ens.excursions(q)
+            table = np.zeros((len(rows), ens.spec.n_rays))
+            # q's own rows come first, each keyed (q, label)
+            mine = np.count_nonzero(rows[:, 3] == q)
+            stream = self.stream.child(KEY_KERNEL_CHOICE, self.draw_index, q)
+            for side in set(rows[:mine, 2].tolist()):
+                drawn = np.flatnonzero(rows[:mine, 2] == side)
+                block = _block(ens.spec, side)
+                table[drawn, block] = self.sampler.draw(side, stream, rows[drawn, 4:])
+            # the rows after the merge are a tail of the target's table
+            if mine < len(rows):
+                theirs = self.weight_table(ens.merge_record(q).target_index)
+                table[mine:] = theirs[len(theirs) - (len(rows) - mine) :]
+            self._tables[q] = table
+        return self._tables[q]
 
     def excursion_weights(self, q: int, k: int) -> np.ndarray:
         """Ray weights, over its side's block, of the excursion start q is
-        on at index k; drawn once per excursion on the law of its side."""
-        return self._weights_for(*self.ensemble.excursion(q, k))
-
-    def _weights_for(self, key: tuple[int, int, int], side: int) -> np.ndarray:
-        """The weights of the excursion with this key and side, drawn on
-        first request and cached; for callers that already hold them."""
-        if key not in self._weights_cache:
-            child = None
-            if side in self.sampler.drawing_sides:
-                child = self.stream.child(KEY_KERNEL_CHOICE, self.draw_index, *key)
-            self._weights_cache[key] = self.sampler.sample(side, child)
-        return self._weights_cache[key]
+        on at index k: its row of weight_table(q)."""
+        _key, side = self.ensemble.excursion(q, k)
+        row = int(self.ensemble.excursion_row(q, k))
+        return self.weight_table(q)[row, _block(self.ensemble.spec, side)]
 
     def kernel_at(self, q: int, k: int) -> KernelMeasure:
         ens = self.ensemble
@@ -734,14 +759,9 @@ class MappingFlow:
     def __init__(self, kernel_flow: KernelFlow, choice_index: int = 0):
         self.kernels = kernel_flow
         self.choice_index = choice_index
-        self._ray_cache: dict[tuple[int, int, int], int] = {}
 
     def _excursion_ray(self, q: int, k: int) -> int:
-        key, _side = self.kernels.ensemble.excursion(q, k)
-        if key not in self._ray_cache:
-            rays = mapping_rays(self.kernels, q, k, (self.choice_index,))
-            self._ray_cache[key] = int(rays[0])
-        return self._ray_cache[key]
+        return int(mapping_rays(self.kernels, q, k, (self.choice_index,))[0])
 
     def point_at(self, q: int, k: int) -> GraphPoint:
         ens = self.kernels.ensemble
@@ -761,27 +781,18 @@ def mapping_rays(
     """The ray a mapping flow with choice index c picks at (start_index, k),
     for every choice index c, from one bulk draw of the choice uniforms:
     the one draw behind MappingFlow, filtering and Wiener projection. With
-    redraw, choice c picks from the weights of the kernel flow with draw
-    index c on the same ensemble instead.
+    redraw, choice c picks from the excursion's weights at draw index c.
 
     Index k must lie inside an excursion after the junction visit.
     """
     ens = flow.ensemble
     key, side = ens.excursion(start_index, k)
-    choice_indices = list(choice_indices)
+    keys = _choice_keys(choice_indices, key)
     if redraw:
-        weights = np.array(
-            [
-                KernelFlow(ens, flow.sampler, flow.stream, c)._weights_for(key, side)
-                for c in choice_indices
-            ]
-        )
+        weights = flow.sampler.draw(side, flow.stream.child(KEY_KERNEL_CHOICE), keys)
     else:
-        weights = flow._weights_for(key, side)
-    keys = np.empty((len(choice_indices), 5), dtype=np.int64)
-    keys[:] = (KEY_MAPPING_CHOICE, 0, *key)
-    keys[:, 1] = choice_indices
-    u = flow.stream.uniforms(keys)
+        weights = flow.excursion_weights(start_index, k)
+    u = flow.stream.child(KEY_MAPPING_CHOICE).uniforms(keys)
     return ens.spec.side_rays(side).start + categorical(weights, u)
 
 
@@ -808,9 +819,11 @@ def extract_ray_weights(
     ens = flow.ensemble
     if not len(ens.zeros_of(start_index)):
         raise BeforeHitting(f"start {start_index} never reaches the junction")
+    table = flow.weight_table(start_index)
+    blocks = {side: _block(ens.spec, side) for side in (1, -1)}
     return [
-        (side, g, d, flow._weights_for(tuple(key), side))
-        for g, d, side, *key in ens.excursions(start_index).tolist()
+        (side, g, d, weights[blocks[side]])
+        for (g, d, side, *_key), weights in zip(ens.excursions(start_index).tolist(), table)
     ]
 
 
@@ -825,14 +838,15 @@ def filter_mapping_to_kernel(
     match the excursion's weight vector to binomial accuracy.
 
     Returns (frequencies, weight vector, replica count); the caller
-    compares them at 3 sqrt(w(1-w)/replicas).
+    compares them at 3 sqrt(w(1-w)/replicas). ValueError for replicas < 1.
     """
-    key, side = flow.ensemble.excursion(start_index, k)
-    weights = flow._weights_for(key, side)
-    rays = mapping_rays(flow, start_index, k, range(replicas))
+    if replicas < 1:
+        raise ValueError(f"need at least one replica, got {replicas}")
+    _key, side = flow.ensemble.excursion(start_index, k)
+    weights = flow.excursion_weights(start_index, k)
     first = flow.ensemble.spec.side_rays(side).start
-    counts = np.bincount(rays - first, minlength=len(weights))
-    return counts / replicas, np.asarray(weights, dtype=float), replicas
+    rays = mapping_rays(flow, start_index, k, range(replicas)) - first
+    return np.bincount(rays, minlength=len(weights)) / replicas, weights, replicas
 
 
 def project_kernel_to_wiener(
@@ -841,23 +855,31 @@ def project_kernel_to_wiener(
     k: int,
     replicas: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Average the kernel's ray-weight vectors over fresh measure draws
-    with the coins fixed; for an unbiased sampler the average converges
-    to the noise-measurable kernel's weights (biased samplers are the
-    negative control and drift away).
+    """Average the kernel's ray-weight vectors over draw indices 0 to
+    replicas - 1 with the coins fixed; for an unbiased sampler the average
+    converges to the noise-measurable kernel's weights (biased samplers
+    are the negative control and drift away).
 
     Returns (mean ray weights over all rays, reference weights, count).
+    ValueError for replicas < 1.
     """
+    if replicas < 1:
+        raise ValueError(f"need at least one replica, got {replicas}")
     ens, spec = flow.ensemble, flow.ensemble.spec
     signed = float(ens.traj[start_index, k]) * ens.config.dx
     start = graph_point(spec, ens.start_meta[start_index][2], abs(signed))
     hit = bool(ens.excursion_row(start_index, k) >= 0)
     reference = measure_ray_weights(wiener_kernel(spec, start, signed, hit), spec)
-    acc = np.zeros(spec.n_rays)
-    for r in range(replicas):
-        redrawn = KernelFlow(ens, flow.sampler, flow.stream, draw_index=r)
-        acc += measure_ray_weights(redrawn.kernel_at(start_index, k), spec)
-    return acc / replicas, reference, replicas
+    if not hit:
+        # no excursion, no draw: every replica has the same point mass
+        return measure_ray_weights(flow.kernel_at(start_index, k), spec), reference, replicas
+    key, side = ens.excursion(start_index, k)
+    draws = flow.sampler.draw(
+        side, flow.stream.child(KEY_KERNEL_CHOICE), _choice_keys(range(replicas), key)
+    )
+    mean = np.zeros(spec.n_rays)
+    mean[_block(spec, side)] = draws.mean(axis=0)
+    return mean, reference, replicas
 
 
 def flow_property_check(

@@ -14,12 +14,12 @@ whatever the traversal order or the worker count. find_excursions labels
 every excursion of a path, or of many paths at once, in a few array
 operations; dyadic_label is the same rule on one interval, in Python
 ints, and serves as its oracle. Keys that need one uniform each (the flip
-rays, the mapping choices) are drawn in bulk by keyed_uniforms, which
-redoes numpy's SeedSequence and Philox hashing on arrays and is bit-equal
-to building each key's generator. It takes keys, one int64 row per draw,
-under several child streams of one root in one pass, so the flip rays of
-many paths (wbm_flip_paths) come from one draw; RngStream.uniforms is its
-one-stream case.
+rays, vertex weights, mapping choices) are drawn in bulk by keyed_uniforms,
+which redoes numpy's SeedSequence and Philox hashing on arrays and is
+bit-equal to building each key's generator. It takes int64 key rows, one
+per draw, under several child streams of one root in one pass, so the flip
+rays of many paths (wbm_flip_paths) come from one draw; RngStream.uniforms
+is its one-stream case.
 """
 
 from __future__ import annotations
@@ -118,11 +118,10 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
-# Philox4x64-10: round multipliers and key (Weyl) increments
-_PHILOX_M0 = 0xD2E7470EE14C6C93
-_PHILOX_M1 = 0xCA5A826395121157
-_PHILOX_W0 = 0x9E3779B97F4A7C15
-_PHILOX_W1 = 0xBB67AE8584CAA73B
+# Philox4x64-10: round multipliers and key (Weyl) increments, as columns
+# against the counter words, which are stepped as rows (c0, c2), (c1, c3)
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
 
 
@@ -131,23 +130,15 @@ def _zigzag(part: int) -> int:
     return 2 * part if part >= 0 else -2 * part - 1
 
 
-def _zigzag_words(parts) -> list[int]:
-    """SeedSequence entropy words of key parts: each part zigzag-encoded,
-    then split into little-endian 32-bit words (a part of 0 is one word)."""
-    words = []
-    for part in parts:
-        e = _zigzag(part)
-        words.append(e & _M32)
-        e >>= 32
-        while e:
-            words.append(e & _M32)
-            e >>= 32
-    return words
+def _entropy_words(parts) -> int:
+    """How many SeedSequence entropy words key parts take: each part is
+    zigzag-encoded and split into 32-bit words (a part of 0 is one word)."""
+    return sum(max(1, -(-_zigzag(part).bit_length() // 32)) for part in parts)
 
 
-def _hashmix(value, h: int):
-    """SeedSequence hashmix of value (an int, or an array of 32-bit words
-    held in uint64) under hash constant h; returns it and the next h."""
+def _hashmix(value, h):
+    """SeedSequence hashmix of value under hash constant h, each an int or
+    an array of 32-bit words held in uint64; returns it and the next h."""
     h_next = (h * _MULT_A) & _M32
     value = ((value ^ h) * h_next) & _M32
     return value ^ (value >> _XSHIFT), h_next
@@ -158,35 +149,20 @@ def _mix(x, y):
     return r ^ (r >> _XSHIFT)
 
 
-def _absorb(pool: list, words, h: int) -> tuple[list, int]:
-    """Mix entropy words past the pool size into every pool word, in order."""
+def _absorb(pool: np.ndarray, words, h: int) -> np.ndarray:
+    """SeedSequence's mixing of entropy words past the pool size into every
+    pool word, for a (_POOL, n) array of pools and (n,) arrays of words.
+    The hash constants do not depend on the words, so each word is hashed
+    into the four pool words side by side."""
     for w in words:
-        for dst in range(_POOL):
-            hashed, h = _hashmix(w, h)
-            pool[dst] = _mix(pool[dst], hashed)
-    return pool, h
+        hs = np.array([h * _MULT_A**i & _M32 for i in range(_POOL + 1)], dtype=np.uint64)
+        hashed, _ = _hashmix(w, hs[:-1, None])
+        pool = _mix(pool, hashed)
+        h = int(hs[-1])
+    return pool
 
 
-def _root_pool(root_seed: int) -> tuple[list, int]:
-    """Pool and hash constant after the root seed's words, zero-padded to
-    the pool size (as SeedSequence pads them whenever a spawn key follows,
-    and as its pool fill does when none does)."""
-    # a root below 2^32 is one word; the zero pad makes that the same thing
-    words = [root_seed & _M32, root_seed >> 32] + [0] * (_POOL - 2)
-    pool = []
-    h = _INIT_A
-    for w in words:
-        hashed, h = _hashmix(w, h)
-        pool.append(hashed)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                hashed, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], hashed)
-    return pool, h
-
-
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mulhilo(m, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit halves of the 128-bit product m * x."""
     m_lo, m_hi = m & _M32, m >> 32
     x_lo, x_hi = x & _M32, x >> 32
@@ -196,28 +172,24 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x_hi * m_hi + (u >> 32) + (w >> 32), x * m
 
 
-def _philox_first_uniform(pool: list) -> np.ndarray:
-    """random() of Generator(Philox(seed sequence with this pool)): the
-    Philox key is generate_state(2, uint64), the first block has counter
-    (1, 0, 0, 0), and only its word 0 is used."""
-    state = []
-    h = _INIT_B
-    for p in pool:
-        v = p ^ h
-        h = (h * _MULT_B) & _M32
-        v = (v * h) & _M32
-        state.append(v ^ (v >> _XSHIFT))
-    k0 = state[0] | (state[1] << 32)
-    k1 = state[2] | (state[3] << 32)
+# generate_state's hash constant before each pool word, and after the last
+_STATE_H = np.array([_INIT_B * _MULT_B**i & _M32 for i in range(_POOL + 1)], dtype=np.uint64)
+
+
+def _philox_first_uniform(pool: np.ndarray) -> np.ndarray:
+    """random() of Generator(Philox(seed sequence with this pool)), for a
+    (_POOL, n) array of pools: the Philox key is generate_state(2, uint64),
+    the first block has counter (1, 0, 0, 0), and only its word 0 is used."""
+    state = ((pool ^ _STATE_H[:-1, None]) * _STATE_H[1:, None]) & _M32
+    state ^= state >> _XSHIFT
+    key = state[0::2] | (state[1::2] << 32)  # (k0, k1)
     # round 1 on counter (1, 0, 0, 0) multiplies only by 1 and 0
-    c0, c1, c2, c3 = k0, 0, k1, _PHILOX_M0
+    even, odd = key, np.array([[0], _PHILOX_M[0]], dtype=np.uint64)
     for _ in range(_PHILOX_ROUNDS - 1):
-        k0 = k0 + _PHILOX_W0
-        k1 = k1 + _PHILOX_W1
-        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return (c0 >> 11) * 2.0**-53
+        key = key + _PHILOX_W
+        hi, lo = _mulhilo(_PHILOX_M, even)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    return (even[0] >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -239,10 +211,12 @@ class RngStream:
     def child(self, *parts: int) -> "RngStream":
         return RngStream(self.root_seed, self.stream_key + tuple(int(p) for p in parts))
 
-    def generator(self) -> np.random.Generator:
+    def seed_sequence(self) -> np.random.SeedSequence:
         encoded = tuple(_zigzag(k) for k in self.stream_key)
-        seq = np.random.SeedSequence(self.root_seed, spawn_key=encoded)
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.SeedSequence(self.root_seed, spawn_key=encoded)
+
+    def generator(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(self.seed_sequence()))
 
     def uniforms(self, keys) -> np.ndarray:
         """The first random() of each child key's generator, in one pass:
@@ -252,7 +226,7 @@ class RngStream:
 
 
 def _key_words(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_zigzag_words of every row of an int64 key array: per part its low
+    """The entropy words of every row of an int64 key array: per part its low
     32-bit word, then its high word where that is not 0, interleaved into
     (n, 2 * parts) words with a mask of the ones a row keeps."""
     encoded = (keys.view(np.uint64) << np.uint64(1)) ^ (keys >> 63).view(np.uint64)
@@ -270,12 +244,12 @@ def keyed_uniforms(streams, which, keys) -> np.ndarray:
 
     The streams must share one root seed (ValueError otherwise); key
     parts outside int64 raise, and belong in the stream keys, which take
-    any int. SeedSequence and Philox4x64-10 are redone in uint64
-    arithmetic: the root seed is hashed once per call and each stream
-    key once, in Python ints; the key words are encoded and hashed on
-    arrays, over all draws that start from the same hash constant and
-    have the same number of words at once. The hash constant after a
-    stream key depends only on how many words the key has.
+    any int. Each stream's pool is its own SeedSequence's; the rest of
+    SeedSequence and Philox4x64-10 is redone in uint64 arithmetic: the
+    key words are encoded and hashed on arrays, over all draws that
+    start from the same hash constant and have the same number of words
+    at once. The hash constant after a stream key depends only on how
+    many words the key has.
     """
     roots = sorted({stream.root_seed for stream in streams})
     if len(roots) > 1:
@@ -287,13 +261,13 @@ def keyed_uniforms(streams, which, keys) -> np.ndarray:
     out = np.empty(len(keys))
     if not len(keys):
         return out
-    root_pool, root_h = _root_pool(streams[0].root_seed)
-    pools, hashes = [], []
-    for stream in streams:
-        pool, h = _absorb(list(root_pool), _zigzag_words(stream.stream_key), root_h)
-        pools.append(pool)
-        hashes.append(h)
-    table = np.array(pools, dtype=np.uint64)
+    # the pool fill takes _POOL hashes per pool word, the mixing of a
+    # stream key _POOL per entropy word
+    table = np.array([stream.seed_sequence().pool for stream in streams], dtype=np.uint64)
+    hashes = [
+        _INIT_A * _MULT_A ** (_POOL * (_POOL + _entropy_words(stream.stream_key))) & _M32
+        for stream in streams
+    ]
     words, kept = _key_words(keys)
     # draws with one hash constant and word count (0 to 2 * parts) share
     # a group, coded as constant index * width + word count
@@ -307,8 +281,8 @@ def keyed_uniforms(streams, which, keys) -> np.ndarray:
         rows = np.flatnonzero(group_of_draw == group)
         h, count = int(constants[code // width]), code % width
         columns = words[rows][kept[rows]].reshape(len(rows), count).T
-        start = list(table[which[rows]].T)
-        out[rows] = _philox_first_uniform(_absorb(start, columns, h)[0])
+        pools = np.ascontiguousarray(table[which[rows]].T)
+        out[rows] = _philox_first_uniform(_absorb(pools, columns, h))
     return out
 
 

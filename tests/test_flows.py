@@ -306,6 +306,30 @@ class TestKernelMeasure:
         assert m == KernelMeasure.dirac(SPEC3.origin)
 
 
+def _sampler_keys(n):
+    """n one-part draw keys, the rows 0..n-1."""
+    return np.arange(n, dtype=np.int64)[:, None]
+
+
+def _per_key_weights(name, ratios, gen):
+    """Oracle: the family rule on one key's own generator, the draw each
+    excursion key made on its own before the kernel flows kept a weight
+    table per trajectory."""
+    ratios = np.asarray(ratios)
+    if name == "dirac-vertices":
+        out = np.zeros(len(ratios))
+        out[categorical(ratios, gen.random())] = 1.0
+        return out
+    if name == "uniform-simplex":
+        return gen.dirichlet(np.ones(len(ratios)))
+    if name.startswith("dirichlet:"):
+        return gen.dirichlet(float(name.split(":", 1)[1]) * ratios)
+    if name.startswith("custom-weights:"):
+        return np.array([float(v) for v in name.split(":", 1)[1].split(",")])
+    assert name == "wiener"
+    return ratios
+
+
 class TestSamplers:
     def test_unknown_family_rejected(self):
         with pytest.raises(SamplerInvalid):
@@ -317,7 +341,7 @@ class TestSamplers:
         with pytest.raises(SamplerInvalid):
             MeasurePairSampler(SPEC3, "custom-weights:0.5,0.6")
         s = MeasurePairSampler(SPEC3, "custom-weights:0.8,0.2", "wiener")
-        np.testing.assert_array_equal(s.sample(1, np.random.default_rng(0)), [0.8, 0.2])
+        np.testing.assert_array_equal(s.draw(1, RngStream(0), _sampler_keys(1)), [[0.8, 0.2]])
 
     def test_dirichlet_concentration_validation(self):
         with pytest.raises(SamplerInvalid):
@@ -328,20 +352,21 @@ class TestSamplers:
     def test_one_sided_graph_has_no_minus_sampler(self):
         s = MeasurePairSampler(TANAKA3, "wiener")
         with pytest.raises(SamplerInvalid):
-            s.sample(-1, np.random.default_rng(0))
+            s.draw(-1, RngStream(0), _sampler_keys(1))
         with pytest.raises(SamplerInvalid):
             ray_ratios(TANAKA3, -1)
 
     def test_wiener_sampler_is_the_ratio_point_mass(self):
         s = MeasurePairSampler(SPEC3, "wiener")
-        gen = np.random.default_rng(1)
-        np.testing.assert_array_equal(s.sample(1, gen), [0.4 / 0.7, 0.3 / 0.7])
-        np.testing.assert_array_equal(s.sample(-1, gen), [1.0])
+        stream = RngStream(1)
+        np.testing.assert_array_equal(
+            s.draw(1, stream, _sampler_keys(2)), [[0.4 / 0.7, 0.3 / 0.7]] * 2
+        )
+        np.testing.assert_array_equal(s.draw(-1, stream, _sampler_keys(1)), [[1.0]])
 
     def test_vertex_sampler_mean_matches_ratios(self):
         s = MeasurePairSampler(SPEC3, "dirac-vertices")
-        gen = np.random.default_rng(2)
-        draws = np.array([s.sample(1, gen) for _ in range(20000)])
+        draws = s.draw(1, RngStream(2), _sampler_keys(20000))
         mean = draws.mean(axis=0)
         ref = np.array(ray_ratios(SPEC3, 1))
         sigma = np.sqrt(ref * (1 - ref) / len(draws))
@@ -350,8 +375,7 @@ class TestSamplers:
 
     def test_dirichlet_sampler_mean_matches_ratios(self):
         s = MeasurePairSampler(SPEC3, "dirichlet:5")
-        gen = np.random.default_rng(3)
-        draws = np.array([s.sample(1, gen) for _ in range(20000)])
+        draws = s.draw(1, RngStream(3), _sampler_keys(20000))
         mean = draws.mean(axis=0)
         ref = np.array(ray_ratios(SPEC3, 1))
         sigma = draws.std(axis=0) / math.sqrt(len(draws))
@@ -359,40 +383,89 @@ class TestSamplers:
 
     def test_uniform_simplex_is_biased_for_asymmetric_ratios(self):
         s = MeasurePairSampler(SPEC3, "uniform-simplex")
-        gen = np.random.default_rng(4)
-        draws = np.array([s.sample(1, gen) for _ in range(5000)])
+        draws = s.draw(1, RngStream(4), _sampler_keys(5000))
         assert abs(draws.mean(axis=0)[0] - 0.5) < 0.03
         assert abs(draws.mean(axis=0)[0] - 4.0 / 7.0) > 0.05
 
+    @pytest.mark.parametrize("name", ["dirac-vertices", "dirichlet:4", "uniform-simplex"])
+    def test_a_row_depends_only_on_its_key(self, name):
+        s = MeasurePairSampler(SPEC3, name)
+        stream = RngStream(6).child(1)
+        keys = np.array([[KEY_KERNEL_CHOICE, c, 0, 1, 2] for c in range(-2, 40)])
+        rows = s.draw(1, stream, keys)
+        assert rows.shape == (len(keys), 2)
+        for key, row in zip(keys.tolist(), rows):
+            want = _per_key_weights(name, ray_ratios(SPEC3, 1), stream.child(*key).generator())
+            assert row.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(s.draw(1, stream, keys[::-1]), rows[::-1])
+        assert s.draw(1, stream, keys[:0]).shape == (0, 2)
+
     def test_only_drawing_laws_build_a_child_stream(self, monkeypatch):
-        names = ("wiener", "custom-weights:0.8,0.2", "dirac-vertices", "dirichlet:4")
-        drawing = [MeasurePairSampler(SPEC3, n, "wiener").drawing_sides for n in names]
-        assert drawing == [set(), set(), {1}, {1}]
-        assert MeasurePairSampler(TANAKA3, "dirichlet:4").drawing_sides == {1}
-        flows = {name: _kernel_fixture(name)[1] for name in ("wiener", "dirichlet:4")}
-        built = []
-        child = RngStream.child
+        """Per trajectory a point mass builds no generator and draws no
+        uniform; a vertex law builds none and makes one uniforms call per
+        side it draws on; a Dirichlet law builds one generator per
+        excursion key, and a merged start none for its target's rows."""
+        _cfg, fixture = _kernel_fixture("wiener")
+        ens, stream = fixture.ensemble, fixture.stream
+        assert any(ens.merge_record(q) is not None for q in range(ens.n_starts))
+        rows = [ens.excursions(q) for q in range(ens.n_starts)]
+        built, uniform_keys = [], []
+        generator, uniforms = RngStream.generator, RngStream.uniforms
 
-        def counted(stream, *parts):
-            built.append(parts)
-            return child(stream, *parts)
+        def counted_generator(s):
+            built.append(s.stream_key)
+            return generator(s)
 
-        monkeypatch.setattr(RngStream, "child", counted)
-        # a point mass reads no generator: its weights need no stream
-        rows = extract_ray_weights(flows["wiener"], 0)
-        assert built == [] and len(rows) > 2
-        for side, _g, _d, weights in rows:
-            assert weights.tolist() == list(ray_ratios(SPEC3, side))
-        # a drawing law builds one stream per excursion key
-        rows = extract_ray_weights(flows["dirichlet:4"], 0)
-        assert len(built) == len(rows) and all(p[0] == KEY_KERNEL_CHOICE for p in built)
+        def counted_uniforms(s, keys):
+            uniform_keys.append([s.stream_key + tuple(key) for key in np.asarray(keys).tolist()])
+            return uniforms(s, keys)
+
+        monkeypatch.setattr(RngStream, "generator", counted_generator)
+        monkeypatch.setattr(RngStream, "uniforms", counted_uniforms)
+
+        def draws_of(plus, minus="wiener", spec=SPEC3, q=0):
+            built.clear()
+            uniform_keys.clear()
+            flow = KernelFlow(ens, MeasurePairSampler(spec, plus, minus), stream)
+            return extract_ray_weights(flow, q), flow
+
+        plus0 = rows[0][rows[0][:, 2] == 1]
+        for name in ("wiener", "custom-weights:0.8,0.2"):
+            weights, _flow = draws_of(name)
+            assert built == [] and uniform_keys == [] and len(weights) == len(rows[0]) > 2
+        for side, _g, _d, w in draws_of("wiener")[0]:
+            assert w.tolist() == list(ray_ratios(SPEC3, side))
+
+        keys0 = [stream.stream_key + (KEY_KERNEL_CHOICE, 0, *key) for key in plus0[:, 3:].tolist()]
+        _weights, _flow = draws_of("dirac-vertices")
+        assert built == [] and uniform_keys == [keys0]
+        _weights, _flow = draws_of("dirac-vertices", "dirac-vertices")
+        assert built == [] and len(uniform_keys) == 2
+
+        _weights, _flow = draws_of("dirichlet:4")
+        assert uniform_keys == [] and built == keys0
+        # both sides, every start: one generator per key of the ensemble
+        _weights, flow = draws_of("dirichlet:4", "dirichlet:4")
+        for q in range(1, ens.n_starts):
+            flow.weight_table(q)
+        keys = {tuple(key) for table in rows for key in table[:, 3:].tolist()}
+        assert len(built) == len(set(built)) == len(keys)
+        assert {key[len(stream.stream_key) + 2 :] for key in built} == keys
+
+        # a one-sided graph draws on its one side only
+        tanaka = MeasurePairSampler(TANAKA3, "dirichlet:4")
+        built.clear()
+        assert tanaka.draw(1, stream, _sampler_keys(3)).shape == (3, 3)
+        assert len(built) == 3
+        with pytest.raises(SamplerInvalid):
+            tanaka.draw(-1, stream, _sampler_keys(3))
 
 
-def _kernel_fixture(sampler_name="dirichlet:4", seed=910):
-    cfg = _config_for(SPEC3, 4, 256, [(0, 1, 0), (0, 2, 2), (0, 3, 2)])
-    sampler = MeasurePairSampler(SPEC3, sampler_name)
+def _kernel_fixture(sampler_name="dirichlet:4", seed=910, spec=SPEC3):
+    cfg = _config_for(spec, 4, 256, [(0, 1, 0), (0, 2, 2), (0, 3, 2)])
+    sampler = MeasurePairSampler(spec, sampler_name)
     stream = RngStream(seed).child(2)
-    flow = sample_kernel_flow(cfg, SPEC3, sampler, stream)
+    flow = sample_kernel_flow(cfg, spec, sampler, stream)
     return cfg, flow
 
 
@@ -426,7 +499,8 @@ class TestKernelFlow:
                 if flow.ensemble.traj[0, k] == 0:
                     continue
                 again = flow.excursion_weights(0, k)
-                assert again is weights
+                assert np.shares_memory(again, weights)
+                np.testing.assert_array_equal(again, weights)
 
     def test_kernel_copies_target_after_recorded_merge(self):
         cfg, flow = _kernel_fixture()
@@ -465,6 +539,63 @@ class TestKernelFlow:
         sampler = MeasurePairSampler(SPEC3, "wiener")
         with pytest.raises(SamplerInvalid):
             sample_kernel_flow(cfg, SPEC2, sampler, RngStream(1))
+
+
+# the five sampler families; a custom vector is spelled out per side
+_FAMILIES = ("wiener", "custom-weights", "dirac-vertices", "uniform-simplex", "dirichlet:4")
+_CUSTOM = {1: "custom-weights:1", 2: "custom-weights:0.8,0.2"}
+MINUS3 = validate_spec((0.4, 0.3, 0.3), (1, -1, -1))
+
+
+@pytest.mark.parametrize("spec", [SPEC3, MINUS3], ids=["spec3", "minus3"])
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_weight_tables_equal_per_key_draws(spec, family):
+    """Every row of every start's weight table, merged starts included,
+    and every redrawn choice of mapping_rays, bit for bit the per-key
+    oracle, at draw index 0 and 3."""
+    names = {
+        side: _CUSTOM[len(spec.side_rays(side))] if family == "custom-weights" else family
+        for side in (1, -1)
+    }
+    sampler = MeasurePairSampler(spec, names[1], names[-1])
+    _cfg, fixture = _kernel_fixture("wiener", spec=spec)
+    ens, stream = fixture.ensemble, fixture.stream
+    assert any(ens.merge_record(q) is not None for q in range(ens.n_starts))
+
+    def oracle(side, draw_index, key):
+        gen = stream.child(KEY_KERNEL_CHOICE, draw_index, *key).generator()
+        return _per_key_weights(names[side], ray_ratios(spec, side), gen)
+
+    sides_seen = set()
+    for draw_index in (0, 3):
+        flow = KernelFlow(ens, sampler, stream, draw_index)
+        for q in range(ens.n_starts):
+            rows = ens.excursions(q)
+            table = flow.weight_table(q)
+            assert table.shape == (len(rows), spec.n_rays)
+            for (_g, _d, side, *key), got in zip(rows.tolist(), table):
+                rays = spec.side_rays(side)
+                want = np.zeros(spec.n_rays)
+                want[rays.start - 1 : rays.stop - 1] = oracle(side, draw_index, key)
+                assert got.tobytes() == want.tobytes()
+                sides_seen.add(side)
+    assert sides_seen == {1, -1}
+
+    choices = range(2, 9)
+    for q in range(ens.n_starts):
+        for g, _d, side, *key in ens.excursions(q)[-3:].tolist():
+            first = spec.side_rays(side).start
+            want = [
+                first
+                + int(
+                    categorical(
+                        oracle(side, c, key),
+                        stream.child(KEY_MAPPING_CHOICE, c, *key).generator().random(),
+                    )
+                )
+                for c in choices
+            ]
+            assert mapping_rays(flow, q, g + 1, choices, redraw=True).tolist() == want
 
 
 class TestMappingFlow:
@@ -559,30 +690,39 @@ class TestMappingFlow:
         cfg, flow = _kernel_fixture(sampler_name=sampler_name)
         ens = flow.ensemble
 
-        def oracle(kernels, q, k, side, c):
+        def oracle(weights, q, k, side, c):
             key, _side = ens.excursion(q, k)
             u = flow.stream.child(KEY_MAPPING_CHOICE, c, *key).generator().random()
             first = 1 if side > 0 else SPEC3.p + 1
-            return first + int(categorical(kernels.excursion_weights(q, k), u))
+            return first + int(categorical(weights, u))
+
+        def redrawn(q, k, side, c):
+            key, _side = ens.excursion(q, k)
+            gen = flow.stream.child(KEY_KERNEL_CHOICE, c, *key).generator()
+            return _per_key_weights(sampler_name, ray_ratios(SPEC3, side), gen)
 
         sides_seen = set()
         for q in range(ens.n_starts):
-            for side, g, _d, _w in extract_ray_weights(flow, q)[:4]:
+            for side, g, _d, w in extract_ray_weights(flow, q)[:4]:
                 sides_seen.add(side)
                 choices = range(3, 60)
                 got = mapping_rays(flow, q, g + 1, choices)
-                want = [oracle(flow, q, g + 1, side, c) for c in choices]
+                want = [oracle(w, q, g + 1, side, c) for c in choices]
                 assert got.tolist() == want
                 assert [MappingFlow(flow, c).point_at(q, g + 1).ray for c in (3, 4)] == want[:2]
                 got = mapping_rays(flow, q, g + 1, choices, redraw=True)
-                want = [
-                    oracle(KernelFlow(ens, flow.sampler, flow.stream, c), q, g + 1, side, c)
-                    for c in choices
-                ]
+                want = [oracle(redrawn(q, g + 1, side, c), q, g + 1, side, c) for c in choices]
                 assert got.tolist() == want
         assert sides_seen == {1, -1}
         with pytest.raises(ValueError):
             mapping_rays(flow, 0, int(ens.zeros_of(0)[1]), range(3))
+
+    def test_no_replicas_is_an_error(self):
+        _cfg, flow = _kernel_fixture()
+        k = int(flow.ensemble.zeros_of(0)[0]) + 1
+        for replicas in (0, -1):
+            with pytest.raises(ValueError, match="replica"):
+                filter_mapping_to_kernel(flow, 0, k, replicas)
 
     def test_conditional_ray_frequencies_match_weights(self):
         cfg, flow = _kernel_fixture(sampler_name="uniform-simplex", seed=300)
@@ -621,6 +761,12 @@ class TestProjectionAndComposition:
         flow = sample_kernel_flow(cfg, SPEC3, sampler, RngStream(412).child(0))
         mean, ref, n = project_kernel_to_wiener(flow, 0, 33, replicas=8)
         np.testing.assert_allclose(mean, ref, rtol=0, atol=1e-15)
+
+    def test_projection_without_replicas_is_an_error(self):
+        _cfg, flow = _kernel_fixture()
+        for k in (0, int(flow.ensemble.zeros_of(0)[0]) + 1):
+            with pytest.raises(ValueError, match="replica"):
+                project_kernel_to_wiener(flow, 0, k, 0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_flow_property_composition(self, seed):
