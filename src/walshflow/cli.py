@@ -36,9 +36,11 @@ import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
 from walshflow.flows import (
+    KernelFlow,
     LatticeFlowConfig,
     MeasurePairSampler,
     SamplerInvalid,
+    _block,
     _flow_experiment_invariants,
     _merge_level,
     extract_ray_weights,
@@ -48,6 +50,7 @@ from walshflow.flows import (
     ray_ratios,
     sample_kernel_flow,
     skew_lattice_flow,
+    skew_lattice_flows,
 )
 from walshflow.graph import (
     GraphPoint,
@@ -421,16 +424,24 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
     return [("", headers, rows)], reports
 
 
+# values a task keeps at once, 4 MiB of 8-byte values whatever the step: the
 # driver values (Brownian path, reflection, local time) a simulate-wbm or
-# verify-freidlin-sheu task keeps until its one bulk flip draw: 4 MiB of
-# float64, whatever the step
-_KEPT_DRIVER_VALUES = 2**19
+# verify-freidlin-sheu task keeps until its one bulk flip draw, or the int64
+# trajectories of a kernel-experiment task
+_KEPT_VALUES = 2**19
 
 
 def _flip_chunk_paths(steps: int) -> int:
     """Flip paths per simulate-wbm or verify-freidlin-sheu task on a grid
     of this many steps."""
-    return max(1, _KEPT_DRIVER_VALUES // (3 * (steps + 1)))
+    return max(1, _KEPT_VALUES // (3 * (steps + 1)))
+
+
+def _even_chunks(replicas: int, tasks: int) -> list[tuple[int, int]]:
+    """(first replica, count) of at most this many tasks of even size; only
+    the last may hold fewer."""
+    size = -(-replicas // tasks)
+    return [(first, min(size, replicas - first)) for first in range(0, replicas, size)]
 
 
 # --- simulate-wbm ----------------------------------------------------------
@@ -609,9 +620,7 @@ def _flow_chunks(replicas: int, workers: int) -> list[tuple[int, int]]:
     """(first replica, count) per flow-experiment task: one task per worker,
     of even size within the chunk bounds; only the last may hold fewer."""
     most = -(-replicas // _FLOW_CHUNK_MIN)
-    tasks = min(max(workers, -(-replicas // _FLOW_CHUNK_MAX)), most)
-    size = -(-replicas // tasks)
-    return [(first, min(size, replicas - first)) for first in range(0, replicas, size)]
+    return _even_chunks(replicas, min(max(workers, -(-replicas // _FLOW_CHUNK_MAX)), most))
 
 
 def _flow_chunk(args):
@@ -720,43 +729,75 @@ def _cmd_flow_experiment(config: ExperimentConfig):
 # --- kernel-experiment -----------------------------------------------------
 
 
+def _kernel_flow_config(config: ExperimentConfig, spec: GraphSpec) -> LatticeFlowConfig:
+    """One start at the junction, over the config's horizon and level."""
+    return LatticeFlowConfig(
+        level=config.level, horizon=config.horizon, start_pairs=((0.0, spec.origin),)
+    )
+
+
 def _single_start_kernel_flow(config: ExperimentConfig, spec: GraphSpec, rep: int):
     """The kernel flow of one start at the junction, on replica rep's coins."""
     sampler = MeasurePairSampler(spec, config.measure_plus, config.measure_minus)
-    flow_config = LatticeFlowConfig(
-        level=config.level, horizon=config.horizon, start_pairs=((0.0, spec.origin),)
-    )
     stream = RngStream(config.root_seed).child(KEY_REPLICA, rep)
-    return sample_kernel_flow(flow_config, spec, sampler, stream)
+    return sample_kernel_flow(_kernel_flow_config(config, spec), spec, sampler, stream)
+
+
+def _kernel_chunks(replicas: int, workers: int, steps: int) -> list[tuple[int, int]]:
+    """(first replica, count) per kernel-experiment task: one task per
+    worker, of even size, none keeping more than _KEPT_VALUES trajectory
+    values on a horizon of this many steps."""
+    most = max(1, _KEPT_VALUES // (steps + 1))
+    return _even_chunks(replicas, min(max(workers, -(-replicas // most)), replicas))
+
+
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """The sum of the rows of a 2-d array, added one after another onto a
+    zero row as a loop over the rows adds them. np.add.reduce would sum a
+    lone column pairwise, whose last bits can differ."""
+    start = np.zeros((1, values.shape[1]))
+    return np.add.accumulate(np.concatenate([start, values]), axis=0)[-1]
 
 
 def _kernel_task(args):
-    config, rep = args
+    """Mass error, Wiener deviation and per-side moment sums of the kernel
+    flows of consecutive replicas, one row per replica, in replica order.
+    Their trajectories are stepped together by skew_lattice_flows; each
+    replica's statistics are read from its weight table as arrays."""
+    config, first, count = args
     spec = config.spec()
-    flow = _single_start_kernel_flow(config, spec, rep)
-    ens = flow.ensemble
-    rows = extract_ray_weights(flow, 0)
+    sampler = MeasurePairSampler(spec, config.measure_plus, config.measure_minus)
+    reps = range(first, first + count)
+    streams = [RngStream(config.root_seed).child(KEY_REPLICA, rep) for rep in reps]
+    ensembles = skew_lattice_flows(_kernel_flow_config(config, spec), spec, streams)
+    ratios = {side: ray_ratios(spec, side) for side in (1, -1) if spec.side_rays(side)}
+    results = []
+    for rep, stream, ens in zip(reps, streams, ensembles):
+        table = KernelFlow(ens, sampler, stream).weight_table(0)
+        side_of_row = ens.excursions(0)[:, 2]
 
-    # every stride-th index inside an excursion reads its row; at the
-    # junction the kernel is a point mass, with no mass error or deviation
-    probes = ens.excursion_row(0, np.arange(0, ens.steps + 1, max(1, ens.steps // 64)))
-    mass_err = 0.0
-    wiener_dev = 0.0
-    for row in np.unique(probes[probes >= 0]):
-        side, _g, _d, weights = rows[row]
-        mass_err = max(mass_err, abs(math.fsum(w for w in weights if w > 0.0) - 1.0))
-        dev = float(np.max(np.abs(weights - np.asarray(ray_ratios(spec, side)))))
-        wiener_dev = max(wiener_dev, dev)
-
-    # per side of the junction: excursion count, weight sum, squared sum
-    dims = {side: len(spec.side_rays(side)) for side in (1, -1)}
-    moments = {side: [0, np.zeros(dim), np.zeros(dim)] for side, dim in dims.items()}
-    for side, _g, _d, weights in rows:
-        acc = moments[side]
-        acc[0] += 1
-        acc[1] += weights
-        acc[2] += weights**2
-    return rep, mass_err, wiener_dev, moments
+        # every stride-th index inside an excursion reads its row; at the
+        # junction the kernel is a point mass, with no mass error or deviation
+        probes = ens.excursion_row(0, np.arange(0, ens.steps + 1, max(1, ens.steps // 64)))
+        probed = np.unique(probes[probes >= 0])
+        mass_err = max(
+            (abs(math.fsum(w for w in row if w > 0.0) - 1.0) for row in table[probed].tolist()),
+            default=0.0,
+        )
+        wiener_dev = 0.0
+        # per side of the junction: excursion count, weight sum, squared sum
+        moments = {}
+        for side in (1, -1):
+            block = _block(spec, side)
+            on_side = side_of_row == side
+            seen = probed[on_side[probed]]
+            if len(seen):
+                dev = np.max(np.abs(table[seen, block] - ratios[side]))
+                wiener_dev = max(wiener_dev, float(dev))
+            weights = table[on_side, block]
+            moments[side] = [len(weights), _row_sums(weights), _row_sums(weights**2)]
+        results.append((rep, mass_err, wiener_dev, moments))
+    return results
 
 
 def _moment_report(name, total, total_sq, count, declared):
@@ -784,9 +825,13 @@ def _band_report(name, freq, expected, replicas):
 def _cmd_kernel_experiment(config: ExperimentConfig):
     spec = config.spec()
     n_ens = max(8, min(200, config.replicas // 100))
-    args = [(config, rep) for rep in range(n_ens)]
-    results = _map_replicas(_kernel_task, args, config.workers)
-    results.sort(key=lambda r: r[0])
+    steps = round(config.horizon * 4.0**config.level)
+    chunks = [
+        (config, first, count) for first, count in _kernel_chunks(n_ens, config.workers, steps)
+    ]
+    results = [
+        row for chunk in _map_replicas(_kernel_task, chunks, config.workers) for row in chunk
+    ]
 
     rows = [
         [rep, mass, dev, sum(acc[0] for acc in moments.values())]

@@ -21,16 +21,18 @@ ray weights into one array per trajectory (MeasurePairSampler.draw, one
 call per side), copies a merged start's from its target, and mappings
 read that array, keeping nothing of their own.
 
-The flow experiment does not keep trajectories. A replica-batched kernel
-steps a (starts, replicas) integer state through time, each replica on its
-own coins: the same numbers skew_lattice_flow draws, drawn with one
-generator call per stream, kind (junction or sign) and span of
-_SPAN_STEPS steps and kept as packed bits. After every block of
-_BLOCK_STEPS steps it folds the block into running invariants: monotone
-order, the flow property, permanence and merge-at-junction against the
-merge record, the (0, 1) merge index and the junction visits before it.
-Memory is therefore O(replicas x (starts x _BLOCK_STEPS + _SPAN_STEPS / 8))
-whatever the horizon.
+A replica-batched kernel, _skew_flow_states, steps a (starts, replicas)
+integer state through time, each replica on its own coins: the same
+numbers skew_lattice_flow draws, drawn with one generator call per stream,
+kind (junction or sign) and span of _SPAN_STEPS steps and kept as packed
+bits. It has two callers. skew_lattice_flows copies its blocks into full
+trajectories, one ensemble per stream, for the kernel experiment. The flow
+experiment keeps no trajectories: after every block of _BLOCK_STEPS steps
+it folds the block into running invariants: monotone order, the flow
+property, permanence and merge-at-junction against the merge record, the
+(0, 1) merge index and the junction visits before it. Its memory is
+therefore O(replicas x (starts x _BLOCK_STEPS + _SPAN_STEPS / 8)) whatever
+the horizon.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ __all__ = [
     "CoalescenceRecord",
     "ray_ratios",
     "skew_lattice_flow",
+    "skew_lattice_flows",
     "coalescence_time",
     "wiener_kernel",
     "KernelFlow",
@@ -419,14 +422,8 @@ def skew_lattice_flow(
     OffLatticeStart is raised.
     """
     steps = config.steps
-    signed = config.signed_starts(spec)
+    signed = _checked_starts(config, spec)
     junction_rule = spec.alpha_plus != 0.5
-    if junction_rule:
-        parities = {(s_idx + units) % 2 for s_idx, units, _ in signed}
-        if len(parities) > 1:
-            raise OffLatticeStart(
-                "starts mix lattice parities; trajectories could cross"
-            )
     gen = stream.child(KEY_FLOW_COINS).generator()
     up = (gen.random(steps) < spec.alpha_plus).tolist()
     xi = np.where(gen.random(steps) < 0.5, 1, -1).tolist()
@@ -441,6 +438,36 @@ def skew_lattice_flow(
             row.append(z)
         traj[q, s_idx:] = row
     return FlowEnsemble(config, spec, traj, signed)
+
+
+def _checked_starts(config: LatticeFlowConfig, spec: GraphSpec) -> list[tuple[int, int, int]]:
+    """config.signed_starts, after the parity check of skew_lattice_flow."""
+    signed = config.signed_starts(spec)
+    if spec.alpha_plus != 0.5 and len({(s_idx + units) % 2 for s_idx, units, _ in signed}) > 1:
+        raise OffLatticeStart("starts mix lattice parities; trajectories could cross")
+    return signed
+
+
+def skew_lattice_flows(
+    config: LatticeFlowConfig, spec: GraphSpec, streams: list[RngStream]
+) -> list[FlowEnsemble]:
+    """skew_lattice_flow of every stream, bit for bit, from one pass of the
+    replica-batched kernel _skew_flow_states over all the streams.
+
+    The trajectories of all streams are kept in one (streams, starts,
+    steps + 1) int64 array, LATTICE_INF before each birth, and each
+    ensemble holds its stream's plane of it.
+    """
+    signed = _checked_starts(config, spec)
+    starts: list[tuple[int, Optional[int]]] = [(s_idx, units) for s_idx, units, _ray in signed]
+    traj = np.empty((len(streams), len(starts), config.steps + 1), dtype=np.int64)
+    # the kernel yields no block when there are no steps
+    traj[:, :, 0] = [units for _birth, units in starts]
+    for k0, rows in _skew_flow_states(spec.alpha_plus, config.steps, starts, streams):
+        traj[:, :, k0 : k0 + len(rows)] = rows.transpose(2, 1, 0)
+    for q, (birth, _units) in enumerate(starts):
+        traj[:, q, :birth] = LATTICE_INF
+    return [FlowEnsemble(config, spec, plane, signed) for plane in traj]
 
 
 # time steps per streamed block, for coins and states alike
@@ -506,7 +533,9 @@ def _skew_flow_states(
     ahead of a start's birth mean nothing. States take the narrowest
     integer type that holds every reachable value. With the coins of
     _coin_blocks, memory is O(replicas x (starts x _BLOCK_STEPS +
-    _SPAN_STEPS / 8)) whatever the horizon.
+    _SPAN_STEPS / 8)) whatever the horizon. _flow_experiment_invariants
+    reduces the blocks as they come; skew_lattice_flows copies them into
+    whole trajectories.
     """
     dtype = _state_dtype(steps + max(abs(units or 0) for _, units in starts))
     rows = np.zeros((_BLOCK_STEPS + 1, len(starts), len(streams)), dtype=dtype)
@@ -759,9 +788,29 @@ class MappingFlow:
     def __init__(self, kernel_flow: KernelFlow, choice_index: int = 0):
         self.kernels = kernel_flow
         self.choice_index = choice_index
+        self._rays: dict[int, np.ndarray] = {}
+
+    def ray_table(self, q: int) -> np.ndarray:
+        """The ray picked on each row of excursions(q), as mapping_rays
+        picks it: one choice uniform per row, keyed (choice index, *row
+        key) and drawn in one call, put through the row's weights over its
+        side's block of weight_table(q)."""
+        if q not in self._rays:
+            ens = self.kernels.ensemble
+            rows = ens.excursions(q)
+            table = self.kernels.weight_table(q)
+            keys = np.column_stack([np.full(len(rows), self.choice_index), rows[:, 3:]])
+            u = self.kernels.stream.child(KEY_MAPPING_CHOICE).uniforms(keys)
+            rays = np.empty(len(rows), dtype=np.int64)
+            for side in set(rows[:, 2].tolist()):
+                on = rows[:, 2] == side
+                weights = table[on, _block(ens.spec, side)]
+                rays[on] = ens.spec.side_rays(side).start + categorical(weights, u[on])
+            self._rays[q] = rays
+        return self._rays[q]
 
     def _excursion_ray(self, q: int, k: int) -> int:
-        return int(mapping_rays(self.kernels, q, k, (self.choice_index,))[0])
+        return int(self.ray_table(q)[self.kernels.ensemble.excursion_row(q, k)])
 
     def point_at(self, q: int, k: int) -> GraphPoint:
         ens = self.kernels.ensemble
@@ -780,8 +829,9 @@ def mapping_rays(
 ) -> np.ndarray:
     """The ray a mapping flow with choice index c picks at (start_index, k),
     for every choice index c, from one bulk draw of the choice uniforms:
-    the one draw behind MappingFlow, filtering and Wiener projection. With
-    redraw, choice c picks from the excursion's weights at draw index c.
+    the draw behind filtering and Wiener projection, and for one choice
+    index the row of MappingFlow.ray_table. With redraw, choice c picks
+    from the excursion's weights at draw index c.
 
     Index k must lie inside an excursion after the junction visit.
     """

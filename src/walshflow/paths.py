@@ -17,9 +17,9 @@ ints, and serves as its oracle. Keys that need one uniform each (the flip
 rays, vertex weights, mapping choices) are drawn in bulk by keyed_uniforms,
 which redoes numpy's SeedSequence and Philox hashing on arrays and is
 bit-equal to building each key's generator. It takes int64 key rows, one
-per draw, under several child streams of one root in one pass, so the flip
-rays of many paths (wbm_flip_paths) come from one draw; RngStream.uniforms
-is its one-stream case.
+per draw, under several streams in one pass, so the flip rays of many
+paths (wbm_flip_paths) come from one draw; RngStream.uniforms is its
+one-stream case.
 """
 
 from __future__ import annotations
@@ -242,18 +242,15 @@ def keyed_uniforms(streams, which, keys) -> np.ndarray:
     bit [streams[i].child(*key).generator().random() for i, key in
     zip(which, keys)], with keys an (n, parts) int64 array.
 
-    The streams must share one root seed (ValueError otherwise); key
-    parts outside int64 raise, and belong in the stream keys, which take
-    any int. Each stream's pool is its own SeedSequence's; the rest of
+    Key parts outside int64 raise, and belong in the stream keys, which
+    take any int. Each stream's pool is its own SeedSequence's; the rest of
     SeedSequence and Philox4x64-10 is redone in uint64 arithmetic: the
     key words are encoded and hashed on arrays, over all draws that
     start from the same hash constant and have the same number of words
     at once. The hash constant after a stream key depends only on how
-    many words the key has.
+    many words the key has, since the root seed's words are padded to the
+    pool size ahead of any stream key.
     """
-    roots = sorted({stream.root_seed for stream in streams})
-    if len(roots) > 1:
-        raise ValueError(f"root seeds {roots[0]} and {roots[1]} in one draw")
     keys = np.asarray(keys, dtype=np.int64)
     which = np.asarray(which, dtype=np.intp)
     if keys.ndim != 2 or which.shape != keys.shape[:1]:
@@ -474,8 +471,7 @@ def wbm_flip_paths(grid: TimeGrid, spec: GraphSpec, streams) -> Iterator[WalshPa
     find_excursions call labels the excursions of all of them, and one
     keyed_uniforms call draws their flip uniforms. Each path is assembled
     as it is yielded, and the generator lets go of its drivers then, so a
-    path the caller drops is freed before the chunk ends. The streams must
-    share one root seed, as keyed_uniforms checks.
+    path the caller drops is freed before the chunk ends.
     """
     streams = list(streams)
     points = grid.steps + 1

@@ -18,6 +18,7 @@ from walshflow import cli as cli_module
 from walshflow.cli import (
     _FLOW_CHUNK_MAX,
     _FLOW_CHUNK_MIN,
+    _KEPT_VALUES,
     _MAX_KEPT_STEPS,
     _MAX_MERGE_PAIRS,
     COMMANDS,
@@ -29,6 +30,7 @@ from walshflow.cli import (
     _flip_chunk_paths,
     _flow_chunks,
     _ito_test_functions,
+    _kernel_chunks,
     _kernel_task,
     _map_replicas,
     _residual_rms,
@@ -354,6 +356,30 @@ def test_flow_chunks_at_the_default_config():
     assert _flow_chunks(replicas, 2) == [(0, replicas // 2), (replicas // 2, replicas // 2)]
 
 
+@pytest.mark.parametrize("replicas", [1, 8, 11, 200])
+@pytest.mark.parametrize("workers", [1, 2, 3, 10**6])
+@pytest.mark.parametrize("steps", [256, 4096, 2**22])
+def test_kernel_chunks_split_evenly_within_the_kept_budget(replicas, workers, steps):
+    chunks = _kernel_chunks(replicas, workers, steps)
+    firsts = [first for first, _ in chunks]
+    counts = [count for _, count in chunks]
+    assert firsts == [sum(counts[:i]) for i in range(len(counts))]
+    assert sum(counts) == replicas
+    assert set(counts[:-1]) <= {counts[0]} and counts[-1] <= counts[0]
+    # no task keeps more trajectory values than the budget, unless one
+    # trajectory alone exceeds it; one task per worker up to one per replica
+    assert counts[0] * (steps + 1) <= _KEPT_VALUES or counts[0] == 1
+    assert min(workers, replicas) <= len(chunks) <= replicas
+
+
+def test_kernel_chunks_at_the_default_config():
+    # 127 trajectories of 4,097 values fit the budget, so 200 take two tasks
+    steps = round(DEFAULT_CONFIG.horizon * 4.0**DEFAULT_CONFIG.level)
+    assert _KEPT_VALUES // (steps + 1) == 127
+    assert _kernel_chunks(200, 1, steps) == [(0, 100), (100, 100)]
+    assert _kernel_chunks(200, 3, steps) == [(0, 67), (67, 67), (134, 66)]
+
+
 def test_flow_pool_is_no_larger_than_before(tmp_path, recording_pool):
     # a huge worker count asks for one task per _FLOW_CHUNK_MIN replicas,
     # as many as the fixed chunks did, and a pool no larger
@@ -471,6 +497,23 @@ class TestWorkerDeterminism:
         config = replace(DEFAULT_CONFIG, level=4, replicas=800, root_seed=4244)
         self._assert_pool_sizes_agree(tmp_path, config, "kernel-experiment", ("2",))
 
+    def test_kernel_artifacts_identical_across_partial_replica_chunks(self, tmp_path):
+        # eleven kernel ensembles: at 2 and 3 workers the last task is only
+        # partly filled, and the pool really runs
+        steps = 4**4
+        for workers in (2, 3):
+            counts = [count for _, count in _kernel_chunks(11, workers, steps)]
+            assert len(counts) == workers and counts[-1] < counts[0]
+        config = replace(
+            DEFAULT_CONFIG,
+            level=4,
+            replicas=1100,
+            measure_plus="dirichlet:4",
+            measure_minus="dirichlet:0.5",
+            root_seed=4247,
+        )
+        self._assert_pool_sizes_agree(tmp_path, config, "kernel-experiment", ("2", "3"))
+
     def test_freidlin_sheu_artifacts_identical_across_pool_sizes(self, tmp_path):
         # two full chunks of fine-step paths and a remainder; the coarse
         # step's chunk holds them all
@@ -567,8 +610,9 @@ def _kernel_task_oracle(config, rep):
 def test_kernel_task_equals_per_index_kernels(overrides):
     config = replace(DEFAULT_CONFIG, level=5, **overrides)
     dev_seen = 0.0
-    for rep in range(4):
-        got_rep, mass_err, wiener_dev, moments = _kernel_task((config, rep))
+    rows = _kernel_task((config, 0, 4))
+    assert len(rows) == 4
+    for rep, (got_rep, mass_err, wiener_dev, moments) in enumerate(rows):
         want_mass, want_dev, want_moments = _kernel_task_oracle(config, rep)
         assert got_rep == rep
         assert (mass_err, wiener_dev) == (want_mass, want_dev)
@@ -580,6 +624,32 @@ def test_kernel_task_equals_per_index_kernels(overrides):
         dev_seen = max(dev_seen, wiener_dev)
     # the measures that differ from the Wiener kernel show it at a probe
     assert (dev_seen > 0.0) == (overrides["measure_plus"] != "wiener")
+
+
+def _kernel_row_bytes(rows):
+    """_kernel_task rows with their moment sums as bytes, for comparison."""
+    return [
+        (rep, mass, dev, {side: (n, t.tobytes(), sq.tobytes()) for side, (n, t, sq) in m.items()})
+        for rep, mass, dev, m in rows
+    ]
+
+
+@pytest.mark.parametrize("counts", [[2, 5], [4, 3], [3, 3, 1], [1, 5, 1]])
+def test_kernel_task_rows_do_not_depend_on_the_chunks(counts):
+    config = replace(
+        DEFAULT_CONFIG,
+        level=4,
+        eps=(1, -1, -1),
+        measure_plus="dirichlet:4",
+        measure_minus="dirichlet:0.5",
+    )
+    whole = _kernel_row_bytes(_kernel_task((config, 3, 7)))
+    assert [row[0] for row in whole] == list(range(3, 10))
+    firsts = [3 + sum(counts[:i]) for i in range(len(counts))]
+    split = [
+        row for first, count in zip(firsts, counts) for row in _kernel_task((config, first, count))
+    ]
+    assert _kernel_row_bytes(split) == whole
 
 
 # SHA-256 of every artifact the seven subcommands write at _FROZEN_CONFIG.

@@ -11,11 +11,14 @@ import pytest
 from walshflow import flows
 from walshflow.cli import DEFAULT_CONFIG, _flow_chunk, _flow_starts
 from walshflow.flows import (
+    LATTICE_INF,
     LatticeFlowConfig,
+    OffLatticeStart,
     _flow_invariants,
     _skew_flow_states,
     coalescence_time,
     skew_lattice_flow,
+    skew_lattice_flows,
 )
 from walshflow.graph import GraphPoint, validate_spec
 from walshflow.paths import KEY_REPLICA, RngStream
@@ -73,6 +76,58 @@ def test_kernel_states_equal_skew_lattice_flow_rows(batch):
                     np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
             seen = k0 + len(rows) - 1
         assert seen == config.steps
+
+
+@pytest.mark.parametrize("batch", range(2))
+def test_batched_ensembles_equal_skew_lattice_flow(batch):
+    """Every spec, later births and one to four streams per case; the
+    random case's extra entering start is not a configured start."""
+    for seed in range(70 * batch, 70 * (batch + 1)):
+        spec, config, _starts = _random_lattice_case(seed)
+        streams = [RngStream(seed).child(KEY_REPLICA, rep) for rep in range(1 + seed % 4)]
+        got = skew_lattice_flows(config, spec, streams)
+        assert len(got) == len(streams)
+        for stream, ens in zip(streams, got):
+            want = skew_lattice_flow(config, spec, stream)
+            assert ens.traj.dtype == np.int64 and ens.traj.shape == want.traj.shape
+            assert ens.traj.tobytes() == want.traj.tobytes(), f"seed {seed}"
+            assert ens.start_meta == want.start_meta
+            for q, (birth, _units, _ray) in enumerate(ens.start_meta):
+                assert (ens.traj[q, :birth] == LATTICE_INF).all()
+
+
+def test_batched_ensembles_reject_mixed_parities_as_one_stream_does():
+    spec = LATTICE_SPECS[4]
+    dx = 2.0 ** (-3)
+    config = LatticeFlowConfig(
+        level=3,
+        horizon=1.0,
+        start_pairs=((0.0, spec.origin), (0.0, GraphPoint(ray=1, radius=dx))),
+    )
+    stream = RngStream(5).child(KEY_REPLICA, 0)
+    with pytest.raises(OffLatticeStart, match="parities"):
+        skew_lattice_flow(config, spec, stream)
+    with pytest.raises(OffLatticeStart, match="parities"):
+        skew_lattice_flows(config, spec, [stream, stream.child(1)])
+    # at plus-weight 1/2 the same starts are a translation flow
+    half = LATTICE_SPECS[1]
+    (ens,) = skew_lattice_flows(config, half, [stream])
+    assert ens.traj.tobytes() == skew_lattice_flow(config, half, stream).traj.tobytes()
+
+
+def test_batched_ensembles_of_a_horizon_under_one_step():
+    # no step, so the kernel yields no block: each row is its start alone
+    spec = LATTICE_SPECS[5]
+    config = LatticeFlowConfig(
+        level=2,
+        horizon=0.5 * 4.0**-2,
+        start_pairs=((0.0, spec.origin), (0.0, GraphPoint(ray=3, radius=0.5))),
+    )
+    assert config.steps == 0
+    streams = [RngStream(6).child(KEY_REPLICA, rep) for rep in range(2)]
+    for stream, ens in zip(streams, skew_lattice_flows(config, spec, streams)):
+        want = skew_lattice_flow(config, spec, stream).traj
+        assert ens.traj.tobytes() == want.tobytes() and want.tolist() == [[0], [-2]]
 
 
 # plus-weights 0, 1/2, 1 and generic

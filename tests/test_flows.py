@@ -598,6 +598,33 @@ def test_weight_tables_equal_per_key_draws(spec, family):
             assert mapping_rays(flow, q, g + 1, choices, redraw=True).tolist() == want
 
 
+@pytest.mark.parametrize("spec", [SPEC3, MINUS3], ids=["spec3", "minus3"])
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_ray_tables_equal_mapping_rays(spec, family):
+    """Every row of every start's ray table, merged starts included, bit
+    for bit the ray mapping_rays picks at the row's first index."""
+    names = {
+        side: _CUSTOM[len(spec.side_rays(side))] if family == "custom-weights" else family
+        for side in (1, -1)
+    }
+    sampler = MeasurePairSampler(spec, names[1], names[-1])
+    _cfg, fixture = _kernel_fixture("wiener", spec=spec)
+    ens = fixture.ensemble
+    assert any(ens.merge_record(q) is not None for q in range(ens.n_starts))
+    flow = KernelFlow(ens, sampler, fixture.stream, draw_index=2)
+    sides_seen = set()
+    for choice in (0, 7):
+        mapping = MappingFlow(flow, choice)
+        for q in range(ens.n_starts):
+            rows = ens.excursions(q)
+            want = [mapping_rays(flow, q, g + 1, (choice,)) for g in rows[:, 0].tolist()]
+            got = mapping.ray_table(q)
+            assert got.dtype == np.int64 and len(got) == len(rows) > 0
+            assert got.tobytes() == np.concatenate(want).tobytes()
+            sides_seen |= set(rows[:, 2].tolist())
+    assert sides_seen == {1, -1}
+
+
 class TestMappingFlow:
     def test_radius_tracks_scalar_magnitude_exactly(self):
         cfg, flow = _kernel_fixture()

@@ -166,8 +166,24 @@ def test_keyed_uniforms_across_streams_bit_equal():
     assert len(set(picks.tolist())) == len(streams)
     empty = keyed_uniforms([], np.empty(0, dtype=np.intp), np.empty((0, 3), dtype=np.int64))
     assert empty.shape == (0,)
-    with pytest.raises(ValueError, match="root seeds"):
-        keyed_uniforms([root, RngStream(5)], [0, 1], [(1,), (1,)])
+
+    # streams under different roots, of one and two 32-bit words, mix in
+    # one call: each stream's pool is its own SeedSequence's
+    streams = [
+        RngStream(root).child(*key)
+        for root in (0, 5, 2**32 + 3, 2**64 - 1, 20240)
+        for key in ((KEY_REPLICA, 3), (), (-7, 2**33), (KEY_REPLICA, 12, 0))
+    ]
+    picks = rng.integers(0, len(streams), 3000)
+    keys = _uniform_keys(rng, len(picks))
+    for index, array in _by_length(keys):
+        got = keyed_uniforms(streams, picks[index], array)
+        want = [
+            streams[i].child(*key).generator().random()
+            for i, key in zip(picks[index].tolist(), array.tolist())
+        ]
+        assert got.tolist() == want
+    assert len(set(picks.tolist())) == len(streams)
 
 
 def test_flip_paths_equal_one_stream_construction():
@@ -195,8 +211,11 @@ def test_flip_paths_equal_one_stream_construction():
     assert [p.rays.tolist() for p in wbm_flip_paths(grid, SPEC3, chosen)] == [
         p.rays.tolist() for p in alone
     ]
-    with pytest.raises(ValueError, match="root seeds"):
-        next(wbm_flip_paths(grid, SPEC3, [root.child(1), RngStream(20241).child(1)]))
+    # paths under different roots in one chunk are their one-stream paths
+    mixed = [root.child(1), RngStream(20241).child(1), RngStream(2**64 - 1)]
+    grid = TimeGrid(dt=1e-2, steps=100)
+    for stream, path in zip(mixed, wbm_flip_paths(grid, SPEC3, mixed)):
+        assert path.rays.tobytes() == wbm_flip_construct(grid, SPEC3, stream).rays.tobytes()
 
 
 def test_flip_paths_free_dropped_drivers_within_chunk():

@@ -94,7 +94,8 @@ def main() -> int:
     default_src = Path(__file__).resolve().parent.parent / "src"
     parser.add_argument("--src", type=Path, default=default_src)
     parser.add_argument("--seeds", type=int, nargs="+", default=[20240, 777])
-    parser.add_argument("--workers", type=int, nargs="+", default=[1, 2])
+    # 3 workers split kernel-experiment's 200 replicas into 67, 67 and 66
+    parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args()
     if not (args.src / "walshflow" / "cli.py").is_file():
         parser.error(f"{args.src} holds no walshflow package")
