@@ -23,16 +23,14 @@ import math
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-# numpy loads these on first use, and every subcommand but verify-semigroup
-# uses them (np.unique reaches numpy.ma); load them at start-up, so that a
-# run's time is its own work
-import numpy.ma  # noqa: F401
+# numpy loads numpy.random on first use, and every subcommand but
+# verify-semigroup uses it; load it at start-up, so that a run's time is its
+# own work
 import numpy.random  # noqa: F401
 
 from walshflow.flows import (
@@ -224,7 +222,7 @@ DEFAULT_CONFIG = ExperimentConfig()
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser["graph"] = {
         "alpha": ", ".join(repr(a) for a in config.alpha),
         "eps": ", ".join(str(e) for e in config.eps),
@@ -255,7 +253,7 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -340,9 +338,12 @@ def _map_replicas(task: Callable, args_list: list, workers: int) -> list:
     cannot change any artifact."""
     if workers <= 1 or len(args_list) <= 1:
         return [task(args) for args in args_list]
-    # the pool starts all its workers at the first submit
+    # imported here, so that a serial run never loads multiprocessing; the
+    # pool starts all its workers at the first submit
+    import concurrent.futures
+
     workers = min(workers, len(args_list))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(args_list) // (workers * 8))
         return list(pool.map(task, args_list, chunksize=chunk))
 
@@ -779,7 +780,8 @@ def _kernel_task(args):
         # every stride-th index inside an excursion reads its row; at the
         # junction the kernel is a point mass, with no mass error or deviation
         probes = ens.excursion_row(0, np.arange(0, ens.steps + 1, max(1, ens.steps // 64)))
-        probed = np.unique(probes[probes >= 0])
+        # a row probed twice counts once in the maxima below
+        probed = probes[probes >= 0]
         mass_err = max(
             (abs(math.fsum(w for w in row if w > 0.0) - 1.0) for row in table[probed].tolist()),
             default=0.0,

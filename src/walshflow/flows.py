@@ -653,10 +653,11 @@ def _first_meetings(meet: np.ndarray, pending: np.ndarray, k0: int):
     k0 + j; only pending replicas count. Returns (replicas, targets,
     indices): the earliest meeting of each, the smallest target on ties.
     """
-    i, r = np.nonzero(meet.any(axis=0) & pending)
+    met = meet.any(axis=0) & pending
+    i, r = np.nonzero(met)
     first = np.full(meet.shape[1:], np.iinfo(np.int64).max)
     first[i, r] = meet[:, i, r].argmax(axis=0) + k0
-    new = np.unique(r)
+    new = np.flatnonzero(met.any(axis=0))
     targets = first[:, new].argmin(axis=0)
     return new, targets, first[targets, new]
 

@@ -255,10 +255,12 @@ def default_marginal_functions(spec: GraphSpec) -> list[tuple[str, PiecewiseFunc
 def _mean_of_function(
     fn: PiecewiseFunction, rays: np.ndarray, radii: np.ndarray
 ) -> tuple[float, float]:
-    values = np.empty_like(radii)
-    for ray in np.unique(rays):
+    # a ray outside the graph reads NaN
+    values = np.full_like(radii, np.nan)
+    for ray, component in enumerate(fn.components, start=1):
         mask = rays == ray
-        values[mask] = vector_eval(fn.components[int(ray) - 1].value, radii[mask])
+        if mask.any():
+            values[mask] = vector_eval(component.value, radii[mask])
     return float(values.mean()), float(values.std(ddof=1))
 
 

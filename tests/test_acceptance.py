@@ -5,6 +5,7 @@ then asserts, so the printed record survives a failing run. Seeds are
 frozen; each criterion states its tolerance inline.
 """
 
+import itertools
 import math
 import os
 import time
@@ -14,6 +15,7 @@ import numpy as np
 
 from walshflow.cli import DEFAULT_CONFIG, main, serialize_config
 from walshflow.flows import (
+    KernelFlow,
     LatticeFlowConfig,
     MeasurePairSampler,
     extract_ray_weights,
@@ -23,6 +25,7 @@ from walshflow.flows import (
     ray_ratios,
     sample_kernel_flow,
     skew_lattice_flow,
+    skew_lattice_flows,
     wiener_kernel,
 )
 from walshflow.graph import (
@@ -397,27 +400,47 @@ def test_11_kernel_flow_structure():
     )
 
 
-def _plus_moment_z(spec, measure_name, target_excursions, seed):
-    sampler = MeasurePairSampler(spec, measure_name, "wiener")
-    config = LatticeFlowConfig(level=5, horizon=1.0, start_pairs=((0.0, spec.origin),))
-    total = np.zeros(spec.p)
-    total_sq = np.zeros(spec.p)
+def _kernel_flows(config, spec, sampler, seed, key, chunk=256):
+    """sample_kernel_flow on RngStream(seed, (key, rep)) for rep = 0, 1, ...,
+    bit for bit; skew_lattice_flows steps chunk replicas at a time."""
+    for first in itertools.count(0, chunk):
+        streams = [RngStream(seed, (key, rep)) for rep in range(first, first + chunk)]
+        for ens, stream in zip(skew_lattice_flows(config, spec, streams), streams):
+            yield KernelFlow(ens, sampler, stream)
+
+
+def _side_moments(config, spec, sampler, seed, key, side, target_excursions):
+    """Sums and squared sums of the weights of side's excursions, replica
+    after replica until target_excursions are seen, and their count."""
+    total = np.zeros(len(spec.side_rays(side)))
+    total_sq = np.zeros(len(total))
     count = 0
-    rep = 0
-    while count < target_excursions:
-        flow = sample_kernel_flow(config, spec, sampler, RngStream(seed, (120, rep)))
-        for side, _g, _d, weights in extract_ray_weights(flow, 0):
-            if side > 0:
+    for flow in _kernel_flows(config, spec, sampler, seed, key):
+        for excursion_side, _g, _d, weights in extract_ray_weights(flow, 0):
+            if excursion_side == side:
                 total += weights
                 total_sq += weights**2
                 count += 1
-        rep += 1
+        if count >= target_excursions:
+            return total, total_sq, count
+
+
+def _moment_z(spec, side, total, total_sq, count):
     mean = total / count
     sd = np.sqrt(np.maximum(total_sq / count - mean**2, 0.0))
-    z = np.abs(mean - np.asarray(ray_ratios(spec, +1))) / np.maximum(
+    z = np.abs(mean - np.asarray(ray_ratios(spec, side))) / np.maximum(
         sd / math.sqrt(count), 1e-12
     )
-    return float(np.max(z)), count
+    return float(np.max(z))
+
+
+def _plus_moment_z(spec, measure_name, target_excursions, seed):
+    sampler = MeasurePairSampler(spec, measure_name, "wiener")
+    config = LatticeFlowConfig(level=5, horizon=1.0, start_pairs=((0.0, spec.origin),))
+    total, total_sq, count = _side_moments(
+        config, spec, sampler, seed, 120, +1, target_excursions
+    )
+    return _moment_z(spec, +1, total, total_sq, count), count
 
 
 def test_12_moment_conditions():
@@ -430,25 +453,8 @@ def test_12_moment_conditions():
     config = LatticeFlowConfig(
         level=5, horizon=1.0, start_pairs=((0.0, spec_minus.origin),)
     )
-    total = np.zeros(2)
-    total_sq = np.zeros(2)
-    count = 0
-    rep = 0
-    while count < 30000:
-        flow = sample_kernel_flow(config, spec_minus, sampler, RngStream(1203, (121, rep)))
-        for side, _g, _d, weights in extract_ray_weights(flow, 0):
-            if side < 0:
-                total += weights
-                total_sq += weights**2
-                count += 1
-        rep += 1
-    mean = total / count
-    sd = np.sqrt(np.maximum(total_sq / count - mean**2, 0.0))
-    z_minus = float(
-        np.max(
-            np.abs(mean - np.asarray(ray_ratios(spec_minus, -1)))
-            / np.maximum(sd / math.sqrt(count), 1e-12)
-        )
+    z_minus = _moment_z(
+        spec_minus, -1, *_side_moments(config, spec_minus, sampler, 1203, 121, -1, 30000)
     )
 
     proj_sampler = MeasurePairSampler(SPEC3, "dirichlet:4", "dirichlet:4")

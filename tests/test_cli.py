@@ -1,5 +1,6 @@
 """Runner tests: config round-trip, exit codes, CSV emission, determinism."""
 
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -65,6 +66,14 @@ class TestConfigRoundTrip:
             root_seed=2**63 + 5,
         )
         assert parse_config(serialize_config(config)) == config
+
+    @pytest.mark.parametrize("out_dir", ["runs/50%-done", "a%%b", "%(x)s"])
+    def test_percent_signs_survive(self, out_dir):
+        # values are read literally: no % interpolation either way
+        config = replace(DEFAULT_CONFIG, out_dir=out_dir)
+        text = serialize_config(config)
+        assert f"out_dir = {out_dir}\n" in text
+        assert parse_config(text) == config
 
     def test_missing_key_rejected(self):
         text = serialize_config(DEFAULT_CONFIG)
@@ -324,7 +333,7 @@ def recording_pool(monkeypatch):
             asked.tasks.append(len(args_list))
             return map(task, args_list)
 
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return asked
 
 
@@ -398,17 +407,91 @@ def test_flow_pool_is_no_larger_than_before(tmp_path, recording_pool):
     assert recording_pool.sizes == [3]
 
 
-def test_cli_import_loads_no_heavy_scipy_subpackage():
-    # scipy is a test oracle only: the chi-square and Kolmogorov survival
-    # functions and the error function are walshflow's own, and so are the
-    # semigroup tables' splines, so no CLI run pays for importing it
+# modules a --workers 1 run never uses: scipy is a test oracle only, the
+# process pool is imported when a pool runs, and no call reaches numpy.ma
+_UNUSED_MODULES = ("scipy", "numpy.ma", "multiprocessing", "concurrent.futures")
+
+
+def _python(code, env=None):
+    """Run code in a fresh interpreter that imports walshflow from this
+    source tree; return the last line it prints."""
     src = Path(cli_module.__file__).resolve().parents[1]
-    code = "import sys, walshflow.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ if env is None else env, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().rpartition("\n")[2]
+
+
+def _unused_loaded(then=""):
+    """Code that imports walshflow.cli, runs `then` and prints the modules
+    of _UNUSED_MODULES, or of their packages, that are loaded."""
+    return (
+        f"import sys, walshflow.cli{then}\n"
+        f"names = {_UNUSED_MODULES!r}\n"
+        "print(sorted(m for m in sys.modules"
+        " if any(m == n or m.startswith(n + '.') for n in names)))"
+    )
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    # the chi-square and Kolmogorov survival functions, the error function
+    # and the semigroup tables' splines are walshflow's own, and the serial
+    # path neither starts nor imports a process pool
+    assert _python(_unused_loaded()) == "[]"
+
+
+def test_every_serial_subcommand_loads_no_unused_module(tmp_path):
+    # a module a run loads on first use is start-up paid as run time
+    config = replace(
+        DEFAULT_CONFIG,
+        level=3,
+        dt=1e-3,
+        replicas=800,
+        path_replicas=4,
+        flow_replicas=30,
+        merge_pairs=50,
+        workers=1,
+    )
+    ini = tmp_path / "small.ini"
+    ini.write_text(serialize_config(config), encoding="utf-8")
+    runs = "".join(
+        f"\nassert walshflow.cli.main({[name, '--config', str(ini), '--out', str(tmp_path / name)]!r})"
+        " in (0, 1)"
+        for name in COMMANDS
+    )
+    assert len(COMMANDS) == 7
+    assert _python(_unused_loaded(runs)) == "[]"
+
+
+def test_openblas_threads_default_to_one_unless_set():
+    code = "import os, walshflow; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert _python(code, unset) == "1"
+    assert _python(code, dict(unset, OPENBLAS_NUM_THREADS="2")) == "2"
+
+
+def test_freidlin_sheu_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    """The Ito residual's dot product over 20,000 steps, with OpenBLAS free
+    to pick its thread count and with one thread, gives the same bytes.
+
+    On a one-core machine OpenBLAS runs one thread either way, so there
+    the test passes without the one-thread default too."""
+    config = replace(DEFAULT_CONFIG, dt=5e-5, path_replicas=20)
+    ini = tmp_path / "fine.ini"
+    ini.write_text(serialize_config(config), encoding="utf-8")
+    # importing walshflow set the variable in this process; drop it
+    free = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    outs = []
+    for name, env in (("free", free), ("one", dict(free, OPENBLAS_NUM_THREADS="1"))):
+        out = tmp_path / name
+        argv = ["verify-freidlin-sheu", "--config", str(ini), "--out", str(out)]
+        _python(f"import walshflow.cli; walshflow.cli.main({argv!r})", env)
+        outs.append(out)
+    artifacts = sorted(os.listdir(outs[0]))
+    assert artifacts == sorted(os.listdir(outs[1])) and artifacts
+    for artifact in artifacts:
+        assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), artifact
 
 
 class TestSeedPrecedence:
