@@ -780,8 +780,7 @@ def _kernel_task(args):
         # every stride-th index inside an excursion reads its row; at the
         # junction the kernel is a point mass, with no mass error or deviation
         probes = ens.excursion_row(0, np.arange(0, ens.steps + 1, max(1, ens.steps // 64)))
-        # a row probed twice counts once in the maxima below
-        probed = probes[probes >= 0]
+        probed = np.flatnonzero(np.bincount(probes[probes >= 0]))
         mass_err = max(
             (abs(math.fsum(w for w in row if w > 0.0) - 1.0) for row in table[probed].tolist()),
             default=0.0,

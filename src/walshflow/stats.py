@@ -255,12 +255,10 @@ def default_marginal_functions(spec: GraphSpec) -> list[tuple[str, PiecewiseFunc
 def _mean_of_function(
     fn: PiecewiseFunction, rays: np.ndarray, radii: np.ndarray
 ) -> tuple[float, float]:
-    # a ray outside the graph reads NaN
-    values = np.full_like(radii, np.nan)
-    for ray, component in enumerate(fn.components, start=1):
+    values = np.empty_like(radii)
+    for ray in np.flatnonzero(np.bincount(rays)):
         mask = rays == ray
-        if mask.any():
-            values[mask] = vector_eval(component.value, radii[mask])
+        values[mask] = vector_eval(fn.components[int(ray) - 1].value, radii[mask])
     return float(values.mean()), float(values.std(ddof=1))
 
 
