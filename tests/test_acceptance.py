@@ -400,11 +400,11 @@ def test_11_kernel_flow_structure():
     )
 
 
-def _kernel_flows(config, spec, sampler, seed, key, chunk=256):
+def _kernel_flows(config, spec, sampler, seed, key):
     """sample_kernel_flow on RngStream(seed, (key, rep)) for rep = 0, 1, ...,
-    bit for bit; skew_lattice_flows steps chunk replicas at a time."""
-    for first in itertools.count(0, chunk):
-        streams = [RngStream(seed, (key, rep)) for rep in range(first, first + chunk)]
+    bit for bit; skew_lattice_flows steps 256 replicas at a time."""
+    for first in itertools.count(0, 256):
+        streams = [RngStream(seed, (key, rep)) for rep in range(first, first + 256)]
         for ens, stream in zip(skew_lattice_flows(config, spec, streams), streams):
             yield KernelFlow(ens, sampler, stream)
 
