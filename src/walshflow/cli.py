@@ -863,8 +863,10 @@ def _cmd_kernel_experiment(config: ExperimentConfig):
         reports.append(_band_report("filtering", freq, weights, replicas))
 
         # projection: fixed coins, redraw weights and ray choice together;
-        # the noise-measurable kernel splits by the side's ray ratios
-        rays = mapping_rays(flow, 0, k, range(1, replicas + 1), redraw=True)
+        # the noise-measurable kernel splits by the side's ray ratios. Its
+        # choice indices follow filtering's 0..replicas-1, so the two bands
+        # share no choice uniform, and skip draw index 0, the flow's own weights
+        rays = mapping_rays(flow, 0, k, range(replicas, 2 * replicas), redraw=True)
         reference = np.asarray(ray_ratios(spec, side))
         freq = np.bincount(rays - spec.side_rays(side).start, minlength=len(reference))
         reports.append(_band_report("wiener-projection", freq / replicas, reference, replicas))
@@ -961,8 +963,12 @@ def run(subcommand: str, config: ExperimentConfig) -> list[TestReport]:
     _write_reports(reports, os.path.join(config.out_dir, base + "_reports.jsonl"))
     for report in reports:
         marker = "PASS" if report.passed else "FAIL"
-        print(f"[{marker}] {report.name}: statistic={report.statistic:.6g} "
-              f"threshold={report.threshold:.6g} replicas={report.replicas}")
+        line = (f"[{marker}] {report.name}: statistic={report.statistic:.6g} "
+                f"threshold={report.threshold:.6g} replicas={report.replicas}")
+        if not report.passed:
+            # a report may fail on a detail, not its headline statistic
+            line += "".join(f" {k}={v:.6g}" for k, v in sorted(report.details.items()))
+        print(line)
     if not all(r.passed for r in reports):
         raise CheckFailed(f"{subcommand}: a mandatory check failed")
     return reports

@@ -514,59 +514,27 @@ def wbm_flip_construct(grid: TimeGrid, spec: GraphSpec, stream: RngStream) -> Wa
     return path
 
 
-# coarse steps of sample_wbm_exact; the minimum within each is drawn exactly
-_EXACT_STEPS = 16
-
-
 def sample_wbm_exact(
     spec: GraphSpec, t: float, replicas: int, stream: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (ray, radius) marginals of the flip construction at time t
-    from the origin, with the driver's running minimum sampled exactly.
+    from the origin, from their exact law: the ray has law alpha and,
+    independently of it, the radius has the law of sqrt(t)|N|.
 
-    Each of the _EXACT_STEPS coarse steps contributes its within-step
-    minimum from the exact Brownian-bridge law (inverse CDF of
-    exp(-2(a-b0)(a-b1)/dt)), so the
-    reflected radius B_t - min_u B_u has the continuum half-normal law
-    with no grid bias. The flip draw for the excursion straddling t is
-    keyed by the step where the running minimum was last attained.
+    The radius B_t - min_{s<=t} B_s of the reflected Brownian motion has
+    the law of |B_t| (Levy's identity), and the excursion straddling t
+    takes its ray from a flip drawn independently of B (Walsh 1978; Barlow,
+    Pitman and Yor 1989). So P(ray i, radius in dr) = 2 alpha_i phi_t(r) dr,
+    the semigroup's decomposition at the origin.
     """
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"t = {t!r} must be finite and > 0")
     if replicas < 1:
         raise ValueError("need at least one replica")
     gen = stream.child(KEY_EXACT_MARGINAL).generator()
-    steps = _EXACT_STEPS
-    dt = t / steps
-    # four (replicas, steps) buffers, each reused in place once its values
-    # are spent: the peak memory of this sampler is the peak of simulate-wbm
-    increments = gen.standard_normal((replicas, steps))
-    increments *= math.sqrt(dt)
-    endpoints = np.cumsum(increments, axis=1)
-    # step minima (start + end - disc) / 2, the first step starting at 0
-    step_minima = np.empty_like(endpoints)
-    step_minima[:, 0] = 0.0
-    step_minima[:, 1:] = endpoints[:, :-1]
-    step_minima += endpoints
-
-    # disc = sqrt(increment^2 - 2 dt log(1 - u)), a log of a (0,1] uniform
-    spare = gen.random((replicas, steps))
-    np.log1p(np.negative(spare, out=spare), out=spare)
-    spare *= 2.0 * dt
-    disc = np.square(increments, out=increments)
-    disc -= spare
-    np.sqrt(disc, out=disc)
-    step_minima -= disc
-    step_minima /= 2.0
-
-    running = np.minimum.accumulate(step_minima, axis=1, out=spare)
-    radii = endpoints[:, -1] - running[:, -1]
-    # step whose bridge minimum is the overall one: excursion identity proxy
-    argmin_step = np.argmax(step_minima <= running[:, -1:], axis=1)
-
-    u_ray = gen.random((replicas, steps), out=disc)
-    chosen = u_ray[np.arange(replicas), argmin_step]
-    rays = ray_from_uniform(spec, chosen)
+    radii = np.abs(gen.standard_normal(replicas))
+    radii *= math.sqrt(t)
+    rays = ray_from_uniform(spec, gen.random(replicas))
     rays[radii == 0.0] = spec.n_rays  # measure-zero guard
     return rays, radii
 

@@ -173,7 +173,7 @@ def test_04_derivative_identity():
 def test_05_flip_construction_vs_semigroup():
     t_start = time.perf_counter()
 
-    # main battery on 1e5 exact-minimum marginals of the flip construction
+    # main battery on 1e5 exact junction marginals of the flip construction
     rays, radii = sample_wbm_exact(SPEC3, 1.0, 100000, RngStream(501, (50,)))
     report = marginal_vs_semigroup(SPEC3, 1.0, rays, radii)
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from walshflow import cli as cli_module
+from walshflow import flows as flows_module
 from walshflow.cli import (
     _FLOW_CHUNK_MAX,
     _FLOW_CHUNK_MIN,
@@ -747,9 +748,9 @@ _FROZEN_DIGESTS = {
     "flow_experiment_merges.csv": "f888b583f1852180e956159b1fbe0f227a7f329afffac6656e89bc30437e48b7",
     "flow_experiment_reports.jsonl": "dc67bcd2acc3d0362834ccf5ae6f2bf683f2387af4f4c2100eea8fd45b9d9f6f",
     "kernel_experiment.csv": "376c6bd5f8434dfc64ac92e3b1e95c7074dcc5588213a27b2ea2991b9b9e4eef",
-    "kernel_experiment_reports.jsonl": "ada90a4855140af2a7fd5d238da67943487ad04686c92fecaff374df01ef41e0",
+    "kernel_experiment_reports.jsonl": "dd29699778d742dce6eeabdbc4b20fa7a910baf3f60dfe4f51baa922931eeb6e",
     "simulate_wbm.csv": "f842ccf8d9076d1552142e2d1731bf58b3c715934d1094b3b75c71177ea37888",
-    "simulate_wbm_reports.jsonl": "fff93063c259e8a21847420b7ee0b2d2a1a360e8f31444aae7f33bd657bf648c",
+    "simulate_wbm_reports.jsonl": "1c403babc2289734b728a8dbe6f1b74ec938e8fe7e7bd81a37de1edf9d413941",
     "tanaka_special_case.csv": "0c3394fc084cb90bb64924547628799e052228536371f31376f050960f4c246c",
     "tanaka_special_case_reports.jsonl": "1924df9e2fe5e209a11f2c8c112ba158d24cbdeef61299c329d2989d9b95ea2e",
     "verify_freidlin_sheu.csv": "3b2fed382da53e46f6f07e67fdc67c15f8268492bda02902fc469c65f62313f7",
@@ -803,17 +804,17 @@ _FROZEN_DRAWING = [
     (
         {"measure_plus": "dirichlet:4", "measure_minus": "dirichlet:0.5"},
         "94590e9cb56fd240c3f4dfa59af147946a27090b5aad8bf16a0818b722e873d6",
-        "3992e1a3535a6b8846053f542e5ac35fbdfcfca789845f5a4209ed3c83d87835",
+        "d70ee7463b10d5824db49da632b7fb19d258dff6df262d49e0ab6d8eecbb2702",
     ),
     (
         {"measure_plus": "dirac-vertices", "measure_minus": "dirac-vertices"},
         "9b1d8754e6fe606f4388af7830777fa96bb335c21c10b67d8df8be373e7b19b0",
-        "83bafbb2fa170dc198735071e8a95a0bff13585e8bc25cb3bde2e08e87893ff5",
+        "3bc9cfa6e6574657b918db696fae5f04b3c72f03518ce4a2c40d1a4ad29fb88d",
     ),
     (
         {"measure_plus": "dirichlet:4", "measure_minus": "dirichlet:0.5", "eps": (1, -1, -1)},
         "2eb2836c442559dd806174d10ddd042798bd9563695091fa83df9e9fd07b9ccf",
-        "2960b7aa5fb5e8a2018c60a8956a143e9a6dedda90baea4a84e06668005adb2d",
+        "d2a0140e48f8ff0d7eaa2d7cbecd5e099f9a8f99e0f1cd193e0680b934bbd9f0",
     ),
 ]
 
@@ -828,3 +829,37 @@ def test_kernel_artifacts_match_frozen_digests_under_drawing_measures(
         {"kernel_experiment.csv": csv_digest, "kernel_experiment_reports.jsonl": reports_digest},
     )
     assert not moved, f"artifacts changed under {overrides}:\n" + "\n".join(moved)
+
+
+def test_fail_lines_carry_the_report_details(tmp_path, capsys):
+    # at 10 paths verify-freidlin-sheu fails on its Ito-residual gates; the
+    # line must show the rms_fine that a gate reads, not only the ratio
+    config = replace(_FROZEN_CONFIG, out_dir=str(tmp_path))
+    with pytest.raises(CheckFailed):
+        run("verify-freidlin-sheu", config)
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert failed and all(" rms_coarse=" in line and " rms_fine=" in line for line in failed)
+    passed = [line for line in lines if line.startswith("[PASS]")]
+    assert all(line.endswith(f"replicas={config.path_replicas}") for line in passed)
+
+
+def test_projection_shares_no_choice_index_with_filtering(tmp_path, monkeypatch):
+    calls = []
+
+    def recording(original):
+        def wrapped(flow, start_index, k, choice_indices, redraw=False):
+            calls.append((redraw, list(choice_indices)))
+            return original(flow, start_index, k, choice_indices, redraw)
+
+        return wrapped
+
+    monkeypatch.setattr(cli_module, "mapping_rays", recording(cli_module.mapping_rays))
+    monkeypatch.setattr(flows_module, "mapping_rays", recording(flows_module.mapping_rays))
+    run("kernel-experiment", replace(DEFAULT_CONFIG, out_dir=str(tmp_path)))
+    assert [redraw for redraw, _ in calls] == [False, True]
+    (_, filtering), (_, projection) = calls
+    assert filtering and projection
+    assert not set(filtering) & set(projection)
+    # draw index 0 holds the flow's own weights, which a redraw must not reuse
+    assert 0 not in projection

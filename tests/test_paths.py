@@ -9,7 +9,6 @@ from scipy.stats import kstest, norm
 
 from walshflow.graph import PiecewiseFunction, validate_spec
 from walshflow.paths import (
-    KEY_EXACT_MARGINAL,
     KEY_MAPPING_CHOICE,
     KEY_RAY_FLIP,
     KEY_REPLICA,
@@ -552,37 +551,6 @@ def test_sample_wbm_exact_marginal():
     again_rays, again_radii = sample_wbm_exact(SPEC3, 1.0, 20_000, RngStream(123))
     assert np.array_equal(rays, again_rays)
     assert np.array_equal(radii, again_radii)
-
-
-def _exact_marginal_oracle(spec, t, replicas, stream):
-    """sample_wbm_exact written as whole-array expressions, one new array
-    per operation: the same float operations in the same order."""
-    gen = stream.child(KEY_EXACT_MARGINAL).generator()
-    dt = t / 16
-    increments = gen.standard_normal((replicas, 16)) * math.sqrt(dt)
-    endpoints = np.cumsum(increments, axis=1)
-    starts = np.concatenate([np.zeros((replicas, 1)), endpoints[:, :-1]], axis=1)
-    log_u = np.log1p(-gen.random((replicas, 16)))
-    disc = np.sqrt(np.square(increments) - 2.0 * dt * log_u)
-    step_minima = (starts + endpoints - disc) / 2.0
-    running = np.minimum.accumulate(step_minima, axis=1)
-    radii = endpoints[:, -1] - running[:, -1]
-    argmin_step = np.argmax(step_minima <= running[:, -1:], axis=1)
-    chosen = gen.random((replicas, 16))[np.arange(replicas), argmin_step]
-    cum = np.cumsum(spec.alpha)
-    cum[-1] = 1.0
-    rays = np.searchsorted(cum, chosen, side="right") + 1
-    rays[radii == 0.0] = spec.n_rays
-    return rays, radii
-
-
-def test_sample_wbm_exact_bit_equal_to_array_expressions():
-    for seed, t, replicas in ((1, 1.0, 5000), (2, 0.3, 1), (3, 4.0, 17)):
-        stream = RngStream(seed).child(KEY_REPLICA, 201)
-        rays, radii = sample_wbm_exact(SPEC3, t, replicas, stream)
-        want_rays, want_radii = _exact_marginal_oracle(SPEC3, t, replicas, stream)
-        assert rays.tolist() == want_rays.tolist()
-        assert radii.tobytes() == want_radii.tobytes()
 
 
 def test_scaled_walk_marginal_sign_frequencies():

@@ -234,6 +234,21 @@ class TestMarginalBattery:
         assert not report.passed
         assert report.details["chi2_p"] <= 0.01
 
+    def test_ray_coupled_to_radius_fails(self):
+        # the same rays and radii, ray 1 moved onto the largest radii: each
+        # law alone is right, the joint law is not
+        rays, radii = sample_wbm_exact(SPEC3, 1.0, 20000, RngStream(2024).child(1))
+        order = np.argsort(radii)
+        ones = np.count_nonzero(rays == 1)
+        coupled = np.empty_like(rays)
+        coupled[order[-ones:]] = 1
+        coupled[order[:-ones]] = rays[rays != 1]
+        assert np.array_equal(np.bincount(coupled), np.bincount(rays))
+        report = marginal_vs_semigroup(SPEC3, 1.0, coupled, radii)
+        assert not report.passed
+        assert report.details["chi2_p"] > 0.01 and report.details["ks_p"] > 0.01
+        assert abs(report.details["z_ray-profile"]) > 3.0
+
     def test_report_serializes(self):
         rays, radii = sample_wbm_exact(SPEC3, 1.0, 2000, RngStream(7).child(2))
         report = marginal_vs_semigroup(SPEC3, 1.0, rays, radii)
