@@ -17,6 +17,7 @@ import pytest
 
 from walshflow import cli as cli_module
 from walshflow import flows as flows_module
+from walshflow import paths as paths_module
 from walshflow.cli import (
     _FLOW_CHUNK_MAX,
     _FLOW_CHUNK_MIN,
@@ -28,7 +29,9 @@ from walshflow.cli import (
     CheckFailed,
     ConfigInvalid,
     ExperimentConfig,
+    _band_report,
     _cmd_simulate_wbm,
+    _cmd_verify_freidlin_sheu,
     _flip_chunk_paths,
     _flow_chunks,
     _ito_test_functions,
@@ -45,6 +48,7 @@ from walshflow.cli import (
     serialize_config,
 )
 from walshflow.flows import extract_ray_weights, measure_ray_weights, wiener_kernel
+from walshflow.graph import bump_family
 from walshflow.paths import (
     KEY_REPLICA,
     RngStream,
@@ -631,23 +635,33 @@ def test_simulate_wbm_rows_equal_per_path_construction():
 
 
 def test_residual_rms_equals_per_path_loop():
-    # oracle: one flip path built at a time, its squared residual summed in
-    # replica order; the path count crosses a chunk boundary at the fine step
+    # oracle: one flip path built at a time per replica and step, every test
+    # function's squared residual summed on it in replica order; the path
+    # count crosses a chunk boundary at the fine step
     steps = round(DEFAULT_CONFIG.horizon / DEFAULT_CONFIG.dt)
     config = replace(DEFAULT_CONFIG, path_replicas=_flip_chunk_paths(steps) + 3)
+    n = config.path_replicas
     spec = config.spec()
-    functions = _ito_test_functions(spec)
-    runs = [(idx, dt) for idx in range(len(functions)) for dt in (4 * config.dt, config.dt)]
-    want = []
-    for fn_index, dt in runs:
+    functions = [fn for _name, fn in _ito_test_functions(spec)]
+    dts = (4 * config.dt, config.dt)
+    sums = {}
+    for dt in dts:
         grid = TimeGrid(dt=dt, steps=round(config.horizon / dt))
-        acc = 0.0
-        for rep in range(config.path_replicas):
-            stream = RngStream(config.root_seed).child(KEY_REPLICA, 10000 * fn_index + rep)
+        for rep in range(n):
+            stream = RngStream(config.root_seed).child(KEY_REPLICA, rep)
             path = wbm_flip_construct(grid, spec, stream)
-            acc += freidlin_sheu_residual(functions[fn_index][1], spec, path) ** 2
-        want.append(math.sqrt(acc / config.path_replicas))
-    assert _residual_rms(config, runs) == want
+            for fn_index, fn in enumerate(functions):
+                r = freidlin_sheu_residual(fn, spec, path)
+                acc = sums.setdefault((fn_index, dt), [0.0, 0.0])
+                acc[0] += r**2
+                acc[1] += r**4
+    want = []
+    for fn_index in range(len(functions)):
+        want.append([])
+        for dt in dts:
+            sq, fourth = sums[fn_index, dt]
+            want[-1].append((math.sqrt(sq / n), math.sqrt((fourth - sq**2 / n) / (n - 1))))
+    assert _residual_rms(config, dts) == want
 
 
 def _kernel_task_oracle(config, rep):
@@ -737,8 +751,8 @@ def test_kernel_task_rows_do_not_depend_on_the_chunks(counts):
 
 # SHA-256 of every artifact the seven subcommands write at _FROZEN_CONFIG.
 # A digest may change only with a declared RNG-stream or artifact change.
-# At 10 paths verify-freidlin-sheu fails two Ito-residual ratio bands; its
-# report digest freezes that verdict too.
+# At 10 paths verify-freidlin-sheu fails all three Ito-residual ratio bands;
+# its report digest freezes that verdict too.
 _FROZEN_CONFIG = replace(
     DEFAULT_CONFIG, replicas=1000, path_replicas=10, flow_replicas=20, merge_pairs=200
 )
@@ -748,13 +762,13 @@ _FROZEN_DIGESTS = {
     "flow_experiment_merges.csv": "f888b583f1852180e956159b1fbe0f227a7f329afffac6656e89bc30437e48b7",
     "flow_experiment_reports.jsonl": "dc67bcd2acc3d0362834ccf5ae6f2bf683f2387af4f4c2100eea8fd45b9d9f6f",
     "kernel_experiment.csv": "376c6bd5f8434dfc64ac92e3b1e95c7074dcc5588213a27b2ea2991b9b9e4eef",
-    "kernel_experiment_reports.jsonl": "dd29699778d742dce6eeabdbc4b20fa7a910baf3f60dfe4f51baa922931eeb6e",
+    "kernel_experiment_reports.jsonl": "0c65e6a89cc4333f39bde2ffffea9a2416e86083d9379e5da5eb4f854fc4bc7d",
     "simulate_wbm.csv": "f842ccf8d9076d1552142e2d1731bf58b3c715934d1094b3b75c71177ea37888",
     "simulate_wbm_reports.jsonl": "1c403babc2289734b728a8dbe6f1b74ec938e8fe7e7bd81a37de1edf9d413941",
     "tanaka_special_case.csv": "0c3394fc084cb90bb64924547628799e052228536371f31376f050960f4c246c",
     "tanaka_special_case_reports.jsonl": "1924df9e2fe5e209a11f2c8c112ba158d24cbdeef61299c329d2989d9b95ea2e",
-    "verify_freidlin_sheu.csv": "3b2fed382da53e46f6f07e67fdc67c15f8268492bda02902fc469c65f62313f7",
-    "verify_freidlin_sheu_reports.jsonl": "cc2e72f0df9897d9fbe024d79d8b804158036429ef90e787ce7f269ed98e1af1",
+    "verify_freidlin_sheu.csv": "dee30d382f35c9c97d1c5d2e29948deca1c56cd09e8607ae99be2d30e977cb52",
+    "verify_freidlin_sheu_reports.jsonl": "35684ffb8e19bb0974bab3a5580a5603ade850204634fd8ce90b97142bdd4995",
     "verify_semigroup.csv": "b9c617e9228895158574821acae5ff7fa9576c6554be709d168ba76062974aae",
     "verify_semigroup_reports.jsonl": "ac17851b30c19d214fd250f822a1593f44a2ed0404d47c83262286ba96e6171d",
     "walk_converge.csv": "c9ccfad3894f488f5c117ab9eba0cec2c84a74a7ebfbf216f4706941efa66efc",
@@ -804,17 +818,17 @@ _FROZEN_DRAWING = [
     (
         {"measure_plus": "dirichlet:4", "measure_minus": "dirichlet:0.5"},
         "94590e9cb56fd240c3f4dfa59af147946a27090b5aad8bf16a0818b722e873d6",
-        "d70ee7463b10d5824db49da632b7fb19d258dff6df262d49e0ab6d8eecbb2702",
+        "d49511efa45b6dbb42da38613757297667ad66304a395456e9732bc94fb560eb",
     ),
     (
         {"measure_plus": "dirac-vertices", "measure_minus": "dirac-vertices"},
         "9b1d8754e6fe606f4388af7830777fa96bb335c21c10b67d8df8be373e7b19b0",
-        "3bc9cfa6e6574657b918db696fae5f04b3c72f03518ce4a2c40d1a4ad29fb88d",
+        "306ca4fd518deef55960b664c60d94ce1ac53e06c94caad6ad2cc97e521c5eca",
     ),
     (
         {"measure_plus": "dirichlet:4", "measure_minus": "dirichlet:0.5", "eps": (1, -1, -1)},
         "2eb2836c442559dd806174d10ddd042798bd9563695091fa83df9e9fd07b9ccf",
-        "d2a0140e48f8ff0d7eaa2d7cbecd5e099f9a8f99e0f1cd193e0680b934bbd9f0",
+        "5b1c7938831617423476cbc93678850280e18697da984921d5fb4c2b9c500520",
     ),
 ]
 
@@ -833,15 +847,71 @@ def test_kernel_artifacts_match_frozen_digests_under_drawing_measures(
 
 def test_fail_lines_carry_the_report_details(tmp_path, capsys):
     # at 10 paths verify-freidlin-sheu fails on its Ito-residual gates; the
-    # line must show the rms_fine that a gate reads, not only the ratio
+    # line must show the rms_fine that a gate reads and its bound, not only
+    # the ratio
     config = replace(_FROZEN_CONFIG, out_dir=str(tmp_path))
     with pytest.raises(CheckFailed):
         run("verify-freidlin-sheu", config)
     lines = capsys.readouterr().out.splitlines()
     failed = [line for line in lines if line.startswith("[FAIL]")]
-    assert failed and all(" rms_coarse=" in line and " rms_fine=" in line for line in failed)
+    assert failed
+    for line in failed:
+        assert " rms_coarse=" in line and " rms_fine=" in line and " rms_fine_bound=" in line
     passed = [line for line in lines if line.startswith("[PASS]")]
     assert all(line.endswith(f"replicas={config.path_replicas}") for line in passed)
+
+
+def test_band_report_names_each_ray_and_its_bound():
+    # the headline is the largest deviation against the largest bound, which
+    # may belong to different rays; the details pair them ray by ray
+    expected = np.array([0.1, 0.3, 0.6])
+    freq = np.array([0.22, 0.28, 0.50])
+    report = _band_report("band", freq, expected, 100)
+    bound = 3.0 * np.sqrt(expected * (1 - expected) / 100)
+    assert report.details == {
+        **{f"dev_{i + 1}": float(abs(f - e)) for i, (f, e) in enumerate(zip(freq, expected))},
+        **{f"bound_{i + 1}": float(b) for i, b in enumerate(bound)},
+    }
+    # ray 1 misses its own bound, 0.09, with a deviation below ray 3's
+    assert report.statistic < report.threshold and not report.passed
+
+
+def _ito_report(config, name):
+    _tables, reports = _cmd_verify_freidlin_sheu(config)
+    (report,) = [r for r in reports if r.name == f"ito-residual-{name}"]
+    return report
+
+
+def test_ito_check_fails_without_the_local_time_term(monkeypatch):
+    # negative control: the off-domain function's residual without its
+    # Freidlin-Sheu local-time term misses the rate band and the fine gate
+    monkeypatch.setattr(paths_module, "flux_defect", lambda f, spec: 0.0)
+    report = _ito_report(DEFAULT_CONFIG, "radial-off-domain")
+    assert not report.passed
+    assert not 1.7 <= report.statistic <= 2.6
+    assert report.details["rms_fine"] > report.details["rms_fine_bound"]
+
+
+@pytest.mark.parametrize("seed", [20240, 5151])
+def test_fine_gate_fails_on_three_times_the_curvature(monkeypatch, seed):
+    # negative control: the in-domain bump at three times its coefficient
+    # keeps the rate band, and its fine residual fails the level-0.001 gate
+    monkeypatch.setattr(
+        cli_module,
+        "_ito_test_functions",
+        lambda spec: [("radial-in-domain", bump_family((0.9,) * spec.n_rays))],
+    )
+    report = _ito_report(replace(DEFAULT_CONFIG, root_seed=seed), "radial-in-domain")
+    assert report.replicas == 200 and not report.passed
+    assert 1.7 <= report.statistic <= 2.6
+    assert report.details["rms_fine"] > report.details["rms_fine_bound"]
+
+
+def test_fine_gate_bound_is_the_absolute_bound_without_spread():
+    # with one path the spread is 0, and the gate is rms_fine <= 5e-3
+    config = replace(DEFAULT_CONFIG, path_replicas=1)
+    for report in _cmd_verify_freidlin_sheu(config)[1]:
+        assert report.details["rms_fine_bound"] == 5e-3
 
 
 def test_projection_shares_no_choice_index_with_filtering(tmp_path, monkeypatch):
