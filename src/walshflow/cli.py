@@ -57,6 +57,7 @@ from walshflow.graph import (
     bump_family,
     central_difference,
     decay_family,
+    graph_point,
     validate_spec,
 )
 from walshflow.paths import (
@@ -160,7 +161,8 @@ class ExperimentConfig:
         if self.flow_y_units <= 0 or self.flow_y_units % 2:
             raise ConfigInvalid("flow_y_units must be a positive even integer")
         # step counts are derived from these ratios; off-grid values would be
-        # rounded silently, and not always the same way
+        # rounded silently, and not always the same way, and a ratio that
+        # rounds to 0 would give a run of no steps
         for name, ratio in (
             ("flow_horizon * 4^level", self.flow_horizon * 4.0**self.level),
             ("horizon * 4^level", self.horizon * 4.0**self.level),
@@ -174,8 +176,8 @@ class ExperimentConfig:
                 self.horizon / (4.0 * self.dt),
             ),
         ):
-            if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
-                raise ConfigInvalid(f"{name} = {ratio!r} is not an integer")
+            if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+                raise ConfigInvalid(f"{name} = {ratio!r} is not a whole number >= 1")
         for name, steps in (
             ("horizon * 4^level", self.horizon * 4.0**self.level),
             ("horizon / dt", self.horizon / self.dt),
@@ -221,69 +223,59 @@ class ExperimentConfig:
 DEFAULT_CONFIG = ExperimentConfig()
 
 
+# the INI layout: each section's fields, in order; a field's key is its name
+# without the section prefix (measure_plus is [measure] plus)
+_SECTIONS = {
+    "graph": ("alpha", "eps"),
+    "scheme": ("level", "dt", "horizon", "flow_horizon", "flow_y_units"),
+    "run": (
+        "replicas",
+        "path_replicas",
+        "flow_replicas",
+        "merge_pairs",
+        "workers",
+        "root_seed",
+        "out_dir",
+    ),
+    "measure": ("measure_plus", "measure_minus"),
+}
+
+
 def serialize_config(config: ExperimentConfig) -> str:
     parser = configparser.ConfigParser(interpolation=None)
-    parser["graph"] = {
-        "alpha": ", ".join(repr(a) for a in config.alpha),
-        "eps": ", ".join(str(e) for e in config.eps),
-    }
-    parser["scheme"] = {
-        "level": str(config.level),
-        "dt": repr(config.dt),
-        "horizon": repr(config.horizon),
-        "flow_horizon": repr(config.flow_horizon),
-        "flow_y_units": str(config.flow_y_units),
-    }
-    parser["run"] = {
-        "replicas": str(config.replicas),
-        "path_replicas": str(config.path_replicas),
-        "flow_replicas": str(config.flow_replicas),
-        "merge_pairs": str(config.merge_pairs),
-        "workers": str(config.workers),
-        "root_seed": str(config.root_seed),
-        "out_dir": config.out_dir,
-    }
-    parser["measure"] = {
-        "plus": config.measure_plus,
-        "minus": config.measure_minus,
-    }
+    for section, names in _SECTIONS.items():
+        parser[section] = {}
+        for name in names:
+            value = getattr(config, name)
+            text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            parser[section][name.removeprefix(section + "_")] = text
     buffer = io.StringIO()
     parser.write(buffer)
     return buffer.getvalue()
 
 
 def parse_config(text: str) -> ExperimentConfig:
+    """The config an INI text holds; each value takes the type of its field
+    in DEFAULT_CONFIG, a tuple that of its first entry."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigInvalid(f"config does not parse: {exc}") from exc
+    values = {}
     try:
-        config = ExperimentConfig(
-            alpha=tuple(
-                float(v) for v in parser.get("graph", "alpha").split(",") if v.strip()
-            ),
-            eps=tuple(
-                int(v) for v in parser.get("graph", "eps").split(",") if v.strip()
-            ),
-            level=parser.getint("scheme", "level"),
-            dt=parser.getfloat("scheme", "dt"),
-            horizon=parser.getfloat("scheme", "horizon"),
-            flow_horizon=parser.getfloat("scheme", "flow_horizon"),
-            flow_y_units=parser.getint("scheme", "flow_y_units"),
-            replicas=parser.getint("run", "replicas"),
-            path_replicas=parser.getint("run", "path_replicas"),
-            flow_replicas=parser.getint("run", "flow_replicas"),
-            merge_pairs=parser.getint("run", "merge_pairs"),
-            workers=parser.getint("run", "workers"),
-            root_seed=parser.getint("run", "root_seed"),
-            out_dir=parser.get("run", "out_dir"),
-            measure_plus=parser.get("measure", "plus"),
-            measure_minus=parser.get("measure", "minus"),
-        )
+        for section, names in _SECTIONS.items():
+            for name in names:
+                raw = parser.get(section, name.removeprefix(section + "_"))
+                default = getattr(DEFAULT_CONFIG, name)
+                if isinstance(default, tuple):
+                    kind = type(default[0])
+                    values[name] = tuple(kind(v) for v in raw.split(",") if v.strip())
+                else:
+                    values[name] = type(default)(raw)
     except (configparser.Error, ValueError) as exc:
         raise ConfigInvalid(f"config is incomplete or malformed: {exc}") from exc
-    return config.validate()
+    return ExperimentConfig(**values).validate()
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -292,6 +284,8 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse_config(handle.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"config {path!r} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise Io(f"cannot read config {path!r}: {exc}") from exc
 
@@ -333,9 +327,9 @@ def _write_reports(reports: Sequence[TestReport], path: str) -> None:
 
 
 def _map_replicas(task: Callable, args_list: list, workers: int) -> list:
-    """Run one task per replica, or per fixed chunk of replicas; output
-    order is by replica index, never by scheduling, so the worker count
-    cannot change any artifact."""
+    """Run task on each argument tuple, one per chunk of replicas; output
+    order is by argument, never by scheduling, so the worker count cannot
+    change any artifact."""
     if workers <= 1 or len(args_list) <= 1:
         return [task(args) for args in args_list]
     # imported here, so that a serial run never loads multiprocessing; the
@@ -346,6 +340,32 @@ def _map_replicas(task: Callable, args_list: list, workers: int) -> list:
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(args_list) // (workers * 8))
         return list(pool.map(task, args_list, chunksize=chunk))
+
+
+def _chunks(replicas: int, workers: int, most: int, least: int = 1) -> list[tuple[int, int]]:
+    """(first replica, count) per task, of even size; only the last may hold
+    fewer. One task per worker, but never so few that a task holds more
+    than most replicas, nor so many that one holds fewer than least (a
+    budget below 1 counts as 1). A replica's rows depend only on its
+    stream, so the plan moves no artifact byte."""
+    most, least = max(1, most), max(1, least)
+    tasks = min(max(workers, -(-replicas // most)), -(-replicas // least))
+    size = -(-replicas // tasks)
+    return [(first, min(size, replicas - first)) for first in range(0, replicas, size)]
+
+
+def _replica_streams(config: ExperimentConfig, first: int, count: int) -> list[RngStream]:
+    """The streams of replicas first .. first + count - 1, each keyed on
+    (root seed, replica index) alone."""
+    root = RngStream(config.root_seed)
+    return [root.child(KEY_REPLICA, rep) for rep in range(first, first + count)]
+
+
+def _map_chunks(task: Callable, config: ExperimentConfig, chunks) -> list:
+    """task's rows for every (first, count) chunk, in replica order; task
+    takes (config, first, count) and returns that chunk's rows."""
+    tasks = [(config, first, count) for first, count in chunks]
+    return [row for rows in _map_replicas(task, tasks, config.workers) for row in rows]
 
 
 def _report(name, statistic, threshold, passed, replicas, **details):
@@ -370,7 +390,7 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
     worst_conservation = 0.0
     for t in (0.25, 0.5, 1.0, 2.0, 4.0):
         for h in (0.0, 0.5, 1.0, 2.0, 3.0):
-            point = spec.origin if h == 0.0 else GraphPoint(ray=1, radius=h)
+            point = graph_point(spec, 1, h)
             value = wbm_semigroup_apply(one, spec, point, t)
             err = abs(value - 1.0)
             worst_conservation = max(worst_conservation, err)
@@ -382,7 +402,7 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
         table = tabulate_semigroup(fn, spec, s, radius_max=3.0 + 10.5)
         for t in (0.25, 1.0):
             for h in (0.0, 0.7, 1.5):
-                point = spec.origin if h == 0.0 else GraphPoint(ray=1, radius=h)
+                point = graph_point(spec, 1, h)
                 direct = wbm_semigroup_apply(fn, spec, point, s + t)
                 nested = wbm_semigroup_apply(table, spec, point, t)
                 err = abs(direct - nested)
@@ -395,7 +415,7 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
     )
     for test_fn in (fn, ray_weighted):
         for h in (0.0, 0.8):
-            point = spec.origin if h == 0.0 else GraphPoint(ray=1, radius=h)
+            point = graph_point(spec, 1, h)
             residual = generator_residual(test_fn, spec, point, 1.0)
             worst_generator = max(worst_generator, abs(residual))
             rows.append(["generator-residual", 1.0, h, residual, abs(residual)])
@@ -432,17 +452,18 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
 _KEPT_VALUES = 2**19
 
 
-def _flip_chunk_paths(steps: int) -> int:
-    """Flip paths per simulate-wbm or verify-freidlin-sheu task on a grid
-    of this many steps."""
-    return max(1, _KEPT_VALUES // (3 * (steps + 1)))
+def _flip_chunks(config: ExperimentConfig, dt: float) -> list[tuple[int, int]]:
+    """(first path, count) per simulate-wbm or verify-freidlin-sheu task at
+    step dt: as many tasks as keeping each under _KEPT_VALUES driver values
+    takes, whatever the worker count."""
+    paths = _KEPT_VALUES // (3 * (round(config.horizon / dt) + 1))
+    return _chunks(config.path_replicas, config.workers, paths, paths)
 
 
-def _even_chunks(replicas: int, tasks: int) -> list[tuple[int, int]]:
-    """(first replica, count) of at most this many tasks of even size; only
-    the last may hold fewer."""
-    size = -(-replicas // tasks)
-    return [(first, min(size, replicas - first)) for first in range(0, replicas, size)]
+def _flip_paths(config: ExperimentConfig, dt: float, first: int, count: int):
+    """The flip paths of replicas first .. first + count - 1 at step dt."""
+    grid = TimeGrid(dt=dt, steps=int(round(config.horizon / dt)))
+    return wbm_flip_paths(grid, config.spec(), _replica_streams(config, first, count))
 
 
 # --- simulate-wbm ----------------------------------------------------------
@@ -452,25 +473,17 @@ def _path_task(args):
     """Final ray, radius and local time of consecutive flip paths, one row
     per replica, in replica order."""
     config, first, count = args
-    spec = config.spec()
-    grid = TimeGrid(dt=config.dt, steps=int(round(config.horizon / config.dt)))
-    reps = range(first, first + count)
-    streams = [RngStream(config.root_seed).child(KEY_REPLICA, rep) for rep in reps]
     return [
         (rep, int(path.rays[-1]), float(path.radii[-1]), float(path.local_time[-1]))
-        for rep, path in zip(reps, wbm_flip_paths(grid, spec, streams))
+        for rep, path in enumerate(_flip_paths(config, config.dt, first, count), first)
     ]
 
 
 def _cmd_simulate_wbm(config: ExperimentConfig):
     spec = config.spec()
-    paths = config.path_replicas
-    chunk = _flip_chunk_paths(int(round(config.horizon / config.dt)))
-    tasks = [(config, first, min(chunk, paths - first)) for first in range(0, paths, chunk)]
-    results = _map_replicas(_path_task, tasks, config.workers)
-    rows = [row for task_rows in results for row in task_rows]
+    rows = _map_chunks(_path_task, config, _flip_chunks(config, config.dt))
 
-    stream = RngStream(config.root_seed).child(KEY_REPLICA, config.path_replicas + 1)
+    (stream,) = _replica_streams(config, config.path_replicas + 1, 1)
     rays, radii = sample_wbm_exact(spec, config.horizon, config.replicas, stream)
     battery = marginal_vs_semigroup(spec, config.horizon, rays, radii)
     headers = ["replica", "final_ray", "final_radius", "local_time"]
@@ -486,7 +499,7 @@ def _cmd_walk_converge(config: ExperimentConfig):
     rows = []
     stats = []
     for level in _WALK_LEVELS:
-        stream = RngStream(config.root_seed).child(KEY_REPLICA, level)
+        (stream,) = _replica_streams(config, level, 1)
         rays, radii = scaled_walk_marginal(
             spec, level, config.horizon, config.replicas, stream
         )
@@ -541,12 +554,9 @@ def _residual_task(args):
     config, dt, first, count = args
     spec = config.spec()
     functions = [fn for _name, fn in _ito_test_functions(spec)]
-    grid = TimeGrid(dt=dt, steps=int(round(config.horizon / dt)))
-    root = RngStream(config.root_seed)
-    streams = [root.child(KEY_REPLICA, rep) for rep in range(first, first + count)]
     return [
         tuple(freidlin_sheu_residual(fn, spec, path) for fn in functions)
-        for path in wbm_flip_paths(grid, spec, streams)
+        for path in _flip_paths(config, dt, first, count)
     ]
 
 
@@ -554,15 +564,10 @@ def _residual_rms(config: ExperimentConfig, steps) -> list[list[tuple[float, flo
     """(RMS Ito residual, sample standard deviation of the squared
     residuals) over path_replicas flip paths, per test function and then
     per step in steps. Every function reads the same path of a replica; the
-    paths of every step go in chunks of _flip_chunk_paths through one map,
+    paths of every step go in the chunks of _flip_chunks through one map,
     so one pool serves them all."""
     paths = config.path_replicas
-    tasks = []
-    for dt in steps:
-        chunk = _flip_chunk_paths(int(round(config.horizon / dt)))
-        tasks += [
-            (config, dt, first, min(chunk, paths - first)) for first in range(0, paths, chunk)
-        ]
+    tasks = [(config, dt, *chunk) for dt in steps for chunk in _flip_chunks(config, dt)]
     # one power at a time in replica order, as a serial loop adds them;
     # sum() is compensated for floats from Python 3.12 and would round apart
     n_functions = len(_ito_test_functions(config.spec()))
@@ -639,13 +644,6 @@ _FLOW_CHUNK_MIN = 200
 _FLOW_CHUNK_MAX = 2048
 
 
-def _flow_chunks(replicas: int, workers: int) -> list[tuple[int, int]]:
-    """(first replica, count) per flow-experiment task: one task per worker,
-    of even size within the chunk bounds; only the last may hold fewer."""
-    most = -(-replicas // _FLOW_CHUNK_MIN)
-    return _even_chunks(replicas, min(max(workers, -(-replicas // _FLOW_CHUNK_MAX)), most))
-
-
 def _flow_chunk(args):
     config, first, count = args
     spec = config.spec()
@@ -656,26 +654,19 @@ def _flow_chunk(args):
         horizon=config.flow_horizon,
         start_pairs=_flow_starts(spec, config),
     )
-    reps = range(first, first + count)
-    streams = [RngStream(config.root_seed).child(KEY_REPLICA, rep) for rep in reps]
     monotone, flow_prop, permanence, at_zero, merge, visits = _flow_experiment_invariants(
-        flow_config, spec, streams
+        flow_config, spec, _replica_streams(config, first, count)
     )
     levels = _merge_level(config.flow_y_units, dx, ap, visits)
     levels[(merge < 0) | (ap <= 0.5)] = math.nan
     columns = (monotone, flow_prop, permanence, at_zero, merge, levels)
-    return list(zip(reps, *(column.tolist() for column in columns)))
+    return list(zip(range(first, first + count), *(column.tolist() for column in columns)))
 
 
 def _cmd_flow_experiment(config: ExperimentConfig):
     spec = config.spec()
-    chunks = [
-        (config, first, count)
-        for first, count in _flow_chunks(config.flow_replicas, config.workers)
-    ]
-    rows = [
-        row for chunk in _map_replicas(_flow_chunk, chunks, config.workers) for row in chunk
-    ]
+    chunks = _chunks(config.flow_replicas, config.workers, _FLOW_CHUNK_MAX, _FLOW_CHUNK_MIN)
+    rows = _map_chunks(_flow_chunk, config, chunks)
 
     n = len(rows)
     all_exact = {
@@ -762,16 +753,8 @@ def _kernel_flow_config(config: ExperimentConfig, spec: GraphSpec) -> LatticeFlo
 def _single_start_kernel_flow(config: ExperimentConfig, spec: GraphSpec, rep: int):
     """The kernel flow of one start at the junction, on replica rep's coins."""
     sampler = MeasurePairSampler(spec, config.measure_plus, config.measure_minus)
-    stream = RngStream(config.root_seed).child(KEY_REPLICA, rep)
+    (stream,) = _replica_streams(config, rep, 1)
     return sample_kernel_flow(_kernel_flow_config(config, spec), spec, sampler, stream)
-
-
-def _kernel_chunks(replicas: int, workers: int, steps: int) -> list[tuple[int, int]]:
-    """(first replica, count) per kernel-experiment task: one task per
-    worker, of even size, none keeping more than _KEPT_VALUES trajectory
-    values on a horizon of this many steps."""
-    most = max(1, _KEPT_VALUES // (steps + 1))
-    return _even_chunks(replicas, min(max(workers, -(-replicas // most)), replicas))
 
 
 def _row_sums(values: np.ndarray) -> np.ndarray:
@@ -791,7 +774,7 @@ def _kernel_task(args):
     spec = config.spec()
     sampler = MeasurePairSampler(spec, config.measure_plus, config.measure_minus)
     reps = range(first, first + count)
-    streams = [RngStream(config.root_seed).child(KEY_REPLICA, rep) for rep in reps]
+    streams = _replica_streams(config, first, count)
     ensembles = skew_lattice_flows(_kernel_flow_config(config, spec), spec, streams)
     ratios = {side: ray_ratios(spec, side) for side in (1, -1) if spec.side_rays(side)}
     results = []
@@ -852,13 +835,11 @@ def _band_report(name, freq, expected, replicas):
 def _cmd_kernel_experiment(config: ExperimentConfig):
     spec = config.spec()
     n_ens = max(8, min(200, config.replicas // 100))
+    # no task keeps more than _KEPT_VALUES int64 trajectory values
     steps = round(config.horizon * 4.0**config.level)
-    chunks = [
-        (config, first, count) for first, count in _kernel_chunks(n_ens, config.workers, steps)
-    ]
-    results = [
-        row for chunk in _map_replicas(_kernel_task, chunks, config.workers) for row in chunk
-    ]
+    results = _map_chunks(
+        _kernel_task, config, _chunks(n_ens, config.workers, _KEPT_VALUES // (steps + 1))
+    )
 
     rows = [
         [rep, mass, dev, sum(acc[0] for acc in moments.values())]
@@ -917,7 +898,7 @@ def _cmd_tanaka_special_case(config: ExperimentConfig):
     flow_config = LatticeFlowConfig(
         level=min(config.level, 5), horizon=1.0, start_pairs=((0.0, tanaka.origin),)
     )
-    stream = RngStream(config.root_seed).child(KEY_REPLICA, 1)
+    (stream,) = _replica_streams(config, 1, 1)
     flow = sample_kernel_flow(flow_config, tanaka, sampler, stream)
     ens = flow.ensemble
     # every stride-th index inside an excursion reads its row
@@ -939,8 +920,7 @@ def _cmd_tanaka_special_case(config: ExperimentConfig):
     )
     n_sign = min(config.replicas, 2000)
     positive = 0
-    for rep in range(n_sign):
-        stream = RngStream(config.root_seed).child(KEY_REPLICA, 1000 + rep)
+    for rep, stream in enumerate(_replica_streams(config, 1000, n_sign)):
         ens = skew_lattice_flow(sign_config, skew, stream)
         value = int(ens.traj[0, odd_steps])
         rows.append(["sign-law", rep, float(value), float(value > 0)])

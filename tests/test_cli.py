@@ -30,12 +30,11 @@ from walshflow.cli import (
     ConfigInvalid,
     ExperimentConfig,
     _band_report,
+    _chunks,
     _cmd_simulate_wbm,
     _cmd_verify_freidlin_sheu,
-    _flip_chunk_paths,
-    _flow_chunks,
+    _flip_chunks,
     _ito_test_functions,
-    _kernel_chunks,
     _kernel_task,
     _map_replicas,
     _residual_rms,
@@ -129,6 +128,11 @@ class TestConfigRoundTrip:
             # merge-level pairs over the budget: five arrays of 8 GB each
             {"merge_pairs": 10**9},
             {"merge_pairs": _MAX_MERGE_PAIRS + 1},
+            # step counts that round to 0: horizon / dt is 0 or 1e-300, and
+            # at level 0 horizon * 4^level is 5e-11
+            {"dt": math.inf},
+            {"dt": 1e300},
+            {"level": 0, "horizon": 5e-11, "dt": 1.25e-11, "flow_horizon": 32.0},
         ],
     )
     def test_validation_rejects(self, overrides):
@@ -151,6 +155,12 @@ class TestConfigRoundTrip:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigInvalid):
             load_config(str(tmp_path / "absent.ini"))
+
+    def test_readme_config_block_is_the_default(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert block.strip() == serialize_config(DEFAULT_CONFIG).strip()
 
 
 class TestEmitCsv:
@@ -218,6 +228,23 @@ class TestExitCodes:
         assert "in broken" in err
         assert "ZeroDivisionError: injected fault" in err
         assert err.rstrip().endswith("runtime error: injected fault")
+
+    def test_zero_step_config_exits_two(self, tmp_path, capsys):
+        # horizon / dt = 0 steps
+        ini = tmp_path / "no_steps.ini"
+        ini.write_text(serialize_config(replace(DEFAULT_CONFIG, dt=math.inf)), encoding="utf-8")
+        assert "dt = inf\n" in ini.read_text(encoding="utf-8")
+        assert main(["simulate-wbm", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+        assert "horizon / dt = 0.0 is not a whole number >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        ini = tmp_path / "latin.ini"
+        ini.write_bytes(b"\xff" + serialize_config(DEFAULT_CONFIG).encode("utf-8"))
+        with pytest.raises(ConfigInvalid, match="not UTF-8"):
+            load_config(str(ini))
+        assert main(["verify-semigroup", "--config", str(ini)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_over_budget_config_exits_two(self, tmp_path, capsys):
         ini = tmp_path / "deep.ini"
@@ -348,50 +375,96 @@ def test_pool_is_no_larger_than_the_task_list(recording_pool):
     assert recording_pool.sizes == [3, 2]
 
 
-@pytest.mark.parametrize("replicas", [1, 199, 200, 401, 1200, 2049, 5000])
-@pytest.mark.parametrize("workers", [1, 2, 3, 7, 10**6])
-def test_flow_chunks_split_evenly_within_bounds(replicas, workers):
-    chunks = _flow_chunks(replicas, workers)
+def _flip_budget(steps):
+    """Flip paths whose drivers fit _KEPT_VALUES on a grid of this many steps."""
+    return _KEPT_VALUES // (3 * (steps + 1))
+
+
+def _assert_even_plan(replicas, workers, most, least=1):
+    """The properties of _chunks' plan, the one split rule every parallel
+    subcommand uses, at one (replicas, workers) and budget."""
+    chunks = _chunks(replicas, workers, most, least)
     firsts = [first for first, _ in chunks]
     counts = [count for _, count in chunks]
     assert firsts == [sum(counts[:i]) for i in range(len(counts))]
     assert sum(counts) == replicas
     assert set(counts[:-1]) <= {counts[0]} and counts[-1] <= counts[0]
-    assert counts[0] <= _FLOW_CHUNK_MAX
-    # never more tasks than fixed chunks of _FLOW_CHUNK_MIN made, and one
-    # task per worker up to that many
-    most = -(-replicas // _FLOW_CHUNK_MIN)
-    assert min(workers, most) <= len(chunks) <= most
+    # no task holds more than the budget, unless one replica alone exceeds it
+    assert counts[0] <= max(most, 1)
+    # never more tasks than chunks of `least` make, and at least as many as
+    # an even split over one task per worker up to that many; that is one
+    # per worker, except where an even size leaves fewer (11 replicas on 7
+    # workers go in 6 tasks of 2)
+    cap = -(-replicas // max(least, 1))
+    busy = min(workers, cap)
+    assert -(-replicas // -(-replicas // busy)) <= len(chunks) <= cap
+    return chunks
+
+
+@pytest.mark.parametrize("replicas", [1, 199, 200, 401, 1200, 2049, 5000])
+@pytest.mark.parametrize("workers", [1, 2, 3, 7, 10**6])
+def test_flow_chunks_split_evenly_within_bounds(replicas, workers):
+    _assert_even_plan(replicas, workers, _FLOW_CHUNK_MAX, _FLOW_CHUNK_MIN)
+
+
+@pytest.mark.parametrize("replicas", [1, 8, 11, 200])
+@pytest.mark.parametrize("workers", [1, 2, 3, 7, 10**6])
+@pytest.mark.parametrize("steps", [256, 4096, 2**22])
+def test_kernel_chunks_split_evenly_within_the_kept_budget(replicas, workers, steps):
+    _assert_even_plan(replicas, workers, _KEPT_VALUES // (steps + 1))
+
+
+@pytest.mark.parametrize("replicas", [1, 11, 200, 355, 5000])
+@pytest.mark.parametrize("workers", [1, 3, 10**6])
+@pytest.mark.parametrize("steps", [1000, 2500, 10000, 2**22])
+def test_flip_chunks_split_evenly_within_the_kept_budget(replicas, workers, steps):
+    # as many tasks as the budget needs, whatever the worker count
+    chunks = _assert_even_plan(replicas, workers, _flip_budget(steps), _flip_budget(steps))
+    assert len(chunks) == -(-replicas // max(_flip_budget(steps), 1))
 
 
 def test_flow_chunks_at_the_default_config():
     replicas = DEFAULT_CONFIG.flow_replicas
-    assert _flow_chunks(replicas, 1) == [(0, replicas)]
-    assert _flow_chunks(replicas, 2) == [(0, replicas // 2), (replicas // 2, replicas // 2)]
-
-
-@pytest.mark.parametrize("replicas", [1, 8, 11, 200])
-@pytest.mark.parametrize("workers", [1, 2, 3, 10**6])
-@pytest.mark.parametrize("steps", [256, 4096, 2**22])
-def test_kernel_chunks_split_evenly_within_the_kept_budget(replicas, workers, steps):
-    chunks = _kernel_chunks(replicas, workers, steps)
-    firsts = [first for first, _ in chunks]
-    counts = [count for _, count in chunks]
-    assert firsts == [sum(counts[:i]) for i in range(len(counts))]
-    assert sum(counts) == replicas
-    assert set(counts[:-1]) <= {counts[0]} and counts[-1] <= counts[0]
-    # no task keeps more trajectory values than the budget, unless one
-    # trajectory alone exceeds it; one task per worker up to one per replica
-    assert counts[0] * (steps + 1) <= _KEPT_VALUES or counts[0] == 1
-    assert min(workers, replicas) <= len(chunks) <= replicas
+    half = replicas // 2
+    assert _chunks(replicas, 1, _FLOW_CHUNK_MAX, _FLOW_CHUNK_MIN) == [(0, replicas)]
+    assert _chunks(replicas, 2, _FLOW_CHUNK_MAX, _FLOW_CHUNK_MIN) == [(0, half), (half, half)]
 
 
 def test_kernel_chunks_at_the_default_config():
     # 127 trajectories of 4,097 values fit the budget, so 200 take two tasks
     steps = round(DEFAULT_CONFIG.horizon * 4.0**DEFAULT_CONFIG.level)
-    assert _KEPT_VALUES // (steps + 1) == 127
-    assert _kernel_chunks(200, 1, steps) == [(0, 100), (100, 100)]
-    assert _kernel_chunks(200, 3, steps) == [(0, 67), (67, 67), (134, 66)]
+    most = _KEPT_VALUES // (steps + 1)
+    assert most == 127
+    assert _chunks(200, 1, most) == [(0, 100), (100, 100)]
+    assert _chunks(200, 3, most) == [(0, 67), (67, 67), (134, 66)]
+
+
+def test_flip_chunks_at_the_default_config():
+    # 17 fine-step and 69 coarse-step flip paths fit the budget; the plan is
+    # the same at any worker count
+    assert (_flip_budget(10000), _flip_budget(2500)) == (17, 69)
+    for workers in (1, 3, 10**6):
+        config = replace(DEFAULT_CONFIG, workers=workers)
+        fine = [(17 * i, 17) for i in range(11)] + [(187, 13)]
+        assert _flip_chunks(config, config.dt) == fine
+        assert _flip_chunks(config, 4 * config.dt) == [(0, 67), (67, 67), (134, 66)]
+
+
+def test_every_parallel_subcommand_asks_for_its_task_count(recording_pool):
+    # at a huge worker count each subcommand asks for as many tasks as
+    # before one split rule served them all: the task counts depend on the
+    # replica counts and dt, not on the lattice level or merge pairs
+    config = replace(DEFAULT_CONFIG, workers=10**6, level=3, flow_horizon=1.0, merge_pairs=60)
+    want = {
+        "simulate-wbm": 12,
+        "verify-freidlin-sheu": 15,
+        "flow-experiment": 6,
+        "kernel-experiment": 200,
+    }
+    for name, tasks in want.items():
+        recording_pool.tasks.clear()
+        COMMANDS[name](config)
+        assert recording_pool.tasks == [tasks], name
 
 
 def test_flow_pool_is_no_larger_than_before(tmp_path, recording_pool):
@@ -567,7 +640,9 @@ class TestWorkerDeterminism:
         # partly filled, and the pool really runs
         replicas = 2 * _FLOW_CHUNK_MIN + 1
         for workers in (2, 3):
-            counts = [count for _, count in _flow_chunks(replicas, workers)]
+            counts = [
+                count for _, count in _chunks(replicas, workers, _FLOW_CHUNK_MAX, _FLOW_CHUNK_MIN)
+            ]
             assert len(counts) == workers and counts[-1] < counts[0]
         config = replace(
             DEFAULT_CONFIG,
@@ -589,7 +664,7 @@ class TestWorkerDeterminism:
         # partly filled, and the pool really runs
         steps = 4**4
         for workers in (2, 3):
-            counts = [count for _, count in _kernel_chunks(11, workers, steps)]
+            counts = [count for _, count in _chunks(11, workers, _KEPT_VALUES // (steps + 1))]
             assert len(counts) == workers and counts[-1] < counts[0]
         config = replace(
             DEFAULT_CONFIG,
@@ -602,27 +677,31 @@ class TestWorkerDeterminism:
         self._assert_pool_sizes_agree(tmp_path, config, "kernel-experiment", ("2", "3"))
 
     def test_freidlin_sheu_artifacts_identical_across_pool_sizes(self, tmp_path):
-        # two full chunks of fine-step paths and a remainder; the coarse
-        # step's chunk holds them all
+        # seven paths past two fine-step budgets: three fine-step tasks, the
+        # last partly filled; the coarse step's one task holds them all
         steps = round(DEFAULT_CONFIG.horizon / DEFAULT_CONFIG.dt)
-        paths = 2 * _flip_chunk_paths(steps) + 7
+        paths = 2 * _flip_budget(steps) + 7
         config = replace(DEFAULT_CONFIG, path_replicas=paths, root_seed=4246)
+        assert [count for _, count in _flip_chunks(config, config.dt)] == [14, 14, 13]
+        assert len(_flip_chunks(config, 4 * config.dt)) == 1
         self._assert_pool_sizes_agree(tmp_path, config, "verify-freidlin-sheu", ("2",))
 
     def test_path_artifacts_identical_across_pool_sizes(self, tmp_path):
-        # two full chunks of paths and a remainder
-        paths = 2 * _flip_chunk_paths(1000) + 7
+        # seven paths past two budgets: three tasks, the last partly filled
+        paths = 2 * _flip_budget(1000) + 7
         config = replace(
             DEFAULT_CONFIG, dt=1e-3, replicas=4000, path_replicas=paths, root_seed=4245
         )
+        assert [count for _, count in _flip_chunks(config, config.dt)] == [119, 119, 117]
         self._assert_pool_sizes_agree(tmp_path, config, "simulate-wbm", ("2",))
 
 
 def test_simulate_wbm_rows_equal_per_path_construction():
-    # oracle: one flip path built at a time; the paths fill one chunk and
-    # spill three into the next
+    # oracle: one flip path built at a time; the paths pass one task's
+    # budget by three, so they go in two tasks
     steps = round(DEFAULT_CONFIG.horizon / DEFAULT_CONFIG.dt)
-    config = replace(DEFAULT_CONFIG, path_replicas=_flip_chunk_paths(steps) + 3, replicas=100)
+    config = replace(DEFAULT_CONFIG, path_replicas=_flip_budget(steps) + 3, replicas=100)
+    assert len(_flip_chunks(config, config.dt)) == 2
     grid = TimeGrid(dt=config.dt, steps=steps)
     spec = config.spec()
     want = []
@@ -637,9 +716,10 @@ def test_simulate_wbm_rows_equal_per_path_construction():
 def test_residual_rms_equals_per_path_loop():
     # oracle: one flip path built at a time per replica and step, every test
     # function's squared residual summed on it in replica order; the path
-    # count crosses a chunk boundary at the fine step
+    # count crosses a task boundary at the fine step
     steps = round(DEFAULT_CONFIG.horizon / DEFAULT_CONFIG.dt)
-    config = replace(DEFAULT_CONFIG, path_replicas=_flip_chunk_paths(steps) + 3)
+    config = replace(DEFAULT_CONFIG, path_replicas=_flip_budget(steps) + 3)
+    assert len(_flip_chunks(config, config.dt)) == 2
     n = config.path_replicas
     spec = config.spec()
     functions = [fn for _name, fn in _ito_test_functions(spec)]
