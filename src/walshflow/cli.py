@@ -65,7 +65,7 @@ from walshflow.paths import (
     KEY_REPLICA,
     RngStream,
     TimeGrid,
-    freidlin_sheu_residual,
+    freidlin_sheu_residuals,
     sample_wbm_exact,
     scaled_walk_marginal,
     wbm_flip_paths,
@@ -110,9 +110,12 @@ _WALK_LEVELS = (2, 3, 4, 5)
 # horizon * 4^level lattice steps (int64) and every flip path keeps its
 # horizon / dt grid points in several float arrays, 32 MiB each at the budget
 _MAX_KEPT_STEPS = 2**22
-# most flow-experiment merge pairs: merge_level_samples keeps a few arrays of
-# one entry of at most 8 bytes per pair, 2 MiB each at the budget, and the
-# merges artifact holds one row per merged pair
+# most flow-experiment merge pairs: merge_level_samples keeps four int64
+# arrays of one entry per pair, 2 MiB each at the budget, and block buffers
+# (word codes, coins and the states of a block's steps) of at most 4 bytes
+# plus 4 states per pair once the pairs outnumber half a block's words
+# (flows._MERGE_BLOCK_WORDS); the merges artifact holds one row per merged
+# pair
 _MAX_MERGE_PAIRS = 2**18
 
 
@@ -555,7 +558,7 @@ def _residual_task(args):
     spec = config.spec()
     functions = [fn for _name, fn in _ito_test_functions(spec)]
     return [
-        tuple(freidlin_sheu_residual(fn, spec, path) for fn in functions)
+        tuple(freidlin_sheu_residuals(functions, spec, path))
         for path in _flip_paths(config, dt, first, count)
     ]
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
     "sample_wbm_exact",
     "scaled_walk_marginal",
     "freidlin_sheu_residual",
+    "freidlin_sheu_residuals",
     "ray_from_uniform",
     "categorical",
 ]
@@ -635,28 +636,55 @@ def freidlin_sheu_residual(f: PiecewiseFunction, spec: GraphSpec, path: WalshPat
     Skorokhod local time carried by the path. Derivatives at the origin
     follow the canonical-ray convention baked into the path's zero rays.
     """
+    return freidlin_sheu_residuals([f], spec, path)[0]
+
+
+def freidlin_sheu_residuals(
+    functions: Sequence[PiecewiseFunction], spec: GraphSpec, path: WalshPath
+) -> list[float]:
+    """freidlin_sheu_residual of each function on one path, in order.
+
+    The path's ray masks, the radii on each ray and the driver increments
+    are worked out once for all the functions. A function whose rays all
+    share one component (a radial profile) has its derivatives evaluated
+    once on the whole radius array; the others ray by ray, on the rays the
+    path visits. Each value is bit for bit the one-function residual's.
+    """
     if path.brownian is None or path.local_time is None:
         raise ValueError("path must carry its Brownian driver and local time")
-    if f.n_rays != spec.n_rays or path.n_rays != spec.n_rays:
+    if path.n_rays != spec.n_rays or any(f.n_rays != spec.n_rays for f in functions):
         raise ValueError("function, path, and spec must agree on the ray count")
     rays, radii = path.rays, path.radii
-    fp = np.empty(len(radii))
-    fpp = np.empty(len(radii))
+    # each visited ray's mask and the radii on it
+    visited = {}
     for ray in range(1, spec.n_rays + 1):
-        comp = f.components[ray - 1]
         mask = rays == ray
-        if not np.any(mask):
-            continue
-        if comp.deriv is None or comp.second_deriv is None:
-            raise ValueError(f"ray {ray} needs both derivative evaluators")
-        fp[mask] = vector_eval(comp.deriv, radii[mask])
-        fpp[mask] = vector_eval(comp.second_deriv, radii[mask])
+        if np.any(mask):
+            visited[ray] = (mask, radii[mask])
     increments = np.diff(path.brownian)
-    ito_sum = float(np.dot(fp[:-1], increments))
-    drift_sum = 0.5 * path.grid.dt * float(np.sum(fpp[:-1]))
-    defect = flux_defect(f, spec)
     z0 = graph_point(spec, int(rays[0]), float(radii[0]))
     zT = graph_point(spec, int(rays[-1]), float(radii[-1]))
-    return (
-        f(zT) - f(z0) - ito_sum - drift_sum - defect * float(path.local_time[-1])
-    )
+    residuals = []
+    for f in functions:
+        for ray in visited:
+            comp = f.components[ray - 1]
+            if comp.deriv is None or comp.second_deriv is None:
+                raise ValueError(f"ray {ray} needs both derivative evaluators")
+        shared = f.components[0]
+        if all(comp is shared for comp in f.components):
+            fp = vector_eval(shared.deriv, radii)
+            fpp = vector_eval(shared.second_deriv, radii)
+        else:
+            fp = np.empty(len(radii))
+            fpp = np.empty(len(radii))
+            for ray, (mask, on_ray) in visited.items():
+                comp = f.components[ray - 1]
+                fp[mask] = vector_eval(comp.deriv, on_ray)
+                fpp[mask] = vector_eval(comp.second_deriv, on_ray)
+        ito_sum = float(np.dot(fp[:-1], increments))
+        drift_sum = 0.5 * path.grid.dt * float(np.sum(fpp[:-1]))
+        defect = flux_defect(f, spec)
+        residuals.append(
+            f(zT) - f(z0) - ito_sum - drift_sum - defect * float(path.local_time[-1])
+        )
+    return residuals

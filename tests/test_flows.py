@@ -1130,3 +1130,78 @@ class TestMergeLevels:
                     state[i][3] = False
         assert len(expected) == len(levels)
         np.testing.assert_allclose(sorted(levels), sorted(expected), rtol=0, atol=0)
+
+
+def _merge_steps(spec, y_units, horizon, n_pairs, seed):
+    """The steps at which the oracle merges some pair, found as the
+    horizons at which its censored count drops."""
+    steps, before = [], n_pairs
+    for h in range(1, horizon + 1):
+        _levels, censored = _merge_levels_oracle(spec, 4, y_units, h, n_pairs, RngStream(seed))
+        if censored < before:
+            steps.append(h)
+        before = censored
+    return steps
+
+
+class TestMergeBlocks:
+    """merge_level_samples steps in speculative blocks; whatever the block
+    lengths, its levels are the per-step oracle's bit for bit."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 64])
+    def test_block_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(flows, "_MERGE_BLOCK_STEPS", cap)
+        for ap, n_pairs, steps in [(0.55, 9, 400), (0.7, 300, 600), (0.9, 40, 1000)]:
+            spec = validate_spec((ap, 1.0 - ap), (1, -1))
+            stream = RngStream(cap, (n_pairs,))
+            _assert_merge_levels_match_oracle((spec, 4, 2, steps, n_pairs, stream))
+
+    def test_word_cap_forces_one_step_blocks(self):
+        n_pairs = flows._MERGE_BLOCK_WORDS // 2 + 1
+        assert flows._MERGE_BLOCK_WORDS // (2 * n_pairs) == 0
+        _levels, censored = _assert_merge_levels_match_oracle(
+            (SPEC2, 4, 2, 24, n_pairs, RngStream(65))
+        )
+        assert censored < n_pairs
+
+    @pytest.mark.parametrize("words", [2, 64, 1000])
+    def test_small_word_cap(self, monkeypatch, words):
+        """Blocks of one step while 2m exceeds the cap, longer below it."""
+        monkeypatch.setattr(flows, "_MERGE_BLOCK_WORDS", words)
+        for n_pairs in (9, 40, 300):
+            stream = RngStream(66, (words,))
+            _assert_merge_levels_match_oracle((SPEC2, 4, 4, 500, n_pairs, stream))
+
+    def test_merge_on_the_last_step(self):
+        """Horizons that end on a merge, inside the first block and later."""
+        merges = _merge_steps(SPEC2, 2, 120, 40, 67)
+        assert merges[0] < flows._MERGE_BLOCK_STEPS < merges[-1]
+        for h in (merges[0], merges[len(merges) // 2], merges[-1]):
+            args = (SPEC2, 4, 2, h, 40, RngStream(67))
+            _levels, censored = _assert_merge_levels_match_oracle(args)
+            _levels, before = _merge_levels_oracle(SPEC2, 4, 2, h - 1, 40, RngStream(67))
+            assert censored < before
+
+    @pytest.mark.parametrize("steps", [1, 2, 5, flows._MERGE_BLOCK_STEPS - 1])
+    def test_horizon_shorter_than_the_first_block(self, steps):
+        for n_pairs in (1, 9, 300):
+            stream = RngStream(68, (steps,))
+            _assert_merge_levels_match_oracle((SPEC2, 4, 2, steps, n_pairs, stream))
+
+    def test_random_configs(self):
+        rng = np.random.default_rng(2929)
+        for _ in range(100):
+            ap = float(rng.uniform(0.5, 1.0))
+            if rng.random() < 0.5:
+                spec = validate_spec((ap, 1.0 - ap), (1, -1))
+            else:
+                spec = validate_spec((ap / 2, ap / 2, 1.0 - ap), (1, 1, -1))
+            args = (
+                spec,
+                int(rng.integers(1, 8)),
+                int(rng.choice([2, 4, 8])),
+                int(rng.integers(0, 601)),
+                int(rng.integers(1, 301)),
+                RngStream(int(rng.integers(2**31))),
+            )
+            _assert_merge_levels_match_oracle(args)

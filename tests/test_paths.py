@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import kstest, norm
 
-from walshflow.graph import PiecewiseFunction, validate_spec
+from walshflow.cli import _ito_test_functions
+from walshflow.graph import (
+    PiecewiseFunction,
+    flux_defect,
+    graph_point,
+    slope_family,
+    validate_spec,
+    vector_eval,
+)
 from walshflow.paths import (
     KEY_MAPPING_CHOICE,
     KEY_RAY_FLIP,
@@ -24,6 +32,7 @@ from walshflow.paths import (
     dyadic_label,
     find_excursions,
     freidlin_sheu_residual,
+    freidlin_sheu_residuals,
     keyed_uniforms,
     local_time_band,
     ray_from_uniform,
@@ -662,3 +671,85 @@ def test_freidlin_sheu_requires_driver():
     f = PiecewiseFunction.radial(3, value=lambda h: h, deriv=lambda h: 1.0, second_deriv=lambda h: 0.0)
     with pytest.raises(ValueError):
         freidlin_sheu_residual(f, SPEC3, bare)
+
+
+def _freidlin_sheu_oracle(f, spec, path):
+    """freidlin_sheu_residual as a masked loop: each ray's derivatives are
+    evaluated on that ray's radii alone, one function at a time."""
+    rays, radii = path.rays, path.radii
+    fp = np.empty(len(radii))
+    fpp = np.empty(len(radii))
+    for ray in range(1, spec.n_rays + 1):
+        comp = f.components[ray - 1]
+        mask = rays == ray
+        if not np.any(mask):
+            continue
+        fp[mask] = vector_eval(comp.deriv, radii[mask])
+        fpp[mask] = vector_eval(comp.second_deriv, radii[mask])
+    ito_sum = float(np.dot(fp[:-1], np.diff(path.brownian)))
+    drift_sum = 0.5 * path.grid.dt * float(np.sum(fpp[:-1]))
+    z0 = graph_point(spec, int(rays[0]), float(radii[0]))
+    zT = graph_point(spec, int(rays[-1]), float(radii[-1]))
+    return (
+        f(zT) - f(z0) - ito_sum - drift_sum - flux_defect(f, spec) * float(path.local_time[-1])
+    )
+
+
+def _assert_residuals_match_oracle(functions, spec, path):
+    got = freidlin_sheu_residuals(functions, spec, path)
+    want = [_freidlin_sheu_oracle(f, spec, path) for f in functions]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    singles = [freidlin_sheu_residual(f, spec, path) for f in functions]
+    assert np.array(singles).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("spec", [SPEC2, SPEC3], ids=["spec2", "spec3"])
+def test_freidlin_sheu_residuals_equal_masked_loop_on_cli_functions(spec):
+    functions = [fn for _name, fn in _ito_test_functions(spec)]
+    for steps in (40, 1000):
+        grid = TimeGrid(1.0 / steps, steps)
+        for rep in range(4):
+            path = wbm_flip_construct(grid, spec, RngStream(8100 + rep, (steps,)))
+            _assert_residuals_match_oracle(functions, spec, path)
+
+
+def test_freidlin_sheu_residuals_equal_masked_loop_on_distinct_slopes():
+    """Three distinct coefficients, so no component is shared by every
+    ray; one path with its rays all visited."""
+    functions = [slope_family((1.0, -1.0, -1.0 / 3.0)), slope_family((0.6, 0.4, 0.2))]
+    grid = TimeGrid(0.001, 1000)
+    for rep in range(4):
+        path = wbm_flip_construct(grid, SPEC3, RngStream(8200 + rep))
+        _assert_residuals_match_oracle(functions, SPEC3, path)
+    assert len(np.unique(path.rays)) == SPEC3.n_rays
+
+
+def test_freidlin_sheu_residuals_on_a_path_that_never_leaves_the_junction():
+    """Radius 0 throughout: the driver only falls, all of it local time,
+    and every point sits on the origin ray."""
+    steps = 50
+    grid = TimeGrid(0.02, steps)
+    fall = 0.01 * np.arange(steps + 1)
+    path = WalshPath(
+        grid=grid,
+        rays=np.full(steps + 1, SPEC3.n_rays),
+        radii=np.zeros(steps + 1),
+        n_rays=SPEC3.n_rays,
+        brownian=-fall,
+        local_time=fall,
+    )
+    functions = [fn for _name, fn in _ito_test_functions(SPEC3)]
+    functions.append(slope_family((1.0, -1.0, -1.0 / 3.0)))
+    _assert_residuals_match_oracle(functions, SPEC3, path)
+
+
+def test_freidlin_sheu_residuals_validation():
+    grid = TimeGrid(0.01, 100)
+    path = wbm_flip_construct(grid, SPEC3, RngStream(8300))
+    good = slope_family((1.0, -1.0, -1.0 / 3.0))
+    with pytest.raises(ValueError, match="ray count"):
+        freidlin_sheu_residuals([good, slope_family((1.0, -1.0))], SPEC3, path)
+    bare = PiecewiseFunction.radial(3, value=lambda h: h)
+    with pytest.raises(ValueError, match="derivative evaluators"):
+        freidlin_sheu_residuals([good, bare], SPEC3, path)
+    assert freidlin_sheu_residuals([], SPEC3, path) == []
