@@ -110,13 +110,20 @@ _WALK_LEVELS = (2, 3, 4, 5)
 # horizon * 4^level lattice steps (int64) and every flip path keeps its
 # horizon / dt grid points in several float arrays, 32 MiB each at the budget
 _MAX_KEPT_STEPS = 2**22
-# most flow-experiment merge pairs: merge_level_samples keeps four int64
-# arrays of one entry per pair, 2 MiB each at the budget, and block buffers
-# (word codes, coins and the states of a block's steps) of at most 4 bytes
-# plus 4 states per pair once the pairs outnumber half a block's words
-# (flows._MERGE_BLOCK_WORDS); the merges artifact holds one row per merged
-# pair
+# most flow-experiment merge pairs: merge_level_samples keeps three int64
+# arrays and two walk states of one entry per pair, 2 MiB per array at the
+# budget. Its blocks, laid out by the merge study's layout constants
+# flows._MERGE_BLOCK_STEPS and flows._MERGE_BLOCK_WORDS, draw at most
+# max(_MERGE_BLOCK_WORDS, 2 pairs) 8-byte words, 4 MiB at the budget, with a
+# few bytes of coins and states per word. The merges artifact holds one row
+# per merged pair
 _MAX_MERGE_PAIRS = 2**18
+# most replicas: walk-converge steps that many walks at once, with a word, a
+# departure word and a state each, and simulate-wbm draws that many exact
+# marginals in one piece, then sorts them and evaluates its test functions
+# on them, about 100 bytes per replica: some 400 MiB at the budget, 210
+# times the default
+_MAX_REPLICAS = 2**22
 
 
 class ConfigInvalid(ValueError):
@@ -190,6 +197,10 @@ class ExperimentConfig:
                     f"{name} = {steps:.0f} steps exceeds the budget of "
                     f"{_MAX_KEPT_STEPS} steps for a kept trajectory"
                 )
+        if self.replicas > _MAX_REPLICAS:
+            raise ConfigInvalid(
+                f"replicas = {self.replicas} exceeds the budget of {_MAX_REPLICAS} replicas"
+            )
         if self.merge_pairs > _MAX_MERGE_PAIRS:
             raise ConfigInvalid(
                 f"merge_pairs = {self.merge_pairs} exceeds the budget of "

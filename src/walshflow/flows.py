@@ -49,6 +49,7 @@ from walshflow.paths import (
     KEY_KERNEL_CHOICE,
     KEY_MAPPING_CHOICE,
     RngStream,
+    _coin_steps,
     _skew_step,
     _state_dtype,
     _uniforms_below,
@@ -475,19 +476,17 @@ _BLOCK_STEPS = 64
 # time steps of coins one generator call draws per stream, kept as packed
 # bits; a multiple of _BLOCK_STEPS, so every block starts on a whole byte
 _SPAN_STEPS = 2048
-# Philox words merge_level_samples draws per generator call, as many calls as
-# a block needs; fixed rather than sized by the pair count, which raised peak
-# memory. Words wait for their block as one-byte codes, not as 8-byte words
-_MERGE_DRAW_WORDS = 2**14
-# most steps, and most Philox words, in one of merge_level_samples'
-# speculative blocks: with m unmerged pairs a block of b steps reads the
-# next 2 m b words as a (b, 2, m) array, the layout of b single steps while
-# m stays fixed, and b is at most max(1, _MERGE_BLOCK_WORDS // (2 m)). A
-# block's codes, coins and states so take O(_MERGE_BLOCK_WORDS + pairs)
-# bytes whatever the horizon. On a 2-core VM, 2^16 words stepped the default
-# study as fast as 2^17 and 2^18 did, and 40,000 pairs faster
-_MERGE_BLOCK_STEPS = 32
-_MERGE_BLOCK_WORDS = 2**16
+# the merge study's stream layout: with m unmerged pairs, merge_level_samples
+# steps a block of b = min(_MERGE_BLOCK_STEPS, max(1, _MERGE_BLOCK_WORDS //
+# (2 m)), steps left) steps on the stream's next 2 m b words. Both constants
+# decide which word each pair reads, so changing either one is a stream bump
+# of the merge study. A block's words take 8 max(_MERGE_BLOCK_WORDS, 2 m)
+# bytes: 1 MiB, and 4 MiB at cli._MAX_MERGE_PAIRS. On a 2-core VM, 40,000
+# pairs over 65,536 steps took 3.6-4.1 s with these values and 3.6-4.4 s
+# with 32 steps and 2^16 words; 2^18 words cost flow-experiment 1.4 MiB
+# more peak memory
+_MERGE_BLOCK_STEPS = 64
+_MERGE_BLOCK_WORDS = 2**17
 
 
 def _coin_blocks(streams: list[RngStream], steps: int, alpha_plus: float):
@@ -521,9 +520,7 @@ def _coin_blocks(streams: list[RngStream], steps: int, alpha_plus: float):
         for k0 in range(0, width, _BLOCK_STEPS):
             block = min(_BLOCK_STEPS, width - k0)
             chunk = bits[:, :, k0 // 8 : -(-(k0 + block) // 8)]
-            coins = np.unpackbits(chunk, axis=-1, count=block).view(np.int8)
-            coins *= 2
-            coins -= 1  # bit 1 steps up, bit 0 down
+            coins = _coin_steps(np.unpackbits(chunk, axis=-1, count=block))
             yield (coins[0] if junction_rule else None), coins[-1]
 
 
@@ -1029,28 +1026,17 @@ def merge_level_samples(
     >= y. Returns (levels of the merged pairs in pair order, number
     censored at the horizon).
 
-    Draw layout: a step with m unmerged pairs takes the stream's next 2m
-    64-bit words. The unmerged pair of rank r (pairs ranked by index)
-    steps up at the junction when word r gives a uniform below a+, and up
-    away from it when word m + r gives one below 1/2: the uniforms of
-    random(m) for the junction, then random(m) for the signs. The words
-    are read _MERGE_DRAW_WORDS at a time, the unused tail carried over.
-
-    Steps go in speculative blocks. While m is fixed, so is the layout: the
-    next b steps read the next 2mb words as a (b, 2, m) array. Each word
-    is kept as a one-byte code, the number of the limits a+ and 1/2 its
-    uniform is below; a block turns its codes into +-1 coins once and
-    steps them into one state buffer, one _skew_step per step. The block
-    is then committed up to its first step at which some pair has both
-    walks at 0: junction visits, merged levels and compaction of the pairs
-    left. The words after that step were laid out for the old m, so they
-    go back to the carry and are stepped again under the new one. Every
-    committed step has therefore read its words in the layout above, which
-    keeps the output bit for bit that of a step-by-step loop. A block
-    doubles after one with no merge and halves after one that ended on a
-    merge, within _MERGE_BLOCK_STEPS steps and _MERGE_BLOCK_WORDS words.
-    Codes, coins and states live in buffers allocated once, so memory is
-    O(_MERGE_BLOCK_WORDS + n_pairs) bytes whatever the horizon.
+    Draw layout: steps go in blocks, of the length the _MERGE_BLOCK_STEPS
+    comment gives for the m pairs unmerged at the block's start. A block
+    of b steps reads the stream's next 2mb 64-bit words as a (b, 2, m)
+    array: at step s, the unmerged pair of rank r (pairs ranked by index)
+    steps up at the junction when word [s, 0, r] gives a uniform below a+,
+    and up away from it when word [s, 1, r] gives one below 1/2. A pair
+    merges at the first step after which both its walks sit at 0. Its
+    level counts the upper walk's junction visits up to and including that
+    step, and the words it reads after it in the block go unused. Merged
+    pairs leave at the end of the block. Memory is
+    O(max(_MERGE_BLOCK_WORDS, n_pairs)) bytes whatever the horizon.
     """
     if y_units <= 0 or y_units % 2 != 0:
         raise OffLatticeStart("upper start must be a positive even number of units")
@@ -1058,78 +1044,39 @@ def merge_level_samples(
     if not 0.5 < ap < 1.0:
         raise ValueError("merge-level law needs a plus-weight strictly between 1/2 and 1")
     gen = stream.child(KEY_FLOW_COINS).generator().bit_generator
-    dtype = _state_dtype(horizon_steps + y_units)
-    # a word's code counts the limits, a+ and 1/2, that its uniform is
-    # below: a junction word steps up from code 1, a sign word from code 2
-    limits = np.array([[0], [1]], dtype=np.uint8)
-
-    # a block's b m entries per walk are at most cells
-    cells = min(_MERGE_BLOCK_WORDS // 2, min(_MERGE_BLOCK_STEPS, horizon_steps) * n_pairs)
-    cells = max(cells, n_pairs)
-    # the codes of the drawn words, codes[used:filled] not yet committed
-    codes = np.empty(2 * cells + _MERGE_DRAW_WORDS, dtype=np.uint8)
-    used = filled = 0
-    # a block's coins, then its merge tests and junction visits
-    flags = np.empty(2 * cells, dtype=bool)
-    # a block's (b + 1, 2, m) states at its head: both walks of every
-    # unmerged pair at each step; the pairs left start the next block
-    states = np.empty(2 * (cells + n_pairs), dtype=dtype)
-    states[:n_pairs] = 0
-    states[n_pairs : 2 * n_pairs] = y_units
-    # the upper walk's junction visits and the index of each unmerged pair,
-    # packed in rank order at the head
+    # both walks of every unmerged pair, the upper walk's junction visits
+    # and the pair's index, in rank order
+    z = np.zeros((2, n_pairs), dtype=_state_dtype(horizon_steps + y_units))
+    z[1] = y_units
     visits = np.zeros(n_pairs, dtype=np.int64)
-    counts = np.empty(n_pairs, dtype=np.int64)
     pair = np.arange(n_pairs)
     merged_visits = np.full(n_pairs, -1, dtype=np.int64)
-    m, done, size = n_pairs, 0, _MERGE_BLOCK_STEPS
-
-    while m and done < horizon_steps:
-        b = min(size, max(1, _MERGE_BLOCK_WORDS // (2 * m)), horizon_steps - done)
-        n = b * m
-        if filled - used < 2 * n:
-            codes[: filled - used] = codes[used:filled]
-            filled, used = filled - used, 0
-            while filled < 2 * n:
-                words = gen.random_raw(_MERGE_DRAW_WORDS)
-                chunk = codes[filled : filled + _MERGE_DRAW_WORDS]
-                np.copyto(chunk, _uniforms_below(words, ap))
-                chunk += _uniforms_below(words, 0.5)
-                filled += _MERGE_DRAW_WORDS
-        layout = (b, 2, m)
-        up = np.greater(
-            codes[used : used + 2 * n].reshape(layout), limits, out=flags[: 2 * n].reshape(layout)
+    done = 0
+    while len(pair) and done < horizon_steps:
+        m = len(pair)
+        b = min(_MERGE_BLOCK_STEPS, max(1, _MERGE_BLOCK_WORDS // (2 * m)), horizon_steps - done)
+        # the block's words live only until they are coins
+        junction, xi = (
+            _coin_steps(_uniforms_below(words, p))
+            for words, p in zip(gen.random_raw((b, 2, m)).swapaxes(0, 1), (ap, 0.5))
         )
-        coins = up.view(np.int8)
-        coins *= 2
-        coins -= 1
-
-        z = states[: 2 * (n + m)].reshape(b + 1, 2, m)
+        states = np.empty((b + 1, 2, m), dtype=z.dtype)
+        states[0] = z
         for s in range(b):
-            _skew_step(z[s], coins[s, 0], coins[s, 1], out=z[s + 1])
+            _skew_step(states[s], junction[s], xi[s], out=states[s + 1])
+        done += b
 
-        # commit the block up to the first step that merges a pair
-        apart = np.logical_or(z[1:, 0], z[1:, 1], out=flags[:n].reshape(b, m))
-        first = int(apart.argmin())
-        merges = not apart.flat[first]
-        steps = first // m + 1 if merges else b
-        at_junction = np.equal(z[:steps, 1], 0, out=flags[n : n + steps * m].reshape(steps, m))
-        visits[:m] += np.add.reduce(at_junction, axis=0, out=counts[:m])
-        used += 2 * m * steps
-        done += steps
+        apart = np.logical_or(states[1:, 0], states[1:, 1])
+        left = apart.all(axis=0)
+        merged = np.flatnonzero(~left)
+        # the upper walk's visits up to each pair's first merge, or the block's end
+        counted = states[:-1, 1] == 0
+        counted[:, merged] &= np.arange(b)[:, None] <= apart[:, merged].argmin(axis=0)
+        visits += np.count_nonzero(counted, axis=0)
+        z = states[b]
+        if len(merged):
+            merged_visits[pair[merged]] = visits[merged]
+            pair, visits, z = pair[left], visits[left], z[:, left]
 
-        if merges:
-            keep = apart[steps - 1]
-            hit = ~keep
-            merged_visits[pair[:m][hit]] = visits[:m][hit]
-            rest = np.count_nonzero(keep)
-            pair[:rest], visits[:rest] = pair[:m][keep], visits[:m][keep]
-            np.compress(keep, z[steps], axis=1, out=states[: 2 * rest].reshape(2, rest))
-            m = rest
-            size = max(1, size // 2)
-        else:
-            states[: 2 * m] = z[steps].reshape(-1)
-            size = min(2 * size, _MERGE_BLOCK_STEPS)
-
-    merged = merged_visits[merged_visits >= 0]
-    return _merge_level(y_units, 2.0 ** (-level), ap, merged), m
+    levels = _merge_level(y_units, 2.0 ** (-level), ap, merged_visits[merged_visits >= 0])
+    return levels, len(pair)

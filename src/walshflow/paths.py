@@ -553,6 +553,15 @@ def _uniforms_below(words: np.ndarray, p: float) -> np.ndarray:
     return words < (units << 11)
 
 
+def _coin_steps(up: np.ndarray) -> np.ndarray:
+    """The +-1 steps of coins given as bits or booleans: bit 1 steps up,
+    bit 0 down. Written over up's own buffer, viewed as int8."""
+    steps = up.view(np.int8)
+    steps *= 2
+    steps -= 1
+    return steps
+
+
 def _state_dtype(reach: int) -> type:
     """The narrowest of int16, int32 and int64 that holds +-reach."""
     return next(t for t in (np.int16, np.int32, np.int64) if reach <= np.iinfo(t).max)
@@ -617,10 +626,7 @@ def scaled_walk_marginal(
     for _ in range(steps):
         words = bits.random_raw(replicas)
         np.copyto(departure, words, where=k == 0)
-        xi = _uniforms_below(words, 0.5).view(np.int8)
-        xi *= 2
-        xi -= 1  # up below 1/2, down otherwise
-        k += xi
+        k += _coin_steps(_uniforms_below(words, 0.5))  # up below 1/2
         np.abs(k, out=k)
     departure >>= np.uint64(11)
     rays = ray_from_uniform(spec, departure * 2.0**-53)

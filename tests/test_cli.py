@@ -24,6 +24,7 @@ from walshflow.cli import (
     _KEPT_VALUES,
     _MAX_KEPT_STEPS,
     _MAX_MERGE_PAIRS,
+    _MAX_REPLICAS,
     COMMANDS,
     DEFAULT_CONFIG,
     CheckFailed,
@@ -128,6 +129,9 @@ class TestConfigRoundTrip:
             # merge-level pairs over the budget: five arrays of 8 GB each
             {"merge_pairs": 10**9},
             {"merge_pairs": _MAX_MERGE_PAIRS + 1},
+            # replicas over the budget: some 1 TB of simulate-wbm marginals
+            {"replicas": 10**10},
+            {"replicas": _MAX_REPLICAS + 1},
             # step counts that round to 0: horizon / dt is 0 or 1e-300, and
             # at level 0 horizon * 4^level is 5e-11
             {"dt": math.inf},
@@ -151,6 +155,12 @@ class TestConfigRoundTrip:
         replace(DEFAULT_CONFIG, merge_pairs=_MAX_MERGE_PAIRS).validate()
         with pytest.raises(ConfigInvalid, match=f"budget of {_MAX_MERGE_PAIRS} merge pairs"):
             replace(DEFAULT_CONFIG, merge_pairs=_MAX_MERGE_PAIRS + 1).validate()
+
+    def test_replica_budget_names_the_bound(self):
+        assert DEFAULT_CONFIG.replicas <= _MAX_REPLICAS
+        replace(DEFAULT_CONFIG, replicas=_MAX_REPLICAS).validate()
+        with pytest.raises(ConfigInvalid, match=f"budget of {_MAX_REPLICAS} replicas"):
+            replace(DEFAULT_CONFIG, replicas=_MAX_REPLICAS + 1).validate()
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigInvalid):
@@ -839,8 +849,8 @@ _FROZEN_CONFIG = replace(
 _FROZEN_FAILING = {"verify-freidlin-sheu"}
 _FROZEN_DIGESTS = {
     "flow_experiment.csv": "ca06d80a1d788e6fe4ab48469b1fdffc477d7722a7df642d48fcb4e6b5308d19",
-    "flow_experiment_merges.csv": "f888b583f1852180e956159b1fbe0f227a7f329afffac6656e89bc30437e48b7",
-    "flow_experiment_reports.jsonl": "dc67bcd2acc3d0362834ccf5ae6f2bf683f2387af4f4c2100eea8fd45b9d9f6f",
+    "flow_experiment_merges.csv": "9d33772042a464fba2ecfabd4b88b721f142bbe627e851ab28e358f804e1db1c",
+    "flow_experiment_reports.jsonl": "67f3a97aa11845a3507941784530a123637a452447c1e59ad1ad64c1d7554cbf",
     "kernel_experiment.csv": "376c6bd5f8434dfc64ac92e3b1e95c7074dcc5588213a27b2ea2991b9b9e4eef",
     "kernel_experiment_reports.jsonl": "0c65e6a89cc4333f39bde2ffffea9a2416e86083d9379e5da5eb4f854fc4bc7d",
     "simulate_wbm.csv": "f842ccf8d9076d1552142e2d1731bf58b3c715934d1094b3b75c71177ea37888",

@@ -1002,10 +1002,22 @@ def test_uniforms_below_matches_the_uniforms_of_the_words(p):
     )
 
 
-def _merge_levels_oracle(spec, level, y_units, horizon_steps, n_pairs, stream):
-    """merge_level_samples as a per-step loop: every step draws random(m)
-    junction uniforms, then random(m) signs, for its m unmerged pairs, and
-    steps them through index arrays with paths._skew_step."""
+def _merge_block_steps(m, steps_left):
+    """The length of merge_level_samples' next block, from its two layout
+    constants, read at call time so that monkeypatching moves both sides."""
+    words = max(1, flows._MERGE_BLOCK_WORDS // (2 * m))
+    return min(flows._MERGE_BLOCK_STEPS, words, steps_left)
+
+
+def _merge_levels_oracle(
+    spec, level, y_units, horizon_steps, n_pairs, stream, merge_steps=None
+):
+    """merge_level_samples as a per-step loop in its block layout: with m
+    unmerged pairs a block of b steps draws random((b, 2, m)), the junction
+    uniforms and then the signs of each step, and steps its pairs through
+    index arrays with paths._skew_step. A pair that merges inside a block
+    stops stepping, but its words are read until the block ends. Every
+    step that merges some pair is appended to merge_steps when given."""
     ap = spec.alpha_plus
     gen = stream.child(KEY_FLOW_COINS).generator()
     dx = 2.0 ** (-level)
@@ -1014,25 +1026,28 @@ def _merge_levels_oracle(spec, level, y_units, horizon_steps, n_pairs, stream):
     visits_y = np.zeros(n_pairs, dtype=np.int64)
     alive_idx = np.arange(n_pairs)
     levels = np.full(n_pairs, np.nan)
-    for _ in range(horizon_steps):
-        if not len(alive_idx):
-            break
-        m = len(alive_idx)
-        u_origin = gen.random(m)
-        xi = np.where(gen.random(m) < 0.5, 1, -1)
-        junction = np.where(u_origin < ap, 1, -1)
-        zx = z_x[alive_idx]
-        zy = z_y[alive_idx]
-        visits_y[alive_idx[zy == 0]] += 1
-        new_zx = _skew_step(zx, junction, xi)
-        new_zy = _skew_step(zy, junction, xi)
-        z_x[alive_idx] = new_zx
-        z_y[alive_idx] = new_zy
-        merged = (new_zx == 0) & (new_zy == 0)
-        if np.any(merged):
-            hit = alive_idx[merged]
+    done = 0
+    while len(alive_idx) and done < horizon_steps:
+        b = _merge_block_steps(len(alive_idx), horizon_steps - done)
+        u = gen.random((b, 2, len(alive_idx)))
+        for s in range(b):
+            rank = np.flatnonzero(np.isnan(levels[alive_idx]))
+            idx = alive_idx[rank]
+            junction = np.where(u[s, 0, rank] < ap, 1, -1)
+            xi = np.where(u[s, 1, rank] < 0.5, 1, -1)
+            zx = z_x[idx]
+            zy = z_y[idx]
+            visits_y[idx[zy == 0]] += 1
+            new_zx = _skew_step(zx, junction, xi)
+            new_zy = _skew_step(zy, junction, xi)
+            z_x[idx] = new_zx
+            z_y[idx] = new_zy
+            hit = idx[(new_zx == 0) & (new_zy == 0)]
             levels[hit] = y_units * dx + (2.0 * ap - 1.0) * dx * visits_y[hit]
-            alive_idx = alive_idx[~merged]
+            if len(hit) and merge_steps is not None:
+                merge_steps.append(done + s + 1)
+        done += b
+        alive_idx = alive_idx[np.isnan(levels[alive_idx])]
     return levels[~np.isnan(levels)], int(len(alive_idx))
 
 
@@ -1044,8 +1059,9 @@ def _assert_merge_levels_match_oracle(args):
     return levels, censored
 
 
-# more pairs than half a draw, so a step's words cross a refill
-_MANY_PAIRS = flows._MERGE_DRAW_WORDS // 2 + 7
+# more pairs than a full-length block holds, 1,024 at 2^17 words and 64
+# steps, so blocks start at 7 steps and lengthen as pairs merge
+_MANY_PAIRS = 8199
 
 
 class TestMergeLevels:
@@ -1062,17 +1078,18 @@ class TestMergeLevels:
 
     @pytest.mark.parametrize("ap", [0.55, 0.7, 0.9])
     def test_every_pair_merges_before_the_horizon(self, ap):
+        """A run that ends on its last merge rather than on the horizon, at
+        the first seed from 0 at which the oracle merges all nine pairs."""
         spec = validate_spec((ap, 1.0 - ap), (1, -1))
+        seed = next(
+            k
+            for k in range(100)
+            if _merge_levels_oracle(spec, 4, 2, 2000, 9, RngStream(k))[1] == 0
+        )
         levels, censored = _assert_merge_levels_match_oracle(
-            (spec, 4, 2, 2000, 9, RngStream(0))
+            (spec, 4, 2, 2000, 9, RngStream(seed))
         )
         assert censored == 0 and len(levels) == 9
-
-    @pytest.mark.parametrize("draw_words", [4, 16, 64])
-    def test_small_draws_refill_inside_steps(self, monkeypatch, draw_words):
-        monkeypatch.setattr(flows, "_MERGE_DRAW_WORDS", draw_words)
-        for n_pairs in (9, 40):
-            _assert_merge_levels_match_oracle((SPEC2, 3, 2, 400, n_pairs, RngStream(63)))
 
     @pytest.mark.parametrize("reach, dtype", [(32767, np.int16), (32768, np.int32)])
     def test_state_type_edge(self, reach, dtype):
@@ -1110,43 +1127,48 @@ class TestMergeLevels:
         ap = spec.alpha_plus
         dx = 2.0 ** (-level)
         expected = []
-        state = [(0, y_units, 0, True) for _ in range(n_pairs)]
-        state = [list(s) for s in state]
-        for _ in range(steps):
-            alive = [i for i, s in enumerate(state) if s[3]]
-            if not alive:
-                break
-            u = gen.random(len(alive))
-            xi = np.where(gen.random(len(alive)) < 0.5, 1, -1)
-            for j, i in enumerate(alive):
-                zx, zy, visits, _ = state[i]
-                if zy == 0:
-                    visits += 1
-                new_zx = (1 if u[j] < ap else -1) if zx == 0 else zx + int(xi[j])
-                new_zy = (1 if u[j] < ap else -1) if zy == 0 else zy + int(xi[j])
-                state[i] = [new_zx, new_zy, visits, True]
-                if new_zx == 0 and new_zy == 0:
-                    expected.append(y_units * dx + (2 * ap - 1) * dx * visits)
-                    state[i][3] = False
+        state = [[0, y_units, 0] for _ in range(n_pairs)]
+        done = 0
+        while state and done < steps:
+            b = _merge_block_steps(len(state), steps - done)
+            u = gen.random((b, 2, len(state)))
+            merged = set()
+            for s in range(b):
+                for r, (zx, zy, visits) in enumerate(state):
+                    if r in merged:
+                        continue
+                    if zy == 0:
+                        visits += 1
+                    up = 1 if u[s, 0, r] < ap else -1
+                    sign = 1 if u[s, 1, r] < 0.5 else -1
+                    zx = up if zx == 0 else zx + sign
+                    zy = up if zy == 0 else zy + sign
+                    state[r] = [zx, zy, visits]
+                    if zx == 0 and zy == 0:
+                        expected.append(y_units * dx + (2 * ap - 1) * dx * visits)
+                        merged.add(r)
+            done += b
+            state = [row for r, row in enumerate(state) if r not in merged]
+        assert censored == len(state)
         assert len(expected) == len(levels)
         np.testing.assert_allclose(sorted(levels), sorted(expected), rtol=0, atol=0)
 
 
-def _merge_steps(spec, y_units, horizon, n_pairs, seed):
-    """The steps at which the oracle merges some pair, found as the
-    horizons at which its censored count drops."""
-    steps, before = [], n_pairs
+def _last_step_merges(spec, y_units, horizon, n_pairs, seed):
+    """The horizons up to horizon whose last step merges some pair in the
+    oracle: the last block's length, and so its words, follow the horizon."""
+    ends = []
     for h in range(1, horizon + 1):
-        _levels, censored = _merge_levels_oracle(spec, 4, y_units, h, n_pairs, RngStream(seed))
-        if censored < before:
-            steps.append(h)
-        before = censored
-    return steps
+        merge_steps = []
+        _merge_levels_oracle(spec, 4, y_units, h, n_pairs, RngStream(seed), merge_steps)
+        if merge_steps and merge_steps[-1] == h:
+            ends.append(h)
+    return ends
 
 
 class TestMergeBlocks:
-    """merge_level_samples steps in speculative blocks; whatever the block
-    lengths, its levels are the per-step oracle's bit for bit."""
+    """merge_level_samples lays its stream out in blocks; whatever the
+    layout constants, its levels are the per-step oracle's bit for bit."""
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 64])
     def test_block_cap(self, monkeypatch, cap):
@@ -1172,17 +1194,15 @@ class TestMergeBlocks:
             stream = RngStream(66, (words,))
             _assert_merge_levels_match_oracle((SPEC2, 4, 4, 500, n_pairs, stream))
 
-    def test_merge_on_the_last_step(self):
+    def test_merge_on_the_last_step(self, monkeypatch):
         """Horizons that end on a merge, inside the first block and later."""
-        merges = _merge_steps(SPEC2, 2, 120, 40, 67)
-        assert merges[0] < flows._MERGE_BLOCK_STEPS < merges[-1]
-        for h in (merges[0], merges[len(merges) // 2], merges[-1]):
-            args = (SPEC2, 4, 2, h, 40, RngStream(67))
-            _levels, censored = _assert_merge_levels_match_oracle(args)
-            _levels, before = _merge_levels_oracle(SPEC2, 4, 2, h - 1, 40, RngStream(67))
-            assert censored < before
+        monkeypatch.setattr(flows, "_MERGE_BLOCK_STEPS", 32)
+        ends = _last_step_merges(SPEC2, 2, 120, 40, 67)
+        assert ends[0] < flows._MERGE_BLOCK_STEPS < ends[-1]
+        for h in (ends[0], ends[len(ends) // 2], ends[-1]):
+            _assert_merge_levels_match_oracle((SPEC2, 4, 2, h, 40, RngStream(67)))
 
-    @pytest.mark.parametrize("steps", [1, 2, 5, flows._MERGE_BLOCK_STEPS - 1])
+    @pytest.mark.parametrize("steps", [1, 2, 5, 31, flows._MERGE_BLOCK_STEPS - 1])
     def test_horizon_shorter_than_the_first_block(self, steps):
         for n_pairs in (1, 9, 300):
             stream = RngStream(68, (steps,))
@@ -1205,3 +1225,66 @@ class TestMergeBlocks:
                 RngStream(int(rng.integers(2**31))),
             )
             _assert_merge_levels_match_oracle(args)
+
+
+def _merge_cells(a, b):
+    """Two count vectors over the same cells, with each run of cells merged
+    into the next until both samples expect at least 5 in it; a leftover
+    tail joins the last merged cell. Returns the (2, cells) table."""
+    least = min(a.sum(), b.sum()) / (a.sum() + b.sum())
+    table, acc = [], np.zeros(2, dtype=np.int64)
+    for pair in zip(a, b):
+        acc += pair
+        if acc.sum() * least >= 5:
+            table.append(acc)
+            acc = np.zeros(2, dtype=np.int64)
+    table[-1] = table[-1] + acc
+    return np.array(table).T
+
+
+class TestMergeLaw:
+    """The merge study and flow-experiment's replica pass step the same
+    pair, one walk at the junction and one at +y, with code written apart
+    (merge_level_samples against _skew_flow_states and _flow_invariants) on
+    streams drawn apart. Whatever either one's word layout, their merged
+    levels sample one law. Cells are the censored pairs, then level k:
+    y + (2 a+ - 1) dx k, k junction visits of the upper walk."""
+
+    LEVEL, Y_UNITS, STEPS, PAIRS = 3, 4, 256, 10000
+
+    def _study_cells(self, ap, seed):
+        spec = validate_spec((ap, 1.0 - ap), (1, -1))
+        levels, censored = merge_level_samples(
+            spec, self.LEVEL, self.Y_UNITS, self.STEPS, self.PAIRS, RngStream(seed)
+        )
+        dx = 2.0**-self.LEVEL
+        visits = np.rint((levels - self.Y_UNITS * dx) / ((2.0 * ap - 1.0) * dx))
+        return censored, visits.astype(np.int64)
+
+    def _replica_cells(self, ap, seed):
+        spec = validate_spec((ap, 1.0 - ap), (1, -1))
+        dx = 2.0**-self.LEVEL
+        config = LatticeFlowConfig(
+            level=self.LEVEL,
+            horizon=self.STEPS * dx * dx,
+            start_pairs=((0.0, spec.origin), (0.0, GraphPoint(ray=1, radius=self.Y_UNITS * dx))),
+        )
+        streams = [RngStream(seed, (r,)) for r in range(self.PAIRS)]
+        *_, merge, visits = flows._flow_experiment_invariants(config, spec, streams)
+        return int(np.count_nonzero(merge < 0)), visits[merge >= 0]
+
+    def _p_value(self, one, other):
+        from scipy import stats as sps
+
+        top = int(max(one[1].max(), other[1].max())) + 1
+        a, b = (np.append(censored, np.bincount(v, minlength=top)) for censored, v in (one, other))
+        return sps.chi2_contingency(_merge_cells(a, b), correction=False).pvalue
+
+    def test_study_and_replica_pass_agree(self):
+        replicas = self._replica_cells(0.7, 3001)
+        assert self._p_value(self._study_cells(0.7, 3002), replicas) > 1e-3
+
+    def test_shifted_plus_weight_is_rejected(self):
+        """Negative control: the study at a+ + 0.05 reads as another law."""
+        replicas = self._replica_cells(0.7, 3001)
+        assert self._p_value(self._study_cells(0.75, 3002), replicas) < 1e-3
