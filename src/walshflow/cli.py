@@ -113,10 +113,11 @@ _MAX_KEPT_STEPS = 2**22
 # most flow-experiment merge pairs: merge_level_samples keeps three int64
 # arrays and two walk states of one entry per pair, 2 MiB per array at the
 # budget. Its blocks, laid out by the merge study's layout constants
-# flows._MERGE_BLOCK_STEPS and flows._MERGE_BLOCK_WORDS, draw at most
-# max(_MERGE_BLOCK_WORDS, 2 pairs) 8-byte words, 4 MiB at the budget, with a
-# few bytes of coins and states per word. The merges artifact holds one row
-# per merged pair
+# flows._MERGE_BLOCK_STEPS (at most 64, one sign word per pair and block)
+# and flows._MERGE_BLOCK_WORDS, W, draw at most W + m 8-byte words for m
+# pairs, and 2 m once m passes W: 4 MiB at the budget, with a few bytes of
+# coins and states per word. The merges artifact holds one row per merged
+# pair
 _MAX_MERGE_PAIRS = 2**18
 # most replicas: walk-converge steps that many walks at once, with a word, a
 # departure word and a state each, and simulate-wbm draws that many exact

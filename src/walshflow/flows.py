@@ -24,8 +24,8 @@ read that array, keeping nothing of their own.
 A replica-batched kernel, _skew_flow_states, steps a (starts, replicas)
 integer state through time, each replica on its own coins: the same
 numbers skew_lattice_flow draws, drawn with one generator call per stream,
-kind (junction or sign) and span of _SPAN_STEPS steps and kept as packed
-bits. It has two callers. skew_lattice_flows copies its blocks into full
+kind (junction or sign) and span of _SPAN_STEPS steps and kept as bits,
+64 steps to a word. It has two callers. skew_lattice_flows copies its blocks into full
 trajectories, one ensemble per stream, for the kernel experiment. The flow
 experiment keeps no trajectories: after every block of _BLOCK_STEPS steps
 it folds the block into running invariants: monotone order, the flow
@@ -53,6 +53,7 @@ from walshflow.paths import (
     _skew_step,
     _state_dtype,
     _uniforms_below,
+    _word_steps,
     categorical,
     find_excursions,
 )
@@ -412,8 +413,10 @@ def skew_lattice_flow(
 ) -> FlowEnsemble:
     """Simulate the shared-coin lattice flow for every configured start.
 
-    One generator draws `steps` junction uniforms, then `steps` Rademacher
-    uniforms. Each start then steps from its birth on the one rule of the
+    One generator draws `steps` junction uniforms, random(steps), then
+    ceil(steps / 64) raw sign words: step s's sign is bit s % 64 of sign
+    word s // 64, bit 0 the least significant, and a set bit steps up.
+    Each start then steps from its birth on the one rule of the
     flow: away from the junction it moves by the shared sign; at the
     junction it steps up exactly when the shared uniform is below the
     plus-weight (always up at weight 1, always down at weight 0, and no
@@ -427,7 +430,7 @@ def skew_lattice_flow(
     junction_rule = spec.alpha_plus != 0.5
     gen = stream.child(KEY_FLOW_COINS).generator()
     up = (gen.random(steps) < spec.alpha_plus).tolist()
-    xi = np.where(gen.random(steps) < 0.5, 1, -1).tolist()
+    xi = _word_steps(gen.bit_generator.random_raw(-(-steps // 64)))[:steps].tolist()
     traj = np.full((len(signed), steps + 1), LATTICE_INF, dtype=np.int64)
     for q, (s_idx, z, _ray) in enumerate(signed):
         row = [z]
@@ -471,20 +474,20 @@ def skew_lattice_flows(
     return [FlowEnsemble(config, spec, plane, signed) for plane in traj]
 
 
-# time steps per streamed block, for coins and states alike
+# time steps per streamed block, for coins and states alike; a multiple of
+# 64, so every block starts on a whole coin word
 _BLOCK_STEPS = 64
-# time steps of coins one generator call draws per stream, kept as packed
-# bits; a multiple of _BLOCK_STEPS, so every block starts on a whole byte
+# time steps of coins one generator call draws per stream, kept 64 to a word;
+# a multiple of _BLOCK_STEPS, so that no coin word straddles two spans
 _SPAN_STEPS = 2048
 # the merge study's stream layout: with m unmerged pairs, merge_level_samples
 # steps a block of b = min(_MERGE_BLOCK_STEPS, max(1, _MERGE_BLOCK_WORDS //
-# (2 m)), steps left) steps on the stream's next 2 m b words. Both constants
-# decide which word each pair reads, so changing either one is a stream bump
-# of the merge study. A block's words take 8 max(_MERGE_BLOCK_WORDS, 2 m)
-# bytes: 1 MiB, and 4 MiB at cli._MAX_MERGE_PAIRS. On a 2-core VM, 40,000
-# pairs over 65,536 steps took 3.6-4.1 s with these values and 3.6-4.4 s
-# with 32 steps and 2^16 words; 2^18 words cost flow-experiment 1.4 MiB
-# more peak memory
+# m), steps left) steps on the stream's next (b + 1) m words: a sign word per
+# pair, which serves the pair's whole block, so _MERGE_BLOCK_STEPS is at most
+# 64, then b junction words per pair. Both constants decide which word each
+# pair reads, so changing either one is a stream bump of the merge study. A
+# block reads at most max(_MERGE_BLOCK_WORDS, m) + m words, 8 bytes each:
+# about 1 MiB, and 4 MiB at cli._MAX_MERGE_PAIRS
 _MERGE_BLOCK_STEPS = 64
 _MERGE_BLOCK_WORDS = 2**17
 
@@ -494,34 +497,35 @@ def _coin_blocks(streams: list[RngStream], steps: int, alpha_plus: float):
 
     Yields (junction, xi) per block of at most _BLOCK_STEPS steps, each a
     (replicas, block) int8 array of +-1; junction is None at plus-weight
-    1/2. A stream holds `steps` origin uniforms followed by `steps`
-    Rademacher uniforms, so a second Philox on the same seed sequence,
-    moved past the first run, reads the signs alongside the uniforms. Each
-    bit generator serves a span of _SPAN_STEPS draws per call, kept only as
-    packed bits of _uniforms_below(raw, p). Memory is therefore
+    1/2. A stream holds `steps` junction words followed by ceil(steps / 64)
+    sign words, step s's sign being bit s % 64 of sign word s // 64, so a
+    second Philox on the same seed sequence, moved past the junction words,
+    reads the signs alongside them. Each bit generator serves a span of
+    _SPAN_STEPS steps per call. Both kinds are kept 64 steps to a
+    little-endian word: the sign words as drawn, the junction words as
+    bits of _uniforms_below(raw, a+). Memory is therefore
     O(replicas x _SPAN_STEPS / 8) whatever the horizon.
     """
     junction_rule = alpha_plus != 0.5
     signs = [s.child(KEY_FLOW_COINS).generator().bit_generator for s in streams]
-    kinds = [(signs, 0.5)]
-    if junction_rule:
-        origin = [type(g)(g.seed_seq) for g in signs]
-        kinds.insert(0, (origin, alpha_plus))
+    junction = [type(g)(g.seed_seq) for g in signs] if junction_rule else []
     for gen in signs:
-        # Philox advances by counters of four 64-bit draws, one per uniform
+        # Philox advances by counters of four 64-bit words
         gen.advance(steps // 4)
         gen.random_raw(steps % 4)
-    bits = np.empty((len(kinds), len(streams), _SPAN_STEPS // 8), dtype=np.uint8)
+    packed = np.empty((1 + junction_rule, len(streams), _SPAN_STEPS // 8), dtype=np.uint8)
+    words = packed.view("<u8")
     for s0 in range(0, steps, _SPAN_STEPS):
         width = min(_SPAN_STEPS, steps - s0)
-        for packed, (gens, p) in zip(bits, kinds):
-            for row, gen in zip(packed, gens):
-                row[: -(-width // 8)] = np.packbits(_uniforms_below(gen.random_raw(width), p))
+        for row, gen in zip(words[-1], signs):
+            row[: -(-width // 64)] = gen.random_raw(-(-width // 64))
+        for row, gen in zip(packed[0], junction):
+            up = _uniforms_below(gen.random_raw(width), alpha_plus)
+            row[: -(-width // 8)] = np.packbits(up, bitorder="little")
         for k0 in range(0, width, _BLOCK_STEPS):
             block = min(_BLOCK_STEPS, width - k0)
-            chunk = bits[:, :, k0 // 8 : -(-(k0 + block) // 8)]
-            coins = _coin_steps(np.unpackbits(chunk, axis=-1, count=block))
-            yield (coins[0] if junction_rule else None), coins[-1]
+            coins = _word_steps(words[:, :, k0 // 64 : -(-(k0 + block) // 64)])
+            yield (coins[0, :, :block] if junction_rule else None), coins[-1, :, :block]
 
 
 def _skew_flow_states(
@@ -1028,14 +1032,16 @@ def merge_level_samples(
 
     Draw layout: steps go in blocks, of the length the _MERGE_BLOCK_STEPS
     comment gives for the m pairs unmerged at the block's start. A block
-    of b steps reads the stream's next 2mb 64-bit words as a (b, 2, m)
-    array: at step s, the unmerged pair of rank r (pairs ranked by index)
-    steps up at the junction when word [s, 0, r] gives a uniform below a+,
-    and up away from it when word [s, 1, r] gives one below 1/2. A pair
-    merges at the first step after which both its walks sit at 0. Its
-    level counts the upper walk's junction visits up to and including that
-    step, and the words it reads after it in the block go unused. Merged
-    pairs leave at the end of the block. Memory is
+    of b <= 64 steps reads the stream's next (b + 1) m 64-bit words as a
+    (b + 1, m) array. Row 0 holds each pair's sign word: the unmerged pair
+    of rank r (pairs ranked by index) steps up away from the junction at
+    the block's step s when bit s of word [0, r] is set, bit 0 the least
+    significant. Rows 1..b hold the junction words: at step s the pair
+    steps up at the junction when word [1 + s, r] gives a uniform below a+.
+    A pair merges at the first step after which both its walks sit at 0.
+    Its level counts the upper walk's junction visits up to and including
+    that step, and the coins it reads after it in the block go unused.
+    Merged pairs leave at the end of the block. Memory is
     O(max(_MERGE_BLOCK_WORDS, n_pairs)) bytes whatever the horizon.
     """
     if y_units <= 0 or y_units % 2 != 0:
@@ -1054,12 +1060,11 @@ def merge_level_samples(
     done = 0
     while len(pair) and done < horizon_steps:
         m = len(pair)
-        b = min(_MERGE_BLOCK_STEPS, max(1, _MERGE_BLOCK_WORDS // (2 * m)), horizon_steps - done)
+        b = min(_MERGE_BLOCK_STEPS, max(1, _MERGE_BLOCK_WORDS // m), horizon_steps - done)
         # the block's words live only until they are coins
-        junction, xi = (
-            _coin_steps(_uniforms_below(words, p))
-            for words, p in zip(gen.random_raw((b, 2, m)).swapaxes(0, 1), (ap, 0.5))
-        )
+        words = gen.random_raw((b + 1, m))
+        xi = _word_steps(words[0, :, None])[:, :b].T
+        junction = _coin_steps(_uniforms_below(words[1:], ap))
         states = np.empty((b + 1, 2, m), dtype=z.dtype)
         states[0] = z
         for s in range(b):

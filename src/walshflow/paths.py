@@ -562,6 +562,23 @@ def _coin_steps(up: np.ndarray) -> np.ndarray:
     return steps
 
 
+# the +-1 steps of the eight bits of every byte, least significant bit first,
+# one 8-byte element per byte, so that one take turns bytes into steps
+_BYTE_STEPS = (
+    _coin_steps(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"))
+    .view(np.uint64)
+    .ravel()
+)
+
+
+def _word_steps(words: np.ndarray) -> np.ndarray:
+    """The +-1 steps of coins packed 64 to a word, as _coin_steps gives
+    them: bit j of word i, counted from the least significant bit on every
+    machine, is step 64 i + j. (..., n) uint64 words give (..., 64 n) int8."""
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return _BYTE_STEPS.take(octets).view(np.int8).reshape(*words.shape[:-1], -1)
+
+
 def _state_dtype(reach: int) -> type:
     """The narrowest of int16, int32 and int64 that holds +-reach."""
     return next(t for t in (np.int16, np.int32, np.int64) if reach <= np.iinfo(t).max)

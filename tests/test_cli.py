@@ -848,14 +848,14 @@ _FROZEN_CONFIG = replace(
 )
 _FROZEN_FAILING = {"verify-freidlin-sheu"}
 _FROZEN_DIGESTS = {
-    "flow_experiment.csv": "ca06d80a1d788e6fe4ab48469b1fdffc477d7722a7df642d48fcb4e6b5308d19",
-    "flow_experiment_merges.csv": "9d33772042a464fba2ecfabd4b88b721f142bbe627e851ab28e358f804e1db1c",
-    "flow_experiment_reports.jsonl": "67f3a97aa11845a3507941784530a123637a452447c1e59ad1ad64c1d7554cbf",
-    "kernel_experiment.csv": "376c6bd5f8434dfc64ac92e3b1e95c7074dcc5588213a27b2ea2991b9b9e4eef",
-    "kernel_experiment_reports.jsonl": "0c65e6a89cc4333f39bde2ffffea9a2416e86083d9379e5da5eb4f854fc4bc7d",
+    "flow_experiment.csv": "cbb35063ae5daa6d322fa952e47660f673e4f2f98fbe0b93cc6034a4ec071730",
+    "flow_experiment_merges.csv": "d9788f4b9ea4069422fc2d4c748152bd61a936629f1df0f746d1635ac007b3d8",
+    "flow_experiment_reports.jsonl": "dbbb3834791b8ae6b64277cc27f0c29dcfb1653e453488d4682286a5007166e3",
+    "kernel_experiment.csv": "eb63cacd8baf10ad7356f1e077586523c9efc9aeff8d7d327f171298b991003e",
+    "kernel_experiment_reports.jsonl": "629a128b70a3bd5d3629eef0aa341067e064da04401da213c6b0a31fe9301992",
     "simulate_wbm.csv": "f842ccf8d9076d1552142e2d1731bf58b3c715934d1094b3b75c71177ea37888",
     "simulate_wbm_reports.jsonl": "1c403babc2289734b728a8dbe6f1b74ec938e8fe7e7bd81a37de1edf9d413941",
-    "tanaka_special_case.csv": "0c3394fc084cb90bb64924547628799e052228536371f31376f050960f4c246c",
+    "tanaka_special_case.csv": "e0ffdb6087d5d9855b3275deb1c7a37e07179367e17d446c7818bc7c5abca50e",
     "tanaka_special_case_reports.jsonl": "1924df9e2fe5e209a11f2c8c112ba158d24cbdeef61299c329d2989d9b95ea2e",
     "verify_freidlin_sheu.csv": "dee30d382f35c9c97d1c5d2e29948deca1c56cd09e8607ae99be2d30e977cb52",
     "verify_freidlin_sheu_reports.jsonl": "35684ffb8e19bb0974bab3a5580a5603ade850204634fd8ce90b97142bdd4995",
@@ -907,23 +907,27 @@ def test_artifacts_match_frozen_digests(tmp_path):
 _FROZEN_DRAWING = [
     (
         {"measure_plus": "dirichlet:4", "measure_minus": "dirichlet:0.5"},
-        "94590e9cb56fd240c3f4dfa59af147946a27090b5aad8bf16a0818b722e873d6",
-        "d49511efa45b6dbb42da38613757297667ad66304a395456e9732bc94fb560eb",
+        "fa0dfec2f655265adaa5faad68d77b05fe3d1709cb74b90c8b2c4f2156d3eec2",
+        "d1d9d613f988d9f618dec8210cececf5ed156d143c3bd7aea1cef2a1b740bcff",
     ),
     (
         {"measure_plus": "dirac-vertices", "measure_minus": "dirac-vertices"},
-        "9b1d8754e6fe606f4388af7830777fa96bb335c21c10b67d8df8be373e7b19b0",
-        "306ca4fd518deef55960b664c60d94ce1ac53e06c94caad6ad2cc97e521c5eca",
+        "29f8adebf75dff88967cae267a11aaa0744161adac56728d823806d586941ac2",
+        "6b80885e7781b219023acbbea29c5ebdd48e9562a7a6cd82db431eafa04219b9",
     ),
     (
         {"measure_plus": "dirichlet:4", "measure_minus": "dirichlet:0.5", "eps": (1, -1, -1)},
-        "2eb2836c442559dd806174d10ddd042798bd9563695091fa83df9e9fd07b9ccf",
-        "5b1c7938831617423476cbc93678850280e18697da984921d5fb4c2b9c500520",
+        "f937ee99221201dcca47b73067a0d3771f1746afa66313fbb8822b4fc785e78a",
+        "f19dd0d1fc04312b798333ac2dcae1875dcd7814a4747dd6a608405cb6a8ad61",
     ),
 ]
 
 
-@pytest.mark.parametrize("overrides, csv_digest, reports_digest", _FROZEN_DRAWING)
+@pytest.mark.parametrize(
+    "overrides, csv_digest, reports_digest",
+    _FROZEN_DRAWING,
+    ids=["dirichlet", "dirac-vertices", "dirichlet-two-minus-rays"],
+)
 def test_kernel_artifacts_match_frozen_digests_under_drawing_measures(
     tmp_path, overrides, csv_digest, reports_digest
 ):

@@ -134,19 +134,19 @@ def test_batched_ensembles_of_a_horizon_under_one_step():
 SPAN_SPECS = [LATTICE_SPECS[0], LATTICE_SPECS[1], LATTICE_SPECS[3], LATTICE_SPECS[5]]
 
 
-@pytest.mark.parametrize("spec", SPAN_SPECS, ids=lambda spec: f"a+={spec.alpha_plus:g}")
-@pytest.mark.parametrize("span", [None, 64, 128])
-def test_kernel_states_equal_flow_rows_across_draw_spans(monkeypatch, spec, span):
-    """Horizons over several draw spans that end mid-byte, with starts that
-    enter from start 0 just before a span boundary and near the end."""
-    if span is not None:
-        monkeypatch.setattr(flows, "_SPAN_STEPS", span)
-    span = flows._SPAN_STEPS
-    steps = 3 * span + 13
+def test_layout_constants_start_blocks_and_spans_on_a_sign_word():
+    """A block reads whole 64-step coin words, and every span but the last
+    ends on a word, so both are multiples of 64."""
+    assert flows._BLOCK_STEPS % 64 == 0 and flows._BLOCK_STEPS > 0
+    assert flows._SPAN_STEPS % flows._BLOCK_STEPS == 0 and flows._SPAN_STEPS > 0
+
+
+def _assert_states_equal_flow_rows(spec, steps, plan, entering):
+    """_skew_flow_states over `steps` steps against skew_lattice_flow, for
+    starts given as (birth, ray, units) on one lattice parity at level 2,
+    plus starts that enter from start 0 at the `entering` births."""
     level = 2
     dx = 2.0 ** (-level)
-    # (birth, ray, units), all on one lattice parity
-    plan = [(0, 1, 0), (0, spec.n_rays, 4), (0, 1, 2), (33, 1, 3)]
     pairs = [
         (birth * 4.0 ** (-level), spec.origin if units == 0 else GraphPoint(ray, units * dx))
         for birth, ray, units in plan
@@ -154,9 +154,9 @@ def test_kernel_states_equal_flow_rows_across_draw_spans(monkeypatch, spec, span
     config = LatticeFlowConfig(
         level=level, horizon=steps * 4.0 ** (-level), start_pairs=tuple(pairs)
     )
-    assert config.steps == steps and steps % 8
+    assert config.steps == steps
     starts = [(birth, spec.sign(ray) * units) for birth, ray, units in plan]
-    starts += [(span - 1, None), (steps - 3, None)]
+    starts += [(birth, None) for birth in entering]
     streams = [RngStream(4247).child(KEY_REPLICA, rep) for rep in range(3)]
     refs = [skew_lattice_flow(config, spec, s).traj for s in streams]
     seen = 0
@@ -171,6 +171,30 @@ def test_kernel_states_equal_flow_rows_across_draw_spans(monkeypatch, spec, span
                 )
         seen = k0 + len(rows) - 1
     assert seen == steps
+
+
+@pytest.mark.parametrize("spec", SPAN_SPECS, ids=lambda spec: f"a+={spec.alpha_plus:g}")
+@pytest.mark.parametrize("span", [None, 64, 128])
+def test_kernel_states_equal_flow_rows_across_draw_spans(monkeypatch, spec, span):
+    """Horizons over several draw spans that end mid-byte and mid-word, with
+    starts that enter from start 0 just before a span boundary and near the
+    end."""
+    if span is not None:
+        monkeypatch.setattr(flows, "_SPAN_STEPS", span)
+    span = flows._SPAN_STEPS
+    steps = 3 * span + 13
+    plan = [(0, 1, 0), (0, spec.n_rays, 4), (0, 1, 2), (33, 1, 3)]
+    _assert_states_equal_flow_rows(spec, steps, plan, [span - 1, steps - 3])
+
+
+@pytest.mark.parametrize("spec", SPAN_SPECS, ids=lambda spec: f"a+={spec.alpha_plus:g}")
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 127, 2 * 64 + 1, 3 * 64 + 63])
+def test_kernel_states_equal_flow_rows_at_sign_word_edges(monkeypatch, spec, steps):
+    """Horizons under one sign word, on a word's end, and 1 and 63 steps
+    into a word, on spans of two words, so that spans end mid-word too."""
+    monkeypatch.setattr(flows, "_SPAN_STEPS", 128)
+    plan = [(0, 1, 0), (0, spec.n_rays, 2)]
+    _assert_states_equal_flow_rows(spec, steps, plan, [steps // 2, steps - 1])
 
 
 def _flow_task_oracle(config, rep):

@@ -54,13 +54,21 @@ HALF3 = validate_spec((0.25, 0.25, 0.5), (1, 1, -1))
 ALL_SPECS = [SPEC2, SPEC2H, SPEC3, TANAKA3, DOWN2, HALF3]
 
 
+def _sign_bit(words, s):
+    """Step s's sign bit: bit s % 64 of word s // 64, bit 0 the least
+    significant, decoded in Python ints."""
+    return (int(words[s // 64]) >> (s % 64)) & 1
+
+
 def _naive_flow(spec, config, stream):
     """Step-by-step reference dynamics, written apart from skew_lattice_flow:
-    it reads the raw draw arrays and spells out every plus-weight case."""
+    it reads the raw draw arrays (steps junction uniforms, then the sign
+    words) and spells out every plus-weight case."""
     steps = config.steps
     gen = stream.child(KEY_FLOW_COINS).generator()
     u = gen.random(steps)
-    xi = np.where(gen.random(steps) < 0.5, 1, -1)
+    words = gen.bit_generator.random_raw((steps + 63) // 64)
+    xi = [1 if _sign_bit(words, k) else -1 for k in range(steps)]
     ap = spec.alpha_plus
     out = np.full((len(config.start_pairs), steps + 1), LATTICE_INF, dtype=np.int64)
     for q, (s, x) in enumerate(config.start_pairs):
@@ -148,6 +156,18 @@ class TestScalarDynamics:
         ens = skew_lattice_flow(cfg, spec, stream)
         expected = _naive_flow(spec, cfg, stream)
         assert np.array_equal(ens.traj, expected)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 127, 129])
+    def test_horizons_around_sign_words_match_naive_reference(self, spec, steps):
+        """Horizons under one sign word, on a word's end, and 1 and 63 steps
+        into a word, with a start born in the last word."""
+        late = 2 * ((steps - 1) // 2)
+        cfg = _config_for(spec, 2, steps, [(0, 1, 0), (0, spec.n_rays, 2), (late, 1, 2)])
+        for seed in range(3):
+            stream = RngStream(seed, (steps,))
+            expected = _naive_flow(spec, cfg, stream)
+            assert np.array_equal(skew_lattice_flow(cfg, spec, stream).traj, expected)
 
     def test_sentinel_before_birth(self):
         cfg = _config_for(SPEC2, 1, 16, [(0, 1, 0), (4, 1, 2)])
@@ -891,35 +911,60 @@ def test_excursion_table_matches_index_scan(spec, seed, starts, copy_at, copy_fi
 class TestHalfWeightMerges:
     """At plus-weight 1/2 a merge is the first plain equality, so a start
     can merge before its own first junction visit or inside one of its
-    own excursions; either way it keeps its own kernel up to the zero."""
+    own excursions; either way it keeps its own kernel up to the zero.
+
+    Both scenarios need the walk from the junction at time 0 to sit at +2
+    at BIRTH, inside a plus excursion that began before BIRTH and ends at
+    least two steps after it. RngStream(8) is the first stream from 0 whose
+    walk does; each test asserts that before it tests anything else."""
+
+    BIRTH = 8
 
     def _flow(self, starts):
         cfg = _config_for(HALF3, 2, 64, starts)
         sampler = MeasurePairSampler(HALF3, "wiener")
-        return sample_kernel_flow(cfg, HALF3, sampler, RngStream(5))
+        return sample_kernel_flow(cfg, HALF3, sampler, RngStream(8))
+
+    def _excursion_through_birth(self, walk):
+        """The bounds (g, d) of the plus excursion of walk that holds BIRTH,
+        after checking the scenario's preconditions on walk."""
+        b = self.BIRTH
+        assert walk[b] == 2
+        g = b - int(np.flatnonzero(walk[b::-1] == 0)[0])
+        after = np.flatnonzero(walk[b:] == 0)
+        assert len(after), "the excursion must end within the horizon"
+        d = b + int(after[0])
+        assert d >= b + 2 and np.all(walk[g + 1 : d] > 0)
+        return g, d
 
     def test_start_born_on_a_path_is_a_point_mass_until_its_first_visit(self):
-        flow = self._flow([(0, 1, 0), (8, 1, 2)])
+        b = self.BIRTH
+        flow = self._flow([(0, 1, 0), (b, 1, 2)])
         ens = flow.ensemble
-        assert ens.merge_record(1).merge_index == 8
-        assert int(ens.zeros_of(1)[0]) == 12
-        for k in range(9, 12):
+        g, d = self._excursion_through_birth(ens.traj[0])
+        assert ens.merge_record(1).merge_index == b
+        assert int(ens.zeros_of(1)[0]) == d
+        for k in range(b + 1, d):
             radius = abs(int(ens.traj[1, k])) * ens.config.dx
             assert flow.kernel_at(1, k) == KernelMeasure.dirac(GraphPoint(ray=1, radius=radius))
             assert ens.excursion_row(1, k) == -1
             with pytest.raises(BeforeHitting):
                 ens.excursion(1, k)
         # start 0's excursion from before start 1's birth is not start 1's
-        row = [6, 12, 1, 0, 1, 1]
+        dt = ens.config.dt
+        row = [g, d, 1, 0, *dyadic_label(g * dt, d * dt)]
         assert row in ens.excursions(0).tolist()
         assert row not in ens.excursions(1).tolist()
 
     def test_start_merging_inside_its_excursion_keeps_it(self):
-        flow = self._flow([(8, 1, 2), (0, 1, 0)])
+        b = self.BIRTH
+        flow = self._flow([(b, 1, 2), (0, 1, 0)])
         ens = flow.ensemble
-        assert ens.merge_record(1).merge_index == 8
-        for k in range(9, 12):
-            assert ens.excursion(1, k) == ((1, 1, 1), 1)
+        g, d = self._excursion_through_birth(ens.traj[1])
+        assert ens.merge_record(1).merge_index == b
+        key = (1, *dyadic_label(g * ens.config.dt, d * ens.config.dt))
+        for k in range(b + 1, d):
+            assert ens.excursion(1, k) == (key, 1)
             radius = abs(int(ens.traj[1, k])) * ens.config.dx
             points = (GraphPoint(ray=1, radius=radius), GraphPoint(ray=2, radius=radius))
             assert flow.kernel_at(1, k) == KernelMeasure(points=points, weights=(0.5, 0.5))
@@ -1002,24 +1047,40 @@ def test_uniforms_below_matches_the_uniforms_of_the_words(p):
     )
 
 
+def test_word_steps_read_bits_least_significant_first():
+    """Edge words and a Philox run: bit j of word i is step 64 i + j, +1
+    where it is set, whatever the array's rows or byte order."""
+    edges = np.array([0, 1, 2**63, 2**64 - 1, 0x0123456789ABCDEF], dtype=np.uint64)
+    words = np.concatenate([edges, np.random.Philox(5).random_raw(16)])
+    got = paths_module._word_steps(words)
+    assert got.dtype == np.int8
+    want = [1 if (w >> j) & 1 else -1 for w in words.tolist() for j in range(64)]
+    assert got.tolist() == want
+    rows = paths_module._word_steps(words.reshape(3, 7))
+    np.testing.assert_array_equal(rows, got.reshape(3, 7 * 64))
+    np.testing.assert_array_equal(paths_module._word_steps(words.astype(">u8")), got)
+
+
 def _merge_block_steps(m, steps_left):
     """The length of merge_level_samples' next block, from its two layout
-    constants, read at call time so that monkeypatching moves both sides."""
-    words = max(1, flows._MERGE_BLOCK_WORDS // (2 * m))
-    return min(flows._MERGE_BLOCK_STEPS, words, steps_left)
+    constants, read at call time so that monkeypatching moves both sides,
+    and never more than the 64 steps one sign word serves."""
+    words = max(1, flows._MERGE_BLOCK_WORDS // m)
+    return min(flows._MERGE_BLOCK_STEPS, 64, words, steps_left)
 
 
 def _merge_levels_oracle(
     spec, level, y_units, horizon_steps, n_pairs, stream, merge_steps=None
 ):
     """merge_level_samples as a per-step loop in its block layout: with m
-    unmerged pairs a block of b steps draws random((b, 2, m)), the junction
-    uniforms and then the signs of each step, and steps its pairs through
-    index arrays with paths._skew_step. A pair that merges inside a block
-    stops stepping, but its words are read until the block ends. Every
-    step that merges some pair is appended to merge_steps when given."""
+    unmerged pairs a block of b steps draws random_raw((b + 1, m)), a sign
+    word per pair and then the junction words of each step, and steps its
+    pairs through index arrays with paths._skew_step. A pair that merges
+    inside a block stops stepping, but its words are read until the block
+    ends. Every step that merges some pair is appended to merge_steps when
+    given."""
     ap = spec.alpha_plus
-    gen = stream.child(KEY_FLOW_COINS).generator()
+    gen = stream.child(KEY_FLOW_COINS).generator().bit_generator
     dx = 2.0 ** (-level)
     z_x = np.zeros(n_pairs, dtype=np.int64)
     z_y = np.full(n_pairs, y_units, dtype=np.int64)
@@ -1029,12 +1090,14 @@ def _merge_levels_oracle(
     done = 0
     while len(alive_idx) and done < horizon_steps:
         b = _merge_block_steps(len(alive_idx), horizon_steps - done)
-        u = gen.random((b, 2, len(alive_idx)))
+        words = gen.random_raw((b + 1, len(alive_idx)))
+        u = (words[1:] >> np.uint64(11)) * 2.0**-53
+        sign_words = words[0].tolist()
         for s in range(b):
             rank = np.flatnonzero(np.isnan(levels[alive_idx]))
             idx = alive_idx[rank]
-            junction = np.where(u[s, 0, rank] < ap, 1, -1)
-            xi = np.where(u[s, 1, rank] < 0.5, 1, -1)
+            junction = np.where(u[s, rank] < ap, 1, -1)
+            xi = np.array([1 if (sign_words[r] >> s) & 1 else -1 for r in rank.tolist()])
             zx = z_x[idx]
             zy = z_y[idx]
             visits_y[idx[zy == 0]] += 1
@@ -1059,8 +1122,8 @@ def _assert_merge_levels_match_oracle(args):
     return levels, censored
 
 
-# more pairs than a full-length block holds, 1,024 at 2^17 words and 64
-# steps, so blocks start at 7 steps and lengthen as pairs merge
+# more pairs than a full-length block holds, 2,048 at 2^17 words and 64
+# steps, so blocks start at 15 steps and lengthen as pairs merge
 _MANY_PAIRS = 8199
 
 
@@ -1123,7 +1186,7 @@ class TestMergeLevels:
         levels, censored = merge_level_samples(
             spec, level, y_units, steps, n_pairs, RngStream(62)
         )
-        gen = RngStream(62).child(KEY_FLOW_COINS).generator()
+        gen = RngStream(62).child(KEY_FLOW_COINS).generator().bit_generator
         ap = spec.alpha_plus
         dx = 2.0 ** (-level)
         expected = []
@@ -1131,7 +1194,7 @@ class TestMergeLevels:
         done = 0
         while state and done < steps:
             b = _merge_block_steps(len(state), steps - done)
-            u = gen.random((b, 2, len(state)))
+            words = gen.random_raw((b + 1, len(state))).tolist()
             merged = set()
             for s in range(b):
                 for r, (zx, zy, visits) in enumerate(state):
@@ -1139,8 +1202,8 @@ class TestMergeLevels:
                         continue
                     if zy == 0:
                         visits += 1
-                    up = 1 if u[s, 0, r] < ap else -1
-                    sign = 1 if u[s, 1, r] < 0.5 else -1
+                    up = 1 if (words[1 + s][r] >> 11) * 2.0**-53 < ap else -1
+                    sign = 1 if (words[0][r] >> s) & 1 else -1
                     zx = up if zx == 0 else zx + sign
                     zy = up if zy == 0 else zy + sign
                     state[r] = [zx, zy, visits]
@@ -1179,8 +1242,8 @@ class TestMergeBlocks:
             _assert_merge_levels_match_oracle((spec, 4, 2, steps, n_pairs, stream))
 
     def test_word_cap_forces_one_step_blocks(self):
-        n_pairs = flows._MERGE_BLOCK_WORDS // 2 + 1
-        assert flows._MERGE_BLOCK_WORDS // (2 * n_pairs) == 0
+        n_pairs = flows._MERGE_BLOCK_WORDS + 1
+        assert flows._MERGE_BLOCK_WORDS // n_pairs == 0
         _levels, censored = _assert_merge_levels_match_oracle(
             (SPEC2, 4, 2, 24, n_pairs, RngStream(65))
         )
@@ -1188,7 +1251,7 @@ class TestMergeBlocks:
 
     @pytest.mark.parametrize("words", [2, 64, 1000])
     def test_small_word_cap(self, monkeypatch, words):
-        """Blocks of one step while 2m exceeds the cap, longer below it."""
+        """Blocks of one step while m exceeds the cap, longer below it."""
         monkeypatch.setattr(flows, "_MERGE_BLOCK_WORDS", words)
         for n_pairs in (9, 40, 300):
             stream = RngStream(66, (words,))
@@ -1201,6 +1264,18 @@ class TestMergeBlocks:
         assert ends[0] < flows._MERGE_BLOCK_STEPS < ends[-1]
         for h in (ends[0], ends[len(ends) // 2], ends[-1]):
             _assert_merge_levels_match_oracle((SPEC2, 4, 2, h, 40, RngStream(67)))
+
+    def test_layout_constants_fit_one_sign_word(self):
+        """One sign word serves a pair's whole block, so a block is at most
+        64 steps; the oracle's own cap keeps a longer block from passing."""
+        assert 1 <= flows._MERGE_BLOCK_STEPS <= 64
+        assert flows._MERGE_BLOCK_WORDS >= 1
+
+    @pytest.mark.parametrize("steps", [63, 64, 65, 127, 129])
+    def test_horizons_around_a_block(self, steps):
+        for n_pairs in (1, 9, 300):
+            stream = RngStream(69, (steps,))
+            _assert_merge_levels_match_oracle((SPEC2, 4, 2, steps, n_pairs, stream))
 
     @pytest.mark.parametrize("steps", [1, 2, 5, 31, flows._MERGE_BLOCK_STEPS - 1])
     def test_horizon_shorter_than_the_first_block(self, steps):
