@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -100,8 +100,7 @@ __all__ = [
 ]
 
 
-# lattice step at which the last flow-experiment start is born; the flow
-# horizon must reach past it
+# lattice step at which the last flow-experiment start is born
 _LATE_START_STEP = 16
 # walk-converge's lattice levels, coarsest first; horizon * 4^level must be
 # a whole number of steps at each, which the coarsest implies
@@ -110,21 +109,43 @@ _WALK_LEVELS = (2, 3, 4, 5)
 # horizon * 4^level lattice steps (int64) and every flip path keeps its
 # horizon / dt grid points in several float arrays, 32 MiB each at the budget
 _MAX_KEPT_STEPS = 2**22
-# most flow-experiment merge pairs: merge_level_samples keeps three int64
-# arrays and two walk states of one entry per pair, 2 MiB per array at the
-# budget. Its blocks, laid out by the merge study's layout constants
-# flows._MERGE_BLOCK_STEPS (at most 64, one sign word per pair and block)
-# and flows._MERGE_BLOCK_WORDS, W, draw at most W + m 8-byte words for m
-# pairs, and 2 m once m passes W: 4 MiB at the budget, with a few bytes of
-# coins and states per word. The merges artifact holds one row per merged
-# pair
-_MAX_MERGE_PAIRS = 2**18
-# most replicas: walk-converge steps that many walks at once, with a word, a
-# departure word and a state each, and simulate-wbm draws that many exact
-# marginals in one piece, then sorts them and evaluates its test functions
-# on them, about 100 bytes per replica: some 400 MiB at the budget, 210
-# times the default
-_MAX_REPLICAS = 2**22
+_KEPT_STEPS = (1, _MAX_KEPT_STEPS, f"the budget of {_MAX_KEPT_STEPS} steps for a kept trajectory")
+# the legal range of every count a run reads or derives from its config:
+# name -> (least, most, why), most None for no bound. validate checks the
+# config's counts first, so that 4^level is safe, then the whole step counts
+_BOUNDS = {
+    "level": (0, 12, "at level 12 a unit of time is already 16.8M lattice steps"),
+    # the last start's radius (y + 2) 2^-level is a float64, exact to 2^53
+    # units; with the flow-steps bound, paths._state_dtype(steps + y + 2) fits int64
+    "flow_y_units": (2, 2**52, "the upper start lies above 0 at a float64-exact radius"),
+    # walk-converge steps that many walks at once (a word, a departure word
+    # and a state each) and simulate-wbm sorts that many exact marginals and
+    # evaluates its test functions on them: about 100 bytes per replica, some
+    # 400 MiB at the budget, 210 times the default
+    "replicas": (1, 2**22, f"one or more, up to the budget of {2**22} replicas"),
+    # near horizon / dt = _MAX_KEPT_STEPS verify-freidlin-sheu plans two
+    # one-path tasks per path, each with its tuple, pool future and row
+    # about 2.2 kB in the parent process: some 270 MiB at the budget, 328 times the default
+    "path_replicas": (1, 2**16, f"one or more, up to the budget of {2**16} flip paths"),
+    # flow-experiment tasks hold at least _FLOW_CHUNK_MIN replicas each, so
+    # the parent process keeps a row of seven values, about 200 bytes, per
+    # replica: some 200 MiB at the budget, 874 times the default
+    "flow_replicas": (1, 2**20, f"one or more, up to the budget of {2**20} flow replicas"),
+    # merge_level_samples keeps three int64 arrays and two walk states of one
+    # entry per pair, 2 MiB per array at the budget; its blocks (see
+    # flows._MERGE_BLOCK_WORDS, W) draw at most W + m 8-byte words for m
+    # pairs, 2 m once m passes W: 4 MiB at the budget, with a few bytes of
+    # coins and states per word. The merges artifact holds a row per merge
+    "merge_pairs": (1, 2**18, f"one or more, up to the budget of {2**18} merge pairs"),
+    # no upper bound: _map_replicas stops the pool at the usable CPUs
+    "workers": (1, None, "a run needs one worker or more"),
+    "root_seed": (0, 2**64 - 1, "a root seed is an unsigned 64-bit integer"),
+    "horizon * 4^level": _KEPT_STEPS,
+    "horizon / dt": _KEPT_STEPS,
+    # see flow_y_units: steps + y + 2 <= 2^62 + 2^52 + 2 fits int64
+    "flow_horizon * 4^level": (_LATE_START_STEP + 1, 2**62, "the flow must outlast the "
+                               f"{_LATE_START_STEP} steps before the last start, within int64"),
+}
 
 
 class ConfigInvalid(ValueError):
@@ -137,6 +158,16 @@ class Io(RuntimeError):
 
 class CheckFailed(RuntimeError):
     """A mandatory verification check failed (exit code 1)."""
+
+
+def _check_counts(counts: dict) -> None:
+    """Raise ConfigInvalid for the first count outside its _BOUNDS row."""
+    for name, value in counts.items():
+        least, most, why = _BOUNDS[name]
+        if value < least:
+            raise ConfigInvalid(f"{name} = {value} is less than {least}: {why}")
+        if most is not None and value > most:
+            raise ConfigInvalid(f"{name} = {value} is more than {most}: {why}")
 
 
 @dataclass(frozen=True)
@@ -165,64 +196,26 @@ class ExperimentConfig:
             spec = validate_spec(self.alpha, self.eps)
         except ValueError as exc:
             raise ConfigInvalid(f"bad graph: {exc}") from exc
-        if not 0 <= self.level <= 12:
-            raise ConfigInvalid("level must be between 0 and 12")
+        _check_counts({f.name: getattr(self, f.name) for f in fields(self) if f.name in _BOUNDS})
         if self.dt <= 0 or self.horizon <= 0 or self.flow_horizon <= 0:
             raise ConfigInvalid("dt, horizon, and flow_horizon must be positive")
-        if self.flow_y_units <= 0 or self.flow_y_units % 2:
+        if self.flow_y_units % 2:
             raise ConfigInvalid("flow_y_units must be a positive even integer")
         # step counts are derived from these ratios; off-grid values would be
         # rounded silently, and not always the same way, and a ratio that
         # rounds to 0 would give a run of no steps
-        for name, ratio in (
-            ("flow_horizon * 4^level", self.flow_horizon * 4.0**self.level),
-            ("horizon * 4^level", self.horizon * 4.0**self.level),
-            (
-                f"horizon * 4^{_WALK_LEVELS[0]} (coarsest walk-converge level)",
-                self.horizon * 4.0 ** _WALK_LEVELS[0],
-            ),
-            ("horizon / dt", self.horizon / self.dt),
-            (
-                "horizon / (4 dt) (verify-freidlin-sheu's coarse step)",
-                self.horizon / (4.0 * self.dt),
-            ),
-        ):
+        walk, coarse = 4.0 ** _WALK_LEVELS[0], 4.0 * self.dt
+        ratios = {
+            "flow_horizon * 4^level": self.flow_horizon * 4.0**self.level,
+            "horizon * 4^level": self.horizon * 4.0**self.level,
+            f"horizon * 4^{_WALK_LEVELS[0]} (coarsest walk-converge level)": self.horizon * walk,
+            "horizon / dt": self.horizon / self.dt,
+            "horizon / (4 dt) (verify-freidlin-sheu's coarse step)": self.horizon / coarse,
+        }
+        for name, ratio in ratios.items():
             if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
                 raise ConfigInvalid(f"{name} = {ratio!r} is not a whole number >= 1")
-        for name, steps in (
-            ("horizon * 4^level", self.horizon * 4.0**self.level),
-            ("horizon / dt", self.horizon / self.dt),
-        ):
-            if steps > _MAX_KEPT_STEPS:
-                raise ConfigInvalid(
-                    f"{name} = {steps:.0f} steps exceeds the budget of "
-                    f"{_MAX_KEPT_STEPS} steps for a kept trajectory"
-                )
-        if self.replicas > _MAX_REPLICAS:
-            raise ConfigInvalid(
-                f"replicas = {self.replicas} exceeds the budget of {_MAX_REPLICAS} replicas"
-            )
-        if self.merge_pairs > _MAX_MERGE_PAIRS:
-            raise ConfigInvalid(
-                f"merge_pairs = {self.merge_pairs} exceeds the budget of "
-                f"{_MAX_MERGE_PAIRS} merge pairs"
-            )
-        if round(self.flow_horizon * 4.0**self.level) <= _LATE_START_STEP:
-            raise ConfigInvalid(
-                f"flow_horizon * 4^level must exceed {_LATE_START_STEP} steps, "
-                f"the birth step of the last flow-experiment start"
-            )
-        for field_name in (
-            "replicas",
-            "path_replicas",
-            "flow_replicas",
-            "merge_pairs",
-            "workers",
-        ):
-            if getattr(self, field_name) < 1:
-                raise ConfigInvalid(f"{field_name} must be >= 1")
-        if not 0 <= self.root_seed < 2**64:
-            raise ConfigInvalid("root_seed must fit an unsigned 64-bit integer")
+        _check_counts({name: round(ratio) for name, ratio in ratios.items() if name in _BOUNDS})
         if not self.out_dir:
             raise ConfigInvalid("out_dir must be non-empty")
         try:
@@ -341,20 +334,25 @@ def _write_reports(reports: Sequence[TestReport], path: str) -> None:
         raise Io(f"cannot write {path!r}: {exc}") from exc
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _map_replicas(task: Callable, args_list: list, workers: int) -> list:
-    """Run task on each argument tuple, one per chunk of replicas; output
-    order is by argument, never by scheduling, so the worker count cannot
-    change any artifact."""
-    if workers <= 1 or len(args_list) <= 1:
+    """Run task on each argument tuple, one per chunk of replicas, in a pool
+    of at most the workers, tasks or usable CPUs; output order is by
+    argument, never by scheduling, so no artifact depends on the pool."""
+    workers = min(workers, len(args_list), _cpu_count())
+    if workers <= 1:
         return [task(args) for args in args_list]
     # imported here, so that a serial run never loads multiprocessing; the
     # pool starts all its workers at the first submit
     import concurrent.futures
 
-    workers = min(workers, len(args_list))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(args_list) // (workers * 8))
-        return list(pool.map(task, args_list, chunksize=chunk))
+        return list(pool.map(task, args_list))
 
 
 def _chunks(replicas: int, workers: int, most: int, least: int = 1) -> list[tuple[int, int]]:

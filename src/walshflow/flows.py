@@ -10,9 +10,16 @@ trajectory is undefined ahead of its start time.
 Coalescence is the recorded merge event of the kernel construction: the
 first index at which two trajectories sit at the junction together (for
 plus-weight 1/2 the flow is a pure translation with no junction rule, and
-the record is the first plain equality instead). Scalar values can become
-equal one step before a recorded merge; shared coins keep them equal from
-then on, so everything after the record is bitwise identical either way.
+the record is the first plain equality instead). Under the junction rule
+two trajectories never first become equal at the junction: off it, distinct
+values move by the same sign and stay distinct, and a value at 0 leaves it.
+They first become equal off the junction, shared coins keep them equal from
+then on, and the record is the first junction visit of the merged path at
+or after that equality, so everything after the record is bitwise
+identical either way. The record comes at least one step after the
+equality, and often many more: at the default graph, level 6 and seed
+20240, over 162 records in 60 flow-experiment replicas, the gap ran from 1
+to 2,087 steps, with a median of 3, and about half were over one step.
 A start's value and junction visits therefore come from its own row; the
 copy chain of merges serves only the draw keys. Kernels and mappings key
 their draws by the rows of FlowEnsemble.excursions, one table per
@@ -487,7 +494,7 @@ _SPAN_STEPS = 2048
 # 64, then b junction words per pair. Both constants decide which word each
 # pair reads, so changing either one is a stream bump of the merge study. A
 # block reads at most max(_MERGE_BLOCK_WORDS, m) + m words, 8 bytes each:
-# about 1 MiB, and 4 MiB at cli._MAX_MERGE_PAIRS
+# about 1 MiB, and 4 MiB at the merge_pairs budget of cli._BOUNDS
 _MERGE_BLOCK_STEPS = 64
 _MERGE_BLOCK_WORDS = 2**17
 
@@ -590,7 +597,9 @@ def _flow_invariants(
       monotone    same-time starts keep their initial order at every index;
       flow_prop   the last column equals start 0 from its birth on;
       permanence  every start equals its merge target from the merge on;
-      at_zero     every merge sits at the junction (junction rule only);
+      at_zero     every merge sits at the junction (junction rule only),
+                  true by definition, since a merge record under the
+                  junction rule is a common junction visit;
       merge       index of the (0, 1) merge, -1 if none in the horizon;
       visits      junction visits of start 1 before that merge.
     A merge is recorded as FlowEnsemble.merge_record does: the first

@@ -580,8 +580,12 @@ def _word_steps(words: np.ndarray) -> np.ndarray:
 
 
 def _state_dtype(reach: int) -> type:
-    """The narrowest of int16, int32 and int64 that holds +-reach."""
-    return next(t for t in (np.int16, np.int32, np.int64) if reach <= np.iinfo(t).max)
+    """The narrowest of int16, int32 and int64 that holds +-reach; ValueError
+    when not even int64 does."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if reach <= np.iinfo(dtype).max:
+            return dtype
+    raise ValueError(f"reach {reach} does not fit an int64 state")
 
 
 def _skew_step(

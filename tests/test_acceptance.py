@@ -319,6 +319,10 @@ def _invariants_hold(spec, seed):
 
 
 def test_09_flow_invariants_exact():
+    """Monotone order, permanence, merge at the junction and the flow
+    property on 6,000 lattice-flow ensembles. The merge-at-junction clause
+    holds by definition: under the junction rule a merge record is a common
+    junction visit, so that clause cannot fail; the others can."""
     grid_specs = [
         validate_spec((0.5, 0.5), (1, -1)),
         validate_spec((0.7, 0.3), (1, -1)),

@@ -6,9 +6,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,21 +20,22 @@ from walshflow import cli as cli_module
 from walshflow import flows as flows_module
 from walshflow import paths as paths_module
 from walshflow.cli import (
+    _BOUNDS,
     _FLOW_CHUNK_MAX,
     _FLOW_CHUNK_MIN,
     _KEPT_VALUES,
     _MAX_KEPT_STEPS,
-    _MAX_MERGE_PAIRS,
-    _MAX_REPLICAS,
     COMMANDS,
     DEFAULT_CONFIG,
     CheckFailed,
     ConfigInvalid,
     ExperimentConfig,
     _band_report,
+    _check_counts,
     _chunks,
     _cmd_simulate_wbm,
     _cmd_verify_freidlin_sheu,
+    _cpu_count,
     _flip_chunks,
     _ito_test_functions,
     _kernel_task,
@@ -128,39 +130,73 @@ class TestConfigRoundTrip:
             {"dt": 0.1},
             # merge-level pairs over the budget: five arrays of 8 GB each
             {"merge_pairs": 10**9},
-            {"merge_pairs": _MAX_MERGE_PAIRS + 1},
+            {"merge_pairs": _BOUNDS["merge_pairs"][1] + 1},
             # replicas over the budget: some 1 TB of simulate-wbm marginals
             {"replicas": 10**10},
-            {"replicas": _MAX_REPLICAS + 1},
+            {"replicas": _BOUNDS["replicas"][1] + 1},
             # step counts that round to 0: horizon / dt is 0 or 1e-300, and
             # at level 0 horizon * 4^level is 5e-11
             {"dt": math.inf},
             {"dt": 1e300},
             {"level": 0, "horizon": 5e-11, "dt": 1.25e-11, "flow_horizon": 32.0},
+            # walk states past int64: 2^63 units up, and 2^65 flow steps
+            {"flow_y_units": 2**63},
+            {"level": 2, "flow_horizon": 2.0**61},
+            # one past each new budget; 2^62 + 1024 flow steps is the first
+            # float past 2^62
+            {"path_replicas": _BOUNDS["path_replicas"][1] + 1},
+            {"flow_replicas": _BOUNDS["flow_replicas"][1] + 1},
+            {"flow_y_units": _BOUNDS["flow_y_units"][1] + 2},
+            {"level": 2, "flow_horizon": 2.0**58 + 64},
+            {"workers": 0},
+            {"root_seed": 2**64},
         ],
     )
     def test_validation_rejects(self, overrides):
         with pytest.raises(ConfigInvalid):
             replace(DEFAULT_CONFIG, **overrides).validate()
 
-    def test_step_budget_names_the_bound(self):
-        assert DEFAULT_CONFIG.horizon * 4.0**DEFAULT_CONFIG.level <= _MAX_KEPT_STEPS
-        assert DEFAULT_CONFIG.horizon / DEFAULT_CONFIG.dt <= _MAX_KEPT_STEPS
-        replace(DEFAULT_CONFIG, level=11).validate()  # 4^11 steps, at the budget
+    @pytest.mark.parametrize(
+        "name", list(_BOUNDS), ids=[re.sub(r"\W+", "_", name).strip("_") for name in _BOUNDS]
+    )
+    def test_bound_names_itself(self, name):
+        # each count passes at its least and most values, and one past
+        # either fails with a message that names the bound and its reason;
+        # a config field does the same through validate (level's ends move
+        # the step counts too: test_kept_step_budget_and_level_ends)
+        least, most, why = _BOUNDS[name]
+        for value in (least, most):
+            if value is not None:
+                _check_counts({name: value})
+                if hasattr(DEFAULT_CONFIG, name) and name != "level":
+                    replace(DEFAULT_CONFIG, **{name: value}).validate()
+        past = [(least - 1, f"{name} = {least - 1} is less than {least}: {why}")]
+        if most is not None:
+            past.append((most + 1, f"{name} = {most + 1} is more than {most}: {why}"))
+        for value, message in past:
+            with pytest.raises(ConfigInvalid) as caught:
+                _check_counts({name: value})
+            assert str(caught.value) == message
+            if hasattr(DEFAULT_CONFIG, name):
+                with pytest.raises(ConfigInvalid) as caught:
+                    replace(DEFAULT_CONFIG, **{name: value}).validate()
+                assert str(caught.value) == message
+
+    def test_every_count_field_has_a_bound(self):
+        counts = {f.name for f in fields(ExperimentConfig) if f.type in (int, "int")}
+        assert counts == {name for name in _BOUNDS if hasattr(DEFAULT_CONFIG, name)}
+
+    def test_kept_step_budget_and_level_ends(self):
+        config = DEFAULT_CONFIG
+        assert config.horizon * 4.0**config.level <= _MAX_KEPT_STEPS
+        assert config.horizon / config.dt <= _MAX_KEPT_STEPS
+        replace(config, level=11).validate()  # 4^11 steps, at the budget
         with pytest.raises(ConfigInvalid, match=f"budget of {_MAX_KEPT_STEPS} steps"):
-            replace(DEFAULT_CONFIG, level=12).validate()
-
-    def test_merge_pair_budget_names_the_bound(self):
-        assert DEFAULT_CONFIG.merge_pairs <= _MAX_MERGE_PAIRS
-        replace(DEFAULT_CONFIG, merge_pairs=_MAX_MERGE_PAIRS).validate()
-        with pytest.raises(ConfigInvalid, match=f"budget of {_MAX_MERGE_PAIRS} merge pairs"):
-            replace(DEFAULT_CONFIG, merge_pairs=_MAX_MERGE_PAIRS + 1).validate()
-
-    def test_replica_budget_names_the_bound(self):
-        assert DEFAULT_CONFIG.replicas <= _MAX_REPLICAS
-        replace(DEFAULT_CONFIG, replicas=_MAX_REPLICAS).validate()
-        with pytest.raises(ConfigInvalid, match=f"budget of {_MAX_REPLICAS} replicas"):
-            replace(DEFAULT_CONFIG, replicas=_MAX_REPLICAS + 1).validate()
+            replace(config, level=12).validate()
+        # level 12 keeps a quarter unit of time, and its 4^13 flow steps
+        # keep no trajectory; level 0 needs 17 flow steps
+        replace(config, level=12, horizon=0.25, flow_horizon=4.0).validate()
+        replace(config, level=0, flow_horizon=17.0).validate()
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigInvalid):
@@ -262,6 +298,16 @@ class TestExitCodes:
         assert main(["kernel-experiment", "--config", str(ini)]) == 2
         assert f"budget of {_MAX_KEPT_STEPS} steps" in capsys.readouterr().err
 
+    def test_walk_state_past_int64_exits_two(self, tmp_path, capsys):
+        # 2^63 units once passed validation and ended in exit 3
+        config = replace(DEFAULT_CONFIG, flow_y_units=2**63, out_dir=str(tmp_path / "o"))
+        ini = tmp_path / "far.ini"
+        ini.write_text(serialize_config(config), encoding="utf-8")
+        assert main(["flow-experiment", "--config", str(ini)]) == 2
+        most, why = _BOUNDS["flow_y_units"][1:]
+        assert f"flow_y_units = {2**63} is more than {most}: {why}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_success_writes_artifacts(self, tmp_path):
         out = tmp_path / "semi"
         code = main(["verify-semigroup", "--out", str(out)])
@@ -358,8 +404,9 @@ class TestExitCodes:
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Replace the process pool by one that records each pool size and task
-    count asked for and maps in this process, so no process starts."""
-    asked = SimpleNamespace(sizes=[], tasks=[])
+    count asked for and maps in this process, so no process starts; the
+    usable CPUs are asked.cpus, 64 unless a test sets it."""
+    asked = SimpleNamespace(sizes=[], tasks=[], cpus=64)
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -371,18 +418,28 @@ def recording_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, task, args_list, chunksize=1):
+        def map(self, task, args_list):
             asked.tasks.append(len(args_list))
             return map(task, args_list)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli_module, "_cpu_count", lambda: asked.cpus)
     return asked
 
 
 def test_pool_is_no_larger_than_the_task_list(recording_pool):
+    # min(workers, tasks, usable CPUs), and no pool where that is 1
+    recording_pool.cpus = 4
     assert _map_replicas(abs, [-3, -1, 2], 8) == [3, 1, 2]
     assert _map_replicas(abs, list(range(-20, 0)), 2) == list(range(20, 0, -1))
-    assert recording_pool.sizes == [3, 2]
+    assert _map_replicas(abs, list(range(-20, 0)), 1000) == list(range(20, 0, -1))
+    recording_pool.cpus = 1
+    assert _map_replicas(abs, [-3, -1, 2], 8) == [3, 1, 2]
+    assert recording_pool.sizes == [3, 2, 4]
+
+
+def test_cpu_count_is_this_process_share():
+    assert 1 <= _cpu_count() <= (os.cpu_count() or 1)
 
 
 def _flip_budget(steps):
@@ -471,10 +528,13 @@ def test_every_parallel_subcommand_asks_for_its_task_count(recording_pool):
         "flow-experiment": 6,
         "kernel-experiment": 200,
     }
+    recording_pool.cpus = 2
     for name, tasks in want.items():
         recording_pool.tasks.clear()
         COMMANDS[name](config)
         assert recording_pool.tasks == [tasks], name
+    # and each pool stops at the two CPUs
+    assert recording_pool.sizes == [2] * len(want)
 
 
 def test_flow_pool_is_no_larger_than_before(tmp_path, recording_pool):

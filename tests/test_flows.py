@@ -219,6 +219,26 @@ class TestScalarDynamics:
             assert ens.traj[q, t] == 0 and ens.traj[record.target_index, t] == 0
             assert np.array_equal(ens.traj[q, t:], ens.traj[record.target_index, t:])
 
+    @pytest.mark.parametrize("spec", [SPEC2, SPEC3, TANAKA3, DOWN2])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32))
+    def test_merge_record_is_first_junction_visit_after_equality(self, spec, seed):
+        """Under the junction rule, starts born together first become equal
+        off the junction and stay equal; the merge record is the merged
+        path's first junction visit after that, at least one step later."""
+        cfg = _config_for(spec, 3, 256, [(0, 1, 0), (0, 1, 2), (0, 1, 4), (0, spec.n_rays, 2)])
+        ens = skew_lattice_flow(cfg, spec, RngStream(seed).child(5))
+        for q in range(1, ens.n_starts):
+            record = ens.merge_record(q)
+            if record is None:
+                continue
+            same = np.flatnonzero(ens.traj[q] == ens.traj[record.target_index])
+            first = int(same[0])
+            assert np.array_equal(same, np.arange(first, ens.steps + 1))
+            assert ens.traj[q, first] != 0
+            visits = np.flatnonzero(ens.traj[q, first:] == 0)
+            assert record.merge_index == first + int(visits[0]) > first
+
     def test_coalescence_with_self_is_birth(self):
         cfg = _config_for(SPEC2, 2, 32, [(0, 1, 0), (4, 1, 2)])
         ens = skew_lattice_flow(cfg, SPEC2, RngStream(3))
@@ -1160,6 +1180,11 @@ class TestMergeLevels:
         int32; the levels match the oracle either way."""
         assert paths_module._state_dtype(reach) is dtype
         _assert_merge_levels_match_oracle((SPEC2, 3, 2, reach - 2, 9, RngStream(64)))
+
+    def test_upper_start_past_int64_is_a_value_error(self):
+        # no walk state type holds 2^63 units
+        with pytest.raises(ValueError, match=f"reach {2**63 + 64} "):
+            merge_level_samples(SPEC2, 4, 2**63, 64, 9, RngStream(62))
 
     def test_levels_never_below_initial_separation(self):
         levels, censored = merge_level_samples(SPEC2, 4, 2, 4096, 400, RngStream(60))

@@ -624,6 +624,15 @@ def test_scaled_walk_marginal_state_type_edge(steps, dtype):
     _assert_walk_matches_oracle(SPEC3, 8, t, 3, RngStream(70))
 
 
+def test_state_type_past_int64_names_the_reach():
+    """The int64 maximum keeps an int64 state; one past it has no state
+    type, and the error names the reach."""
+    top = int(np.iinfo(np.int64).max)
+    assert _state_dtype(top) is np.int64
+    with pytest.raises(ValueError, match=f"reach {top + 1} "):
+        _state_dtype(top + 1)
+
+
 @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, -math.inf, math.nan])
 def test_sample_wbm_exact_rejects_t_not_finite_and_positive(t):
     with pytest.raises(ValueError, match="t ="):
