@@ -124,18 +124,16 @@ _BOUNDS = {
     # 400 MiB at the budget, 210 times the default
     "replicas": (1, 2**22, f"one or more, up to the budget of {2**22} replicas"),
     # near horizon / dt = _MAX_KEPT_STEPS verify-freidlin-sheu plans two
-    # one-path tasks per path, each with its tuple, pool future and row
-    # about 2.2 kB in the parent process: some 270 MiB at the budget, 328 times the default
+    # one-path tasks per path, whose tuples and rows keep 0.85 kB per path in
+    # the parent process: some 55 MiB at the budget, 328 times the default
     "path_replicas": (1, 2**16, f"one or more, up to the budget of {2**16} flip paths"),
     # flow-experiment tasks hold at least _FLOW_CHUNK_MIN replicas each, so
     # the parent process keeps a row of seven values, about 200 bytes, per
     # replica: some 200 MiB at the budget, 874 times the default
     "flow_replicas": (1, 2**20, f"one or more, up to the budget of {2**20} flow replicas"),
     # merge_level_samples keeps three int64 arrays and two walk states of one
-    # entry per pair, 2 MiB per array at the budget; its blocks (see
-    # flows._MERGE_BLOCK_WORDS, W) draw at most W + m 8-byte words for m
-    # pairs, 2 m once m passes W: 4 MiB at the budget, with a few bytes of
-    # coins and states per word. The merges artifact holds a row per merge
+    # entry per pair, 2 MiB per array at the budget, and its blocks 4 MiB of
+    # words (flows._MERGE_BLOCK_WORDS). The merges artifact holds a row per merge
     "merge_pairs": (1, 2**18, f"one or more, up to the budget of {2**18} merge pairs"),
     # no upper bound: _map_replicas stops the pool at the usable CPUs
     "workers": (1, None, "a run needs one worker or more"),
@@ -351,8 +349,15 @@ def _map_replicas(task: Callable, args_list: list, workers: int) -> list:
     # pool starts all its workers at the first submit
     import concurrent.futures
 
+    # four tasks per worker in flight, so that a plan of one task per flip
+    # path holds no pool future per path
+    results, pending = [], []
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, args_list))
+        for args in args_list:
+            if len(pending) == 4 * workers:
+                results.append(pending.pop(0).result())
+            pending.append(pool.submit(task, args))
+        return results + [future.result() for future in pending]
 
 
 def _chunks(replicas: int, workers: int, most: int, least: int = 1) -> list[tuple[int, int]]:
@@ -651,8 +656,9 @@ def _flow_starts(spec: GraphSpec, config: ExperimentConfig):
 # replicas per flow-experiment task, stepped together by the kernel. A task
 # holds at least _FLOW_CHUNK_MIN unless the run has fewer, so the pool never
 # outgrows ceil(flow_replicas / _FLOW_CHUNK_MIN); it holds at most
-# _FLOW_CHUNK_MAX, so with about 5 kB of generators, state block and packed
-# coins per replica its buffers stay near 10 MB whatever the config
+# _FLOW_CHUNK_MAX, so with about 3.3 kB of generator, state block and packed
+# coins per replica (tracemalloc, 2,048 default replicas) its buffers stay
+# near 7 MB whatever the config
 _FLOW_CHUNK_MIN = 200
 _FLOW_CHUNK_MAX = 2048
 

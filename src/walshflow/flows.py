@@ -1,11 +1,16 @@
 """Lattice flows with shared noise: scalar trajectories, kernels, mappings.
 
-All trajectories of one ensemble ride the same per-step coins: a
-Rademacher sign used away from the junction and a uniform used at it
-(step up when the uniform is under the plus-weight). Trajectories are
-integers in lattice units (space 2^-n, time 4^-n); before a start is
-born its row holds an integer infinity, mirroring the convention that a
-trajectory is undefined ahead of its start time.
+All trajectories of one ensemble ride the same per-step coins, read from a
+KEY_FLOW_COINS stream in blocks of the 64 steps one sign word serves: a
+block of b <= 64 steps for m walkers is (b + 1) m words, the m sign words
+and then b rows of m junction words. At the block's step s a walker off
+the junction steps up when bit s of its sign word is set (bit 0 least
+significant), and one at it when its junction word of row s gives a
+uniform (word >> 11) 2^-53 below the plus-weight. A replica stream is one
+walker; the merge study's unmerged pairs are the walkers of its stream.
+Trajectories are integers in lattice units (space 2^-n, time 4^-n); before
+a start is born its row holds an integer infinity, mirroring the
+convention that a trajectory is undefined ahead of its start time.
 
 Coalescence is the recorded merge event of the kernel construction: the
 first index at which two trajectories sit at the junction together (for
@@ -29,17 +34,15 @@ call per side), copies a merged start's from its target, and mappings
 read that array, keeping nothing of their own.
 
 A replica-batched kernel, _skew_flow_states, steps a (starts, replicas)
-integer state through time, each replica on its own coins: the same
-numbers skew_lattice_flow draws, drawn with one generator call per stream,
-kind (junction or sign) and span of _SPAN_STEPS steps and kept as bits,
-64 steps to a word. It has two callers. skew_lattice_flows copies its blocks into full
-trajectories, one ensemble per stream, for the kernel experiment. The flow
-experiment keeps no trajectories: after every block of _BLOCK_STEPS steps
-it folds the block into running invariants: monotone order, the flow
-property, permanence and merge-at-junction against the merge record, the
-(0, 1) merge index and the junction visits before it. Its memory is
-therefore O(replicas x (starts x _BLOCK_STEPS + _SPAN_STEPS / 8)) whatever
-the horizon.
+integer state through time, each replica on the coins skew_lattice_flow
+reads from its stream (_coin_blocks). It has two callers.
+skew_lattice_flows copies its blocks into full trajectories, one ensemble
+per stream, for the kernel experiment. The flow experiment keeps no
+trajectories: after every block it folds the block into running
+invariants: monotone order, the flow property, permanence and
+merge-at-junction against the merge record, the (0, 1) merge index and
+the junction visits before it. Its memory is therefore O(replicas x
+(starts x 64 + _SPAN_STEPS / 4)) whatever the horizon.
 """
 
 from __future__ import annotations
@@ -420,10 +423,8 @@ def skew_lattice_flow(
 ) -> FlowEnsemble:
     """Simulate the shared-coin lattice flow for every configured start.
 
-    One generator draws `steps` junction uniforms, random(steps), then
-    ceil(steps / 64) raw sign words: step s's sign is bit s % 64 of sign
-    word s // 64, bit 0 the least significant, and a set bit steps up.
-    Each start then steps from its birth on the one rule of the
+    The stream is one walker in the blocks of the module docstring, read by
+    one bit generator. Each start steps from its birth on the one rule of the
     flow: away from the junction it moves by the shared sign; at the
     junction it steps up exactly when the shared uniform is below the
     plus-weight (always up at weight 1, always down at weight 0, and no
@@ -435,15 +436,17 @@ def skew_lattice_flow(
     steps = config.steps
     signed = _checked_starts(config, spec)
     junction_rule = spec.alpha_plus != 0.5
-    gen = stream.child(KEY_FLOW_COINS).generator()
-    up = (gen.random(steps) < spec.alpha_plus).tolist()
-    xi = _word_steps(gen.bit_generator.random_raw(-(-steps // 64)))[:steps].tolist()
+    gen = stream.child(KEY_FLOW_COINS).generator().bit_generator
+    # block i opens with sign word 65 i; step k's junction word is k + k // 64 + 1
+    words = gen.random_raw(steps + -(-steps // 64))
+    up = _uniforms_below(words, spec.alpha_plus).tolist()
+    xi = _word_steps(words[::65, None]).ravel()[:steps].tolist()
     traj = np.full((len(signed), steps + 1), LATTICE_INF, dtype=np.int64)
     for q, (s_idx, z, _ray) in enumerate(signed):
         row = [z]
         for k in range(s_idx, steps):
             if z == 0 and junction_rule:
-                z = 1 if up[k] else -1
+                z = 1 if up[k + k // 64 + 1] else -1
             else:
                 z += xi[k]
             row.append(z)
@@ -481,58 +484,45 @@ def skew_lattice_flows(
     return [FlowEnsemble(config, spec, plane, signed) for plane in traj]
 
 
-# time steps per streamed block, for coins and states alike; a multiple of
-# 64, so every block starts on a whole coin word
-_BLOCK_STEPS = 64
-# time steps of coins one generator call draws per stream, kept 64 to a word;
-# a multiple of _BLOCK_STEPS, so that no coin word straddles two spans
+# time steps of coins one generator call draws per replica stream, kept 64
+# to a word; a multiple of 64, so that every span starts a block
 _SPAN_STEPS = 2048
-# the merge study's stream layout: with m unmerged pairs, merge_level_samples
-# steps a block of b = min(_MERGE_BLOCK_STEPS, max(1, _MERGE_BLOCK_WORDS //
-# m), steps left) steps on the stream's next (b + 1) m words: a sign word per
-# pair, which serves the pair's whole block, so _MERGE_BLOCK_STEPS is at most
-# 64, then b junction words per pair. Both constants decide which word each
-# pair reads, so changing either one is a stream bump of the merge study. A
-# block reads at most max(_MERGE_BLOCK_WORDS, m) + m words, 8 bytes each:
-# about 1 MiB, and 4 MiB at the merge_pairs budget of cli._BOUNDS
-_MERGE_BLOCK_STEPS = 64
+# merge_level_samples' blocks for m unmerged pairs are b = min(64, max(1,
+# _MERGE_BLOCK_WORDS // m), steps left) steps, so changing this is a stream
+# bump of the merge study; a block reads at most max(_MERGE_BLOCK_WORDS, m) +
+# m words: about 1 MiB, and 4 MiB at the merge_pairs budget of cli._BOUNDS
 _MERGE_BLOCK_WORDS = 2**17
 
 
 def _coin_blocks(streams: list[RngStream], steps: int, alpha_plus: float):
     """The coins skew_lattice_flow draws from each stream, in time blocks.
 
-    Yields (junction, xi) per block of at most _BLOCK_STEPS steps, each a
-    (replicas, block) int8 array of +-1; junction is None at plus-weight
-    1/2. A stream holds `steps` junction words followed by ceil(steps / 64)
-    sign words, step s's sign being bit s % 64 of sign word s // 64, so a
-    second Philox on the same seed sequence, moved past the junction words,
-    reads the signs alongside them. Each bit generator serves a span of
-    _SPAN_STEPS steps per call. Both kinds are kept 64 steps to a
-    little-endian word: the sign words as drawn, the junction words as
-    bits of _uniforms_below(raw, a+). Memory is therefore
-    O(replicas x _SPAN_STEPS / 8) whatever the horizon.
+    Yields (junction, xi) per block of at most 64 steps, each a (replicas,
+    block) int8 array of +-1; junction is None at plus-weight 1/2, where
+    the junction words are drawn but not read. One bit generator per stream
+    reads _SPAN_STEPS steps of blocks per call, kept as two little-endian
+    words per block: the sign word as drawn and the bits of
+    _uniforms_below(junction words, a+).
     """
     junction_rule = alpha_plus != 0.5
-    signs = [s.child(KEY_FLOW_COINS).generator().bit_generator for s in streams]
-    junction = [type(g)(g.seed_seq) for g in signs] if junction_rule else []
-    for gen in signs:
-        # Philox advances by counters of four 64-bit words
-        gen.advance(steps // 4)
-        gen.random_raw(steps % 4)
-    packed = np.empty((1 + junction_rule, len(streams), _SPAN_STEPS // 8), dtype=np.uint8)
-    words = packed.view("<u8")
+    gens = [s.child(KEY_FLOW_COINS).generator().bit_generator for s in streams]
+    # per stream and block: the sign word, then the packed junction bits
+    packed = np.empty((len(streams), _SPAN_STEPS // 64, 2), dtype="<u8")
     for s0 in range(0, steps, _SPAN_STEPS):
         width = min(_SPAN_STEPS, steps - s0)
-        for row, gen in zip(words[-1], signs):
-            row[: -(-width // 64)] = gen.random_raw(-(-width // 64))
-        for row, gen in zip(packed[0], junction):
-            up = _uniforms_below(gen.random_raw(width), alpha_plus)
-            row[: -(-width // 8)] = np.packbits(up, bitorder="little")
-        for k0 in range(0, width, _BLOCK_STEPS):
-            block = min(_BLOCK_STEPS, width - k0)
-            coins = _word_steps(words[:, :, k0 // 64 : -(-(k0 + block) // 64)])
-            yield (coins[0, :, :block] if junction_rule else None), coins[-1, :, :block]
+        blocks = -(-width // 64)
+        for row, gen in zip(packed, gens):
+            words = gen.random_raw(width + blocks)
+            # a row per block; resize pads a short last block with unread words
+            words = np.resize(words, (blocks, 65)) if width % 64 else words.reshape(blocks, 65)
+            row[:blocks, 0] = words[:, 0]
+            if junction_rule:
+                up = _uniforms_below(words[:, 1:], alpha_plus)
+                row[:blocks, 1] = np.packbits(up, bitorder="little").view("<u8")
+        for k0 in range(0, width, 64):
+            block = min(64, width - k0)
+            coins = _word_steps(packed[:, k0 // 64, : 1 + junction_rule])
+            yield (coins[:, 64 : 64 + block] if junction_rule else None), coins[:, :block]
 
 
 def _skew_flow_states(
@@ -549,14 +539,12 @@ def _skew_flow_states(
     at index k0 + j for j = 0..width: consecutive blocks share one row.
     rows is a view of a buffer the next block overwrites, and its entries
     ahead of a start's birth mean nothing. States take the narrowest
-    integer type that holds every reachable value. With the coins of
-    _coin_blocks, memory is O(replicas x (starts x _BLOCK_STEPS +
-    _SPAN_STEPS / 8)) whatever the horizon. _flow_experiment_invariants
-    reduces the blocks as they come; skew_lattice_flows copies them into
-    whole trajectories.
+    integer type that holds every reachable value; memory is as the module
+    docstring gives. _flow_experiment_invariants reduces the blocks as they
+    come; skew_lattice_flows copies them into whole trajectories.
     """
     dtype = _state_dtype(steps + max(abs(units or 0) for _, units in starts))
-    rows = np.zeros((_BLOCK_STEPS + 1, len(starts), len(streams)), dtype=dtype)
+    rows = np.zeros((64 + 1, len(starts), len(streams)), dtype=dtype)
     born: dict[int, list[tuple[int, Optional[int]]]] = {}
     for q, (birth, units) in enumerate(starts):
         born.setdefault(birth, []).append((q, units))
@@ -617,9 +605,9 @@ def _flow_invariants(
     visits = np.zeros(n_replicas, dtype=np.int64)
     # one buffer each for the whole horizon, written in place per block:
     # allocated per block, they can cost fresh pages on every block
-    at_junction_buf = np.empty((_BLOCK_STEPS + 1, n, n_replicas), dtype=bool)
+    at_junction_buf = np.empty((64 + 1, n, n_replicas), dtype=bool)
     meet_buf = np.empty_like(at_junction_buf)
-    pair_buf = np.empty((_BLOCK_STEPS + 1, n_replicas), dtype=bool)
+    pair_buf = np.empty((64 + 1, n_replicas), dtype=bool)
     after_buf = np.empty_like(pair_buf)
     for k0, rows in blocks:
         width = len(rows)
@@ -1039,16 +1027,13 @@ def merge_level_samples(
     >= y. Returns (levels of the merged pairs in pair order, number
     censored at the horizon).
 
-    Draw layout: steps go in blocks, of the length the _MERGE_BLOCK_STEPS
-    comment gives for the m pairs unmerged at the block's start. A block
-    of b <= 64 steps reads the stream's next (b + 1) m 64-bit words as a
-    (b + 1, m) array. Row 0 holds each pair's sign word: the unmerged pair
-    of rank r (pairs ranked by index) steps up away from the junction at
-    the block's step s when bit s of word [0, r] is set, bit 0 the least
-    significant. Rows 1..b hold the junction words: at step s the pair
-    steps up at the junction when word [1 + s, r] gives a uniform below a+.
-    A pair merges at the first step after which both its walks sit at 0.
-    Its level counts the upper walk's junction visits up to and including
+    Draw layout: the blocks of the module docstring, of the length the
+    _MERGE_BLOCK_WORDS comment gives, read as (b + 1, m) arrays; the
+    walkers are the m pairs unmerged at the block's start, ranked by index,
+    and both walks of a pair read its words. So one pair reads a replica
+    stream, as skew_lattice_flow's starts at 0 and +y_units do. A pair
+    merges at the first step after which both its walks sit at 0. Its
+    level counts the upper walk's junction visits up to and including
     that step, and the coins it reads after it in the block go unused.
     Merged pairs leave at the end of the block. Memory is
     O(max(_MERGE_BLOCK_WORDS, n_pairs)) bytes whatever the horizon.
@@ -1069,7 +1054,7 @@ def merge_level_samples(
     done = 0
     while len(pair) and done < horizon_steps:
         m = len(pair)
-        b = min(_MERGE_BLOCK_STEPS, max(1, _MERGE_BLOCK_WORDS // m), horizon_steps - done)
+        b = min(64, max(1, _MERGE_BLOCK_WORDS // m), horizon_steps - done)
         # the block's words live only until they are coins
         words = gen.random_raw((b + 1, m))
         xi = _word_steps(words[0, :, None])[:, :b].T

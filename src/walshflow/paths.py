@@ -550,7 +550,7 @@ def _uniforms_below(words: np.ndarray, p: float) -> np.ndarray:
     units = math.ceil(p * 2.0**53)
     if units >= 2**53:
         return np.ones(words.shape, dtype=bool)
-    return words < (units << 11)
+    return words < np.uint64(units << 11)
 
 
 def _coin_steps(up: np.ndarray) -> np.ndarray:
@@ -576,7 +576,7 @@ def _word_steps(words: np.ndarray) -> np.ndarray:
     them: bit j of word i, counted from the least significant bit on every
     machine, is step 64 i + j. (..., n) uint64 words give (..., 64 n) int8."""
     octets = words.astype("<u8", copy=False).view(np.uint8)
-    return _BYTE_STEPS.take(octets).view(np.int8).reshape(*words.shape[:-1], -1)
+    return _BYTE_STEPS.take(octets).view(np.int8).reshape(*words.shape[:-1], 64 * words.shape[-1])
 
 
 def _state_dtype(reach: int) -> type:

@@ -74,29 +74,35 @@ class TestReport:
     details: dict[str, float] = field(default_factory=dict)
 
     def to_json_line(self) -> str:
+        """One line of strict JSON; a non-finite float is a string (_json_float)."""
         payload = {
             "name": self.name,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
+            "statistic": _json_float(self.statistic),
+            "threshold": _json_float(self.threshold),
             "passed": self.passed,
             "replicas": self.replicas,
-            "p_value": self.p_value,
-            "details": self.details,
+            "p_value": None if self.p_value is None else _json_float(self.p_value),
+            "details": {k: _json_float(v) for k, v in self.details.items()},
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json_line(cls, line: str) -> "TestReport":
         raw = json.loads(line)
         return cls(
             name=raw["name"],
-            statistic=raw["statistic"],
-            threshold=raw["threshold"],
+            statistic=float(raw["statistic"]),
+            threshold=float(raw["threshold"]),
             passed=raw["passed"],
             replicas=raw["replicas"],
-            p_value=raw.get("p_value"),
+            p_value=None if raw.get("p_value") is None else float(raw["p_value"]),
             details={k: float(v) for k, v in raw.get("details", {}).items()},
         )
+
+
+def _json_float(x: float):
+    """x when finite, else "Infinity", "-Infinity" or "NaN", as float() reads."""
+    return x if math.isfinite(x) else json.dumps(x)
 
 
 def ks_statistic(samples: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
@@ -259,7 +265,8 @@ def _mean_of_function(
     for ray in np.flatnonzero(np.bincount(rays)):
         mask = rays == ray
         values[mask] = vector_eval(fn.components[int(ray) - 1].value, radii[mask])
-    return float(values.mean()), float(values.std(ddof=1))
+    # one value has no sample standard deviation
+    return float(values.mean()), float(values.std(ddof=1)) if len(values) > 1 else math.nan
 
 
 def marginal_vs_semigroup(

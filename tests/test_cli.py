@@ -208,6 +208,31 @@ class TestConfigRoundTrip:
         block = text.split("```ini\n", 1)[1].split("```", 1)[0]
         assert block.strip() == serialize_config(DEFAULT_CONFIG).strip()
 
+    def test_readme_bounds_table_is_the_bounds_table(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        table = text.split("| Count | Range | Reason |\n| --- | --- | --- |\n", 1)[1]
+        rows = {}
+        for line in table.split("\n\n", 1)[0].splitlines():
+            name, span, _why = (cell.strip() for cell in line.strip("|").split("|"))
+            rows[name.strip("`")] = _readme_range(span)
+        assert rows == {name: (least, most) for name, (least, most, _why) in _BOUNDS.items()}
+
+
+def _readme_range(span):
+    """(least, most) of a README range: "a to b", where b may be written
+    2^k or 2^k − 1 and followed by its digits in parentheses, or "a or
+    more" (most None)."""
+    if span.endswith(" or more"):
+        return int(span.removesuffix(" or more")), None
+    least, most = span.split(" to ")
+    power = re.fullmatch(r"(\d+)(?:\^(\d+))?(?: − (\d+))?(?: \(([\d,]+)\))?", most)
+    assert power, span
+    base, exponent, minus, digits = power.groups()
+    value = int(base) ** int(exponent or 1) - int(minus or 0)
+    assert digits is None or int(digits.replace(",", "")) == value, span
+    return int(least), value
+
 
 class TestEmitCsv:
     def test_empty_table_is_header_only(self, tmp_path):
@@ -403,14 +428,21 @@ class TestExitCodes:
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Replace the process pool by one that records each pool size and task
-    count asked for and maps in this process, so no process starts; the
-    usable CPUs are asked.cpus, 64 unless a test sets it."""
-    asked = SimpleNamespace(sizes=[], tasks=[], cpus=64)
+    """Replace the process pool by one that runs each task in this process
+    as it is submitted, so no process starts. It records each pool's size
+    and task count, and the most tasks submitted whose result was not yet
+    taken; the usable CPUs are asked.cpus, 64 unless a test sets it."""
+    asked = SimpleNamespace(sizes=[], tasks=[], cpus=64, pending=0, most_pending=0)
+
+    class RecordingFuture(concurrent.futures.Future):
+        def result(self, timeout=None):
+            asked.pending -= 1
+            return super().result(timeout)
 
     class RecordingPool:
         def __init__(self, max_workers):
             asked.sizes.append(max_workers)
+            asked.tasks.append(0)
 
         def __enter__(self):
             return self
@@ -418,9 +450,13 @@ def recording_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, task, args_list):
-            asked.tasks.append(len(args_list))
-            return map(task, args_list)
+        def submit(self, task, args):
+            asked.tasks[-1] += 1
+            asked.pending += 1
+            asked.most_pending = max(asked.most_pending, asked.pending)
+            future = RecordingFuture()
+            future.set_result(task(args))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli_module, "_cpu_count", lambda: asked.cpus)
@@ -436,6 +472,16 @@ def test_pool_is_no_larger_than_the_task_list(recording_pool):
     recording_pool.cpus = 1
     assert _map_replicas(abs, [-3, -1, 2], 8) == [3, 1, 2]
     assert recording_pool.sizes == [3, 2, 4]
+
+
+def test_pool_holds_a_few_tasks_per_worker(recording_pool):
+    # a plan of one task per flip path must not keep a future per path
+    recording_pool.cpus = 2
+    args = list(range(-1000, 0))
+    assert _map_replicas(abs, args, 3) == [-a for a in args]
+    assert recording_pool.sizes == [2] and recording_pool.tasks == [1000]
+    assert recording_pool.most_pending == 4 * 2  # four tasks per worker
+    assert recording_pool.pending == 0
 
 
 def test_cpu_count_is_this_process_share():
@@ -908,15 +954,15 @@ _FROZEN_CONFIG = replace(
 )
 _FROZEN_FAILING = {"verify-freidlin-sheu"}
 _FROZEN_DIGESTS = {
-    "flow_experiment.csv": "cbb35063ae5daa6d322fa952e47660f673e4f2f98fbe0b93cc6034a4ec071730",
+    "flow_experiment.csv": "f58a7cac7da4b65ace932d5f8e2d024c3019fb20c6e4786258404048be0d856e",
     "flow_experiment_merges.csv": "d9788f4b9ea4069422fc2d4c748152bd61a936629f1df0f746d1635ac007b3d8",
     "flow_experiment_reports.jsonl": "dbbb3834791b8ae6b64277cc27f0c29dcfb1653e453488d4682286a5007166e3",
-    "kernel_experiment.csv": "eb63cacd8baf10ad7356f1e077586523c9efc9aeff8d7d327f171298b991003e",
-    "kernel_experiment_reports.jsonl": "629a128b70a3bd5d3629eef0aa341067e064da04401da213c6b0a31fe9301992",
+    "kernel_experiment.csv": "389407d84b81e1ab0860bbb8f5171bf228288aad2673d604048f1a2b7e015182",
+    "kernel_experiment_reports.jsonl": "ea64cac5e11b34965ce2dc6929825ee8ef9bc74ac7a28dacadf0b13044cca9c0",
     "simulate_wbm.csv": "f842ccf8d9076d1552142e2d1731bf58b3c715934d1094b3b75c71177ea37888",
     "simulate_wbm_reports.jsonl": "1c403babc2289734b728a8dbe6f1b74ec938e8fe7e7bd81a37de1edf9d413941",
-    "tanaka_special_case.csv": "e0ffdb6087d5d9855b3275deb1c7a37e07179367e17d446c7818bc7c5abca50e",
-    "tanaka_special_case_reports.jsonl": "1924df9e2fe5e209a11f2c8c112ba158d24cbdeef61299c329d2989d9b95ea2e",
+    "tanaka_special_case.csv": "198bb62f60b2f8f01691cc6a50f3ad57fdcd41ec5b0dd50c3f820c9ad36c3de0",
+    "tanaka_special_case_reports.jsonl": "70e02e3e1da9959f6e2391a981bfb2272dcffb54d42fd5bf3242dcb499e1a350",
     "verify_freidlin_sheu.csv": "dee30d382f35c9c97d1c5d2e29948deca1c56cd09e8607ae99be2d30e977cb52",
     "verify_freidlin_sheu_reports.jsonl": "35684ffb8e19bb0974bab3a5580a5603ade850204634fd8ce90b97142bdd4995",
     "verify_semigroup.csv": "b9c617e9228895158574821acae5ff7fa9576c6554be709d168ba76062974aae",
@@ -967,18 +1013,18 @@ def test_artifacts_match_frozen_digests(tmp_path):
 _FROZEN_DRAWING = [
     (
         {"measure_plus": "dirichlet:4", "measure_minus": "dirichlet:0.5"},
-        "fa0dfec2f655265adaa5faad68d77b05fe3d1709cb74b90c8b2c4f2156d3eec2",
-        "d1d9d613f988d9f618dec8210cececf5ed156d143c3bd7aea1cef2a1b740bcff",
+        "8e3176a98d78156db0bc4b07fbe2c7ac913dd3da20cddb4248fe135b3967d930",
+        "4a52e7acd970ee8298bbb9dc9e87443ffa29d3816efd9a1700e12268b1daf8f7",
     ),
     (
         {"measure_plus": "dirac-vertices", "measure_minus": "dirac-vertices"},
-        "29f8adebf75dff88967cae267a11aaa0744161adac56728d823806d586941ac2",
-        "6b80885e7781b219023acbbea29c5ebdd48e9562a7a6cd82db431eafa04219b9",
+        "1b288a1e20dfb6ff292d5cc38c072c09082f657925d896774f1f26ea0a2d9941",
+        "aec42f2d06b2f05d315dbc582cd86631e8ebd7a56ffab9528345f09f4e856cd0",
     ),
     (
         {"measure_plus": "dirichlet:4", "measure_minus": "dirichlet:0.5", "eps": (1, -1, -1)},
-        "f937ee99221201dcca47b73067a0d3771f1746afa66313fbb8822b4fc785e78a",
-        "f19dd0d1fc04312b798333ac2dcae1875dcd7814a4747dd6a608405cb6a8ad61",
+        "f47ae2adc0534b619bae7a4bfafdafd5e9b46095795fb6fde410658c50e09bab",
+        "2e86803bd1eddb34bc01d31f1f7f0ad8508eb8e9bf0e17db832b01e93f63e5e3",
     ),
 ]
 

@@ -135,10 +135,10 @@ SPAN_SPECS = [LATTICE_SPECS[0], LATTICE_SPECS[1], LATTICE_SPECS[3], LATTICE_SPEC
 
 
 def test_layout_constants_start_blocks_and_spans_on_a_sign_word():
-    """A block reads whole 64-step coin words, and every span but the last
-    ends on a word, so both are multiples of 64."""
-    assert flows._BLOCK_STEPS % 64 == 0 and flows._BLOCK_STEPS > 0
-    assert flows._SPAN_STEPS % flows._BLOCK_STEPS == 0 and flows._SPAN_STEPS > 0
+    """A stream comes in blocks of 64 steps, each opened by its sign word,
+    and every span but the last ends on a block, so a span is a multiple
+    of 64."""
+    assert flows._SPAN_STEPS % 64 == 0 and flows._SPAN_STEPS > 0
 
 
 def _assert_states_equal_flow_rows(spec, steps, plan, entering):

@@ -54,21 +54,18 @@ HALF3 = validate_spec((0.25, 0.25, 0.5), (1, 1, -1))
 ALL_SPECS = [SPEC2, SPEC2H, SPEC3, TANAKA3, DOWN2, HALF3]
 
 
-def _sign_bit(words, s):
-    """Step s's sign bit: bit s % 64 of word s // 64, bit 0 the least
-    significant, decoded in Python ints."""
-    return (int(words[s // 64]) >> (s % 64)) & 1
-
-
 def _naive_flow(spec, config, stream):
     """Step-by-step reference dynamics, written apart from skew_lattice_flow:
-    it reads the raw draw arrays (steps junction uniforms, then the sign
-    words) and spells out every plus-weight case."""
+    it reads the stream one block of b <= 64 steps at a time, a sign word
+    and then b junction words, decodes them in Python ints, and spells out
+    every plus-weight case."""
     steps = config.steps
-    gen = stream.child(KEY_FLOW_COINS).generator()
-    u = gen.random(steps)
-    words = gen.bit_generator.random_raw((steps + 63) // 64)
-    xi = [1 if _sign_bit(words, k) else -1 for k in range(steps)]
+    gen = stream.child(KEY_FLOW_COINS).generator().bit_generator
+    u, xi = [], []
+    for k0 in range(0, steps, 64):
+        sign, *junction = gen.random_raw(min(64, steps - k0) + 1).tolist()
+        xi += [1 if (sign >> j) & 1 else -1 for j in range(len(junction))]
+        u += [(word >> 11) * 2.0**-53 for word in junction]
     ap = spec.alpha_plus
     out = np.full((len(config.start_pairs), steps + 1), LATTICE_INF, dtype=np.int64)
     for q, (s, x) in enumerate(config.start_pairs):
@@ -935,15 +932,16 @@ class TestHalfWeightMerges:
 
     Both scenarios need the walk from the junction at time 0 to sit at +2
     at BIRTH, inside a plus excursion that began before BIRTH and ends at
-    least two steps after it. RngStream(8) is the first stream from 0 whose
-    walk does; each test asserts that before it tests anything else."""
+    least two steps after it. RngStream(2) is the first stream from 0 whose
+    walk does in the block layout of the coin stream; each test asserts
+    that before it tests anything else."""
 
     BIRTH = 8
 
     def _flow(self, starts):
         cfg = _config_for(HALF3, 2, 64, starts)
         sampler = MeasurePairSampler(HALF3, "wiener")
-        return sample_kernel_flow(cfg, HALF3, sampler, RngStream(8))
+        return sample_kernel_flow(cfg, HALF3, sampler, RngStream(2))
 
     def _excursion_through_birth(self, walk):
         """The bounds (g, d) of the plus excursion of walk that holds BIRTH,
@@ -1082,11 +1080,10 @@ def test_word_steps_read_bits_least_significant_first():
 
 
 def _merge_block_steps(m, steps_left):
-    """The length of merge_level_samples' next block, from its two layout
-    constants, read at call time so that monkeypatching moves both sides,
-    and never more than the 64 steps one sign word serves."""
-    words = max(1, flows._MERGE_BLOCK_WORDS // m)
-    return min(flows._MERGE_BLOCK_STEPS, 64, words, steps_left)
+    """The length of merge_level_samples' next block, from its word cap,
+    read at call time so that monkeypatching moves both sides, and never
+    more than the 64 steps one sign word serves."""
+    return min(64, max(1, flows._MERGE_BLOCK_WORDS // m), steps_left)
 
 
 def _merge_levels_oracle(
@@ -1260,8 +1257,10 @@ class TestMergeBlocks:
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 64])
     def test_block_cap(self, monkeypatch, cap):
-        monkeypatch.setattr(flows, "_MERGE_BLOCK_STEPS", cap)
+        """A word cap of cap words per pair: blocks open at cap steps and
+        lengthen, up to 64, as pairs merge."""
         for ap, n_pairs, steps in [(0.55, 9, 400), (0.7, 300, 600), (0.9, 40, 1000)]:
+            monkeypatch.setattr(flows, "_MERGE_BLOCK_WORDS", cap * n_pairs)
             spec = validate_spec((ap, 1.0 - ap), (1, -1))
             stream = RngStream(cap, (n_pairs,))
             _assert_merge_levels_match_oracle((spec, 4, 2, steps, n_pairs, stream))
@@ -1283,18 +1282,23 @@ class TestMergeBlocks:
             _assert_merge_levels_match_oracle((SPEC2, 4, 4, 500, n_pairs, stream))
 
     def test_merge_on_the_last_step(self, monkeypatch):
-        """Horizons that end on a merge, inside the first block and later."""
-        monkeypatch.setattr(flows, "_MERGE_BLOCK_STEPS", 32)
+        """Horizons that end on a merge, inside the first block of 32 steps
+        and later."""
+        monkeypatch.setattr(flows, "_MERGE_BLOCK_WORDS", 32 * 40)
         ends = _last_step_merges(SPEC2, 2, 120, 40, 67)
-        assert ends[0] < flows._MERGE_BLOCK_STEPS < ends[-1]
+        assert ends[0] < 32 < ends[-1]
         for h in (ends[0], ends[len(ends) // 2], ends[-1]):
             _assert_merge_levels_match_oracle((SPEC2, 4, 2, h, 40, RngStream(67)))
 
-    def test_layout_constants_fit_one_sign_word(self):
+    def test_layout_constants_fit_one_sign_word(self, monkeypatch):
         """One sign word serves a pair's whole block, so a block is at most
-        64 steps; the oracle's own cap keeps a longer block from passing."""
-        assert 1 <= flows._MERGE_BLOCK_STEPS <= 64
+        64 steps however many words the cap allows; the oracle's own cap
+        keeps a longer block from passing."""
         assert flows._MERGE_BLOCK_WORDS >= 1
+        monkeypatch.setattr(flows, "_MERGE_BLOCK_WORDS", 2**40)
+        for n_pairs in (1, 9):
+            stream = RngStream(70, (n_pairs,))
+            _assert_merge_levels_match_oracle((SPEC2, 4, 2, 300, n_pairs, stream))
 
     @pytest.mark.parametrize("steps", [63, 64, 65, 127, 129])
     def test_horizons_around_a_block(self, steps):
@@ -1302,7 +1306,7 @@ class TestMergeBlocks:
             stream = RngStream(69, (steps,))
             _assert_merge_levels_match_oracle((SPEC2, 4, 2, steps, n_pairs, stream))
 
-    @pytest.mark.parametrize("steps", [1, 2, 5, 31, flows._MERGE_BLOCK_STEPS - 1])
+    @pytest.mark.parametrize("steps", [1, 2, 5, 31, 63])
     def test_horizon_shorter_than_the_first_block(self, steps):
         for n_pairs in (1, 9, 300):
             stream = RngStream(68, (steps,))
@@ -1325,6 +1329,43 @@ class TestMergeBlocks:
                 RngStream(int(rng.integers(2**31))),
             )
             _assert_merge_levels_match_oracle(args)
+
+
+class TestOnePairStudyIsTheReplicaPass:
+    """Every KEY_FLOW_COINS stream has one layout, so the merge study of one
+    pair reads a replica stream's words and must give, bit for bit, the
+    level and censored count of the two starts at 0 and +y stepped on the
+    same stream by skew_lattice_flow and by the replica pass."""
+
+    @pytest.mark.parametrize("ap", [0.55, 0.7, 0.9])
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 127, 129, 4096])
+    def test_levels_and_censoring_agree(self, ap, steps):
+        spec = validate_spec((ap, 1.0 - ap), (1, -1))
+        level, dx = 3, 2.0**-3
+        merged = 0
+        for seed in range(8):
+            y_units = 2 + 2 * (seed % 2)
+            stream = RngStream(seed, (steps,))
+            config = _config_for(spec, level, steps, [(0, 1, 0), (0, 1, y_units)])
+            assert config.steps == steps
+            levels, censored = merge_level_samples(spec, level, y_units, steps, 1, stream)
+
+            ens = skew_lattice_flow(config, spec, stream)
+            record = ens.merge_record(1)
+            assert censored == (record is None)
+            if record is not None:
+                visits = np.count_nonzero(ens.traj[1, : record.merge_index] == 0)
+                want = flows._merge_level(y_units, dx, ap, np.array([visits]))
+                assert levels.tobytes() == want.tobytes()
+
+            *_, merge, visits = flows._flow_experiment_invariants(config, spec, [stream])
+            assert censored == (merge[0] < 0)
+            assert merge[0] == (-1 if record is None else record.merge_index)
+            if merge[0] >= 0:
+                assert levels.tobytes() == flows._merge_level(y_units, dx, ap, visits).tobytes()
+            merged += 1 - censored
+        if steps >= 127:
+            assert merged > 0
 
 
 def _merge_cells(a, b):

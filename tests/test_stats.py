@@ -59,6 +59,33 @@ class TestReportRecord:
         payload = json.loads(report.to_json_line())
         assert payload["name"] == "demo" and payload["passed"] is True
 
+    def test_non_finite_values_are_strict_json(self):
+        report = TestReport(
+            name="demo",
+            statistic=math.inf,
+            threshold=-math.inf,
+            passed=False,
+            replicas=1,
+            p_value=math.nan,
+            details={"z": math.inf, "finite": 0.5},
+        )
+        line = report.to_json_line()
+        payload = _strict_json(line)
+        assert payload["statistic"] == "Infinity" and payload["threshold"] == "-Infinity"
+        assert payload["p_value"] == "NaN" and payload["details"]["z"] == "Infinity"
+        back = TestReport.from_json_line(line)
+        assert back.statistic == math.inf and back.threshold == -math.inf
+        assert math.isnan(back.p_value) and back.details == {"z": math.inf, "finite": 0.5}
+
+
+def _strict_json(line):
+    """json.loads that rejects the Infinity, -Infinity and NaN tokens."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(line, parse_constant=reject)
+
 
 def _brute_force_ks(samples, cdf):
     n = len(samples)
@@ -252,6 +279,17 @@ class TestMarginalBattery:
     def test_report_serializes(self):
         rays, radii = sample_wbm_exact(SPEC3, 1.0, 2000, RngStream(7).child(2))
         report = marginal_vs_semigroup(SPEC3, 1.0, rays, radii)
+        assert TestReport.from_json_line(report.to_json_line()) == report
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_replica_warns_nothing_and_serializes_strictly(self):
+        # one value has no spread, so every z-test reads infinite and fails
+        report = marginal_vs_semigroup(SPEC3, 1.0, [1], [0.5])
+        assert not report.passed
+        z = {k: v for k, v in report.details.items() if k.startswith("z_")}
+        assert z and all(v == math.inf for v in z.values())
+        payload = _strict_json(report.to_json_line())
+        assert all(payload["details"][k] == "Infinity" for k in z)
         assert TestReport.from_json_line(report.to_json_line()) == report
 
     def test_one_ray_graph_skips_the_ray_test(self):
