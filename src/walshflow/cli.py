@@ -118,10 +118,11 @@ _BOUNDS = {
     # the last start's radius (y + 2) 2^-level is a float64, exact to 2^53
     # units; with the flow-steps bound, paths._state_dtype(steps + y + 2) fits int64
     "flow_y_units": (2, 2**52, "the upper start lies above 0 at a float64-exact radius"),
-    # walk-converge steps that many walks at once (a word, a departure word
-    # and a state each) and simulate-wbm sorts that many exact marginals and
-    # evaluates its test functions on them: about 100 bytes per replica, some
-    # 400 MiB at the budget, 210 times the default
+    # walk-converge steps that many walks at once (a sign word, a byte's 8
+    # decoded steps and a state each, 34 bytes per replica at the peak of a
+    # call) and simulate-wbm sorts that many exact marginals and evaluates
+    # its test functions on them: about 100 bytes per replica, some 400 MiB
+    # at the budget, 210 times the default
     "replicas": (1, 2**22, f"one or more, up to the budget of {2**22} replicas"),
     # near horizon / dt = _MAX_KEPT_STEPS verify-freidlin-sheu plans two
     # one-path tasks per path, whose tuples and rows keep 0.85 kB per path in

@@ -572,11 +572,12 @@ _BYTE_STEPS = (
 
 
 def _word_steps(words: np.ndarray) -> np.ndarray:
-    """The +-1 steps of coins packed 64 to a word, as _coin_steps gives
-    them: bit j of word i, counted from the least significant bit on every
-    machine, is step 64 i + j. (..., n) uint64 words give (..., 64 n) int8."""
-    octets = words.astype("<u8", copy=False).view(np.uint8)
-    return _BYTE_STEPS.take(octets).view(np.int8).reshape(*words.shape[:-1], 64 * words.shape[-1])
+    """The +-1 steps of coins packed w to a word of w bits, as _coin_steps
+    gives them: bit j of word i, counted from the least significant bit on
+    every machine, is step w i + j. (..., n) uint64 or uint8 words give
+    (..., w n) int8."""
+    octets = words.astype(words.dtype.newbyteorder("<"), copy=False).view(np.uint8)
+    return _BYTE_STEPS.take(octets).view(np.int8).reshape(*words.shape[:-1], 8 * octets.shape[-1])
 
 
 def _state_dtype(reach: int) -> type:
@@ -620,19 +621,25 @@ def scaled_walk_marginal(
 
     Returns (rays, radii); the origin reports the canonical ray.
 
-    Each step draws one uniform u per replica, random(replicas) of the
-    stream: away from the junction the radius steps up when u < 1/2 and
-    down otherwise, and at the junction it steps up onto a ray drawn from
-    u. Three exact facts make that cheap:
+    The radius is the reflected fair walk k <- |k + xi|: away from the
+    junction it steps by a fair sign, and the junction step is +1, where
+    both signs land on 1. The KEY_WALK stream at the level is read in
+    blocks of 64 steps:
 
-    - the uniform is (raw >> 11) 2^-53 of the step's raw Philox word, so
-      the sign is _uniforms_below(words, 1/2), read from random_raw;
-    - the junction step is +1 and from 0 both signs land on 1, so the step
-      is k <- |k + xi|, an add and an abs on a state of
-      _state_dtype(steps);
-    - the ray reported is the one drawn at the replica's last departure
-      from 0, so only that step's word is kept, and ray_from_uniform runs
-      once, on its uniform, after the last step.
+    - block i is one random_raw(replicas) call, and replica r steps up at
+      step 64 i + j when bit j of its word is set, bit 0 the least
+      significant (_word_steps); a short last block reads a whole word and
+      uses its low bits;
+    - after the last block one more random_raw(replicas) call gives each
+      replica its ray, ray_from_uniform of (word >> 11) 2^-53.
+
+    The law is the walk's that draws a ray at every departure from 0: the
+    ray it reports is the one drawn at its last departure, which has law
+    alpha independently of the radial path and of every earlier draw, so
+    one fresh draw after the walk gives the same joint law of ray and
+    radius. The words are decoded a byte, 8 steps, at a time, so the loop
+    holds a word and 8 steps per replica besides the state of
+    _state_dtype(steps).
     """
     if level < 0:
         raise ValueError("level must be >= 0")
@@ -643,14 +650,18 @@ def scaled_walk_marginal(
     steps = int(math.floor((4**level) * t))
     bits = stream.child(KEY_WALK, level).generator().bit_generator
     k = np.zeros(replicas, dtype=_state_dtype(steps))
-    departure = np.zeros(replicas, dtype=np.uint64)
-    for _ in range(steps):
-        words = bits.random_raw(replicas)
-        np.copyto(departure, words, where=k == 0)
-        k += _coin_steps(_uniforms_below(words, 0.5))  # up below 1/2
-        np.abs(k, out=k)
-    departure >>= np.uint64(11)
-    rays = ray_from_uniform(spec, departure * 2.0**-53)
+    for block in range(0, steps, 64):
+        # the block's words as little-endian bytes, 8 steps a byte
+        octets = bits.random_raw(replicas).astype("<u8", copy=False).view(np.uint8)
+        for first in range(block, min(block + 64, steps), 8):
+            xi = _word_steps(octets[(first - block) // 8 :: 8, None]).T
+            for s in range(min(8, steps - first)):
+                k += xi[s]
+                np.abs(k, out=k)
+        del octets, xi  # so that no block buffer is held while the rays are drawn
+    words = bits.random_raw(replicas)
+    words >>= np.uint64(11)
+    rays = ray_from_uniform(spec, words * 2.0**-53)
     rays[k == 0] = spec.n_rays
     return rays, k.astype(float) / float(2**level)
 

@@ -967,8 +967,8 @@ _FROZEN_DIGESTS = {
     "verify_freidlin_sheu_reports.jsonl": "35684ffb8e19bb0974bab3a5580a5603ade850204634fd8ce90b97142bdd4995",
     "verify_semigroup.csv": "b9c617e9228895158574821acae5ff7fa9576c6554be709d168ba76062974aae",
     "verify_semigroup_reports.jsonl": "ac17851b30c19d214fd250f822a1593f44a2ed0404d47c83262286ba96e6171d",
-    "walk_converge.csv": "c9ccfad3894f488f5c117ab9eba0cec2c84a74a7ebfbf216f4706941efa66efc",
-    "walk_converge_reports.jsonl": "458eb22cdd6b11a11ddd1b3f2e1318a45f4320da77afa4befd29ab501044b4bc",
+    "walk_converge.csv": "9425819edd648484dafd4af7521d591e9c0974194b18a1aebfea4ca575d29f4b",
+    "walk_converge_reports.jsonl": "f2284c3531193ca5e22392e8606a1789af2aef917e8cf1bbd466bb051732a7b4",
 }
 
 

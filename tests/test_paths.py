@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.stats import kstest, norm
+from scipy.stats import chisquare, kstest, norm
 
+from walshflow import paths
 from walshflow.cli import _ito_test_functions
 from walshflow.graph import (
     PiecewiseFunction,
@@ -575,19 +576,24 @@ def test_scaled_walk_marginal_sign_frequencies():
 
 
 def _walk_marginal_oracle(spec, level, t, replicas, stream):
-    """scaled_walk_marginal as a per-step loop on the uniforms of
-    random(replicas): a replica at the junction draws its ray from the
-    step's uniform, and every replica steps through paths._skew_step with
-    junction step +1 and sign +1 below 1/2."""
+    """scaled_walk_marginal read word by word in Python ints: block i of 64
+    steps is one random_raw(replicas) word per replica, whose bit j,
+    counted from the least significant, steps the replica up at step
+    64 i + j (a short last block reads a whole word); every replica steps
+    through paths._skew_step with junction step +1. After the last block
+    one more word per replica gives its ray from the uniform
+    (word >> 11) 2^-53, and a replica at the origin reports n_rays."""
     steps = int(math.floor((4**level) * t))
-    gen = stream.child(KEY_WALK, level).generator()
-    rays = np.full(replicas, spec.n_rays, dtype=np.int64)
+    bits = stream.child(KEY_WALK, level).generator().bit_generator
     k = np.zeros(replicas, dtype=np.int64)
-    for _ in range(steps):
-        u = gen.random(replicas)
-        leaving = k == 0
-        rays[leaving] = ray_from_uniform(spec, u[leaving])
-        k = _skew_step(k, 1, np.where(u < 0.5, 1, -1))
+    for block in range(0, steps, 64):
+        used = min(64, steps - block)
+        words = [int(word) for word in bits.random_raw(replicas)]
+        up = np.array([(word >> j) & 1 for word in words for j in range(used)], dtype=np.int64)
+        for j in range(used):
+            k = _skew_step(k, 1, 2 * up[j::used] - 1)
+    u = np.array([(int(word) >> 11) * 2.0**-53 for word in bits.random_raw(replicas)])
+    rays = ray_from_uniform(spec, u)
     rays[k == 0] = spec.n_rays
     return rays, k.astype(float) / float(2**level)
 
@@ -603,15 +609,74 @@ def _assert_walk_matches_oracle(spec, level, t, replicas, stream):
 @pytest.mark.parametrize("spec", [SPEC2, SPEC3], ids=["spec2", "spec3"])
 @pytest.mark.parametrize("level", range(6))
 def test_scaled_walk_marginal_bit_equal_to_per_step_oracle(spec, level):
-    """Every t and replica count at the level, three seeds each; level 0 at
-    t = 0.25 takes no step and leaves every replica at the origin."""
-    for t in (0.25, 0.7, 1.0):
+    """Every t and replica count at the level, three seeds each, and the
+    horizons of 63, 64, 65, 127 and 129 steps on either side of a block's
+    end; level 0 at t = 0.25 takes no step and leaves every replica at the
+    origin."""
+    for t in (0.25, 0.7, 1.0) + tuple(n / 4**level for n in (63, 64, 65, 127, 129)):
         for replicas in (1, 2, 999):
             for seed in (11, 12, 13):
                 stream = RngStream(seed).child(KEY_REPLICA, replicas)
                 rays, radii = _assert_walk_matches_oracle(spec, level, t, replicas, stream)
                 if math.floor(4**level * t) == 0:
                     assert np.all(radii == 0.0) and np.all(rays == spec.n_rays)
+
+
+def _walk_law_pvalues(spec, level, replicas, stream):
+    """Chi-square p-values of scaled_walk_marginal at t = 1 against its
+    exact law, read from the output alone. The radius k after n = 4^level
+    steps of the reflected fair walk has P(k = j) = P(|S_n| = j) for the
+    simple walk S; the cells are the j of positive mass, the top ones
+    merged until each expects at least 5. Given k > 0, the ray has law
+    alpha. Returns (radius p-value, ray p-value)."""
+    n = 4**level
+    rays, radii = scaled_walk_marginal(spec, level, 1.0, replicas, stream)
+    k = np.rint(radii * 2**level).astype(np.int64)
+    assert np.array_equal(k / 2**level, radii)
+    law = np.zeros(n + 1)
+    for up in range(n + 1):
+        law[abs(2 * up - n)] += math.comb(n, up) / 2**n
+    support = np.flatnonzero(law)
+    counts = np.bincount(k, minlength=n + 1)
+    assert counts[support].sum() == replicas
+    observed, expected = list(counts[support]), list(law[support] * replicas)
+    while expected[-1] < 5.0:
+        top_observed, top_expected = observed.pop(), expected.pop()
+        observed[-1] += top_observed
+        expected[-1] += top_expected
+    radius_p = chisquare(observed, expected).pvalue
+    assert np.all(rays[k == 0] == spec.n_rays)
+    on_rays = np.bincount(rays[k > 0], minlength=spec.n_rays + 1)[1:]
+    ray_p = chisquare(on_rays, np.asarray(spec.alpha) * on_rays.sum()).pvalue
+    return radius_p, ray_p
+
+
+# the level of the law checks: each fails at this rate under the exact law
+_WALK_LAW_LEVEL = 1e-3
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_scaled_walk_marginal_matches_the_exact_lattice_law(level):
+    """The radius and, given k > 0, the ray match the exact law of the
+    reflected walk at 4, 16 and 64 steps; the test reads no stream layout."""
+    radius_p, ray_p = _walk_law_pvalues(SPEC3, level, 20_000, RngStream(1))
+    assert radius_p > _WALK_LAW_LEVEL and ray_p > _WALK_LAW_LEVEL
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_walk_law_check_sees_repeated_signs(level, monkeypatch):
+    """Negative control: with every sign in a packed word repeating the
+    word's bit 0, the radius check fails."""
+    word_steps = paths._word_steps
+
+    def bit_zero_repeated(words):
+        steps = word_steps(words)
+        width = steps.shape[-1] // words.shape[-1]
+        return np.repeat(steps[..., ::width], width, axis=-1)
+
+    monkeypatch.setattr(paths, "_word_steps", bit_zero_repeated)
+    radius_p, _ = _walk_law_pvalues(SPEC3, level, 20_000, RngStream(1))
+    assert radius_p < _WALK_LAW_LEVEL
 
 
 @pytest.mark.parametrize("steps, dtype", [(2**15 - 1, np.int16), (2**15, np.int32)])
