@@ -657,9 +657,10 @@ def _flow_starts(spec: GraphSpec, config: ExperimentConfig):
 # replicas per flow-experiment task, stepped together by the kernel. A task
 # holds at least _FLOW_CHUNK_MIN unless the run has fewer, so the pool never
 # outgrows ceil(flow_replicas / _FLOW_CHUNK_MIN); it holds at most
-# _FLOW_CHUNK_MAX, so with about 3.3 kB of generator, state block and packed
-# coins per replica (tracemalloc, 2,048 default replicas) its buffers stay
-# near 7 MB whatever the config
+# _FLOW_CHUNK_MAX, so with about 4.5 kB per replica (tracemalloc, 2,048
+# default-config replicas: 2 kB of packed coins for one flows._SPAN_STEPS
+# span, 1 kB of stream and generator, then the state block and junction
+# mask) its buffers stay near 9.3 MB whatever the config
 _FLOW_CHUNK_MIN = 200
 _FLOW_CHUNK_MAX = 2048
 

@@ -39,10 +39,15 @@ reads from its stream (_coin_blocks). It has two callers.
 skew_lattice_flows copies its blocks into full trajectories, one ensemble
 per stream, for the kernel experiment. The flow experiment keeps no
 trajectories: after every block it folds the block into running
-invariants: monotone order, the flow property, permanence and
-merge-at-junction against the merge record, the (0, 1) merge index and
-the junction visits before it. Its memory is therefore O(replicas x
-(starts x 64 + _SPAN_STEPS / 4)) whatever the horizon.
+invariants (_flow_invariants), keeping per replica each start's merge
+index and target, the (0, 1) merge index and start 1's junction visits
+before it. Monotone order and the flow property are dense compares of the
+block; the merges and visits come from the block's junction events, the
+few states at 0; permanence compares each start only with the starts
+that some replica has as its target. Its memory is therefore O(replicas
+x (starts x 64 + _SPAN_STEPS / 4)) bytes whatever the horizon: about
+4.5 kB a replica at the default config, 2 kB of it one span's packed
+coins (tracemalloc, 2,048 replicas).
 """
 
 from __future__ import annotations
@@ -486,7 +491,7 @@ def skew_lattice_flows(
 
 # time steps of coins one generator call draws per replica stream, kept 64
 # to a word; a multiple of 64, so that every span starts a block
-_SPAN_STEPS = 2048
+_SPAN_STEPS = 8192
 # merge_level_samples' blocks for m unmerged pairs are b = min(64, max(1,
 # _MERGE_BLOCK_WORDS // m), steps left) steps, so changing this is a stream
 # bump of the merge study; a block reads at most max(_MERGE_BLOCK_WORDS, m) +
@@ -580,18 +585,27 @@ def _flow_invariants(
 
     Columns before the last are an ensemble of starts with the given
     births and signed units; the last column is the flow-property start.
-    Returns per replica (monotone, flow_prop, permanence, at_zero, merge,
-    visits):
+    Consecutive blocks share one row, and a block may hold any number of
+    rows. Returns per replica (monotone, flow_prop, permanence, at_zero,
+    merge, visits):
       monotone    same-time starts keep their initial order at every index;
       flow_prop   the last column equals start 0 from its birth on;
       permanence  every start equals its merge target from the merge on;
-      at_zero     every merge sits at the junction (junction rule only),
-                  true by definition, since a merge record under the
-                  junction rule is a common junction visit;
+      at_zero     every merge sits at the junction (junction rule only):
+                  constant true, since a merge record under the junction
+                  rule is a common junction visit;
       merge       index of the (0, 1) merge, -1 if none in the horizon;
       visits      junction visits of start 1 before that merge.
     A merge is recorded as FlowEnsemble.merge_record does: the first
-    meeting with any earlier start, the smallest target on ties.
+    meeting with any earlier start, the smallest target on ties. Under the
+    junction rule the meetings come from the block's junction events
+    (_junction_meetings); at plus-weight 1/2 they are first equalities
+    (_first_meetings). Start 1's visits before its merge are the indices
+    of its own junction events, counted per replica. Monotone order and the
+    flow property are dense compares. Permanence compares a start with
+    each start some replica has as its target: densely where the merge
+    came by the block's first row, and from the merge on for the replicas
+    that merge inside the block.
     """
     n = len(births) - 1
     order = sorted((q for q in range(n) if births[q] == 0), key=lambda q: units[q])
@@ -599,59 +613,87 @@ def _flow_invariants(
     monotone = np.ones(n_replicas, dtype=bool)
     flow_prop = np.ones(n_replicas, dtype=bool)
     permanence = np.ones(n_replicas, dtype=bool)
-    at_zero = np.ones(n_replicas, dtype=bool)
     merge_at = np.full((n, n_replicas), never, dtype=np.int64)
     target = np.zeros((n, n_replicas), dtype=np.intp)
     visits = np.zeros(n_replicas, dtype=np.int64)
-    # one buffer each for the whole horizon, written in place per block:
-    # allocated per block, they can cost fresh pages on every block
-    at_junction_buf = np.empty((64 + 1, n, n_replicas), dtype=bool)
-    meet_buf = np.empty_like(at_junction_buf)
-    pair_buf = np.empty((64 + 1, n_replicas), dtype=bool)
-    after_buf = np.empty_like(pair_buf)
+    # per start, the earlier starts that some replica has as its target
+    targets: list[set[int]] = [set() for _ in range(n)]
+    # one junction buffer, grown to the widest block and written in place:
+    # allocated per block, it can cost fresh pages on every block
+    at_junction_buf = np.empty((0, n, n_replicas), dtype=bool)
     for k0, rows in blocks:
         width = len(rows)
-        index = np.arange(k0, k0 + width)
-        born = (index[:, None] >= births[:n])[:, :, None]
-        at_junction = np.equal(rows[:, :n], 0, out=at_junction_buf[:width])
-        at_junction &= born
-        pair = pair_buf[:width]
         for a, b in zip(order[:-1], order[1:]):
-            monotone &= np.less_equal(rows[:, a], rows[:, b], out=pair).all(axis=0)
+            monotone &= (rows[:, a] <= rows[:, b]).all(axis=0)
         lo = max(births[n] - k0, 0)
-        flow_prop &= np.equal(rows[lo:, n], rows[lo:, 0], out=pair[lo:]).all(axis=0)
+        flow_prop &= (rows[lo:, n] == rows[lo:, 0]).all(axis=0)
 
-        for q in range(1, n):
-            pending = merge_at[q] == never
-            if not pending.any():
-                continue
-            meet = meet_buf[:width, :q]
-            if junction_rule:
-                np.logical_and(at_junction[:, :q], at_junction[:, q, None], out=meet)
-            else:
-                np.equal(rows[:, :q], rows[:, q, None], out=meet)
-                meet &= born[:, :q]
-                meet &= born[:, q, None]
-            new, to, at = _first_meetings(meet, pending, k0)
+        if width > len(at_junction_buf):
+            at_junction_buf = np.empty((width, n, n_replicas), dtype=bool)
+        at_junction = np.equal(rows[:, :n], 0, out=at_junction_buf[:width])
+        for q, birth in enumerate(births[:n]):
+            at_junction[: max(birth - k0, 0), q] = False
+        pending = merge_at == never
+        if junction_rule:
+            meetings = _junction_meetings(at_junction, pending, k0)
+        else:
+            born = (np.arange(k0, k0 + width)[:, None] >= births[:n])[:, :, None]
+            meetings = []
+            for q in range(1, n):
+                if pending[q].any():
+                    meet = (rows[:, :q] == rows[:, q, None]) & born[:, :q] & born[:, q, None]
+                    meetings.append((q, *_first_meetings(meet, pending[q], k0)))
+        for q, new, to, at in meetings:
             target[q, new], merge_at[q, new] = to, at
-            if junction_rule:
-                at_zero[new] &= at_junction[at - k0, q, new] & at_junction[at - k0, to, new]
+            targets[q].update(to.tolist())
+            # from the merge on, for the replicas that merge inside the block
+            inside = at > k0
+            r, t = new[inside], to[inside]
+            differ = rows[:, q, r] != rows[:, t, r]
+            differ &= np.arange(width)[:, None] >= at[inside] - k0
+            permanence[r] &= ~differ.any(axis=0)
 
-        # each earlier start densely, counted only where it is q's target
-        after = after_buf[:width]
         for q in range(1, n):
-            if (merge_at[q] < never).any():
-                np.greater_equal(index[:, None], merge_at[q], out=after)
-                for t in range(q):
-                    differ = np.not_equal(rows[:, q], rows[:, t], out=pair)
-                    differ &= after
-                    permanence &= ~(differ.any(axis=0) & (target[q] == t))
+            merged = merge_at[q] <= k0
+            for t in targets[q]:
+                follows = merged & (target[q] == t)
+                if follows.any():
+                    permanence &= ~((rows[:, q] != rows[:, t]).any(axis=0) & follows)
 
-        before = np.less(index[:-1, None], merge_at[1], out=pair[:-1])
-        before &= at_junction[:-1, 1]
-        visits += np.count_nonzero(before, axis=0)
+        j, r = np.divmod(np.flatnonzero(at_junction[:-1, 1]), n_replicas)
+        visits += np.bincount(r[k0 + j < merge_at[1, r]], minlength=n_replicas)
     merge = np.where(merge_at[1] < never, merge_at[1], -1)
-    return monotone, flow_prop, permanence, at_zero, merge, visits
+    return monotone, flow_prop, permanence, np.ones(n_replicas, dtype=bool), merge, visits
+
+
+def _junction_meetings(at_junction: np.ndarray, pending: np.ndarray, k0: int):
+    """The pending starts that first meet an earlier start at the junction
+    in this block, found from the block's junction events.
+
+    at_junction[j, q, r] says that in replica r start q, born, sits at the
+    junction at index k0 + j; pending[q, r] that its merge is still to
+    come. Each (index, replica) gets a code with bit q set for every start
+    q there, and a meeting is a code with two or more bits set. A pending
+    start's merge is its first meeting with a lower bit set, and its target
+    the lowest set bit: the smallest target on ties. Returns (q, replicas,
+    targets, indices) per start with new merges, as _first_meetings finds
+    them from dense masks.
+    """
+    _width, n, n_replicas = at_junction.shape
+    bits = 1 << np.arange(n, dtype=np.min_scalar_type((1 << n) - 1))
+    code = np.einsum("jqr,q->jr", at_junction.view(np.uint8), bits)
+    events = np.flatnonzero((code & (code - 1)) != 0)
+    codes = code.ravel()[events]
+    j, r = np.divmod(events, n_replicas)
+    out = []
+    for q in range(1, n):
+        lower = codes & (bits[q] - 1)
+        mine = ((codes & bits[q]) != 0) & (lower != 0) & pending[q, r]
+        if mine.any():
+            new, first = np.unique(r[mine], return_index=True)
+            to = ((lower[mine][first, None] & bits[:q]) != 0).argmax(axis=1)
+            out.append((q, new, to, k0 + j[mine][first]))
+    return out
 
 
 def _first_meetings(meet: np.ndarray, pending: np.ndarray, k0: int):

@@ -1,9 +1,11 @@
 """Replica-batched skew-walk kernel: bit equality with skew_lattice_flow,
-row equality with the per-replica flow-experiment computation, and
-negative controls for the streamed invariants."""
+row equality with the per-replica flow-experiment computation, negative
+controls for the streamed invariants, and bit equality of their reduction
+with the dense one it replaced."""
 
 import math
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from walshflow.flows import (
     LATTICE_INF,
     LatticeFlowConfig,
     OffLatticeStart,
+    _first_meetings,
     _flow_invariants,
+    _junction_meetings,
     _skew_flow_states,
     coalescence_time,
     skew_lattice_flow,
@@ -300,20 +304,21 @@ def _full_trajectories(seed, spec=LATTICE_SPECS[5], level=3, horizon=4.0):
     return ens, traj, births, units
 
 
+def _cut(traj, width):
+    """(replicas, starts, steps + 1) trajectories in blocks of `width`
+    steps, laid out as the kernel yields them."""
+    steps = traj.shape[-1] - 1
+    return ((k0, traj[..., k0 : k0 + width + 1].T) for k0 in range(0, steps, width))
+
+
+_OUTPUTS = ("monotone", "flow_prop", "permanence", "at_zero", "merge", "visits")
+
+
 def _streamed(traj, births, units, width=50):
     """Run the streamed invariants over one replica's trajectories, cut in
     blocks of a width the kernel does not use."""
-    steps = traj.shape[1] - 1
-    blocks = (
-        (k0, traj[:, k0 : k0 + width + 1].T[:, :, None]) for k0 in range(0, steps, width)
-    )
-    out = _flow_invariants(blocks, births, units, True, 1)
-    return {
-        name: value[0]
-        for name, value in zip(
-            ("monotone", "flow_prop", "permanence", "at_zero", "merge", "visits"), out
-        )
-    }
+    out = _flow_invariants(_cut(traj[None], width), births, units, True, 1)
+    return {name: value[0] for name, value in zip(_OUTPUTS, out)}
 
 
 def _merged_replica():
@@ -409,3 +414,206 @@ def test_permanence_fails_when_a_start_follows_an_earlier_start_born_after_its_m
     # with start 2 kept on its target the same replica passes
     traj[2, 2:] = leader[2:]
     assert _streamed(traj, births, units, width=4)["permanence"]
+
+
+# The dense reduction the junction-event one replaced, kept as its reference.
+
+
+def _flow_invariants_oracle(
+    blocks,
+    births: list[int],
+    units: list[Optional[int]],
+    junction_rule: bool,
+    n_replicas: int,
+):
+    """Reduce state blocks, as _skew_flow_states yields them, to the
+    flow-experiment invariants of each replica.
+
+    Columns before the last are an ensemble of starts with the given
+    births and signed units; the last column is the flow-property start.
+    Returns per replica (monotone, flow_prop, permanence, at_zero, merge,
+    visits):
+      monotone    same-time starts keep their initial order at every index;
+      flow_prop   the last column equals start 0 from its birth on;
+      permanence  every start equals its merge target from the merge on;
+      at_zero     every merge sits at the junction (junction rule only),
+                  true by definition, since a merge record under the
+                  junction rule is a common junction visit;
+      merge       index of the (0, 1) merge, -1 if none in the horizon;
+      visits      junction visits of start 1 before that merge.
+    A merge is recorded as FlowEnsemble.merge_record does: the first
+    meeting with any earlier start, the smallest target on ties.
+    """
+    n = len(births) - 1
+    order = sorted((q for q in range(n) if births[q] == 0), key=lambda q: units[q])
+    never = np.iinfo(np.int64).max
+    monotone = np.ones(n_replicas, dtype=bool)
+    flow_prop = np.ones(n_replicas, dtype=bool)
+    permanence = np.ones(n_replicas, dtype=bool)
+    at_zero = np.ones(n_replicas, dtype=bool)
+    merge_at = np.full((n, n_replicas), never, dtype=np.int64)
+    target = np.zeros((n, n_replicas), dtype=np.intp)
+    visits = np.zeros(n_replicas, dtype=np.int64)
+    # one buffer each for the whole horizon, written in place per block:
+    # allocated per block, they can cost fresh pages on every block
+    at_junction_buf = np.empty((64 + 1, n, n_replicas), dtype=bool)
+    meet_buf = np.empty_like(at_junction_buf)
+    pair_buf = np.empty((64 + 1, n_replicas), dtype=bool)
+    after_buf = np.empty_like(pair_buf)
+    for k0, rows in blocks:
+        width = len(rows)
+        index = np.arange(k0, k0 + width)
+        born = (index[:, None] >= births[:n])[:, :, None]
+        at_junction = np.equal(rows[:, :n], 0, out=at_junction_buf[:width])
+        at_junction &= born
+        pair = pair_buf[:width]
+        for a, b in zip(order[:-1], order[1:]):
+            monotone &= np.less_equal(rows[:, a], rows[:, b], out=pair).all(axis=0)
+        lo = max(births[n] - k0, 0)
+        flow_prop &= np.equal(rows[lo:, n], rows[lo:, 0], out=pair[lo:]).all(axis=0)
+
+        for q in range(1, n):
+            pending = merge_at[q] == never
+            if not pending.any():
+                continue
+            meet = meet_buf[:width, :q]
+            if junction_rule:
+                np.logical_and(at_junction[:, :q], at_junction[:, q, None], out=meet)
+            else:
+                np.equal(rows[:, :q], rows[:, q, None], out=meet)
+                meet &= born[:, :q]
+                meet &= born[:, q, None]
+            new, to, at = _first_meetings(meet, pending, k0)
+            target[q, new], merge_at[q, new] = to, at
+            if junction_rule:
+                at_zero[new] &= at_junction[at - k0, q, new] & at_junction[at - k0, to, new]
+
+        # each earlier start densely, counted only where it is q's target
+        after = after_buf[:width]
+        for q in range(1, n):
+            if (merge_at[q] < never).any():
+                np.greater_equal(index[:, None], merge_at[q], out=after)
+                for t in range(q):
+                    differ = np.not_equal(rows[:, q], rows[:, t], out=pair)
+                    differ &= after
+                    permanence &= ~(differ.any(axis=0) & (target[q] == t))
+
+        before = np.less(index[:-1, None], merge_at[1], out=pair[:-1])
+        before &= at_junction[:-1, 1]
+        visits += np.count_nonzero(before, axis=0)
+    merge = np.where(merge_at[1] < never, merge_at[1], -1)
+    return monotone, flow_prop, permanence, at_zero, merge, visits
+
+
+def _assert_outputs_equal(got, want, label):
+    for name, g, w in zip(_OUTPUTS, got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape, f"{label}: {name}"
+        assert g.tobytes() == w.tobytes(), f"{label}: {name} {g} != {w}"
+
+
+def _oracle_case(seed):
+    """A spec, horizon, replica count and start list for the oracle test:
+    births on a block's first row and inside blocks, in every fourth case
+    starts 0 and 1 at the junction at their births, and a flow-property
+    start last."""
+    rng = np.random.default_rng(seed)
+    spec = LATTICE_SPECS[seed % len(LATTICE_SPECS)]
+    steps = (1, 63, 64, 65, 3 * 64 + 13)[seed % 5]
+    births = [0]
+    for _ in range(int(rng.integers(1, 5))):
+        first_row = 64 * int(rng.integers(0, 1 + steps // 64))
+        births.append(int(rng.choice([0, first_row, rng.integers(0, steps)])))
+    starts = []
+    for q, birth in enumerate(births):
+        units = 0 if q < 2 and seed % 4 == 0 else int(rng.integers(-6, 7))
+        if spec.alpha_plus != 0.5 and (birth + units) % 2:
+            units += 1
+        starts.append((birth, units))
+    starts.append((int(rng.integers(0, steps)), None))
+    return spec, steps, int(rng.integers(1, 301)), starts
+
+
+def test_flow_invariants_equal_the_dense_oracle_on_kernel_blocks():
+    """Fifty kernel runs at every kind of plus-weight; each block's
+    junction meetings also equal the dense first meetings, targets
+    included, under a random pending mask."""
+    seen = {"birth on a first row": 0, "birth inside": 0, "merge at 0": 0}
+    seen |= {"merge on a last row": 0, "tied targets": 0}
+    for seed in range(50):
+        spec, steps, n_replicas, starts = _oracle_case(seed)
+        streams = [RngStream(seed).child(KEY_REPLICA, rep) for rep in range(n_replicas)]
+        blocks = [
+            (k0, rows.copy())
+            for k0, rows in _skew_flow_states(spec.alpha_plus, steps, starts, streams)
+        ]
+        args = ([birth for birth, _ in starts], [units for _, units in starts])
+        junction_rule = spec.alpha_plus != 0.5
+        got = _flow_invariants(iter(blocks), *args, junction_rule, n_replicas)
+        want = _flow_invariants_oracle(iter(blocks), *args, junction_rule, n_replicas)
+        _assert_outputs_equal(got, want, f"seed {seed}")
+
+        births = args[0][:-1]
+        seen["birth on a first row"] += any(b and b % 64 == 0 for b in births)
+        seen["birth inside"] += any(b % 64 for b in births)
+        merge = want[4]
+        seen["merge at 0"] += int(np.sum(merge == 0))
+        seen["merge on a last row"] += int(np.sum((merge > 0) & (merge % 64 == 0)))
+        if not junction_rule:
+            continue
+        rng = np.random.default_rng(seed)
+        for k0, rows in blocks:
+            index = np.arange(k0, k0 + len(rows))[:, None, None]
+            at_junction = (rows[:, : len(births)] == 0) & (index >= np.array(births)[:, None])
+            pending = rng.random(at_junction.shape[1:]) < 0.8
+            found = {q: rest for q, *rest in _junction_meetings(at_junction, pending, k0)}
+            for q in range(1, len(births)):
+                meet = at_junction[:, :q] & at_junction[:, q, None]
+                new, to, at = _first_meetings(meet, pending[q], k0)
+                if len(new):
+                    for g, w in zip(found.pop(q), (new, to, at)):
+                        np.testing.assert_array_equal(g, w, err_msg=f"seed {seed} q {q}")
+                    seen["tied targets"] += int(np.sum(meet[at - k0, :, new].sum(axis=1) > 1))
+            assert not found, f"seed {seed}: meetings {found} not in the dense masks"
+    assert all(seen.values()), seen
+
+
+def _perturbed_trajectories(seeds):
+    """Flow-experiment trajectories of one replica per seed, as is and
+    broken: a start shifted from an index on, a start moved at one index,
+    and a start copying another from an index on. Returns ((replicas,
+    starts, steps + 1) trajectories, births, units)."""
+    planes = []
+    for seed in seeds:
+        _ens, traj, births, units = _full_trajectories(seed)
+        rng = np.random.default_rng(seed)
+        steps = traj.shape[1] - 1
+        planes.append(traj)
+        for kind in ("shift", "blip", "copy"):
+            q = int(rng.integers(1, len(births)))
+            k = int(rng.integers(births[q], steps + 1))
+            broken = traj.copy()
+            if kind == "shift":
+                broken[q, k:] += 2
+            elif kind == "blip":
+                broken[q, k] += 2
+            else:
+                other = int(rng.integers(0, len(births) - 1))
+                broken[q, max(k, births[other]) :] = traj[other, max(k, births[other]) :]
+            planes.append(broken)
+    return np.stack(planes), births, units
+
+
+def test_flow_invariants_equal_the_dense_oracle_at_any_block_width():
+    """Streamed trajectories, true and broken, cut in blocks of any width.
+    The dense reduction holds blocks of at most 64 steps, so blocks wider
+    than that are checked against it at 64."""
+    traj, births, units = _perturbed_trajectories(range(16))
+    n_replicas = len(traj)
+    for width in (1, 4, 50, 64, 65, 66, 200):
+        got = _flow_invariants(_cut(traj, width), births, units, True, n_replicas)
+        cut = _cut(traj, min(width, 64))
+        want = _flow_invariants_oracle(cut, births, units, True, n_replicas)
+        _assert_outputs_equal(got, want, f"width {width}")
+    # the broken replicas break each invariant but at_zero somewhere
+    assert not want[2].all() and not want[0].all() and not want[1].all()
+    assert (want[4] >= 0).sum() >= n_replicas // 2
