@@ -12,10 +12,13 @@ Trajectories are integers in lattice units (space 2^-n, time 4^-n); before
 a start is born its row holds an integer infinity, mirroring the
 convention that a trajectory is undefined ahead of its start time.
 
-Coalescence is the recorded merge event of the kernel construction: the
-first index at which two trajectories sit at the junction together (for
-plus-weight 1/2 the flow is a pure translation with no junction rule, and
-the record is the first plain equality instead). Under the junction rule
+Coalescence is the recorded merge event of the kernel construction: a
+start's first meeting with an earlier start, both born, the smallest target
+on ties, where a meeting is a common junction visit (a plain equality at
+plus-weight 1/2, where the flow is a pure translation with no junction
+rule). _first_meetings holds this rule for FlowEnsemble.merge_record,
+coalescence_time and the replica pass, and _junction_meetings is its
+event-based equal in the pass under the junction rule. Under that rule
 two trajectories never first become equal at the junction: off it, distinct
 values move by the same sign and stay distinct, and a value at 0 leaves it.
 They first become equal off the junction, shared coins keep them equal from
@@ -40,14 +43,10 @@ skew_lattice_flows copies its blocks into full trajectories, one ensemble
 per stream, for the kernel experiment. The flow experiment keeps no
 trajectories: after every block it folds the block into running
 invariants (_flow_invariants), keeping per replica each start's merge
-index and target, the (0, 1) merge index and start 1's junction visits
-before it. Monotone order and the flow property are dense compares of the
-block; the merges and visits come from the block's junction events, the
-few states at 0; permanence compares each start only with the starts
-that some replica has as its target. Its memory is therefore O(replicas
-x (starts x 64 + _SPAN_STEPS / 4)) bytes whatever the horizon: about
-4.5 kB a replica at the default config, 2 kB of it one span's packed
-coins (tracemalloc, 2,048 replicas).
+index and target and start 1's junction visits before its merge. Its
+memory is therefore O(replicas x (starts x 64 + _SPAN_STEPS / 4)) bytes
+whatever the horizon: about 4.5 kB a replica at the default config, 2 kB
+of it one span's packed coins (tracemalloc, 2,048 replicas).
 """
 
 from __future__ import annotations
@@ -402,25 +401,22 @@ class FlowEnsemble:
         return tuple(key), side
 
     def merge_record(self, q: int) -> Optional[CoalescenceRecord]:
-        """First recorded coalescence of start q onto any earlier start."""
-        if q in self._merge_cache:
-            return self._merge_cache[q]
-        best: Optional[CoalescenceRecord] = None
-        for i in range(q):
-            idx = self._first_meeting(i, q)
-            if idx is not None and (best is None or idx < best.merge_index):
-                best = CoalescenceRecord(start_index=q, target_index=i, merge_index=idx)
-        self._merge_cache[q] = best
-        return best
+        """First recorded coalescence of start q onto an earlier start (start 0 has none)."""
+        if q not in self._merge_cache:
+            met = self._earliest_meeting(q, slice(0, q)) if q else None
+            self._merge_cache[q] = None if met is None else CoalescenceRecord(q, *met)
+        return self._merge_cache[q]
 
-    def _first_meeting(self, i: int, q: int) -> Optional[int]:
-        born = max(self.born_at(i), self.born_at(q))
-        a, b = self.traj[i], self.traj[q]
-        if self.spec.alpha_plus == 0.5:
-            hits = np.flatnonzero((a[born:] == b[born:]))
-        else:
-            hits = np.flatnonzero((a[born:] == 0) & (b[born:] == 0))
-        return int(hits[0]) + born if len(hits) else None
+    def _earliest_meeting(self, q: int, earlier: slice) -> Optional[tuple[int, int]]:
+        """(target, index) of start q's first meeting with a start of
+        earlier, by _first_meetings on a block of one replica, or None. A
+        meeting is both starts born (not LATTICE_INF) and at the junction,
+        or at plus-weight 1/2 both equal."""
+        a, b = self.traj[earlier].T, self.traj[q, :, None]
+        half = self.spec.alpha_plus == 0.5
+        meet = (a == b) & (b != LATTICE_INF) if half else (a == 0) & (b == 0)
+        _new, to, at = _first_meetings(meet[:, :, None], True, 0)
+        return (int(to[0]), int(at[0])) if len(at) else None
 
 
 def skew_lattice_flow(
@@ -594,18 +590,20 @@ def _flow_invariants(
       at_zero     every merge sits at the junction (junction rule only):
                   constant true, since a merge record under the junction
                   rule is a common junction visit;
-      merge       index of the (0, 1) merge, -1 if none in the horizon;
+      merge       index of the (0, 1) merge, -1 if none in the horizon
+                  or if there is no start 1;
       visits      junction visits of start 1 before that merge.
-    A merge is recorded as FlowEnsemble.merge_record does: the first
-    meeting with any earlier start, the smallest target on ties. Under the
-    junction rule the meetings come from the block's junction events
-    (_junction_meetings); at plus-weight 1/2 they are first equalities
-    (_first_meetings). Start 1's visits before its merge are the indices
-    of its own junction events, counted per replica. Monotone order and the
-    flow property are dense compares. Permanence compares a start with
-    each start some replica has as its target: densely where the merge
-    came by the block's first row, and from the merge on for the replicas
-    that merge inside the block.
+    A merge is recorded by the rule of _first_meetings, which
+    FlowEnsemble.merge_record and coalescence_time share: the first meeting
+    with any earlier start, the smallest target on ties. At plus-weight 1/2
+    the meetings are first equalities, passed to _first_meetings; under the
+    junction rule they come from the block's junction events through
+    _junction_meetings, its event-based equal. Start 1's visits before its
+    merge are the indices of its own junction events, counted per replica.
+    Monotone order and the flow property are dense compares. Permanence
+    compares a start with each start some replica has as its target:
+    densely where the merge came by the block's first row, and from the
+    merge on for the replicas that merge inside the block.
     """
     n = len(births) - 1
     order = sorted((q for q in range(n) if births[q] == 0), key=lambda q: units[q])
@@ -613,7 +611,8 @@ def _flow_invariants(
     monotone = np.ones(n_replicas, dtype=bool)
     flow_prop = np.ones(n_replicas, dtype=bool)
     permanence = np.ones(n_replicas, dtype=bool)
-    merge_at = np.full((n, n_replicas), never, dtype=np.int64)
+    # a row 1 even without a start 1, whose visits slice 1:2 is then empty
+    merge_at = np.full((max(n, 2), n_replicas), never, dtype=np.int64)
     target = np.zeros((n, n_replicas), dtype=np.intp)
     visits = np.zeros(n_replicas, dtype=np.int64)
     # per start, the earlier starts that some replica has as its target
@@ -660,7 +659,7 @@ def _flow_invariants(
                 if follows.any():
                     permanence &= ~((rows[:, q] != rows[:, t]).any(axis=0) & follows)
 
-        j, r = np.divmod(np.flatnonzero(at_junction[:-1, 1]), n_replicas)
+        j, r = np.divmod(np.flatnonzero(at_junction[:-1, 1:2]), n_replicas)
         visits += np.bincount(r[k0 + j < merge_at[1, r]], minlength=n_replicas)
     merge = np.where(merge_at[1] < never, merge_at[1], -1)
     return monotone, flow_prop, permanence, np.ones(n_replicas, dtype=bool), merge, visits
@@ -745,8 +744,9 @@ def coalescence_time(ensemble: FlowEnsemble, i: int, j: int) -> Optional[int]:
     """
     if i == j:
         return ensemble.born_at(i)
-    lo, hi = (i, j) if i < j else (j, i)
-    return ensemble._first_meeting(lo, hi)
+    lo, hi = sorted((i, j))
+    met = ensemble._earliest_meeting(hi, slice(lo, lo + 1))
+    return None if met is None else met[1]
 
 
 def wiener_kernel(

@@ -1,7 +1,8 @@
 """Replica-batched skew-walk kernel: bit equality with skew_lattice_flow,
 row equality with the per-replica flow-experiment computation, negative
 controls for the streamed invariants, and bit equality of their reduction
-with the dense one it replaced."""
+with the dense one it replaced; merge records and coalescence times against
+the per-pair scan they replaced."""
 
 import math
 from dataclasses import replace
@@ -14,6 +15,8 @@ from walshflow import flows
 from walshflow.cli import DEFAULT_CONFIG, _flow_chunk, _flow_starts
 from walshflow.flows import (
     LATTICE_INF,
+    CoalescenceRecord,
+    FlowEnsemble,
     LatticeFlowConfig,
     OffLatticeStart,
     _first_meetings,
@@ -98,6 +101,77 @@ def test_batched_ensembles_equal_skew_lattice_flow(batch):
             assert ens.start_meta == want.start_meta
             for q, (birth, _units, _ray) in enumerate(ens.start_meta):
                 assert (ens.traj[q, :birth] == LATTICE_INF).all()
+
+
+# The per-pair scan merge_record and coalescence_time made before they went
+# through _first_meetings, kept as their reference.
+
+
+def _first_meeting_oracle(ens, i, q):
+    """First index from the later birth on at which starts i and q both sit
+    at the junction, or at plus-weight 1/2 are equal; None if there is none."""
+    born = max(ens.born_at(i), ens.born_at(q))
+    a, b = ens.traj[i], ens.traj[q]
+    if ens.spec.alpha_plus == 0.5:
+        hits = np.flatnonzero(a[born:] == b[born:])
+    else:
+        hits = np.flatnonzero((a[born:] == 0) & (b[born:] == 0))
+    return int(hits[0]) + born if len(hits) else None
+
+
+def _merge_record_oracle(ens, q):
+    """Start q's first meeting with any earlier start, the smallest target
+    on ties, from the per-pair scan."""
+    best = None
+    for i in range(q):
+        idx = _first_meeting_oracle(ens, i, q)
+        if idx is not None and (best is None or idx < best.merge_index):
+            best = CoalescenceRecord(start_index=q, target_index=i, merge_index=idx)
+    return best
+
+
+def test_merge_records_and_coalescence_times_equal_the_per_pair_scan():
+    """Every start's merge record and every pair's coalescence time over the
+    random lattice cases: plus-weight 1/2, late births, and earlier starts
+    born after later ones."""
+    seen = {"merge at 1/2": 0, "merge after a late birth": 0, "earlier born later": 0}
+    for seed in range(600):
+        spec, config, _starts = _random_lattice_case(seed)
+        ens = skew_lattice_flow(config, spec, RngStream(seed).child(KEY_REPLICA, 0))
+        births = [meta[0] for meta in ens.start_meta]
+        for q in range(len(births)):
+            record = ens.merge_record(q)
+            assert record == _merge_record_oracle(ens, q), f"seed {seed} start {q}"
+            if record is None:
+                continue
+            seen["merge at 1/2"] += spec.alpha_plus == 0.5
+            seen["merge after a late birth"] += max(births[q], births[record.target_index]) > 0
+            seen["earlier born later"] += births[record.target_index] > births[q]
+            for i in range(len(births)):
+                want = births[i] if i == q else _first_meeting_oracle(ens, min(i, q), max(i, q))
+                assert coalescence_time(ens, i, q) == want, f"seed {seed} pair {i}, {q}"
+    assert all(seen.values()), seen
+
+
+def test_merge_record_takes_the_smallest_target_on_a_tie():
+    """Starts 0 and 1 meet start 2 at its birth, index 2, together: at the
+    junction, so under the junction rule and at plus-weight 1/2 alike."""
+    never = LATTICE_INF
+    traj = np.array(
+        [[2, 1, 0, 1, 2], [-2, -1, 0, -1, -2], [never, never, 0, 1, 0]], dtype=np.int64
+    )
+    for spec in (LATTICE_SPECS[4], LATTICE_SPECS[1]):
+        pairs = (
+            (0.0, GraphPoint(ray=1, radius=1.0)),
+            (0.0, GraphPoint(ray=2, radius=1.0)),
+            (0.5, spec.origin),
+        )
+        config = LatticeFlowConfig(level=1, horizon=1.0, start_pairs=pairs)
+        ens = FlowEnsemble(config, spec, traj.copy(), config.signed_starts(spec))
+        assert ens.merge_record(0) is None
+        assert ens.merge_record(1) == CoalescenceRecord(1, 0, 2)
+        assert ens.merge_record(2) == CoalescenceRecord(2, 0, 2)
+        assert coalescence_time(ens, 2, 1) == coalescence_time(ens, 0, 2) == 2
 
 
 def test_batched_ensembles_reject_mixed_parities_as_one_stream_does():
@@ -604,16 +678,34 @@ def _perturbed_trajectories(seeds):
 
 
 def test_flow_invariants_equal_the_dense_oracle_at_any_block_width():
-    """Streamed trajectories, true and broken, cut in blocks of any width.
-    The dense reduction holds blocks of at most 64 steps, so blocks wider
-    than that are checked against it at 64."""
+    """Streamed trajectories, true and broken, cut in blocks of any width,
+    with merges under the junction rule and as first equalities. The dense
+    reduction holds blocks of at most 64 steps, so blocks wider than that
+    are checked against it at 64."""
     traj, births, units = _perturbed_trajectories(range(16))
     n_replicas = len(traj)
-    for width in (1, 4, 50, 64, 65, 66, 200):
-        got = _flow_invariants(_cut(traj, width), births, units, True, n_replicas)
-        cut = _cut(traj, min(width, 64))
-        want = _flow_invariants_oracle(cut, births, units, True, n_replicas)
-        _assert_outputs_equal(got, want, f"width {width}")
-    # the broken replicas break each invariant but at_zero somewhere
-    assert not want[2].all() and not want[0].all() and not want[1].all()
-    assert (want[4] >= 0).sum() >= n_replicas // 2
+    for junction_rule in (True, False):
+        for width in (1, 4, 50, 64, 65, 66, 200):
+            args = (births, units, junction_rule, n_replicas)
+            got = _flow_invariants(_cut(traj, width), *args)
+            want = _flow_invariants_oracle(_cut(traj, min(width, 64)), *args)
+            _assert_outputs_equal(got, want, f"junction rule {junction_rule}, width {width}")
+        # the broken replicas break each invariant but at_zero somewhere
+        assert not want[2].all() and not want[0].all() and not want[1].all()
+        assert (want[4] >= 0).sum() >= n_replicas // 2
+
+
+@pytest.mark.parametrize("alpha", [(0.7, 0.3), (0.5, 0.5)])
+def test_flow_invariants_of_start_0_alone(alpha):
+    """A block of start 0 and the flow-property start: no start 1, so no
+    merge and no visits, and the other invariants hold."""
+    spec = validate_spec(alpha, (1, -1))
+    streams = [RngStream(8).child(KEY_REPLICA, rep) for rep in range(5)]
+    starts = [(0, 0), (40, None)]
+    blocks = _skew_flow_states(spec.alpha_plus, 150, starts, streams)
+    junction_rule = spec.alpha_plus != 0.5
+    got = _flow_invariants(blocks, [0, 40], [0, None], junction_rule, len(streams))
+    for name, value in zip(_OUTPUTS, got):
+        assert value.shape == (len(streams),), name
+    assert all(value.all() for value in got[:4])
+    assert (got[4] == -1).all() and (got[5] == 0).all()
